@@ -9,8 +9,8 @@ at a common instant G_k, leaving O* - G_k for the ES's own upload.
 Two nested solvers realize that structure:
 
 * the bandwidth needed by one link to meet an upload deadline tau has a
-  closed form through the secondary real branch of the Lambert W
-  function (the principal branch only carries the trivial root), and
+  closed form through W_{-1}, the lower real solution of w e^w = z (the
+  upper solution W_0 only carries the trivial root), and
 * for a candidate O*, each ES's bandwidth demand minimizes over the
   split G_k between the UE tier and the ES upload; the total demand is
   strictly decreasing in O*, so an outer bisection finds the O* whose
@@ -35,8 +35,8 @@ class InfeasibleAllocationError(RuntimeError):
 _BRANCH_POINT = -np.exp(-1.0)
 
 
-def _halley(w, z, keep_below=None, keep_above=None, max_iter=40, tol=1e-12):
-    """Vectorized Halley iteration on w e^w = z with domain clamping."""
+def _halley(w, z, keep_below, max_iter=40, tol=1e-12):
+    """Vectorized Halley iteration on w e^w = z, kept below keep_below."""
     z = np.asarray(z, dtype=float)
     scale = np.maximum(np.abs(z), 1e-290)
     for _ in range(max_iter):
@@ -49,27 +49,20 @@ def _halley(w, z, keep_below=None, keep_above=None, max_iter=40, tol=1e-12):
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         step = f / denom
         w_new = w - step
-        if keep_below is not None:
-            w_new = np.where(w_new >= keep_below, (w + keep_below) / 2.0, w_new)
-        if keep_above is not None:
-            w_new = np.where(w_new <= keep_above, (w + keep_above) / 2.0, w_new)
-        w = w_new
+        w = np.where(w_new >= keep_below, (w + keep_below) / 2.0, w_new)
     return w
 
 
-def lambert_w(z, branch=0, tol=1e-12):
-    """Real Lambert W on branch 0 or -1, scalar or array input.
+def lambert_w(z, tol=1e-12):
+    """Real Lambert W_{-1} (the solution w <= -1), scalar or array input.
 
-    Branch 0 is defined on [-1/e, inf), branch -1 on [-1/e, 0). Values
-    outside the domain raise ValueError. Residual |w e^w - z| is driven
-    to tol relative to |z|.
+    Defined on [-1/e, 0); values outside the domain raise ValueError.
+    Residual |w e^w - z| is driven to tol relative to |z|.
     """
-    if branch not in (0, -1):
-        raise ValueError(f"unsupported branch {branch}")
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z < _BRANCH_POINT - 1e-14) or (branch == -1 and np.any(z >= 0.0)):
-        raise ValueError("argument outside the real domain of the requested branch")
+    if np.any(z < _BRANCH_POINT - 1e-14) or np.any(z >= 0.0):
+        raise ValueError("argument outside the real domain [-1/e, 0) of W_{-1}")
     z = np.maximum(z, _BRANCH_POINT)
 
     p_sq = 2.0 * (np.e * z + 1.0)
@@ -77,22 +70,13 @@ def lambert_w(z, branch=0, tol=1e-12):
     p = np.sqrt(p_sq)
     near = p_sq < 0.5
 
-    if branch == 0:
-        series = -1.0 + p - p_sq / 3.0 + 11.0 / 72.0 * p * p_sq
-        with np.errstate(divide="ignore", invalid="ignore"):
-            big = np.where(z > np.e, np.log(np.where(z > np.e, z, np.e)), 0.0)
-            big = np.where(z > np.e, big - np.log(np.maximum(big, 1e-300)), 0.0)
-        mid = np.where(z >= 0.0, np.log1p(np.maximum(z, -0.5)), z)
-        w0 = np.where(near, series, np.where(z > np.e, big, mid))
-        w = _halley(w0, z, keep_below=None, keep_above=-1.0 - 1e-16, tol=tol)
-    else:
-        series = -1.0 - p - p_sq / 3.0 - 11.0 / 72.0 * p * p_sq
-        zc = np.minimum(z, -1e-300)
-        lz = np.log(-zc)
-        asym = lz - np.log(np.maximum(-lz, 1e-300))
-        w0 = np.where(near, series, asym)
-        w0 = np.minimum(w0, -1.0 - 1e-12)
-        w = _halley(w0, z, keep_below=-1.0 + 1e-16, tol=tol)
+    series = -1.0 - p - p_sq / 3.0 - 11.0 / 72.0 * p * p_sq
+    zc = np.minimum(z, -1e-300)
+    lz = np.log(-zc)
+    asym = lz - np.log(np.maximum(-lz, 1e-300))
+    w0 = np.where(near, series, asym)
+    w0 = np.minimum(w0, -1.0 - 1e-12)
+    w = _halley(w0, z, keep_below=-1.0 + 1e-16, tol=tol)
 
     exact = z == _BRANCH_POINT
     w = np.where(exact, -1.0, w)
@@ -119,7 +103,7 @@ def deadline_bandwidth(z_bits, ph, n0, tau):
     ok = (z > 0.0) & (tau > 0.0) & (ph > 0.0) & (gamma < 1.0) & (gamma > 0.0)
     if np.any(ok):
         g = gamma[ok]
-        wv = lambert_w(-g * np.exp(-g), branch=-1)
+        wv = lambert_w(-g * np.exp(-g))
         denom = -(wv + g)
         out[ok] = z[ok] * LN2 / (tau[ok] * denom)
     return out

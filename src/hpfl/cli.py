@@ -1,6 +1,7 @@
 """Command line interface: run experiments, audit the bound, sweep knobs.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when the
+Exit codes: 0 on success, 1 when the run diverges (a loss, gradient,
+or update stops being finite), 2 on configuration errors, 3 when the
 bandwidth budget cannot cover the minimum per-link floor.
 """
 
@@ -11,9 +12,10 @@ from .bandwidth import InfeasibleAllocationError
 from .experiment import (parse_sweep_values, run_audit, run_experiment,
                          run_sweep, write_outputs)
 from .meta import NonFiniteError
-from .scenario import ConfigError, Scenario, load_scenario
+from .scenario import Scenario, load_scenario
 
 EXIT_OK = 0
+EXIT_DIVERGED = 1
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
@@ -57,12 +59,7 @@ def _scenario_from(args):
         value = getattr(args, field)
         if value is not None:
             overrides[field] = value
-    try:
-        return scn.replace(**overrides) if overrides else scn
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return scn.replace(**overrides)
 
 
 def main(argv=None):
@@ -82,16 +79,10 @@ def main(argv=None):
             run_sweep(scenario, args.param, values, out_dir=args.out)
             print("wrote %s (%d values of %s)"
                   % (args.out, len(values), args.param))
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
     except NonFiniteError as exc:
         print("run diverged: %s" % exc, file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        return EXIT_DIVERGED
+    except (OSError, ValueError) as exc:   # ConfigError is a ValueError
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleAllocationError as exc:

@@ -2,9 +2,9 @@
 audit the per-round descent bound, sweep parameters, and emit CSV/JSON.
 
 Outputs are deterministic given (config, seed): floats are written with
-repr so two identical runs produce byte-identical files, and the runtime
-column carries the modeled scheduler+allocator work in microsecond-scale
-units rather than wall-clock measurements.
+repr so two identical runs produce byte-identical files.  Despite its
+name, the runtime_us column is not a time: it counts the allocator's
+solver evaluations in the round plus one per edge server.
 """
 
 import dataclasses
@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import meta
 from .constants import bound_constants, estimate_constants
-from .hierarchy import EngineParams, RoundEngine
-from .network import dbm_per_hz_to_w, sample_topology
-from .scenario import Scenario
+from .hierarchy import RoundEngine
+from .network import sample_topology
+from .scenario import ConfigError, Scenario
 from .tasks import (LogisticModel, MLPModel, QuadraticModel,
                     build_classification_federation,
                     build_quadratic_federation)
@@ -112,37 +113,29 @@ def prepare(scenario):
                     w0=w0, constants=constants)
 
 
-def _make_engine(prep, scn, beta):
-    phi, nu = bound_constants(beta, scn.s_max, scn.a_max, scn.k,
-                              prep.constants.meta_div_sq)
-    phi_sched = phi if scn.phi_override < 0 else scn.phi_override
-    params = EngineParams(
-        alpha=scn.alpha, beta=beta, rho=scn.rho, s_max=scn.s_max,
-        a_max=scn.a_max, phi_sched=phi_sched, phi_report=phi, nu_report=nu,
-        selection=scn.selection, allocation=scn.allocation, mode=scn.mode,
-        total_b=scn.total_b, b_min=scn.b_min,
-        n0=dbm_per_hz_to_w(scn.n0_dbm_hz),
-        p_ue=scn.p_ue, p_es=scn.p_es, z_bits=scn.z_bits,
-        c_cycles=scn.c_cycles, cpu_hz=scn.cpu_hz, seed=scn.seed)
-    engine = RoundEngine(prep.model, prep.federation, prep.topology, params,
-                         prep.w0)
-    return engine, phi, nu, phi_sched
+def _run(scenario, audit, forced_plan=None):
+    """The one run path: prepare, build the engine, run every round.
 
-
-def run_experiment(scenario, beta=None, forced_plan=None):
-    """Run the configured number of rounds and return all records.
-
-    ``beta`` overrides the scenario's step size (the audit pins it to the
-    inverse meta-smoothness), ``forced_plan`` fixes each round's selection.
+    The step size is the scenario's beta, or 1/meta_lip for an audit.
     """
     prep = prepare(scenario)
-    if beta is None:
-        beta = scenario.beta
-    engine, phi, nu, phi_sched = _make_engine(prep, scenario, beta)
+    beta = 1.0 / prep.constants.meta_lip if audit else scenario.beta
+    phi, nu = bound_constants(beta, scenario.s_max, scenario.a_max,
+                              scenario.k, prep.constants.meta_div_sq)
+    phi_sched = phi if scenario.phi_override < 0 else scenario.phi_override
+    engine = RoundEngine(prep, scenario, beta, phi_sched, phi, nu)
     records = engine.run(scenario.rounds, forced_plan=forced_plan)
     return ExperimentResult(scenario=scenario, records=records, engine=engine,
                             constants=prep.constants, phi=phi, nu=nu,
                             phi_sched=phi_sched, beta=beta)
+
+
+def run_experiment(scenario, forced_plan=None):
+    """Run the configured number of rounds and return all records.
+
+    ``forced_plan``, when given, fixes each round's selection.
+    """
+    return _run(scenario, audit=False, forced_plan=forced_plan)
 
 
 def rounds_csv_text(records):
@@ -216,17 +209,16 @@ def audit_bound(result):
     """
     engine = result.engine
     model = engine.model
-    p = engine.params
+    alpha = result.scenario.alpha
+    loss, grad = meta.objective(result.scenario.mode)
     shards = [ue.train for es_shards in engine.federation
               for ue in es_shards]
 
     def global_loss(w):
-        return float(np.mean([engine._loss(model, w, sh, p.alpha)
-                              for sh in shards]))
+        return float(np.mean([loss(model, w, sh, alpha) for sh in shards]))
 
     def global_grad_norm_sq(w):
-        g = np.mean([engine._grad(model, w, sh, p.alpha) for sh in shards],
-                    axis=0)
+        g = np.mean([grad(model, w, sh, alpha) for sh in shards], axis=0)
         return float(g @ g)
 
     f_cache = {}
@@ -265,13 +257,7 @@ def run_audit(scenario, out_dir=None):
 
     Returns (result, rows, fraction of rounds where the bound holds).
     """
-    prep = prepare(scenario)
-    beta = 1.0 / prep.constants.meta_lip
-    engine, phi, nu, phi_sched = _make_engine(prep, scenario, beta)
-    records = engine.run(scenario.rounds)
-    result = ExperimentResult(scenario=scenario, records=records,
-                              engine=engine, constants=prep.constants,
-                              phi=phi, nu=nu, phi_sched=phi_sched, beta=beta)
+    result = _run(scenario, audit=True)
     rows = audit_bound(result)
     frac = float(np.mean([r["holds"] for r in rows])) if rows else 1.0
     if out_dir is not None:
@@ -311,11 +297,20 @@ def parse_sweep_values(spec):
 def run_sweep(scenario, param, values, out_dir=None):
     """Re-run the scenario for each value of one numeric field.
 
-    Each run lands in its own subdirectory; sweep.csv summarizes final
-    loss plus mean latency, captured importance, and selected count.
+    Each value is cast to the field's declared type and each run lands in
+    its own subdirectory, named ``param=repr(value)``; sweep.csv
+    summarizes final loss plus mean latency, captured importance, and
+    selected count.
     """
-    if param not in {f.name for f in dataclasses.fields(Scenario)}:
-        raise ValueError("unknown sweep parameter %r" % (param,))
+    kind = {f.name: f.type for f in dataclasses.fields(Scenario)}.get(param)
+    if kind is None:
+        raise ConfigError("param: unknown sweep parameter %r" % (param,))
+    if kind is int and not all(float(v).is_integer() for v in values):
+        raise ConfigError("%s: sweep values %s are not all integers"
+                          % (param, list(values)))
+    values = [kind(v) for v in values]
+    if len(set(values)) != len(values):
+        raise ConfigError("%s: sweep values %s repeat" % (param, values))
     rows = []
     for value in values:
         scn = scenario.replace(**{param: value})
@@ -333,7 +328,7 @@ def run_sweep(scenario, param, values, out_dir=None):
         }
         rows.append((row, result))
         if out_dir is not None:
-            sub = os.path.join(out_dir, "%s=%g" % (param, value))
+            sub = os.path.join(out_dir, "%s=%r" % (param, value))
             write_outputs(result, sub)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

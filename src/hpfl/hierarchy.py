@@ -28,16 +28,14 @@ import numpy as np
 
 from . import meta
 from .bandwidth import AllocationProblem, ESGroup, equal_split, progressive_fill
-from .network import round_latency_es, sample_channels, tcom, tcmp, uplink_rate
+from .network import dbm_per_hz_to_w, sample_channels, tcom, tcmp, uplink_rate
 from .scheduler import baseline_select, objective_value, schedule
 
 __all__ = [
     "AggregationError",
     "EdgeState",
-    "EngineParams",
     "RoundRecord",
     "RoundEngine",
-    "edge_aggregate",
     "global_update",
     "advance_staleness",
 ]
@@ -66,25 +64,15 @@ class EdgeState:
     staleness: int = 0
     force_pending: bool = False
     needs_refresh: bool = True
-    ue_models: np.ndarray = None
-    edge_model: np.ndarray = None
     mean_grad: np.ndarray = None
     grad_norm_sq: float = 0.0
 
 
-def edge_aggregate(ue_models):
-    """Synchronous edge aggregation: plain average of the UE models."""
-    ue_models = np.asarray(ue_models, dtype=float)
-    if ue_models.ndim != 2 or ue_models.shape[0] == 0:
-        raise AggregationError("edge aggregation needs a non-empty (n, d) stack")
-    return ue_models.mean(axis=0)
+def global_update(w, edges, selected, beta):
+    """Cloud step ``w - (beta/A) * sum of the A selected mean gradients``.
 
-
-def global_update(w, edges, selected, beta, denom=None):
-    """Cloud step ``w - (beta/denom) * sum of selected mean gradients``.
-
-    ``denom`` defaults to the number of selected servers.  Every selected
-    server must carry a cached mean gradient (i.e. have been refreshed).
+    Every selected server must carry a cached mean gradient (i.e. have
+    been refreshed).
     """
     selected = np.asarray(selected, dtype=bool)
     picked = [edges[i] for i in np.flatnonzero(selected)]
@@ -95,23 +83,18 @@ def global_update(w, edges, selected, beta, denom=None):
             raise AggregationError(
                 "edge server %d was selected before ever computing an update"
                 % es.es_id)
-    if denom is None:
-        denom = len(picked)
     total = np.zeros_like(w)
     for es in picked:
         total = total + es.mean_grad
-    return w - (beta / float(denom)) * total
+    return w - (beta / float(len(picked))) * total
 
 
-def advance_staleness(edges, selected, s_max, new_model, new_version,
-                      force_select_stale=True):
+def advance_staleness(edges, selected, s_max, new_model, new_version):
     """Post-round ageing: selected servers sync, the rest grow staler.
 
     A selected server receives the new model and resets to staleness 0.
-    With ``force_select_stale`` on (the default) an unselected server's
-    recorded staleness saturates at ``s_max`` and it is flagged for forced
-    inclusion once the budget is reached; with it off, exceeding the
-    budget is an error naming the server.
+    An unselected server's recorded staleness saturates at ``s_max`` and
+    it is flagged for forced inclusion once the budget is reached.
     """
     selected = np.asarray(selected, dtype=bool)
     for i, es in enumerate(edges):
@@ -122,10 +105,6 @@ def advance_staleness(edges, selected, s_max, new_model, new_version,
             es.force_pending = False
             es.needs_refresh = True
         else:
-            if not force_select_stale and es.staleness + 1 > s_max:
-                raise AggregationError(
-                    "edge server %d would reach staleness %d, over the "
-                    "bound %d" % (es.es_id, es.staleness + 1, s_max))
             es.staleness = min(es.staleness + 1, s_max)
             es.force_pending = es.staleness >= s_max
 
@@ -150,61 +129,35 @@ class RoundRecord:
     capped: bool
 
 
-@dataclass
-class EngineParams:
-    """Learning, scheduling, and radio knobs the engine runs with."""
-
-    alpha: float
-    beta: float
-    rho: float
-    s_max: int
-    a_max: int
-    phi_sched: float
-    phi_report: float
-    nu_report: float
-    selection: str = "proposed"
-    allocation: str = "progressive"
-    mode: str = "hpfl"
-    total_b: float = 5e6
-    b_min: float = 1e3
-    n0: float = 10.0 ** ((-174.0 - 30.0) / 10.0)
-    p_ue: float = 0.01
-    p_es: float = 0.1
-    z_bits: float = 1e6
-    c_cycles: float = 20.0
-    cpu_hz: float = 2e9
-    seed: int = 0
-
-
 class RoundEngine:
-    """Drives the federation round by round and records what happened."""
+    """Drives the federation round by round and records what happened.
 
-    def __init__(self, model, federation, topology, params, w0):
-        self.model = model
-        self.federation = federation
-        self.topology = topology
-        self.params = params
-        self.w = np.asarray(w0, dtype=float).copy()
+    ``prep`` carries the model, federation, topology and initial point w0;
+    ``scenario`` supplies every other knob.  The cloud steps with ``beta``
+    and schedules with ``phi_sched``; ``phi`` and ``nu`` only scale the
+    reported importance and bound.
+    """
+
+    def __init__(self, prep, scenario, beta, phi_sched, phi, nu):
+        self.model = prep.model
+        self.federation = prep.federation
+        self.topology = prep.topology
+        self.scenario = scenario
+        self.beta = beta
+        self.phi_sched = phi_sched
+        self.phi = phi
+        self.nu = nu
+        self.n0 = dbm_per_hz_to_w(scenario.n0_dbm_hz)
+        self.w = np.asarray(prep.w0, dtype=float).copy()
         self.t = 0
         self.history = [self.w.copy()]
-        k = len(federation)
+        k = len(self.federation)
         self.edges = [EdgeState(es_id=i, base=self.w.copy()) for i in range(k)]
         # before the first selection every server works and uploads
         self.work_set = np.ones(k, dtype=bool)
         self._random_rng = np.random.default_rng(
-            np.random.SeedSequence([int(params.seed), 433]))
-        if params.mode == "hpfl":
-            self._grad = meta.meta_grad
-            self._loss = meta.meta_loss
-        elif params.mode == "hfl":
-            self._grad = meta.plain_grad
-            self._loss = meta.plain_loss
-        else:
-            raise ValueError("mode must be 'hpfl' or 'hfl', got %r" % (params.mode,))
-        if params.selection not in ("proposed", "full", "random"):
-            raise ValueError("unknown selection policy %r" % (params.selection,))
-        if params.allocation not in ("progressive", "equal"):
-            raise ValueError("unknown allocation policy %r" % (params.allocation,))
+            np.random.SeedSequence([scenario.seed, 433]))
+        self._loss, self._grad = meta.objective(scenario.mode)
 
     @property
     def k(self):
@@ -216,16 +169,14 @@ class RoundEngine:
         Unselected servers keep full-batch gradients of an unchanged base,
         which are bit-identical, so the engine only recomputes dirty ones.
         """
-        p = self.params
+        alpha = self.scenario.alpha
         shards = self.federation[es.es_id]
         grads = np.stack([
-            self._grad(self.model, es.base, ue.train, p.alpha,
+            self._grad(self.model, es.base, ue.train, alpha,
                        context="es %d ue %d" % (es.es_id, j))
             for j, ue in enumerate(shards)
         ])
-        es.ue_models = es.base[None, :] - p.beta * grads
         es.mean_grad = grads.mean(axis=0)
-        es.edge_model = edge_aggregate(es.ue_models)
         es.grad_norm_sq = float(es.mean_grad @ es.mean_grad)
         es.needs_refresh = False
 
@@ -238,17 +189,17 @@ class RoundEngine:
         on each UE's training shard (personalized mode only) and scores the
         held-out shard; task families without labels report accuracy 0.
         """
-        p = self.params
+        alpha = self.scenario.alpha
         losses = []
         hits = 0
         total = 0
         for es_shards in self.federation:
             for ue in es_shards:
-                losses.append(self._loss(self.model, self.w, ue.train, p.alpha))
+                losses.append(self._loss(self.model, self.w, ue.train, alpha))
                 if not hasattr(ue.eval, "x"):
                     continue
-                if p.mode == "hpfl":
-                    theta = meta.adapt(self.model, self.w, ue.train, p.alpha)
+                if self.scenario.mode == "hpfl":
+                    theta = meta.adapt(self.model, self.w, ue.train, alpha)
                 else:
                     theta = self.w
                 pred = self.model.predict(theta, ue.eval.x)
@@ -259,7 +210,7 @@ class RoundEngine:
         return float(np.mean(losses)), float(acc)
 
     def _group_for(self, es_idx, snapshot):
-        p = self.params
+        p = self.scenario
         shards = self.federation[es_idx]
         d_bits = np.array([ue.train.size for ue in shards], dtype=float) \
             * self.model.dim * BITS_PER_PARAM
@@ -271,53 +222,51 @@ class RoundEngine:
             z_es=p.z_bits,
         )
 
-    def _allocate(self, member_mask, snapshot):
+    def _allocate(self, member_mask, groups):
         """Bandwidth split over one set of working servers.
 
-        Returns (per-ES latency array over the members, solver work units).
+        Returns (member indices, per-ES latency array over the members,
+        solver work units).
         """
-        p = self.params
+        p = self.scenario
         members = np.flatnonzero(member_mask)
-        groups = tuple(self._group_for(i, snapshot) for i in members)
-        problem = AllocationProblem(groups=groups, n0=p.n0,
-                                    total_b=p.total_b, b_min=p.b_min)
+        problem = AllocationProblem(groups=tuple(groups[i] for i in members),
+                                    n0=self.n0, total_b=p.total_b,
+                                    b_min=p.b_min)
         if p.allocation == "progressive":
             result = progressive_fill(problem)
         else:
             result = equal_split(problem)
         return members, np.asarray(result.latencies, dtype=float), result.work
 
-    def _counterfactual_latency(self, es_idx, snapshot):
+    def _counterfactual_latency(self, grp, share):
         """Latency estimate for a server that did not hold bandwidth.
 
-        Uses the even every-server split as the reference price of adding
-        it: each positive-payload link in the whole federation gets an
-        equal share of the budget.
+        ``share`` is the reference price of adding it: the even split of
+        the budget over every positive-payload link in the federation.
         """
-        p = self.params
-        n_links = sum(self._group_for(i, snapshot).n_links for i in range(self.k))
-        share = p.total_b / n_links
-        grp = self._group_for(es_idx, snapshot)
-        t_ue = grp.tcmp_ue + tcom(grp.z_ue, uplink_rate(share, 1.0, grp.ph_ue, p.n0))
-        t_es = tcom(grp.z_es, uplink_rate(share, 1.0, grp.ph_es, p.n0))
+        t_ue = grp.tcmp_ue + tcom(grp.z_ue, uplink_rate(share, 1.0, grp.ph_ue, self.n0))
+        t_es = tcom(grp.z_es, uplink_rate(share, 1.0, grp.ph_es, self.n0))
         return float(np.max(t_ue) + t_es)
 
     def run_round(self, forced_selection=None):
         """Advance the federation by one cloud round and record it."""
-        p = self.params
+        p = self.scenario
         for es in self.edges:
             if es.needs_refresh:
                 self._refresh(es)
         loss, acc = self._evaluate()
         snapshot = sample_channels(self.topology, p.seed, self.t)
+        groups = [self._group_for(i, snapshot) for i in range(self.k)]
 
-        members, member_lat, work = self._allocate(self.work_set, snapshot)
+        members, member_lat, work = self._allocate(self.work_set, groups)
         latencies = np.empty(self.k)
-        for pos, i in enumerate(members):
-            latencies[i] = member_lat[pos]
-        for i in range(self.k):
-            if not self.work_set[i]:
-                latencies[i] = self._counterfactual_latency(i, snapshot)
+        latencies[members] = member_lat
+        idle = np.flatnonzero(~self.work_set)
+        if idle.size:
+            share = p.total_b / sum(grp.n_links for grp in groups)
+            for i in idle:
+                latencies[i] = self._counterfactual_latency(groups[i], share)
 
         importance = np.array([es.grad_norm_sq for es in self.edges])
         forced = np.array([es.force_pending for es in self.edges])
@@ -329,7 +278,7 @@ class RoundEngine:
                                  "%d servers" % self.k)
         elif p.selection == "proposed":
             decision = schedule(importance, latencies, forced, p.rho,
-                                p.phi_sched, p.a_max)
+                                self.phi_sched, p.a_max)
             pi = decision.pi
             capped = decision.capped
         else:
@@ -338,20 +287,21 @@ class RoundEngine:
         # servers picked outside the working set need bandwidth they never
         # had, so the physical round re-splits over the actual uploaders
         if not np.array_equal(pi, self.work_set):
-            sel_members, sel_lat, extra = self._allocate(pi, snapshot)
+            _, sel_lat, extra = self._allocate(pi, groups)
             work += extra
-            round_latency = float(sel_lat.max())
+            latency = float(sel_lat.max())
         else:
-            round_latency = float(latencies[pi].max())
+            latency = float(latencies[pi].max())
 
         staleness_used = tuple(int(self.edges[i].staleness)
                                for i in np.flatnonzero(pi))
         versions = tuple(int(self.edges[i].version) for i in np.flatnonzero(pi))
         a_eff = int(pi.sum())
-        captured = float(p.phi_report * importance[pi].sum())
-        objective = objective_value(pi, importance, latencies, p.rho, p.phi_sched)
+        captured = float(self.phi * importance[pi].sum())
+        objective = objective_value(pi, importance, latencies, p.rho,
+                                    self.phi_sched)
 
-        self.w = global_update(self.w, self.edges, pi, p.beta)
+        self.w = global_update(self.w, self.edges, pi, self.beta)
         self.t += 1
         self.history.append(self.w.copy())
         advance_staleness(self.edges, pi, p.s_max, self.w, self.t)
@@ -361,11 +311,11 @@ class RoundEngine:
             round=self.t - 1,
             loss=loss,
             acc=acc,
-            latency=round_latency,
+            latency=latency,
             importance=captured,
             a_eff=a_eff,
             runtime_us=int(work + self.k),
-            bound_rhs=captured + p.nu_report,
+            bound_rhs=captured + self.nu,
             pi=tuple(int(v) for v in pi),
             staleness_used=staleness_used,
             staleness_after=tuple(int(es.staleness) for es in self.edges),

@@ -1,4 +1,4 @@
-"""Personalized meta-objective and the one-step local update rule.
+"""Personalized meta-objective, the plain objective, and the choice between them.
 
 The per-UE objective evaluates the base loss at the adapted point
 theta = w - alpha * grad(w), so its gradient carries a Hessian term:
@@ -41,11 +41,6 @@ def meta_grad(model, w, shard, alpha, context=""):
     return out
 
 
-def local_update(model, w_global, shard, alpha, beta, context=""):
-    """One personalized local step: w_global - beta * meta_grad(w_global)."""
-    return w_global - beta * meta_grad(model, w_global, shard, alpha, context=context)
-
-
 def plain_grad(model, w, shard, alpha=0.0, context=""):
     """Conventional gradient, signature-compatible with meta_grad."""
     g = model.grad(w, shard)
@@ -58,6 +53,16 @@ def plain_loss(model, w, shard, alpha=0.0, context=""):
     value = model.loss(w, shard)
     _check_finite(value, "loss", context)
     return value
+
+
+def objective(mode):
+    """The (loss, grad) pair a run optimizes: meta in "hpfl", plain in "hfl".
+
+    Returns this module's current functions, looked up when called.
+    """
+    if mode == "hpfl":
+        return meta_loss, meta_grad
+    return plain_loss, plain_grad
 
 
 def adapt(model, w, shard, alpha):

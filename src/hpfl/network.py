@@ -66,20 +66,6 @@ def tcom(z_bits, rate):
     return out
 
 
-def round_latency_es(tcmp_ue, tcom_ue, tcom_es):
-    """Slowest UE of the ES plus the ES's own upload time."""
-    return float(np.max(np.asarray(tcmp_ue) + np.asarray(tcom_ue)) + tcom_es)
-
-
-def round_latency(latencies, selected):
-    """System latency: max over selected ESs; empty selection gives 0."""
-    latencies = np.asarray(latencies, dtype=float)
-    selected = np.asarray(selected, dtype=bool)
-    if not selected.any():
-        return 0.0
-    return float(latencies[selected].max())
-
-
 @dataclass(frozen=True)
 class Topology:
     """Static geometry and radio parameters of the hierarchy.

@@ -10,6 +10,8 @@ so typos fail loudly.
 import dataclasses
 import hashlib
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "save_scenario"]
@@ -111,7 +113,22 @@ def _require(ok, field, message):
         raise ConfigError("%s: %s" % (field, message))
 
 
+_TYPES = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a finite number"),
+    str: (str, "a string"),
+}
+
+
 def _validate(s):
+    for field in dataclasses.fields(s):
+        value = getattr(s, field.name)
+        kind, what = _TYPES[field.type]
+        # the magnitude test rejects nan, infinities and ints too big for a float
+        _require(isinstance(value, kind) and not isinstance(value, bool)
+                 and (field.type is not float
+                      or abs(value) <= sys.float_info.max),
+                 field.name, "must be %s, got %r" % (what, value))
     _require(s.k >= 1, "k", "need at least one edge server")
     _require(s.n_k >= 1, "n_k", "need at least one UE per edge server")
     for field, choices in _CHOICES.items():
@@ -139,6 +156,7 @@ def _validate(s):
     _require(s.d_es_lo > 0 and s.d_es_hi >= s.d_es_lo, "d_es_lo",
              "ES distance range must be positive and ordered")
     _require(s.rounds >= 0, "rounds", "must be non-negative")
+    _require(s.seed >= 0, "seed", "must be non-negative")
     _require(s.probe_count >= 2, "probe_count", "estimation needs two probes")
     _require(s.l2 >= 0, "l2", "must be non-negative")
     _require(s.eig_hi >= s.eig_lo > 0, "eig_lo", "curvature range must be ordered")
@@ -158,10 +176,7 @@ def load_scenario(path):
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError("unknown keys: %s" % ", ".join(unknown))
-    try:
-        return Scenario(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    return Scenario(**raw)
 
 
 def save_scenario(scenario, path):

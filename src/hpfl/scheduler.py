@@ -97,11 +97,11 @@ def schedule(importance, latency, forced, rho, phi, a_max):
     if not (passes | forced).any():
         pi = np.zeros_like(passes)
         pi[int(np.argmax(scores))] = True
-        return SelectionVector(pi=pi, scores=scores, forced=forced.copy(), capped=False)
+        return SelectionVector(pi=pi, capped=False)
     staleness = np.zeros(scores.shape[0])
     staleness[forced] = 1.0
     pi, capped = apply_cap(passes, forced, scores, staleness, a_max)
-    return SelectionVector(pi=pi, scores=scores, forced=forced.copy(), capped=capped)
+    return SelectionVector(pi=pi, capped=capped)
 
 
 @dataclass(frozen=True)
@@ -109,23 +109,11 @@ class SelectionVector:
     """Outcome of one scheduling decision.
 
     pi      -- boolean selection mask over edge servers
-    scores  -- the net benefit each server was ranked by
-    forced  -- servers included because their staleness budget ran out
     capped  -- True when the upload cap dropped otherwise-qualified servers
     """
 
     pi: np.ndarray
-    scores: np.ndarray
-    forced: np.ndarray
     capped: bool
-
-    @property
-    def selected_indices(self):
-        return np.flatnonzero(self.pi)
-
-    @property
-    def count(self):
-        return int(self.pi.sum())
 
 
 def objective_value(pi, importance, latency, rho, phi):

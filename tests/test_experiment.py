@@ -152,6 +152,47 @@ class TestSweep:
             assert (sub / "manifest.json").exists()
 
 
+def _sweep(tmp_path, param, values):
+    cfg = tmp_path / "cfg.json"
+    save_scenario(SMALL.replace(rounds=1), cfg)
+    out = tmp_path / "s"
+    code = cli.main(["sweep", "--config", str(cfg), "--param", param,
+                     "--values", values, "--out", str(out)])
+    return code, out
+
+
+def _swept_config(out, name):
+    return json.loads((out / name / "manifest.json").read_text())["config"]
+
+
+class TestSweepCli:
+    def test_close_values_get_their_own_directories(self, tmp_path):
+        code, out = _sweep(tmp_path, "rho", "0.1234567,0.1234568")
+        assert code == 0
+        assert _swept_config(out, "rho=0.1234567")["rho"] == 0.1234567
+        assert _swept_config(out, "rho=0.1234568")["rho"] == 0.1234568
+
+    def test_repeated_value_is_config_error(self, tmp_path, capsys):
+        code, out = _sweep(tmp_path, "rho", "0.5,0.5")
+        assert code == 2
+        assert "config error: rho: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param,values", [
+        ("a_max", "1,2"), ("k", "2,3"), ("s_max", "1,2")])
+    def test_int_field_is_swept_with_ints(self, tmp_path, param, values):
+        code, out = _sweep(tmp_path, param, values)
+        assert code == 0
+        for v in values.split(","):
+            got = _swept_config(out, "%s=%s" % (param, v))[param]
+            assert type(got) is int and got == int(v)
+
+    def test_non_integral_value_for_int_field(self, tmp_path, capsys):
+        code, _ = _sweep(tmp_path, "k", "2,2.5")
+        assert code == 2
+        assert "config error: k: " in capsys.readouterr().err
+
+
 class TestCli:
     def test_run_success(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -212,6 +253,22 @@ class TestCli:
                          "--values", "0.2,0.8", "--out", str(out)])
         assert code == 0
         assert (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("raw,args,field", [
+        ('{"k": 2.5}', [], "k"),
+        ('{"n_k": true}', [], "n_k"),
+        ('{"k": "5"}', [], "k"),
+        ('{"total_b": Infinity}', [], "total_b"),
+        ("{}", ["--seed", "-1"], "seed"),
+    ])
+    def test_malformed_value_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                      raw, args, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(raw)
+        code = cli.main(["run", "--config", str(cfg), "--rounds", "1",
+                         "--out", str(tmp_path / "o")] + args)
+        assert code == 2
+        assert "config error: %s: " % field in capsys.readouterr().err
 
     def test_cli_overrides_reach_the_manifest(self, tmp_path):
         out = tmp_path / "o"

@@ -1,4 +1,4 @@
-"""Personalized meta-objective: values, gradients, and the local update."""
+"""Personalized meta-objective: values, gradients, and one local step."""
 
 import mpmath
 import numpy as np
@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hpfl.meta import (NonFiniteError, adapt, local_update, meta_grad,
-                       meta_loss)
+from hpfl.meta import NonFiniteError, adapt, meta_grad, meta_loss
 from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
                         QuadraticTask, TaskShard)
 
@@ -115,14 +114,14 @@ def test_local_update_stationary_point():
     model, task = _random_quadratic(rng, 3)
     w = task.a.copy()
     np.testing.assert_allclose(
-        local_update(model, w, task, alpha=0.1, beta=0.5), w, atol=1e-14)
+        w - 0.5 * meta_grad(model, w, task, alpha=0.1), w, atol=1e-14)
 
 
 def test_local_update_half_step_quadratic():
     model, task = _identity_task()
     w = np.array([2.0, 0.0])
     np.testing.assert_allclose(
-        local_update(model, w, task, alpha=0.5, beta=1.0),
+        w - 1.0 * meta_grad(model, w, task, alpha=0.5),
         np.array([1.5, 0.0]), atol=1e-15)
 
 
@@ -136,7 +135,8 @@ def test_local_update_descends_under_meta_smoothness():
         meta_hessian = m @ task.q @ m
         l_meta = float(np.linalg.eigvalsh(meta_hessian).max())
         w = task.a + rng.standard_normal(4)
-        w2 = local_update(model, w, task, alpha=alpha, beta=1.0 / l_meta)
+        beta = 1.0 / l_meta
+        w2 = w - beta * meta_grad(model, w, task, alpha)
         assert meta_loss(model, w2, task, alpha) <= \
             meta_loss(model, w, task, alpha) + 1e-12
 

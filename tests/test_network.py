@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from hpfl.network import (ChannelSnapshot, dbm_per_hz_to_w, db_to_linear,
-                          power_limited_rate, round_latency,
-                          round_latency_es, sample_channels, sample_topology,
-                          tcmp, tcom, uplink_rate)
+                          power_limited_rate, sample_channels,
+                          sample_topology, tcmp, tcom, uplink_rate)
 
 N0_TABLE = dbm_per_hz_to_w(-174.0)
 
@@ -80,27 +79,6 @@ def test_tcom_sentinels():
     assert tcom(1e6, 0.0) == np.inf
     assert tcom(0.0, 0.0) == 0.0
     assert tcom(0.0, 1e6) == 0.0
-
-
-def test_round_latency_es_cases():
-    # identical UEs: max of equals
-    assert round_latency_es([0.5, 0.5], [1.0, 1.0], 0.25) == pytest.approx(1.75)
-    # 1 s vs 3 s UEs plus 0.5 s uplink
-    assert round_latency_es([0.4, 1.0], [0.6, 2.0], 0.5) == pytest.approx(3.5)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        tc = rng.uniform(0, 1, 5)
-        tx = rng.uniform(0, 1, 5)
-        es = rng.uniform(0, 1)
-        brute = max(tc[i] + tx[i] for i in range(5)) + es
-        assert round_latency_es(tc, tx, es) == pytest.approx(brute, rel=1e-12)
-
-
-def test_round_latency_selection():
-    lat = np.array([1.0, 5.0, 3.0])
-    assert round_latency(lat, [True, False, True]) == 3.0
-    assert round_latency(lat, [False, False, False]) == 0.0
-    assert round_latency(lat, [True, True, True]) == 5.0
 
 
 def test_sample_topology_ranges():

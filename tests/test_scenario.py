@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from hpfl.scenario import ConfigError, Scenario, load_scenario, save_scenario
@@ -41,10 +42,24 @@ class TestValidation:
         ("allocation", "waterfill"),
         ("family", "sinusoid"),
         ("model", "cnn"),
+        ("k", 2.5),
+        ("k", "5"),
+        ("n_k", True),
+        ("seed", None),
+        ("total_b", float("inf")),
+        ("rho", float("nan")),
+        pytest.param("b_min", 10 ** 400, id="b_min-too-big-for-a-float"),
+        ("alpha", False),
+        ("mode", 1),
+        ("seed", -1),
     ])
     def test_bad_value_names_the_field(self, field, value):
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ConfigError, match="^%s: " % field):
             Scenario(**{field: value})
+
+    def test_ints_pass_as_floats_and_numpy_ints_as_ints(self):
+        s = Scenario(total_b=4000000, k=np.int64(3))
+        assert s.total_b == 4e6 and s.k == 3
 
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError, match="rho"):

@@ -151,8 +151,6 @@ class TestSchedule:
                        phi=1.0, a_max=2)
         assert sel.pi.tolist() == [True, False, True]
         assert not sel.capped
-        assert sel.count == 2
-        assert sel.selected_indices.tolist() == [0, 2]
 
     def test_fallback_selects_single_best_scorer(self):
         imp = np.zeros(4)
@@ -160,7 +158,6 @@ class TestSchedule:
         sel = schedule(imp, lat, np.zeros(4, dtype=bool), rho=0.0,
                        phi=1.0, a_max=4)
         assert sel.pi.tolist() == [False, True, False, False]
-        assert sel.count == 1
         assert not sel.capped
 
     def test_forced_suppresses_fallback(self):
