@@ -52,12 +52,16 @@ def estimate_constants(model, shards, alpha, probe_count=8, rng_seed=0,
                        center=None, radius=1.0, n_directions=3):
     """Sampled maxima of the smoothness and diversity quantities.
 
-    shards is the flat list of every UE's training shard. Deterministic
-    given rng_seed. Raises EstimationError if all probe points coincide.
+    shards stacks every UE's training shard along its leading axes (a
+    shard without batch axes counts as one UE); each probe point costs one
+    gradient call and one HVP call per direction over the whole stack.
+    Deterministic given rng_seed. Raises EstimationError if all probe
+    points coincide.
     """
     if probe_count < 2:
         raise ValueError("probe_count must be at least 2")
-    if not shards:
+    n_ue = int(np.prod(shards.batch_shape))
+    if n_ue == 0:
         raise ValueError("need at least one shard")
     dim = model.n_params
     if center is None:
@@ -72,13 +76,12 @@ def estimate_constants(model, shards, alpha, probe_count=8, rng_seed=0,
     dirs = rng.standard_normal((n_directions, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    grads = np.empty((probe_count, len(shards), dim))
-    hvps = np.empty((probe_count, n_directions, len(shards), dim))
+    grads = np.empty((probe_count, n_ue, dim))
+    hvps = np.empty((probe_count, n_directions, n_ue, dim))
     for j, w in enumerate(probes):
-        for i, shard in enumerate(shards):
-            grads[j, i] = model.grad(w, shard)
-            for r, v in enumerate(dirs):
-                hvps[j, r, i] = model.hvp(w, shard, v)
+        grads[j] = model.grad(w, shards).reshape(n_ue, dim)
+        for r, v in enumerate(dirs):
+            hvps[j, r] = model.hvp(w, shards, v).reshape(n_ue, dim)
 
     grad_max = float(np.linalg.norm(grads, axis=2).max())
 
@@ -97,9 +100,10 @@ def estimate_constants(model, shards, alpha, probe_count=8, rng_seed=0,
     grad_mean = grads.mean(axis=1, keepdims=True)
     grad_div = float(np.sqrt(
         ((grads - grad_mean) ** 2).sum(axis=2).mean(axis=1).max()))
-    hvp_mean = hvps.mean(axis=2, keepdims=True)
-    hess_div = float(np.sqrt(
-        ((hvps - hvp_mean) ** 2).sum(axis=3).mean(axis=2).max()))
+    # in place: the HVP stack is the largest array of a run
+    hvps -= hvps.mean(axis=2, keepdims=True)
+    hvps **= 2
+    hess_div = float(np.sqrt(hvps.sum(axis=3).mean(axis=2).max()))
 
     meta_lip = 4.0 * grad_lip + alpha * hess_lip * grad_max
     meta_div_sq = 3.0 * grad_max ** 2 * alpha ** 2 * hess_div ** 2 + 192.0 * grad_div ** 2

@@ -20,7 +20,7 @@ from .constants import bound_constants, estimate_constants
 from .hierarchy import RoundEngine
 from .network import sample_topology
 from .scenario import ConfigError, Scenario
-from .tasks import (LogisticModel, MLPModel, QuadraticModel,
+from .tasks import (Federation, LogisticModel, MLPModel, QuadraticModel,
                     build_classification_federation,
                     build_quadratic_federation)
 
@@ -53,7 +53,7 @@ class Prepared:
     """Everything deterministic that exists before the first round."""
 
     model: object
-    federation: list
+    federation: Federation
     topology: object
     w0: np.ndarray
     constants: object
@@ -92,12 +92,12 @@ def prepare(scenario):
         else:
             model = MLPModel(scn.dim, scn.hidden, scn.n_classes, l2=scn.l2)
         federation = build_classification_federation(
-            task_rng, scn.k, scn.n_k_list, scn.labels_per_ue, scn.n_classes,
+            task_rng, scn.k, scn.n_k, scn.labels_per_ue, scn.n_classes,
             scn.dim, scn.n_train, scn.n_eval, scn.separation, scn.noise)
     else:
         model = QuadraticModel(scn.dim)
         federation = build_quadratic_federation(
-            task_rng, scn.k, scn.n_k_list, scn.dim, scn.eig_lo, scn.eig_hi,
+            task_rng, scn.k, scn.n_k, scn.dim, scn.eig_lo, scn.eig_hi,
             es_spread=scn.center_spread, ue_spread=scn.ue_spread)
     topology = sample_topology(
         _stream(scn.seed, _TOPOLOGY_STREAM), scn.k, scn.n_k_list,
@@ -105,9 +105,8 @@ def prepare(scenario):
         d_es_range=(scn.d_es_lo, scn.d_es_hi),
         o_ue_db=scn.o_ue_db, o_es_db=scn.o_es_db)
     w0 = model.init_params(_stream(scn.seed, _INIT_STREAM), scale=scn.init_scale)
-    shards = [ue.train for es_shards in federation for ue in es_shards]
     constants = estimate_constants(
-        model, shards, scn.alpha, probe_count=scn.probe_count,
+        model, federation.train, scn.alpha, probe_count=scn.probe_count,
         rng_seed=scn.seed, center=w0)
     return Prepared(model=model, federation=federation, topology=topology,
                     w0=w0, constants=constants)
@@ -211,14 +210,14 @@ def audit_bound(result):
     model = engine.model
     alpha = result.scenario.alpha
     loss, grad = meta.objective(result.scenario.mode)
-    shards = [ue.train for es_shards in engine.federation
-              for ue in es_shards]
+    train = engine.federation.train
 
     def global_loss(w):
-        return float(np.mean([loss(model, w, sh, alpha) for sh in shards]))
+        return float(np.mean(loss(model, w, train, alpha)))
 
     def global_grad_norm_sq(w):
-        g = np.mean([grad(model, w, sh, alpha) for sh in shards], axis=0)
+        g = grad(model, w, train, alpha).reshape(-1, model.n_params)
+        g = g.mean(axis=0)
         return float(g @ g)
 
     f_cache = {}

@@ -43,6 +43,11 @@ __all__ = [
 BITS_PER_PARAM = 32.0
 
 
+def _ue_name(index):
+    """Error-message name of the UE at batch index (es, ue)."""
+    return "es %d ue %d" % index
+
+
 class AggregationError(RuntimeError):
     """An aggregation step was asked to run on an empty or stale-less set."""
 
@@ -157,62 +162,59 @@ class RoundEngine:
         self.work_set = np.ones(k, dtype=bool)
         self._random_rng = np.random.default_rng(
             np.random.SeedSequence([scenario.seed, 433]))
-        self._loss, self._grad = meta.objective(scenario.mode)
+        _, self._grad = meta.objective(scenario.mode)
 
     @property
     def k(self):
         return len(self.edges)
 
-    def _refresh(self, es):
-        """Recompute the server's UE updates after a base-model change.
+    def _refresh(self):
+        """Recompute the UE updates of every server whose base changed.
 
-        Unselected servers keep full-batch gradients of an unchanged base,
-        which are bit-identical, so the engine only recomputes dirty ones.
+        One call covers all dirty servers, each server's base broadcast
+        over its UEs.  Unselected servers keep full-batch gradients of an
+        unchanged base, which are bit-identical, so they are skipped.
         """
-        alpha = self.scenario.alpha
-        shards = self.federation[es.es_id]
-        grads = np.stack([
-            self._grad(self.model, es.base, ue.train, alpha,
-                       context="es %d ue %d" % (es.es_id, j))
-            for j, ue in enumerate(shards)
-        ])
-        es.mean_grad = grads.mean(axis=0)
-        es.grad_norm_sq = float(es.mean_grad @ es.mean_grad)
-        es.needs_refresh = False
+        dirty = [es for es in self.edges if es.needs_refresh]
+        if not dirty:
+            return
+        ids = [es.es_id for es in dirty]
+        bases = np.stack([es.base for es in dirty])[:, None, :]
+        grads = self._grad(self.model, bases, self.federation.train[ids],
+                           self.scenario.alpha,
+                           context=lambda i: _ue_name((ids[i[0]], i[1])))
+        for es, ue_grads in zip(dirty, grads):
+            es.mean_grad = ue_grads.mean(axis=0)
+            es.grad_norm_sq = float(es.mean_grad @ es.mean_grad)
+            es.needs_refresh = False
 
     def _evaluate(self):
         """Training objective and held-out accuracy of the entering model.
 
         Loss is the global objective at the current global model: the mean
-        over UEs of the post-adaptation training loss in personalized mode,
-        or the plain training loss in conventional mode.  Accuracy adapts
-        on each UE's training shard (personalized mode only) and scores the
-        held-out shard; task families without labels report accuracy 0.
+        over UEs of the base training loss at theta, the adapted point
+        (personalized mode) or the global model itself (conventional
+        mode).  Accuracy scores each UE's held-out shard at its theta;
+        task families without labels report accuracy 0.
         """
-        alpha = self.scenario.alpha
-        losses = []
-        hits = 0
-        total = 0
-        for es_shards in self.federation:
-            for ue in es_shards:
-                losses.append(self._loss(self.model, self.w, ue.train, alpha))
-                if not hasattr(ue.eval, "x"):
-                    continue
-                if self.scenario.mode == "hpfl":
-                    theta = meta.adapt(self.model, self.w, ue.train, alpha)
-                else:
-                    theta = self.w
-                pred = self.model.predict(theta, ue.eval.x)
-                if pred is not None:
-                    hits += int(np.sum(pred == ue.eval.y))
-                    total += ue.eval.y.shape[0]
-        acc = hits / total if total else 0.0
+        train, eval_ = self.federation.train, self.federation.eval
+        if self.scenario.mode == "hpfl":
+            theta = meta.adapt(self.model, self.w, train, self.scenario.alpha,
+                               context=_ue_name)
+        else:
+            theta = self.w
+        losses = meta.plain_loss(self.model, theta, train, context=_ue_name)
+        acc = 0.0
+        if hasattr(eval_, "x"):
+            pred = self.model.predict(theta, eval_.x)
+            if pred is not None:
+                acc = int(np.sum(pred == eval_.y)) / eval_.y.size
         return float(np.mean(losses)), float(acc)
 
     def _group_for(self, es_idx, snapshot):
         p = self.scenario
-        shards = self.federation[es_idx]
-        d_bits = np.array([ue.train.size for ue in shards], dtype=float) \
+        train = self.federation.train
+        d_bits = np.full(train.batch_shape[1], float(train.size)) \
             * self.model.dim * BITS_PER_PARAM
         return ESGroup(
             tcmp_ue=tcmp(p.c_cycles, d_bits, p.cpu_hz),
@@ -252,9 +254,7 @@ class RoundEngine:
     def run_round(self, forced_selection=None):
         """Advance the federation by one cloud round and record it."""
         p = self.scenario
-        for es in self.edges:
-            if es.needs_refresh:
-                self._refresh(es)
+        self._refresh()
         loss, acc = self._evaluate()
         snapshot = sample_channels(self.topology, p.seed, self.t)
         groups = [self._group_for(i, snapshot) for i in range(self.k)]

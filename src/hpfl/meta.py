@@ -5,7 +5,16 @@ theta = w - alpha * grad(w), so its gradient carries a Hessian term:
 
     meta_grad(w) = (I - alpha * H(w)) @ grad(w - alpha * grad(w))
 
-The Hessian is applied only through Hessian-vector products.
+The Hessian is applied only through Hessian-vector products, which is
+the exact Hessian-vector-product form of Per-FedAvg (Fallah, Mokhtari &
+Ozdaglar, arXiv:2002.07948).
+
+Every function takes the models' leading-axis contract (see tasks.py):
+given a stacked shard and a shared or per-UE ``w``, one call evaluates
+all UEs at once, each UE adapting from its own gradient.  The finite
+checks then cover every row; ``context`` is a string naming the call
+site, or a callable that receives the batch index of the first
+non-finite row and returns its name.
 """
 
 import numpy as np
@@ -15,26 +24,39 @@ class NonFiniteError(ValueError):
     """Raised when a loss, gradient, or update stops being finite."""
 
 
-def _check_finite(arr, what, context):
-    if not np.all(np.isfinite(arr)):
-        where = f" at {context}" if context else ""
-        raise NonFiniteError(f"non-finite {what}{where}")
+def _check_finite(arr, what, context, vectors=True):
+    """Raise NonFiniteError at the first row of arr that is not finite.
+
+    A row is one parameter vector (the last axis) when ``vectors`` is
+    true, and one value otherwise.
+    """
+    finite = np.isfinite(arr)
+    if finite.all():
+        return
+    bad = ~finite.all(axis=-1) if vectors else ~finite
+    if callable(context):
+        context = context(tuple(int(i) for i in np.argwhere(bad)[0]))
+    where = f" at {context}" if context else ""
+    raise NonFiniteError(f"non-finite {what}{where}")
+
+
+def adapt(model, w, shard, alpha, context=""):
+    """One-step adapted parameters theta = w - alpha * grad(w)."""
+    g = model.grad(w, shard)
+    _check_finite(g, "adaptation gradient", context)
+    return w - alpha * g
 
 
 def meta_loss(model, w, shard, alpha, context=""):
     """Base loss evaluated at the one-step adapted parameters."""
-    g = model.grad(w, shard)
-    _check_finite(g, "adaptation gradient", context)
-    value = model.loss(w - alpha * g, shard)
-    _check_finite(value, "meta loss", context)
+    value = model.loss(adapt(model, w, shard, alpha, context), shard)
+    _check_finite(value, "meta loss", context, vectors=False)
     return value
 
 
 def meta_grad(model, w, shard, alpha, context=""):
     """Exact gradient of meta_loss via two gradients and one HVP."""
-    g1 = model.grad(w, shard)
-    _check_finite(g1, "adaptation gradient", context)
-    g2 = model.grad(w - alpha * g1, shard)
+    g2 = model.grad(adapt(model, w, shard, alpha, context), shard)
     _check_finite(g2, "adapted-point gradient", context)
     out = g2 - alpha * model.hvp(w, shard, g2)
     _check_finite(out, "meta gradient", context)
@@ -51,7 +73,7 @@ def plain_grad(model, w, shard, alpha=0.0, context=""):
 def plain_loss(model, w, shard, alpha=0.0, context=""):
     """Conventional loss, signature-compatible with meta_loss."""
     value = model.loss(w, shard)
-    _check_finite(value, "loss", context)
+    _check_finite(value, "loss", context, vectors=False)
     return value
 
 
@@ -63,8 +85,3 @@ def objective(mode):
     if mode == "hpfl":
         return meta_loss, meta_grad
     return plain_loss, plain_grad
-
-
-def adapt(model, w, shard, alpha):
-    """One-step adapted parameters theta = w - alpha * grad(w)."""
-    return w - alpha * model.grad(w, shard)

@@ -10,8 +10,24 @@ Two task families are provided:
 * a quadratic family with per-UE curvature and optimum, used wherever a
   closed-form reference is wanted.
 
-Every model exposes ``loss``, ``grad`` and ``hvp`` on flat parameter
-vectors; the Hessian is never materialized.
+Data layout: a federation of K edge servers with N UEs each is stored
+stacked, server-major.  Classification features are one ``(K, N, n, d)``
+array and labels one ``(K, N, n)`` array; the quadratic family stacks
+``q`` as ``(K, N, d, d)`` and ``a`` as ``(K, N, d)``.  ``federation[k][j]``
+hands out UE j of server k as views into those arrays, never copies.
+A quadratic shard has no samples; its ``size`` is ``dim``, the stand-in
+sample count that the engine turns into compute bits and so into latency.
+
+Every model exposes ``loss``, ``grad``, ``hvp`` and ``predict`` on flat
+parameter vectors, and all four accept leading batch axes on the shard
+(``x: (..., n, d)``, ``y: (..., n)``, ``q: (..., d, d)``, ``a: (..., d)``)
+and on the parameters (``w, v: (..., P)``).  The batch axes broadcast, so
+one call evaluates every UE at a shared point or each UE at its own point;
+a single shard is the case with no batch axes.  ``loss`` returns one value
+per batch entry, ``grad`` and ``hvp`` one ``(..., P)`` vector, ``predict``
+one ``(..., n)`` label array.  Products are stacked ``np.matmul`` calls, so
+each UE's result is the same BLAS call a single shard makes, bit for bit.
+The Hessian is never materialized.
 """
 
 from dataclasses import dataclass
@@ -21,27 +37,47 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TaskShard:
-    """One UE's local dataset: features, integer labels, allowed label set."""
+    """Classification samples: features x (..., n, d), labels y (..., n)."""
 
     x: np.ndarray
     y: np.ndarray
-    label_set: tuple
 
     @property
     def size(self):
-        return self.x.shape[0]
+        """Samples per shard."""
+        return self.x.shape[-2]
+
+    @property
+    def batch_shape(self):
+        return self.x.shape[:-2]
+
+    def __getitem__(self, idx):
+        """The shards at ``idx`` on the batch axes; views for basic indices."""
+        return TaskShard(x=self.x[idx], y=self.y[idx])
 
 
 @dataclass(frozen=True)
 class QuadraticTask:
-    """Quadratic objective 0.5 * (w - a)' Q (w - a) standing in for a shard."""
+    """Quadratic objective 0.5 * (w - a)' Q (w - a) standing in for a shard.
+
+    q is (..., d, d) and a is (..., d); ``size`` is d (see the module
+    docstring).
+    """
 
     q: np.ndarray
     a: np.ndarray
 
     @property
     def size(self):
-        return self.a.shape[0]
+        return self.a.shape[-1]
+
+    @property
+    def batch_shape(self):
+        return self.a.shape[:-1]
+
+    def __getitem__(self, idx):
+        """The tasks at ``idx`` on the batch axes; views for basic indices."""
+        return QuadraticTask(q=self.q[idx], a=self.a[idx])
 
 
 @dataclass(frozen=True)
@@ -52,15 +88,62 @@ class UEData:
     eval: object
 
 
+@dataclass(frozen=True)
+class Federation:
+    """Every UE's train and eval shards, stacked with leading axes (K, N).
+
+    ``federation[k][j]`` is UE j of edge server k as a ``UEData`` whose
+    shards are views into the stacked arrays.
+    """
+
+    train: object
+    eval: object
+
+    def __len__(self):
+        return self.train.batch_shape[0]
+
+    def __getitem__(self, k):
+        return [UEData(train=self.train[k, j], eval=self.eval[k, j])
+                for j in range(self.train.batch_shape[1])]
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
+def _t(m):
+    """Transpose of the last two axes."""
+    return np.swapaxes(m, -1, -2)
+
+
+def _dot(u, v):
+    """Inner product over the last axis, one BLAS dot per batch entry."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _pack(batch, *parts):
+    """Flat (..., P) vector from matrices and vectors with batch axes."""
+    return np.concatenate([p.reshape(batch + (-1,)) for p in parts], axis=-1)
+
+
+def _onehot(y, n_classes):
+    return y[..., None] == np.arange(n_classes)
+
+
+def _picked_nll(z, y):
+    """Mean negative log-likelihood of labels y under logits z."""
+    picked = np.take_along_axis(_log_softmax(z), y[..., None], axis=-1)
+    return -picked[..., 0].mean(axis=-1)
+
+
 def _softmax(z):
-    zs = z - z.max(axis=1, keepdims=True)
+    zs = z - z.max(axis=-1, keepdims=True)
     e = np.exp(zs)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(z):
-    zs = z - z.max(axis=1, keepdims=True)
-    return zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
+    zs = z - z.max(axis=-1, keepdims=True)
+    return zs - np.log(np.exp(zs).sum(axis=-1, keepdims=True))
 
 
 class LogisticModel:
@@ -79,7 +162,12 @@ class LogisticModel:
 
     def _unpack(self, w):
         c, d = self.n_classes, self.dim
-        return w[: c * d].reshape(c, d), w[c * d :]
+        weights, bias = np.split(w, [c * d], axis=-1)
+        return weights.reshape(w.shape[:-1] + (c, d)), bias
+
+    def _logits(self, w, x):
+        weights, bias = self._unpack(w)
+        return x @ _t(weights) + bias[..., None, :]
 
     def init_params(self, rng, scale=1.0):
         c, d = self.n_classes, self.dim
@@ -88,38 +176,28 @@ class LogisticModel:
         return np.concatenate([weights, bias])
 
     def loss(self, w, shard):
-        weights, bias = self._unpack(w)
-        z = shard.x @ weights.T + bias
-        logp = _log_softmax(z)
-        nll = -logp[np.arange(shard.size), shard.y].mean()
-        return nll + 0.5 * self.l2 * float(w @ w)
+        nll = _picked_nll(self._logits(w, shard.x), shard.y)
+        return nll + 0.5 * self.l2 * _dot(w, w)
 
     def grad(self, w, shard):
-        weights, bias = self._unpack(w)
-        n = shard.size
-        z = shard.x @ weights.T + bias
-        p = _softmax(z)
-        delta = p
-        delta[np.arange(n), shard.y] -= 1.0
-        g_w = delta.T @ shard.x / n
-        g_b = delta.mean(axis=0)
-        return np.concatenate([g_w.ravel(), g_b]) + self.l2 * w
+        x = shard.x
+        delta = _softmax(self._logits(w, x)) - _onehot(shard.y, self.n_classes)
+        g_w = _t(delta) @ x / shard.size
+        g_b = delta.mean(axis=-2)
+        return _pack(g_b.shape[:-1], g_w, g_b) + self.l2 * w
 
     def hvp(self, w, shard, v):
-        weights, bias = self._unpack(w)
+        x = shard.x
         v_w, v_b = self._unpack(v)
-        n = shard.size
-        z = shard.x @ weights.T + bias
-        p = _softmax(z)
-        rz = shard.x @ v_w.T + v_b
-        rp = p * (rz - (p * rz).sum(axis=1, keepdims=True))
-        h_w = rp.T @ shard.x / n
-        h_b = rp.mean(axis=0)
-        return np.concatenate([h_w.ravel(), h_b]) + self.l2 * v
+        p = _softmax(self._logits(w, x))
+        rz = x @ _t(v_w) + v_b[..., None, :]
+        rp = p * (rz - (p * rz).sum(axis=-1, keepdims=True))
+        h_w = _t(rp) @ x / shard.size
+        h_b = rp.mean(axis=-2)
+        return _pack(h_b.shape[:-1], h_w, h_b) + self.l2 * v
 
     def predict(self, w, x):
-        weights, bias = self._unpack(w)
-        return np.argmax(x @ weights.T + bias, axis=1)
+        return np.argmax(self._logits(w, x), axis=-1)
 
 
 class MLPModel:
@@ -139,12 +217,9 @@ class MLPModel:
 
     def _unpack(self, w):
         d, h, c = self.dim, self.hidden, self.n_classes
-        i = 0
-        w1 = w[i : i + h * d].reshape(h, d); i += h * d
-        b1 = w[i : i + h]; i += h
-        w2 = w[i : i + c * h].reshape(c, h); i += c * h
-        b2 = w[i : i + c]
-        return w1, b1, w2, b2
+        w1, b1, w2, b2 = np.split(w, np.cumsum([h * d, h, c * h]), axis=-1)
+        batch = w.shape[:-1]
+        return w1.reshape(batch + (h, d)), b1, w2.reshape(batch + (c, h)), b2
 
     def init_params(self, rng, scale=1.0):
         d, h, c = self.dim, self.hidden, self.n_classes
@@ -156,57 +231,51 @@ class MLPModel:
 
     def _forward(self, w, x):
         w1, b1, w2, b2 = self._unpack(w)
-        z1 = x @ w1.T + b1
-        a1 = np.tanh(z1)
-        z2 = a1 @ w2.T + b2
-        return w1, b1, w2, b2, a1, z2
+        a1 = np.tanh(x @ _t(w1) + b1[..., None, :])
+        z2 = a1 @ _t(w2) + b2[..., None, :]
+        return w2, a1, z2
 
     def loss(self, w, shard):
-        _, _, _, _, _, z2 = self._forward(w, shard.x)
-        logp = _log_softmax(z2)
-        nll = -logp[np.arange(shard.size), shard.y].mean()
-        return nll + 0.5 * self.l2 * float(w @ w)
+        _, _, z2 = self._forward(w, shard.x)
+        return _picked_nll(z2, shard.y) + 0.5 * self.l2 * _dot(w, w)
 
     def grad(self, w, shard):
         n = shard.size
-        w1, b1, w2, b2, a1, z2 = self._forward(w, shard.x)
-        p = _softmax(z2)
-        d2 = p
-        d2[np.arange(n), shard.y] -= 1.0
-        g_w2 = d2.T @ a1 / n
-        g_b2 = d2.mean(axis=0)
+        w2, a1, z2 = self._forward(w, shard.x)
+        d2 = _softmax(z2) - _onehot(shard.y, self.n_classes)
+        g_w2 = _t(d2) @ a1 / n
+        g_b2 = d2.mean(axis=-2)
         d1 = (d2 @ w2) * (1.0 - a1 ** 2)
-        g_w1 = d1.T @ shard.x / n
-        g_b1 = d1.mean(axis=0)
-        return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2]) + self.l2 * w
+        g_w1 = _t(d1) @ shard.x / n
+        g_b1 = d1.mean(axis=-2)
+        return _pack(g_b1.shape[:-1], g_w1, g_b1, g_w2, g_b2) + self.l2 * w
 
     def hvp(self, w, shard, v):
         n = shard.size
         x = shard.x
-        w1, b1, w2, b2, a1, z2 = self._forward(w, x)
+        w2, a1, z2 = self._forward(w, x)
         v1, vb1, v2, vb2 = self._unpack(v)
         p = _softmax(z2)
-        d2 = p.copy()
-        d2[np.arange(n), shard.y] -= 1.0
+        d2 = p - _onehot(shard.y, self.n_classes)
 
-        rz1 = x @ v1.T + vb1
+        rz1 = x @ _t(v1) + vb1[..., None, :]
         ra1 = (1.0 - a1 ** 2) * rz1
-        rz2 = a1 @ v2.T + ra1 @ w2.T + vb2
-        rd2 = p * (rz2 - (p * rz2).sum(axis=1, keepdims=True))
+        rz2 = a1 @ _t(v2) + ra1 @ _t(w2) + vb2[..., None, :]
+        rd2 = p * (rz2 - (p * rz2).sum(axis=-1, keepdims=True))
 
-        h_w2 = (rd2.T @ a1 + d2.T @ ra1) / n
-        h_b2 = rd2.mean(axis=0)
+        h_w2 = (_t(rd2) @ a1 + _t(d2) @ ra1) / n
+        h_b2 = rd2.mean(axis=-2)
 
         u = d2 @ w2
         ru = d2 @ v2 + rd2 @ w2
         rd1 = ru * (1.0 - a1 ** 2) + u * (-2.0 * a1 * ra1)
-        h_w1 = rd1.T @ x / n
-        h_b1 = rd1.mean(axis=0)
-        return np.concatenate([h_w1.ravel(), h_b1, h_w2.ravel(), h_b2]) + self.l2 * v
+        h_w1 = _t(rd1) @ x / n
+        h_b1 = rd1.mean(axis=-2)
+        return _pack(h_b1.shape[:-1], h_w1, h_b1, h_w2, h_b2) + self.l2 * v
 
     def predict(self, w, x):
-        _, _, _, _, _, z2 = self._forward(w, x)
-        return np.argmax(z2, axis=1)
+        _, _, z2 = self._forward(w, x)
+        return np.argmax(z2, axis=-1)
 
 
 class QuadraticModel:
@@ -223,15 +292,19 @@ class QuadraticModel:
     def init_params(self, rng, scale=1.0):
         return rng.standard_normal(self.dim) * scale
 
+    @staticmethod
+    def _apply_q(shard, v):
+        return (shard.q @ v[..., None])[..., 0]
+
     def loss(self, w, shard):
         r = w - shard.a
-        return 0.5 * float(r @ (shard.q @ r))
+        return 0.5 * _dot(r, self._apply_q(shard, r))
 
     def grad(self, w, shard):
-        return shard.q @ (w - shard.a)
+        return self._apply_q(shard, w - shard.a)
 
     def hvp(self, w, shard, v):
-        return shard.q @ v
+        return self._apply_q(shard, v)
 
     def predict(self, w, x):
         return None
@@ -242,31 +315,34 @@ def make_class_means(rng, n_classes, dim, separation):
     return separation * rng.standard_normal((n_classes, dim))
 
 
-def _sample_shard(rng, means, labels, n_samples, noise):
-    labels = np.asarray(labels)
-    y = labels[rng.integers(0, len(labels), size=n_samples)]
-    x = means[y] + noise * rng.standard_normal((n_samples, means.shape[1]))
-    return TaskShard(x=x, y=y, label_set=tuple(int(c) for c in labels))
+def _empty_shard(k, n_k, n_samples, dim):
+    return TaskShard(x=np.empty((k, n_k, n_samples, dim)),
+                     y=np.empty((k, n_k, n_samples), dtype=np.int64))
 
 
-def build_classification_federation(rng, k, n_k_list, l, n_classes, dim,
+def _sample_into(rng, means, labels, noise, shard):
+    """Fill one UE's shard view with samples of its labels, in place."""
+    shard.y[...] = labels[rng.integers(0, len(labels), size=shard.size)]
+    shard.x[...] = means[shard.y] + noise * rng.standard_normal(shard.x.shape)
+
+
+def build_classification_federation(rng, k, n_k, l, n_classes, dim,
                                     n_train, n_eval, separation, noise):
-    """Per-ES lists of UEData for the Gaussian-mixture family.
+    """Stacked Federation of k servers with n_k UEs each, Gaussian mixture.
 
     Each UE owns a label subset of size l drawn without replacement; its
-    train and eval shards share that subset.
+    train and eval shards share that subset.  UEs are drawn one at a
+    time, server-major, so each UE's samples do not depend on the layout.
     """
     means = make_class_means(rng, n_classes, dim, separation)
-    federation = []
+    train = _empty_shard(k, n_k, n_train, dim)
+    eval_ = _empty_shard(k, n_k, n_eval, dim)
     for k_idx in range(k):
-        ues = []
-        for _ in range(n_k_list[k_idx]):
+        for j in range(n_k):
             labels = np.sort(rng.choice(n_classes, size=l, replace=False))
-            train = _sample_shard(rng, means, labels, n_train, noise)
-            eval_ = _sample_shard(rng, means, labels, n_eval, noise)
-            ues.append(UEData(train=train, eval=eval_))
-        federation.append(ues)
-    return federation
+            _sample_into(rng, means, labels, noise, train[k_idx, j])
+            _sample_into(rng, means, labels, noise, eval_[k_idx, j])
+    return Federation(train=train, eval=eval_)
 
 
 def _random_spd(rng, dim, eig_lo, eig_hi):
@@ -276,21 +352,19 @@ def _random_spd(rng, dim, eig_lo, eig_hi):
     return (q_mat * eigs) @ q_mat.T
 
 
-def build_quadratic_federation(rng, k, n_k_list, dim, eig_lo=0.5, eig_hi=2.0,
+def build_quadratic_federation(rng, k, n_k, dim, eig_lo=0.5, eig_hi=2.0,
                                es_spread=1.0, ue_spread=0.5):
-    """Per-ES lists of UEData for the quadratic family.
+    """Stacked Federation of k servers with n_k UEs each, quadratic family.
 
     Each ES has its own optimum center; its UEs scatter around it, which
-    gives nonzero gradient diversity across the hierarchy.
+    gives nonzero gradient diversity across the hierarchy.  A UE's task
+    serves as both its train and its eval shard.
     """
-    federation = []
+    task = QuadraticTask(q=np.empty((k, n_k, dim, dim)),
+                         a=np.empty((k, n_k, dim)))
     for k_idx in range(k):
         center = es_spread * rng.standard_normal(dim)
-        ues = []
-        for _ in range(n_k_list[k_idx]):
-            q = _random_spd(rng, dim, eig_lo, eig_hi)
-            a = center + ue_spread * rng.standard_normal(dim)
-            task = QuadraticTask(q=q, a=a)
-            ues.append(UEData(train=task, eval=task))
-        federation.append(ues)
-    return federation
+        for j in range(n_k):
+            task.q[k_idx, j] = _random_spd(rng, dim, eig_lo, eig_hi)
+            task.a[k_idx, j] = center + ue_spread * rng.standard_normal(dim)
+    return Federation(train=task, eval=task)

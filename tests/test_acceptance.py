@@ -60,7 +60,6 @@ def random_logistic_triple(rng):
     shard = TaskShard(
         x=rng.standard_normal((n, dim)),
         y=rng.integers(0, n_classes, size=n),
-        label_set=tuple(range(n_classes)),
     )
     w = model.init_params(rng, scale=0.5)
     alpha = float(rng.uniform(0.0, 0.1))

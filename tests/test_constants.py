@@ -8,15 +8,21 @@ from hpfl.constants import (EstimationError, bound_constants,
 from hpfl.tasks import QuadraticModel, QuadraticTask
 
 
+def _stacked(*tasks):
+    """One stacked shard holding the given single-UE tasks."""
+    return QuadraticTask(q=np.stack([t.q for t in tasks]),
+                         a=np.stack([t.a for t in tasks]))
+
+
 def _identity_shard(dim):
-    return QuadraticTask(q=np.eye(dim), a=np.zeros(dim))
+    return _stacked(QuadraticTask(q=np.eye(dim), a=np.zeros(dim)))
 
 
 def test_identity_quadratic_constants():
     """f = ||w||^2/2: unit gradient Lipschitz, flat Hessian, no diversity."""
     model = QuadraticModel(3)
     shard = _identity_shard(3)
-    c = estimate_constants(model, [shard], alpha=0.1, probe_count=8,
+    c = estimate_constants(model, shard, alpha=0.1, probe_count=8,
                            rng_seed=0)
     assert c.grad_lip == pytest.approx(1.0, rel=1e-9)
     assert c.hess_lip == pytest.approx(0.0, abs=1e-9)
@@ -35,8 +41,8 @@ def test_derived_fields_satisfy_formulas():
         shards.append(QuadraticTask(q=m @ m.T + 0.2 * np.eye(4),
                                     a=rng.standard_normal(4)))
     alpha = 0.05
-    c = estimate_constants(QuadraticModel(4), shards, alpha, probe_count=6,
-                           rng_seed=1)
+    c = estimate_constants(QuadraticModel(4), _stacked(*shards), alpha,
+                           probe_count=6, rng_seed=1)
     assert c.meta_lip == pytest.approx(
         4.0 * c.grad_lip + alpha * c.hess_lip * c.grad_max, rel=1e-15)
     assert c.meta_div_sq == pytest.approx(
@@ -50,11 +56,11 @@ def test_derived_fields_satisfy_formulas():
 def test_estimation_deterministic_in_seed():
     rng = np.random.default_rng(8)
     m = rng.standard_normal((3, 3))
-    shard = QuadraticTask(q=m @ m.T + np.eye(3), a=np.zeros(3))
-    a = estimate_constants(QuadraticModel(3), [shard], 0.03, rng_seed=7)
-    b = estimate_constants(QuadraticModel(3), [shard], 0.03, rng_seed=7)
+    shard = _stacked(QuadraticTask(q=m @ m.T + np.eye(3), a=np.zeros(3)))
+    a = estimate_constants(QuadraticModel(3), shard, 0.03, rng_seed=7)
+    b = estimate_constants(QuadraticModel(3), shard, 0.03, rng_seed=7)
     assert a == b
-    c = estimate_constants(QuadraticModel(3), [shard], 0.03, rng_seed=8)
+    c = estimate_constants(QuadraticModel(3), shard, 0.03, rng_seed=8)
     assert a != c
 
 
@@ -62,15 +68,16 @@ def test_degenerate_probes_raise():
     model = QuadraticModel(2)
     shard = _identity_shard(2)
     with pytest.raises(EstimationError):
-        estimate_constants(model, [shard], 0.1, probe_count=4, radius=0.0)
+        estimate_constants(model, shard, 0.1, probe_count=4, radius=0.0)
 
 
 def test_probe_count_validation():
     with pytest.raises(ValueError):
-        estimate_constants(QuadraticModel(2), [_identity_shard(2)], 0.1,
+        estimate_constants(QuadraticModel(2), _identity_shard(2), 0.1,
                            probe_count=1)
     with pytest.raises(ValueError):
-        estimate_constants(QuadraticModel(2), [], 0.1)
+        estimate_constants(QuadraticModel(2), QuadraticTask(
+            q=np.zeros((0, 2, 2)), a=np.zeros((0, 2))), 0.1)
 
 
 def test_bound_constants_arithmetic():

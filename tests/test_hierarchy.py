@@ -181,3 +181,28 @@ class TestRoundEngine:
             runs.append((eng.w.copy(), recs))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
+
+    @pytest.mark.parametrize("mode", ["hpfl", "hfl"])
+    def test_poisoned_ue_is_named_in_the_first_round(self, mode):
+        """NaN training data of one UE stops the round engine, naming it."""
+        scn = Scenario(k=3, n_k=4, mode=mode, rounds=0, seed=19)
+        eng, prep = engine_for(scn)
+        prep.federation[2][1].train.x[0, 0] = np.nan
+        with pytest.raises(meta.NonFiniteError, match=r" at es 2 ue 1$"):
+            eng.run_round()
+
+    @pytest.mark.parametrize("poisoned", [(1, 3), (2, 0)])
+    def test_poisoned_ue_is_named_after_a_partial_refresh(self, poisoned):
+        """Only server 1 refreshes in round 1; its rows keep their ES id.
+
+        A poisoned UE of server 1 is caught by the refresh, one of server 2
+        by the evaluation of every UE that follows it.
+        """
+        scn = Scenario(k=3, n_k=4, rounds=0, seed=19)
+        eng, prep = engine_for(scn)
+        eng.run_round(forced_selection=np.array([False, True, False]))
+        es, ue = poisoned
+        prep.federation[es][ue].train.x[0, 0] = np.nan
+        with pytest.raises(meta.NonFiniteError,
+                           match=r" at es %d ue %d$" % poisoned):
+            eng.run_round()
