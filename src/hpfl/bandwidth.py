@@ -6,6 +6,11 @@ finishes as early as possible. At the optimum every selected ES finishes
 at the same time O*, and within an ES all of its UEs finish their upload
 at a common instant G_k, leaving O* - G_k for the ES's own upload.
 
+Every payload link also gets at least the floor b_min. The floor is part
+of each link's demand, max(deadline bandwidth, b_min), so a link at the
+floor finishes early and the rest still share one finish time; a group
+whose links all sit at the floor finishes before O*.
+
 Two nested solvers realize that structure:
 
 * the bandwidth needed by one link to meet an upload deadline tau has a
@@ -13,8 +18,8 @@ Two nested solvers realize that structure:
   upper solution W_0 only carries the trivial root), and
 * for a candidate O*, each ES's bandwidth demand minimizes over the
   split G_k between the UE tier and the ES upload; the total demand is
-  strictly decreasing in O*, so an outer bisection finds the O* whose
-  demand exhausts B.
+  decreasing in O*, so an outer root search (false position with
+  Illinois damping) finds the O* whose demand exhausts B.
 
 Lambert W is evaluated in-package by Halley iteration to 1e-12 residual,
 with a monotone bisection fallback when the closed form fails residual
@@ -193,7 +198,6 @@ class AllocationProblem:
 class AllocationResult:
     b_ue: list
     b_es: np.ndarray
-    ue_finish: np.ndarray
     latencies: np.ndarray
     achieved_o: float
     used_b: float
@@ -202,18 +206,15 @@ class AllocationResult:
 
 def _result_from_allocation(problem, b_ue, b_es, work):
     latencies = []
-    finishes = []
     for grp, bu, be in zip(problem.groups, b_ue, b_es):
         t_ue = grp.tcmp_ue + tcom(grp.z_ue, uplink_rate(bu, 1.0, grp.ph_ue,
                                                         problem.n0))
-        g = float(np.max(t_ue))
         t_es = tcom(grp.z_es, uplink_rate(be, 1.0, grp.ph_es, problem.n0))
-        finishes.append(g)
-        latencies.append(g + t_es)
+        latencies.append(float(np.max(t_ue)) + t_es)
     used = float(sum(float(np.sum(bu)) for bu in b_ue) + float(np.sum(b_es)))
     return AllocationResult(
         b_ue=list(b_ue), b_es=np.asarray(b_es, dtype=float),
-        ue_finish=np.asarray(finishes), latencies=np.asarray(latencies),
+        latencies=np.asarray(latencies),
         achieved_o=float(np.max(latencies)), used_b=used, work=work)
 
 
@@ -255,23 +256,45 @@ def _pad_problem(problem):
         z_ue[i, 0, :n] = grp.z_ue
     ph_es = np.array([grp.ph_es for grp in problem.groups])
     z_es = np.array([grp.z_es for grp in problem.groups])
-    ue_floor = np.array([float(np.max(grp.tcmp_ue)) for grp in problem.groups])
-    return tcmp_pad, ph_pad, z_ue, ph_es, z_es, ue_floor
+    tcmp_max = np.array([float(np.max(grp.tcmp_ue)) for grp in problem.groups])
+    # past these finish times a link needs less than b_min, so it sits at
+    # the floor: g_top for the whole UE tier, t_es_floor for the ES upload
+    b_min = problem.b_min
+    g_top = np.max(tcmp_pad + _floor_time(z_ue[:, 0, :], ph_pad, problem),
+                   axis=1)
+    t_es_floor = _floor_time(z_es, ph_es, problem)
+    return (tcmp_pad, ph_pad, z_ue, ph_es, z_es, tcmp_max, g_top, t_es_floor,
+            b_min * (z_ue > 0.0), b_min * (z_es > 0.0))
+
+
+def _floor_time(z, ph, problem):
+    """Upload time of each link at the floor bandwidth b_min.
+
+    A floor so small that its rate overflows to infinity never binds.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rate = uplink_rate(problem.b_min, 1.0, ph, problem.n0)
+    return tcom(z, np.where(np.isfinite(rate), rate, 0.0))
 
 
 def _demand_at(o_target, pads, n0, grid=32, passes=2):
     """Per-group minimal bandwidth demand when every group finishes at o_target.
 
-    Minimizes, for each group, the sum of UE-deadline bandwidths at split
-    G and the ES-deadline bandwidth at o_target - G over G, by an
-    iteratively refined grid (the demand is convex in the split).
-    Returns (demand per group, split per group, b_ue matrix, b_es,
-    evaluation count).
+    Minimizes, for each group, the sum of the UE demands at split G and
+    the ES demand at o_target - G over G, by an iteratively refined grid
+    (the demand is convex in the split).  A link's demand is its deadline
+    bandwidth raised to the floor b_min.  The grid spans only splits at
+    which the slowest UE and the ES upload are above the floor, so each
+    finishes exactly on its deadline; a group with every link at the floor
+    collapses the grid to one split.  Returns (demand per group, split per
+    group, b_ue matrix, b_es, evaluation count).
     """
-    tcmp_pad, ph_pad, z_ue, ph_es, z_es, ue_floor = pads
+    (tcmp_pad, ph_pad, z_ue, ph_es, z_es, tcmp_max, g_top, t_es_floor,
+     floor_ue, floor_es) = pads
     k, m = tcmp_pad.shape
-    lo = ue_floor + 1e-12 * np.maximum(ue_floor, 1e-9)
-    hi = np.full(k, o_target)
+    lo = tcmp_max + 1e-12 * np.maximum(tcmp_max, 1e-9)
+    hi = np.minimum(np.maximum(g_top, lo), o_target)
+    lo = np.minimum(np.maximum(lo, o_target - t_es_floor), hi)
     window_lo = lo.copy()
     window_hi = hi.copy()
     evals = 0
@@ -280,10 +303,13 @@ def _demand_at(o_target, pads, n0, grid=32, passes=2):
     for _ in range(passes):
         g = window_lo[:, None] + t[None, :] * (window_hi - window_lo)[:, None]
         tau_ue = g[:, :, None] - tcmp_pad[:, None, :]
-        b_ue = deadline_bandwidth(z_ue, ph_pad[:, None, :], n0, tau_ue)
+        b_ue = np.maximum(
+            deadline_bandwidth(z_ue, ph_pad[:, None, :], n0, tau_ue), floor_ue)
         demand_ue = b_ue.sum(axis=2)
         tau_es = o_target - g
-        b_es = deadline_bandwidth(z_es[:, None], ph_es[:, None], n0, tau_es)
+        b_es = np.maximum(
+            deadline_bandwidth(z_es[:, None], ph_es[:, None], n0, tau_es),
+            floor_es[:, None])
         total = demand_ue + b_es
         idx = np.argmin(np.where(np.isfinite(total), total, np.inf), axis=1)
         rows = np.arange(k)
@@ -298,48 +324,16 @@ def _demand_at(o_target, pads, n0, grid=32, passes=2):
     return best_total, best_g, best_b_ue, best_b_es, evals
 
 
-def _apply_floor(problem, b_ue, b_es):
-    """Raise sub-floor allocations to b_min, shaving the excess elsewhere."""
-    floor = problem.b_min
-    flat = [bu.copy() for bu in b_ue]
-    b_es = b_es.copy()
-    bumped = 0.0
-    for i, grp in enumerate(problem.groups):
-        if grp.z_ue > 0.0:
-            low = (flat[i] > 0.0) & (flat[i] < floor)
-            bumped += float(np.sum(floor - flat[i][low]))
-            flat[i][low] = floor
-        if grp.z_es > 0.0 and 0.0 < b_es[i] < floor:
-            bumped += floor - b_es[i]
-            b_es[i] = floor
-    if bumped > 0.0:
-        used = sum(float(np.sum(bu)) for bu in flat) + float(np.sum(b_es))
-        excess = used - problem.total_b
-        if excess > 0.0:
-            slack = []
-            for bu in flat:
-                slack.append(np.maximum(bu - floor, 0.0))
-            slack_es = np.maximum(b_es - floor, 0.0)
-            total_slack = sum(float(np.sum(s)) for s in slack) + float(
-                np.sum(slack_es))
-            if total_slack <= 0.0:
-                raise InfeasibleAllocationError(
-                    "bandwidth floor leaves no room inside the budget")
-            ratio = excess / total_slack
-            for i in range(len(flat)):
-                flat[i] -= slack[i] * ratio
-            b_es -= slack_es * ratio
-    return flat, b_es
-
-
 def progressive_fill(problem, rel_tol=1e-6, max_outer=90):
-    """Equal-finish allocation exhausting B, by bisection on the latency.
+    """Min-max allocation exhausting B, by a root search on the latency.
 
-    The total demand of the equal-finish structure is strictly decreasing
-    in the common latency O, so the optimal O* is the root of
-    demand(O) = B. The search brackets O* between the slowest compute
-    time and the equal-split latency (whose demand can never exceed B),
-    stopping once |B - demand| <= rel_tol * B.
+    The total demand of the equal-finish structure, each link's demand
+    raised to the floor b_min, is decreasing in the common latency O, so
+    the optimal O* is the root of demand(O) = B.  The search brackets O*
+    between the slowest compute time and the equal-split latency (whose
+    demand can never exceed B) and narrows the bracket by false position
+    with Illinois damping, stopping once |B - demand| <= rel_tol * B.
+    Every server that has a link above the floor finishes at O*.
     """
     _check_floor_feasible(problem)
     if not problem.groups:
@@ -400,6 +394,4 @@ def progressive_fill(problem, rel_tol=1e-6, max_outer=90):
     for i, grp in enumerate(problem.groups):
         n = grp.tcmp_ue.shape[0]
         b_ue.append(np.asarray(bu_mat[i, :n], dtype=float))
-    b_ue, bes_vec = _apply_floor(problem, b_ue, np.asarray(bes_vec, dtype=float))
-    result = _result_from_allocation(problem, b_ue, bes_vec, work)
-    return result
+    return _result_from_allocation(problem, b_ue, bes_vec, work)

@@ -100,7 +100,7 @@ def prepare(scenario):
             task_rng, scn.k, scn.n_k, scn.dim, scn.eig_lo, scn.eig_hi,
             es_spread=scn.center_spread, ue_spread=scn.ue_spread)
     topology = sample_topology(
-        _stream(scn.seed, _TOPOLOGY_STREAM), scn.k, scn.n_k_list,
+        _stream(scn.seed, _TOPOLOGY_STREAM), scn.k, scn.n_k,
         d_ue_range=(scn.d_ue_lo, scn.d_ue_hi),
         d_es_range=(scn.d_es_lo, scn.d_es_hi),
         o_ue_db=scn.o_ue_db, o_es_db=scn.o_es_db)

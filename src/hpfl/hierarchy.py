@@ -33,11 +33,9 @@ from .scheduler import baseline_select, objective_value, schedule
 
 __all__ = [
     "AggregationError",
-    "EdgeState",
     "RoundRecord",
     "RoundEngine",
     "global_update",
-    "advance_staleness",
 ]
 
 BITS_PER_PARAM = 32.0
@@ -49,69 +47,19 @@ def _ue_name(index):
 
 
 class AggregationError(RuntimeError):
-    """An aggregation step was asked to run on an empty or stale-less set."""
+    """An aggregation step was asked to run on an empty selection."""
 
 
-@dataclass
-class EdgeState:
-    """Mutable per-edge-server bookkeeping between cloud rounds.
-
-    base          -- the global model copy the server currently works from
-    version       -- global round index at which that copy was issued
-    staleness     -- rounds since refresh, saturated at the budget
-    force_pending -- staleness budget is exhausted; must upload next round
-    needs_refresh -- base changed, local updates must be recomputed
-    """
-
-    es_id: int
-    base: np.ndarray
-    version: int = 0
-    staleness: int = 0
-    force_pending: bool = False
-    needs_refresh: bool = True
-    mean_grad: np.ndarray = None
-    grad_norm_sq: float = 0.0
-
-
-def global_update(w, edges, selected, beta):
+def global_update(w, mean_grads, selected, beta):
     """Cloud step ``w - (beta/A) * sum of the A selected mean gradients``.
 
-    Every selected server must carry a cached mean gradient (i.e. have
-    been refreshed).
+    ``mean_grads`` holds one aggregated meta-gradient per edge server as a
+    (K, P) array; ``selected`` masks the A servers that upload.
     """
-    selected = np.asarray(selected, dtype=bool)
-    picked = [edges[i] for i in np.flatnonzero(selected)]
-    if not picked:
+    picked = mean_grads[np.asarray(selected, dtype=bool)]
+    if not picked.shape[0]:
         raise AggregationError("global update with an empty selection")
-    for es in picked:
-        if es.mean_grad is None:
-            raise AggregationError(
-                "edge server %d was selected before ever computing an update"
-                % es.es_id)
-    total = np.zeros_like(w)
-    for es in picked:
-        total = total + es.mean_grad
-    return w - (beta / float(len(picked))) * total
-
-
-def advance_staleness(edges, selected, s_max, new_model, new_version):
-    """Post-round ageing: selected servers sync, the rest grow staler.
-
-    A selected server receives the new model and resets to staleness 0.
-    An unselected server's recorded staleness saturates at ``s_max`` and
-    it is flagged for forced inclusion once the budget is reached.
-    """
-    selected = np.asarray(selected, dtype=bool)
-    for i, es in enumerate(edges):
-        if selected[i]:
-            es.base = new_model.copy()
-            es.version = new_version
-            es.staleness = 0
-            es.force_pending = False
-            es.needs_refresh = True
-        else:
-            es.staleness = min(es.staleness + 1, s_max)
-            es.force_pending = es.staleness >= s_max
+    return w - (beta / float(picked.shape[0])) * picked.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -141,6 +89,16 @@ class RoundEngine:
     ``scenario`` supplies every other knob.  The cloud steps with ``beta``
     and schedules with ``phi_sched``; ``phi`` and ``nu`` only scale the
     reported importance and bound.
+
+    Per-edge-server state is kept as arrays with one row per server:
+
+    base         -- (K, P) global model copy each server works from
+    version      -- global round at which that copy was issued
+    staleness    -- rounds since refresh, saturated at ``s_max``
+    forced       -- staleness budget exhausted; must upload next round
+    dirty        -- base changed, local updates must be recomputed
+    mean_grad    -- (K, P) mean UE meta-gradient at the base
+    grad_norm_sq -- squared norm of mean_grad, the server's importance
     """
 
     def __init__(self, prep, scenario, beta, phi_sched, phi, nu):
@@ -156,17 +114,25 @@ class RoundEngine:
         self.w = np.asarray(prep.w0, dtype=float).copy()
         self.t = 0
         self.history = [self.w.copy()]
-        k = len(self.federation)
-        self.edges = [EdgeState(es_id=i, base=self.w.copy()) for i in range(k)]
+        k = scenario.k
+        self.base = np.tile(self.w, (k, 1))
+        self.version = np.zeros(k, dtype=int)
+        self.staleness = np.zeros(k, dtype=int)
+        self.forced = np.zeros(k, dtype=bool)
+        self.dirty = np.ones(k, dtype=bool)
+        self.mean_grad = np.zeros_like(self.base)
+        self.grad_norm_sq = np.zeros(k)
         # before the first selection every server works and uploads
         self.work_set = np.ones(k, dtype=bool)
+        d_bits = np.full(scenario.n_k, float(self.federation.train.size)) \
+            * self.model.dim * BITS_PER_PARAM
+        self.tcmp_ue = tcmp(scenario.c_cycles, d_bits, scenario.cpu_hz)
+        # a server without bandwidth is priced at the even split of the
+        # budget over every link of the federation
+        self.idle_share = scenario.total_b / (k * (scenario.n_k + 1))
         self._random_rng = np.random.default_rng(
             np.random.SeedSequence([scenario.seed, 433]))
         _, self._grad = meta.objective(scenario.mode)
-
-    @property
-    def k(self):
-        return len(self.edges)
 
     def _refresh(self):
         """Recompute the UE updates of every server whose base changed.
@@ -175,18 +141,16 @@ class RoundEngine:
         over its UEs.  Unselected servers keep full-batch gradients of an
         unchanged base, which are bit-identical, so they are skipped.
         """
-        dirty = [es for es in self.edges if es.needs_refresh]
-        if not dirty:
+        ids = np.flatnonzero(self.dirty)
+        if not ids.size:
             return
-        ids = [es.es_id for es in dirty]
-        bases = np.stack([es.base for es in dirty])[:, None, :]
-        grads = self._grad(self.model, bases, self.federation.train[ids],
-                           self.scenario.alpha,
+        grads = self._grad(self.model, self.base[ids, None, :],
+                           self.federation.train[ids], self.scenario.alpha,
                            context=lambda i: _ue_name((ids[i[0]], i[1])))
-        for es, ue_grads in zip(dirty, grads):
-            es.mean_grad = ue_grads.mean(axis=0)
-            es.grad_norm_sq = float(es.mean_grad @ es.mean_grad)
-            es.needs_refresh = False
+        mean = grads.mean(axis=1)
+        self.mean_grad[ids] = mean
+        self.grad_norm_sq[ids] = (mean[:, None, :] @ mean[:, :, None])[:, 0, 0]
+        self.dirty[ids] = False
 
     def _evaluate(self):
         """Training objective and held-out accuracy of the entering model.
@@ -211,100 +175,97 @@ class RoundEngine:
                 acc = int(np.sum(pred == eval_.y)) / eval_.y.size
         return float(np.mean(losses)), float(acc)
 
-    def _group_for(self, es_idx, snapshot):
-        p = self.scenario
-        train = self.federation.train
-        d_bits = np.full(train.batch_shape[1], float(train.size)) \
-            * self.model.dim * BITS_PER_PARAM
-        return ESGroup(
-            tcmp_ue=tcmp(p.c_cycles, d_bits, p.cpu_hz),
-            ph_ue=p.p_ue * snapshot.h_ue[es_idx],
-            ph_es=float(p.p_es * snapshot.h_es[es_idx]),
-            z_ue=p.z_bits,
-            z_es=p.z_bits,
-        )
+    def _allocate(self, members, ph_ue, ph_es):
+        """Bandwidth split over the servers masked by ``members``.
 
-    def _allocate(self, member_mask, groups):
-        """Bandwidth split over one set of working servers.
-
-        Returns (member indices, per-ES latency array over the members,
-        solver work units).
+        ``ph_ue`` (K, N) and ``ph_es`` (K,) are this round's transmit power
+        times channel gain.  Returns (per-ES latency array over the
+        members, solver work units).
         """
         p = self.scenario
-        members = np.flatnonzero(member_mask)
-        problem = AllocationProblem(groups=tuple(groups[i] for i in members),
-                                    n0=self.n0, total_b=p.total_b,
-                                    b_min=p.b_min)
+        groups = tuple(
+            ESGroup(tcmp_ue=self.tcmp_ue, ph_ue=ph_ue[i], ph_es=float(ph_es[i]),
+                    z_ue=p.z_bits, z_es=p.z_bits)
+            for i in np.flatnonzero(members))
+        problem = AllocationProblem(groups=groups, n0=self.n0,
+                                    total_b=p.total_b, b_min=p.b_min)
         if p.allocation == "progressive":
             result = progressive_fill(problem)
         else:
             result = equal_split(problem)
-        return members, np.asarray(result.latencies, dtype=float), result.work
+        return np.asarray(result.latencies, dtype=float), result.work
 
-    def _counterfactual_latency(self, grp, share):
-        """Latency estimate for a server that did not hold bandwidth.
+    def _counterfactual_latency(self, ph_ue, ph_es):
+        """Latency estimates of servers that did not hold bandwidth.
 
-        ``share`` is the reference price of adding it: the even split of
-        the budget over every positive-payload link in the federation.
+        Every link is priced at ``idle_share``; ``ph_ue`` (I, N) and
+        ``ph_es`` (I,) are the rows of the I servers estimated.
         """
-        t_ue = grp.tcmp_ue + tcom(grp.z_ue, uplink_rate(share, 1.0, grp.ph_ue, self.n0))
-        t_es = tcom(grp.z_es, uplink_rate(share, 1.0, grp.ph_es, self.n0))
-        return float(np.max(t_ue) + t_es)
+        z, share = self.scenario.z_bits, self.idle_share
+        t_ue = self.tcmp_ue + tcom(z, uplink_rate(share, 1.0, ph_ue, self.n0))
+        t_es = tcom(z, uplink_rate(share, 1.0, ph_es, self.n0))
+        return t_ue.max(axis=1) + t_es
 
     def run_round(self, forced_selection=None):
         """Advance the federation by one cloud round and record it."""
         p = self.scenario
+        k = p.k
         self._refresh()
         loss, acc = self._evaluate()
         snapshot = sample_channels(self.topology, p.seed, self.t)
-        groups = [self._group_for(i, snapshot) for i in range(self.k)]
+        ph_ue = p.p_ue * snapshot.h_ue
+        ph_es = p.p_es * snapshot.h_es
 
-        members, member_lat, work = self._allocate(self.work_set, groups)
-        latencies = np.empty(self.k)
-        latencies[members] = member_lat
-        idle = np.flatnonzero(~self.work_set)
-        if idle.size:
-            share = p.total_b / sum(grp.n_links for grp in groups)
-            for i in idle:
-                latencies[i] = self._counterfactual_latency(groups[i], share)
+        latencies = np.empty(k)
+        latencies[self.work_set], work = self._allocate(self.work_set, ph_ue,
+                                                        ph_es)
+        idle = ~self.work_set
+        if idle.any():
+            latencies[idle] = self._counterfactual_latency(ph_ue[idle],
+                                                           ph_es[idle])
 
-        importance = np.array([es.grad_norm_sq for es in self.edges])
-        forced = np.array([es.force_pending for es in self.edges])
+        importance = self.grad_norm_sq
         capped = False
         if forced_selection is not None:
             pi = np.asarray(forced_selection, dtype=bool)
-            if pi.shape != (self.k,) or not pi.any():
+            if pi.shape != (k,) or not pi.any():
                 raise ValueError("forced selection must pick at least one of "
-                                 "%d servers" % self.k)
+                                 "%d servers" % k)
         elif p.selection == "proposed":
-            decision = schedule(importance, latencies, forced, p.rho,
+            decision = schedule(importance, latencies, self.forced, p.rho,
                                 self.phi_sched, p.a_max)
             pi = decision.pi
             capped = decision.capped
         else:
-            pi = baseline_select(p.selection, self.k, p.a_max, self._random_rng)
+            pi = baseline_select(p.selection, k, p.a_max, self._random_rng)
 
         # servers picked outside the working set need bandwidth they never
         # had, so the physical round re-splits over the actual uploaders
         if not np.array_equal(pi, self.work_set):
-            _, sel_lat, extra = self._allocate(pi, groups)
+            sel_lat, extra = self._allocate(pi, ph_ue, ph_es)
             work += extra
             latency = float(sel_lat.max())
         else:
             latency = float(latencies[pi].max())
 
-        staleness_used = tuple(int(self.edges[i].staleness)
-                               for i in np.flatnonzero(pi))
-        versions = tuple(int(self.edges[i].version) for i in np.flatnonzero(pi))
+        staleness_used = tuple(int(s) for s in self.staleness[pi])
+        versions = tuple(int(v) for v in self.version[pi])
         a_eff = int(pi.sum())
         captured = float(self.phi * importance[pi].sum())
         objective = objective_value(pi, importance, latencies, p.rho,
                                     self.phi_sched)
 
-        self.w = global_update(self.w, self.edges, pi, self.beta)
+        self.w = global_update(self.w, self.mean_grad, pi, self.beta)
         self.t += 1
         self.history.append(self.w.copy())
-        advance_staleness(self.edges, pi, p.s_max, self.w, self.t)
+        # uploaders receive the new model; the rest age, saturating at the
+        # budget, and must upload next round once it is reached
+        self.base[pi] = self.w
+        self.version[pi] = self.t
+        self.dirty |= pi
+        self.staleness = np.where(pi, 0, np.minimum(self.staleness + 1,
+                                                    p.s_max))
+        self.forced = ~pi & (self.staleness >= p.s_max)
         self.work_set = pi.copy()
 
         record = RoundRecord(
@@ -314,11 +275,11 @@ class RoundEngine:
             latency=latency,
             importance=captured,
             a_eff=a_eff,
-            runtime_us=int(work + self.k),
+            runtime_us=int(work + k),
             bound_rhs=captured + self.nu,
             pi=tuple(int(v) for v in pi),
             staleness_used=staleness_used,
-            staleness_after=tuple(int(es.staleness) for es in self.edges),
+            staleness_after=tuple(int(s) for s in self.staleness),
             versions=versions,
             objective=float(objective),
             capped=bool(capped),

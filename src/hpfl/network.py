@@ -70,30 +70,21 @@ def tcom(z_bits, rate):
 class Topology:
     """Static geometry and radio parameters of the hierarchy.
 
-    d_ue is a list (one entry per ES) of per-UE distances in meters;
-    d_es holds each ES's distance to the cloud. Path-loss reference
-    factors o_ue/o_es are linear (already converted from dB).
+    d_ue is a (K, N) array of UE distances in meters, row k holding the
+    UEs of ES k; d_es holds each ES's distance to the cloud. Path-loss
+    reference factors o_ue/o_es are linear (already converted from dB).
     """
 
-    d_ue: tuple
+    d_ue: np.ndarray
     d_es: np.ndarray
     o_ue: float
     o_es: float
 
-    @property
-    def k(self):
-        return len(self.d_ue)
 
-    @property
-    def n_k(self):
-        return tuple(len(d) for d in self.d_ue)
-
-
-def sample_topology(rng, k, n_k_list, d_ue_range=(2.0, 50.0),
+def sample_topology(rng, k, n_k, d_ue_range=(2.0, 50.0),
                     d_es_range=(50.0, 200.0), o_ue_db=-36.0, o_es_db=-40.0):
     """Distances drawn once per scenario; fixed for the whole run."""
-    d_ue = tuple(rng.uniform(d_ue_range[0], d_ue_range[1], size=n)
-                 for n in n_k_list)
+    d_ue = rng.uniform(d_ue_range[0], d_ue_range[1], size=(k, n_k))
     d_es = rng.uniform(d_es_range[0], d_es_range[1], size=k)
     return Topology(d_ue=d_ue, d_es=d_es,
                     o_ue=db_to_linear(o_ue_db), o_es=db_to_linear(o_es_db))
@@ -101,19 +92,21 @@ def sample_topology(rng, k, n_k_list, d_ue_range=(2.0, 50.0),
 
 @dataclass(frozen=True)
 class ChannelSnapshot:
-    """Per-round channel gains: h = o * d^-2 * fading, fading ~ Exp(1)."""
+    """Per-round channel gains: h = o * d^-2 * fading, fading ~ Exp(1).
 
-    h_ue: tuple
+    h_ue is (K, N) like the topology's d_ue, h_es is (K,).
+    """
+
+    h_ue: np.ndarray
     h_es: np.ndarray
-    round: int
 
 
 def sample_channels(topology, seed, round_index):
     """Fading resampled each round, deterministic per (seed, round)."""
     rng = np.random.default_rng(
         np.random.SeedSequence([int(seed), 211, int(round_index)]))
-    h_ue = tuple(topology.o_ue * d ** -2.0 * rng.exponential(1.0, size=d.shape)
-                 for d in topology.d_ue)
+    h_ue = topology.o_ue * topology.d_ue ** -2.0 * rng.exponential(
+        1.0, size=topology.d_ue.shape)
     h_es = topology.o_es * topology.d_es ** -2.0 * rng.exponential(
         1.0, size=topology.d_es.shape)
-    return ChannelSnapshot(h_ue=h_ue, h_es=h_es, round=int(round_index))
+    return ChannelSnapshot(h_ue=h_ue, h_es=h_es)

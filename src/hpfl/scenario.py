@@ -82,10 +82,6 @@ class Scenario:
     def __post_init__(self):
         _validate(self)
 
-    @property
-    def n_k_list(self):
-        return tuple([self.n_k] * self.k)
-
     def to_dict(self):
         return dataclasses.asdict(self)
 
@@ -138,7 +134,8 @@ def _validate(s):
     _require(s.n_classes >= 2, "n_classes", "need at least two classes")
     _require(1 <= s.labels_per_ue <= s.n_classes, "labels_per_ue",
              "must lie in 1..n_classes")
-    _require(s.n_train >= 1 and s.n_eval >= 1, "n_train", "shards need samples")
+    _require(s.n_train >= 1, "n_train", "shards need samples")
+    _require(s.n_eval >= 1, "n_eval", "shards need samples")
     _require(s.hidden >= 1, "hidden", "must be positive")
     _require(s.alpha > 0, "alpha", "must be positive")
     _require(s.beta > 0, "beta", "must be positive")
@@ -147,19 +144,21 @@ def _validate(s):
     _require(s.a_max >= 1, "a_max", "must be at least 1")
     _require(s.total_b > 0, "total_b", "must be positive")
     _require(s.b_min >= 0, "b_min", "must be non-negative")
-    _require(s.p_ue > 0 and s.p_es > 0, "p_ue", "transmit powers must be positive")
-    _require(s.c_cycles > 0 and s.cpu_hz > 0, "c_cycles",
-             "compute model needs positive cycles and frequency")
-    _require(s.z_bits >= 0, "z_bits", "payload cannot be negative")
-    _require(s.d_ue_lo > 0 and s.d_ue_hi >= s.d_ue_lo, "d_ue_lo",
-             "UE distance range must be positive and ordered")
-    _require(s.d_es_lo > 0 and s.d_es_hi >= s.d_es_lo, "d_es_lo",
-             "ES distance range must be positive and ordered")
+    _require(s.p_ue > 0, "p_ue", "transmit power must be positive")
+    _require(s.p_es > 0, "p_es", "transmit power must be positive")
+    _require(s.c_cycles > 0, "c_cycles", "must be positive")
+    _require(s.cpu_hz > 0, "cpu_hz", "must be positive")
+    _require(s.z_bits > 0, "z_bits", "payload must be positive")
+    _require(s.d_ue_lo > 0, "d_ue_lo", "distance must be positive")
+    _require(s.d_ue_hi >= s.d_ue_lo, "d_ue_hi", "must be at least d_ue_lo")
+    _require(s.d_es_lo > 0, "d_es_lo", "distance must be positive")
+    _require(s.d_es_hi >= s.d_es_lo, "d_es_hi", "must be at least d_es_lo")
     _require(s.rounds >= 0, "rounds", "must be non-negative")
     _require(s.seed >= 0, "seed", "must be non-negative")
     _require(s.probe_count >= 2, "probe_count", "estimation needs two probes")
     _require(s.l2 >= 0, "l2", "must be non-negative")
-    _require(s.eig_hi >= s.eig_lo > 0, "eig_lo", "curvature range must be ordered")
+    _require(s.eig_lo > 0, "eig_lo", "curvature must be positive")
+    _require(s.eig_hi >= s.eig_lo, "eig_hi", "must be at least eig_lo")
 
 
 def load_scenario(path):

@@ -13,8 +13,8 @@ Two task families are provided:
 Data layout: a federation of K edge servers with N UEs each is stored
 stacked, server-major.  Classification features are one ``(K, N, n, d)``
 array and labels one ``(K, N, n)`` array; the quadratic family stacks
-``q`` as ``(K, N, d, d)`` and ``a`` as ``(K, N, d)``.  ``federation[k][j]``
-hands out UE j of server k as views into those arrays, never copies.
+``q`` as ``(K, N, d, d)`` and ``a`` as ``(K, N, d)``.  Indexing a stack,
+``federation.train[k, j]``, gives UE j of server k as views, never copies.
 A quadratic shard has no samples; its ``size`` is ``dim``, the stand-in
 sample count that the engine turns into compute bits and so into latency.
 
@@ -81,33 +81,15 @@ class QuadraticTask:
 
 
 @dataclass(frozen=True)
-class UEData:
-    """Train/eval split for a single UE, same label subset on both sides."""
-
-    train: object
-    eval: object
-
-
-@dataclass(frozen=True)
 class Federation:
     """Every UE's train and eval shards, stacked with leading axes (K, N).
 
-    ``federation[k][j]`` is UE j of edge server k as a ``UEData`` whose
-    shards are views into the stacked arrays.
+    ``federation.train[k, j]`` is the training shard of UE j of edge
+    server k, as views into the stacked arrays.
     """
 
     train: object
     eval: object
-
-    def __len__(self):
-        return self.train.batch_shape[0]
-
-    def __getitem__(self, k):
-        return [UEData(train=self.train[k, j], eval=self.eval[k, j])
-                for j in range(self.train.batch_shape[1])]
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
 
 
 def _t(m):

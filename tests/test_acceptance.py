@@ -108,7 +108,7 @@ def test_criterion_2_single_learner_collapse(capsys):
                    s_max=0, a_max=1, selection="full", allocation="equal",
                    rounds=100, seed=5)
     prep = prepare(scn)
-    shard = prep.federation[0][0].train
+    shard = prep.federation.train[0, 0]
     ref = [prep.w0.copy()]
     w = prep.w0.copy()
     for _ in range(scn.rounds):

@@ -249,6 +249,26 @@ class TestProgressiveFill:
             if grp.z_es > 0.0:
                 assert res.b_es[gi] >= problem.b_min * (1.0 - 1e-9)
         assert res.used_b <= problem.total_b * (1.0 + 1e-9)
+        assert np.max(res.latencies) / np.min(res.latencies) - 1.0 <= 1e-6
+
+    def test_servers_above_the_floor_finish_together(self):
+        """A floor up to the equal share: servers with a link above it
+        finish at the common latency, servers fully at it no later."""
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            n_es, n_ue = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            base = make_problem(rng, n_es, n_ue,
+                                total_b=float(rng.uniform(1e6, 2e7)))
+            share = base.total_b / (n_es * (n_ue + 1))
+            problem = AllocationProblem(groups=base.groups, n0=N0,
+                                        total_b=base.total_b,
+                                        b_min=float(rng.uniform(0.0, share)))
+            res = progressive_fill(problem)
+            lat = np.asarray(res.latencies)
+            above = [max(np.max(b_ue), b_es) > problem.b_min * (1.0 + 1e-9)
+                     for b_ue, b_es in zip(res.b_ue, res.b_es)]
+            slowest_above = np.min(lat[above], initial=np.inf)
+            assert lat.max() <= slowest_above * (1.0 + 1e-6)
 
     def test_floor_beyond_budget_is_infeasible(self):
         rng = np.random.default_rng(59)

@@ -7,18 +7,8 @@ import pytest
 
 from hpfl import meta
 from hpfl.experiment import prepare
-from hpfl.hierarchy import (
-    AggregationError,
-    EdgeState,
-    RoundEngine,
-    advance_staleness,
-    global_update,
-)
+from hpfl.hierarchy import AggregationError, RoundEngine, global_update
 from hpfl.scenario import Scenario
-
-
-def make_edges(k, dim=2):
-    return [EdgeState(es_id=i, base=np.zeros(dim)) for i in range(k)]
 
 
 def engine_for(scn):
@@ -29,32 +19,26 @@ def engine_for(scn):
 
 class TestGlobalUpdate:
     def test_zero_gradients_leave_model_alone(self):
-        edges = make_edges(3)
-        for es in edges:
-            es.mean_grad = np.zeros(2)
         w = np.array([1.0, -2.0])
-        out = global_update(w, edges, np.ones(3, dtype=bool), beta=0.5)
+        out = global_update(w, np.zeros((3, 2)), np.ones(3, dtype=bool),
+                            beta=0.5)
         assert np.array_equal(out, w)
 
     def test_single_arrival(self):
-        edges = make_edges(2)
-        edges[1].mean_grad = np.array([2.0, -4.0])
+        mean_grads = np.array([[9.0, 9.0], [2.0, -4.0]])
         w = np.array([1.0, 1.0])
-        out = global_update(w, edges, np.array([False, True]), beta=0.25)
+        out = global_update(w, mean_grads, np.array([False, True]), beta=0.25)
         assert out.tolist() == [0.5, 2.0]
 
     def test_double_sum_oracle(self):
         """Cloud step equals w - (beta/A) * sum_k mean_i grad_{k,i}."""
         rng = np.random.default_rng(7)
         dim, n_ue = 4, 3
-        edges = make_edges(3, dim)
         ue_grads = rng.normal(size=(3, n_ue, dim))
-        for es, g in zip(edges, ue_grads):
-            es.mean_grad = g.mean(axis=0)
         selected = np.array([True, False, True])
         beta = 0.7
         w = rng.normal(size=dim)
-        out = global_update(w, edges, selected, beta)
+        out = global_update(w, ue_grads.mean(axis=1), selected, beta)
         for j in range(dim):
             terms = [ue_grads[k, i, j] / n_ue
                      for k in (0, 2) for i in range(n_ue)]
@@ -63,45 +47,40 @@ class TestGlobalUpdate:
 
     def test_empty_selection_rejected(self):
         with pytest.raises(AggregationError, match="empty"):
-            global_update(np.zeros(2), make_edges(2), np.zeros(2, dtype=bool),
-                          beta=0.1)
-
-    def test_unrefreshed_server_rejected(self):
-        edges = make_edges(2)
-        edges[0].mean_grad = np.zeros(2)
-        with pytest.raises(AggregationError, match="edge server 1"):
-            global_update(np.zeros(2), edges, np.ones(2, dtype=bool), beta=0.1)
+            global_update(np.zeros(2), np.zeros((2, 2)),
+                          np.zeros(2, dtype=bool), beta=0.1)
 
 
 class TestAdvanceStaleness:
+    """The post-round ageing of the engine's per-server arrays."""
+
     def test_selected_server_syncs(self):
-        edges = make_edges(2)
-        edges[0].staleness = 2
-        edges[0].needs_refresh = False
-        new = np.array([5.0, 5.0])
-        advance_staleness(edges, np.array([True, False]), s_max=3,
-                          new_model=new, new_version=4)
-        assert edges[0].staleness == 0
-        assert edges[0].version == 4
-        assert edges[0].needs_refresh
-        assert np.array_equal(edges[0].base, new)
-        assert edges[1].staleness == 1
+        scn = Scenario(k=2, n_k=1, s_max=3, a_max=2, rounds=0, seed=7)
+        eng, _ = engine_for(scn)
+        for _ in range(2):
+            eng.run_round(forced_selection=np.array([False, True]))
+        eng.run_round(forced_selection=np.array([True, False]))
+        assert eng.staleness.tolist() == [0, 1]
+        assert eng.version.tolist() == [3, 2]
+        assert eng.dirty.tolist() == [True, False]
+        assert np.array_equal(eng.base[0], eng.w)
+        assert np.array_equal(eng.base[1], eng.history[2])
 
     def test_staleness_accumulates_then_saturates(self):
-        edges = make_edges(1)
-        none = np.array([False])
-        for expect in (1, 2, 3, 3, 3):
-            advance_staleness(edges, none, s_max=3, new_model=np.zeros(2),
-                              new_version=0)
-            assert edges[0].staleness == expect
-        assert edges[0].force_pending
+        scn = Scenario(k=2, n_k=1, s_max=3, a_max=2, rounds=0, seed=7)
+        eng, _ = engine_for(scn)
+        after = [eng.run_round(forced_selection=np.array([True, False]))
+                 .staleness_after[1] for _ in range(5)]
+        assert after == [1, 2, 3, 3, 3]
+        assert eng.forced.tolist() == [False, True]
 
     def test_budget_reached_flags_forced_inclusion(self):
-        edges = make_edges(2)
-        advance_staleness(edges, np.array([False, True]), s_max=1,
-                          new_model=np.zeros(2), new_version=1)
-        assert edges[0].force_pending
-        assert not edges[1].force_pending
+        """A server at the budget is flagged, then the scheduler picks it."""
+        scn = Scenario(k=2, n_k=1, s_max=1, a_max=2, rounds=0, seed=7)
+        eng, _ = engine_for(scn)
+        eng.run_round(forced_selection=np.array([False, True]))
+        assert eng.forced.tolist() == [True, False]
+        assert eng.run_round().pi[0] == 1
 
 
 class TestRoundEngine:
@@ -111,7 +90,7 @@ class TestRoundEngine:
                        a_max=1, rounds=0, seed=3)
         eng, prep = engine_for(scn)
         w = prep.w0.copy()
-        shard = prep.federation[0][0].train
+        shard = prep.federation.train[0, 0]
         for _ in range(20):
             eng.run_round()
             w = w - scn.beta * meta.plain_grad(prep.model, w, shard)
@@ -125,9 +104,10 @@ class TestRoundEngine:
         for _ in range(5):
             eng.run_round()
             total = np.zeros_like(w)
-            for group in prep.federation:
-                grads = [meta.meta_grad(prep.model, w, ue.train, scn.alpha)
-                         for ue in group]
+            train = prep.federation.train
+            for k in range(scn.k):
+                grads = [meta.meta_grad(prep.model, w, train[k, j], scn.alpha)
+                         for j in range(scn.n_k)]
                 total += np.mean(grads, axis=0)
             w = w - scn.beta / 3.0 * total
         assert np.max(np.abs(eng.w - w)) <= 1e-10
@@ -152,10 +132,11 @@ class TestRoundEngine:
         w0 = prep.w0.copy()
         eng.run_round(forced_selection=np.array([True, False]))
         w1 = eng.w.copy()
-        stale = [meta.meta_grad(prep.model, w0, ue.train, scn.alpha)
-                 for ue in prep.federation[1]]
-        fresh = [meta.meta_grad(prep.model, w1, ue.train, scn.alpha)
-                 for ue in prep.federation[0]]
+        train = prep.federation.train
+        stale = [meta.meta_grad(prep.model, w0, train[1, j], scn.alpha)
+                 for j in range(scn.n_k)]
+        fresh = [meta.meta_grad(prep.model, w1, train[0, j], scn.alpha)
+                 for j in range(scn.n_k)]
         eng.run_round(forced_selection=np.array([True, True]))
         want = w1 - scn.beta / 2.0 * (np.mean(stale, axis=0)
                                       + np.mean(fresh, axis=0))
@@ -187,7 +168,7 @@ class TestRoundEngine:
         """NaN training data of one UE stops the round engine, naming it."""
         scn = Scenario(k=3, n_k=4, mode=mode, rounds=0, seed=19)
         eng, prep = engine_for(scn)
-        prep.federation[2][1].train.x[0, 0] = np.nan
+        prep.federation.train.x[2, 1, 0, 0] = np.nan
         with pytest.raises(meta.NonFiniteError, match=r" at es 2 ue 1$"):
             eng.run_round()
 
@@ -202,7 +183,7 @@ class TestRoundEngine:
         eng, prep = engine_for(scn)
         eng.run_round(forced_selection=np.array([False, True, False]))
         es, ue = poisoned
-        prep.federation[es][ue].train.x[0, 0] = np.nan
+        prep.federation.train.x[es, ue, 0, 0] = np.nan
         with pytest.raises(meta.NonFiniteError,
                            match=r" at es %d ue %d$" % poisoned):
             eng.run_round()

@@ -1,8 +1,11 @@
 """Whole-run invariants over random small scenarios.
 
 Every record of every run must keep the upload cap, the staleness budget
-and the version order, and every bandwidth allocation must stay within
-the budget.
+and the version order.  Every bandwidth allocation must stay within the
+budget and give each payload link at least the floor b_min, and a
+progressive fill must finish every server that has a link above the floor
+at one common time.  The floor is drawn up to the equal share of the
+budget, so it binds in some runs.
 """
 
 import numpy as np
@@ -15,43 +18,76 @@ from hpfl.experiment import run_experiment
 from hpfl.scenario import Scenario
 
 BUDGET_SLACK = 1e-9
-
-scenarios = st.builds(
-    Scenario,
-    k=st.integers(1, 4),
-    n_k=st.integers(1, 3),
-    rounds=st.integers(1, 6),
-    s_max=st.integers(0, 3),
-    a_max=st.integers(1, 4),
-    mode=st.sampled_from(["hpfl", "hfl"]),
-    selection=st.sampled_from(["proposed", "full", "random"]),
-    allocation=st.sampled_from(["progressive", "equal"]),
-    n_train=st.just(8),
-    n_eval=st.just(8),
-    seed=st.integers(0, 10 ** 6),
-)
+FLOOR_SLACK = 1e-9
+FINISH_SPREAD = 1e-6
 
 
-def _budget_checked(allocator, used):
+@st.composite
+def scenarios(draw):
+    scn = draw(st.builds(
+        Scenario,
+        k=st.integers(1, 4),
+        n_k=st.integers(1, 3),
+        rounds=st.integers(1, 6),
+        s_max=st.integers(0, 3),
+        a_max=st.integers(1, 4),
+        mode=st.sampled_from(["hpfl", "hfl"]),
+        selection=st.sampled_from(["proposed", "full", "random"]),
+        allocation=st.sampled_from(["progressive", "equal"]),
+        n_train=st.just(8),
+        n_eval=st.just(8),
+        seed=st.integers(0, 10 ** 6),
+    ))
+    share = scn.total_b / (scn.k * (scn.n_k + 1))
+    return scn.replace(b_min=draw(st.floats(0.0, share)))
+
+
+def _links(result):
+    """Bandwidth of every link, one array per server."""
+    return [np.append(b_ue, b_es)
+            for b_ue, b_es in zip(result.b_ue, result.b_es)]
+
+
+def _checked(name, calls):
+    """The engine's allocator ``name``, asserting the allocation invariants.
+
+    Every engine link carries a payload, because z_bits is positive.
+    """
+    allocator = getattr(hierarchy, name)
+
     def checked(problem):
         result = allocator(problem)
         assert result.used_b <= problem.total_b * (1.0 + BUDGET_SLACK)
-        used.append(result.used_b)
+        links = _links(result)
+        assert min(b.min() for b in links) >= \
+            problem.b_min * (1.0 - FLOOR_SLACK)
+        if name == "progressive_fill":
+            lat = np.asarray(result.latencies)
+            above = [b.max() > problem.b_min * (1.0 + FLOOR_SLACK)
+                     for b in links]
+            assert lat.max() <= np.min(lat[above], initial=np.inf) \
+                * (1.0 + FINISH_SPREAD)
+        calls.append((problem, result))
         return result
     return checked
 
 
-@settings(max_examples=30)
-@given(scn=scenarios)
-def test_every_record_keeps_the_invariants(scn):
-    used = []
+def checked_run(scn):
+    """Run scn with both allocators checked; returns (records, calls)."""
+    calls = []
     with pytest.MonkeyPatch.context() as mp:
         for name in ("progressive_fill", "equal_split"):
-            mp.setattr(hierarchy, name,
-                       _budget_checked(getattr(hierarchy, name), used))
+            mp.setattr(hierarchy, name, _checked(name, calls))
         records = run_experiment(scn).records
+    return records, calls
+
+
+@settings(max_examples=30)
+@given(scn=scenarios())
+def test_every_record_keeps_the_invariants(scn):
+    records, calls = checked_run(scn)
     assert len(records) == scn.rounds
-    assert len(used) >= scn.rounds
+    assert len(calls) >= scn.rounds
     last_version = np.zeros(scn.k, dtype=int)
     for rec in records:
         assert rec.a_eff == sum(rec.pi) >= 1
@@ -63,3 +99,20 @@ def test_every_record_keeps_the_invariants(scn):
         for i, version in zip(np.flatnonzero(rec.pi), rec.versions):
             assert version >= last_version[i]
             last_version[i] = version
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("over", [
+    pytest.param(dict(k=10, n_k=8, total_b=2e6, b_min=2e4), id="k10-n8"),
+    pytest.param(dict(b_min=1.5e5), id="desk"),
+])
+def test_floor_binding_runs_finish_together(over, seed):
+    """Where the floor binds, every server still finishes at one time."""
+    _, calls = checked_run(Scenario(rounds=12, seed=seed, **over))
+    floored = 0
+    for problem, result in calls:
+        lat = np.asarray(result.latencies)
+        assert lat.max() / lat.min() - 1.0 <= FINISH_SPREAD
+        floored += min(b.min() for b in _links(result)) \
+            <= problem.b_min * (1.0 + FLOOR_SLACK)
+    assert floored

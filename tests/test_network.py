@@ -83,11 +83,10 @@ def test_tcom_sentinels():
 
 def test_sample_topology_ranges():
     rng = np.random.default_rng(3)
-    topo = sample_topology(rng, 4, [3, 3, 3, 3])
-    assert topo.k == 4
-    assert topo.n_k == (3, 3, 3, 3)
-    for d in topo.d_ue:
-        assert np.all((d >= 2.0) & (d <= 50.0))
+    topo = sample_topology(rng, 4, 3)
+    assert topo.d_ue.shape == (4, 3)
+    assert topo.d_es.shape == (4,)
+    assert np.all((topo.d_ue >= 2.0) & (topo.d_ue <= 50.0))
     assert np.all((topo.d_es >= 50.0) & (topo.d_es <= 200.0))
     assert topo.o_ue == pytest.approx(10 ** -3.6)
     assert topo.o_es == pytest.approx(10 ** -4.0)
@@ -95,11 +94,11 @@ def test_sample_topology_ranges():
 
 def test_sample_channels_deterministic():
     rng = np.random.default_rng(4)
-    topo = sample_topology(rng, 2, [2, 2])
+    topo = sample_topology(rng, 2, 2)
     a = sample_channels(topo, seed=9, round_index=5)
     b = sample_channels(topo, seed=9, round_index=5)
-    for ha, hb in zip(a.h_ue, b.h_ue):
-        np.testing.assert_array_equal(ha, hb)
+    assert a.h_ue.shape == (2, 2)
+    np.testing.assert_array_equal(a.h_ue, b.h_ue)
     np.testing.assert_array_equal(a.h_es, b.h_es)
     c = sample_channels(topo, seed=9, round_index=6)
     assert not np.array_equal(a.h_es, c.h_es)
@@ -109,7 +108,7 @@ def test_channel_gain_empirical_mean():
     """Mean gain over many fading draws approaches o * d^-2 within 2%."""
     from hpfl.network import Topology
     d = np.full(100000, 10.0)
-    topo = Topology(d_ue=(d,), d_es=np.array([100.0]),
+    topo = Topology(d_ue=d[None, :], d_es=np.array([100.0]),
                     o_ue=10 ** -3.6, o_es=10 ** -4.0)
     snap = sample_channels(topo, seed=0, round_index=0)
     expected = 10 ** -3.6 * 10.0 ** -2
@@ -120,7 +119,7 @@ def test_channel_path_loss_ratio():
     """2 m vs 50 m distance: path-loss factor ratio (50/2)^2 = 625."""
     from hpfl.network import Topology
     n = 200000
-    topo = Topology(d_ue=(np.full(n, 2.0), np.full(n, 50.0)),
+    topo = Topology(d_ue=np.stack([np.full(n, 2.0), np.full(n, 50.0)]),
                     d_es=np.array([100.0, 100.0]),
                     o_ue=10 ** -3.6, o_es=10 ** -4.0)
     snap = sample_channels(topo, seed=1, round_index=0)

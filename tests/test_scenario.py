@@ -20,9 +20,6 @@ class TestDefaults:
         assert s.total_b == 5e6 and s.rounds == 50 and s.seed == 0
         assert s.phi_override == -1.0
 
-    def test_n_k_list(self):
-        assert Scenario(k=3, n_k=2).n_k_list == (2, 2, 2)
-
 
 class TestValidation:
     @pytest.mark.parametrize("field,value", [
@@ -52,6 +49,13 @@ class TestValidation:
         ("alpha", False),
         ("mode", 1),
         ("seed", -1),
+        ("z_bits", 0.0),
+        ("p_es", 0.0),
+        ("cpu_hz", 0.0),
+        ("n_eval", 0),
+        ("d_ue_hi", 1.0),
+        ("d_es_hi", 10.0),
+        ("eig_hi", 0.1),
     ])
     def test_bad_value_names_the_field(self, field, value):
         with pytest.raises(ConfigError, match="^%s: " % field):

@@ -116,11 +116,12 @@ def test_nonfinite_row_is_named_by_its_batch_index():
 def test_federation_hands_out_views_of_one_stack(family):
     scn = Scenario(k=3, n_k=2, family=family, rounds=0, seed=4)
     fed = prepare(scn).federation
-    assert len(fed) == 3
-    for k, es in enumerate(fed):
-        assert len(es) == 2
-        for j, ue in enumerate(es):
-            for mine, stacked in ((ue.train, fed.train), (ue.eval, fed.eval)):
+    for stacked in (fed.train, fed.eval):
+        assert stacked.batch_shape == (3, 2)
+        for k in range(3):
+            for j in range(2):
+                mine = stacked[k, j]
+                assert mine.batch_shape == ()
                 if family == "classification":
                     assert np.shares_memory(mine.x, stacked.x)
                     assert np.array_equal(mine.x, stacked.x[k, j])
