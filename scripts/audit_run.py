@@ -20,7 +20,7 @@ def main():
     scn = Scenario(family="quadratic", dim=12, rounds=args.rounds,
                    seed=args.seed)
     result, rows, frac = run_audit(scn, out_dir=args.out)
-    print("beta = 1/meta_lip = %.6g" % result.beta)
+    print("beta = 1/meta_lip = %.6g" % result.engine.beta)
     print("bound held in %d/%d rounds (%.1f%%)"
           % (sum(r["holds"] for r in rows), len(rows), 100.0 * frac))
     worst = max(rows, key=lambda r: r["descent"] - r["bound"])

@@ -21,6 +21,11 @@ Two nested solvers realize that structure:
   decreasing in O*, so an outer root search (false position with
   Illinois damping) finds the O* whose demand exhausts B.
 
+Both allocators pad the groups once into (K, M) arrays, M the largest
+group; every solve and result reads that one layout, prices each ES with
+network.es_latency, and cuts the UE bandwidths back into one array per
+group.
+
 Lambert W is evaluated in-package by Halley iteration to 1e-12 residual,
 with a monotone bisection fallback when the closed form fails residual
 verification.
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import LN2, uplink_rate, tcom, power_limited_rate
+from .network import LN2, es_latency, power_limited_rate, tcom, uplink_rate
 
 
 class InfeasibleAllocationError(RuntimeError):
@@ -38,16 +43,22 @@ class InfeasibleAllocationError(RuntimeError):
 
 
 _BRANCH_POINT = -np.exp(-1.0)
+_W_TOL = 1e-12          # Lambert-W residual, relative to |z|
+_HALLEY_ITERS = 40
+_GRID = 32              # split grid points per refinement pass
+_PASSES = 2
+_REL_TOL = 1e-6         # progressive_fill stops at |B - demand| <= this * B
+_MAX_OUTER = 90
 
 
-def _halley(w, z, keep_below, max_iter=40, tol=1e-12):
+def _halley(w, z, keep_below):
     """Vectorized Halley iteration on w e^w = z, kept below keep_below."""
     z = np.asarray(z, dtype=float)
     scale = np.maximum(np.abs(z), 1e-290)
-    for _ in range(max_iter):
+    for _ in range(_HALLEY_ITERS):
         ew = np.exp(w)
         f = w * ew - z
-        if np.all(np.abs(f) <= tol * scale):
+        if np.all(np.abs(f) <= _W_TOL * scale):
             break
         wp1 = w + 1.0
         wp1 = np.where(np.abs(wp1) < 1e-300, 1e-300, wp1)
@@ -58,11 +69,11 @@ def _halley(w, z, keep_below, max_iter=40, tol=1e-12):
     return w
 
 
-def lambert_w(z, tol=1e-12):
+def lambert_w(z):
     """Real Lambert W_{-1} (the solution w <= -1), scalar or array input.
 
     Defined on [-1/e, 0); values outside the domain raise ValueError.
-    Residual |w e^w - z| is driven to tol relative to |z|.
+    Residual |w e^w - z| is driven to 1e-12 relative to |z|.
     """
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -81,7 +92,7 @@ def lambert_w(z, tol=1e-12):
     asym = lz - np.log(np.maximum(-lz, 1e-300))
     w0 = np.where(near, series, asym)
     w0 = np.minimum(w0, -1.0 - 1e-12)
-    w = _halley(w0, z, keep_below=-1.0 + 1e-16, tol=tol)
+    w = _halley(w0, z, keep_below=-1.0 + 1e-16)
 
     exact = z == _BRANCH_POINT
     w = np.where(exact, -1.0, w)
@@ -178,11 +189,6 @@ class ESGroup:
     z_ue: float
     z_es: float
 
-    @property
-    def n_links(self):
-        links = self.tcmp_ue.shape[0] if self.z_ue > 0.0 else 0
-        return links + (1 if self.z_es > 0.0 else 0)
-
 
 @dataclass(frozen=True)
 class AllocationProblem:
@@ -191,7 +197,7 @@ class AllocationProblem:
     groups: tuple
     n0: float
     total_b: float
-    b_min: float = 1e3
+    b_min: float
 
 
 @dataclass
@@ -204,81 +210,79 @@ class AllocationResult:
     work: int
 
 
-def _result_from_allocation(problem, b_ue, b_es, work):
-    latencies = []
-    for grp, bu, be in zip(problem.groups, b_ue, b_es):
-        t_ue = grp.tcmp_ue + tcom(grp.z_ue, uplink_rate(bu, 1.0, grp.ph_ue,
-                                                        problem.n0))
-        t_es = tcom(grp.z_es, uplink_rate(be, 1.0, grp.ph_es, problem.n0))
-        latencies.append(float(np.max(t_ue)) + t_es)
-    used = float(sum(float(np.sum(bu)) for bu in b_ue) + float(np.sum(b_es)))
-    return AllocationResult(
-        b_ue=list(b_ue), b_es=np.asarray(b_es, dtype=float),
-        latencies=np.asarray(latencies),
-        achieved_o=float(np.max(latencies)), used_b=used, work=work)
+@dataclass(frozen=True)
+class _Stack:
+    """The groups padded once to (K, M); ``real`` marks the true UEs, and
+    padding slots, with zero compute time and payload, take no bandwidth."""
+
+    problem: AllocationProblem
+    real: np.ndarray
+    tcmp_ue: np.ndarray
+    ph_ue: np.ndarray
+    ph_es: np.ndarray
+    z_ue: np.ndarray
+    z_es: np.ndarray
+    equal_share: float          # B / L over the L payload links
+    # past these finish times a link needs less than b_min, so it sits at
+    # the floor: g_top for the whole UE tier, t_es_floor for the ES upload
+    g_top: np.ndarray
+    t_es_floor: np.ndarray
 
 
-def _check_floor_feasible(problem):
-    links = sum(grp.n_links for grp in problem.groups)
-    if links == 0:
-        return
+def _stack(problem):
+    """Pad the groups into one _Stack; raise if nothing can be allocated."""
+    groups = problem.groups
+    if not groups:
+        raise InfeasibleAllocationError("no transmitting ES to allocate for")
+    sizes = np.array([grp.tcmp_ue.shape[0] for grp in groups])
+    real = np.arange(sizes.max()) < sizes[:, None]
+    tcmp_ue = np.zeros(real.shape)
+    tcmp_ue[real] = np.concatenate([grp.tcmp_ue for grp in groups])
+    ph_ue = np.ones(real.shape)
+    ph_ue[real] = np.concatenate([grp.ph_ue for grp in groups])
+    z_ue = real * np.array([grp.z_ue for grp in groups])[:, None]
+    ph_es = np.array([grp.ph_es for grp in groups])
+    z_es = np.array([grp.z_es for grp in groups])
+    links = int(np.count_nonzero(z_ue > 0.0) + np.count_nonzero(z_es > 0.0))
     if links * problem.b_min > problem.total_b:
         raise InfeasibleAllocationError(
             f"{links} links need at least {links * problem.b_min:.6g} Hz "
             f"at the configured floor but only {problem.total_b:.6g} Hz "
             "are available")
+    t_ue_floor = tcom(z_ue, uplink_rate(problem.b_min, 1.0, ph_ue, problem.n0))
+    return _Stack(
+        problem=problem, real=real, tcmp_ue=tcmp_ue, ph_ue=ph_ue, ph_es=ph_es,
+        z_ue=z_ue, z_es=z_es,
+        equal_share=problem.total_b / links if links else 0.0,
+        g_top=np.max(tcmp_ue + t_ue_floor, axis=1),
+        t_es_floor=tcom(z_es, uplink_rate(problem.b_min, 1.0, ph_es,
+                                          problem.n0)))
+
+
+def _result(stack, b_ue, b_es, work):
+    """AllocationResult of padded (K, M) UE and (K,) ES bandwidths."""
+    latencies = es_latency(stack.tcmp_ue, stack.ph_ue, stack.ph_es,
+                           stack.z_ue, stack.z_es, b_ue, b_es,
+                           stack.problem.n0)
+    sizes = np.count_nonzero(stack.real, axis=1)
+    return AllocationResult(
+        b_ue=np.split(b_ue[stack.real], np.cumsum(sizes)[:-1]), b_es=b_es,
+        latencies=latencies, achieved_o=float(np.max(latencies)),
+        used_b=float(np.sum(b_ue) + np.sum(b_es)), work=work)
+
+
+def _equal(stack):
+    return _result(stack, stack.equal_share * (stack.z_ue > 0.0),
+                   stack.equal_share * (stack.z_es > 0.0), work=1)
 
 
 def equal_split(problem):
     """Every positive-payload link gets the same share B / L."""
-    _check_floor_feasible(problem)
-    links = sum(grp.n_links for grp in problem.groups)
-    share = problem.total_b / links if links else 0.0
-    b_ue = []
-    b_es = []
-    for grp in problem.groups:
-        n = grp.tcmp_ue.shape[0]
-        b_ue.append(np.full(n, share) if grp.z_ue > 0.0 else np.zeros(n))
-        b_es.append(share if grp.z_es > 0.0 else 0.0)
-    return _result_from_allocation(problem, b_ue, np.asarray(b_es), work=1)
+    return _equal(_stack(problem))
 
 
-def _pad_problem(problem):
-    k = len(problem.groups)
-    m = max(grp.tcmp_ue.shape[0] for grp in problem.groups)
-    tcmp_pad = np.zeros((k, m))
-    ph_pad = np.ones((k, m))
-    z_ue = np.zeros((k, 1, m))
-    for i, grp in enumerate(problem.groups):
-        n = grp.tcmp_ue.shape[0]
-        tcmp_pad[i, :n] = grp.tcmp_ue
-        ph_pad[i, :n] = grp.ph_ue
-        z_ue[i, 0, :n] = grp.z_ue
-    ph_es = np.array([grp.ph_es for grp in problem.groups])
-    z_es = np.array([grp.z_es for grp in problem.groups])
-    tcmp_max = np.array([float(np.max(grp.tcmp_ue)) for grp in problem.groups])
-    # past these finish times a link needs less than b_min, so it sits at
-    # the floor: g_top for the whole UE tier, t_es_floor for the ES upload
-    b_min = problem.b_min
-    g_top = np.max(tcmp_pad + _floor_time(z_ue[:, 0, :], ph_pad, problem),
-                   axis=1)
-    t_es_floor = _floor_time(z_es, ph_es, problem)
-    return (tcmp_pad, ph_pad, z_ue, ph_es, z_es, tcmp_max, g_top, t_es_floor,
-            b_min * (z_ue > 0.0), b_min * (z_es > 0.0))
-
-
-def _floor_time(z, ph, problem):
-    """Upload time of each link at the floor bandwidth b_min.
-
-    A floor so small that its rate overflows to infinity never binds.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rate = uplink_rate(problem.b_min, 1.0, ph, problem.n0)
-    return tcom(z, np.where(np.isfinite(rate), rate, 0.0))
-
-
-def _demand_at(o_target, pads, n0, grid=32, passes=2):
-    """Per-group minimal bandwidth demand when every group finishes at o_target.
+def _demand_at(o_target, stack):
+    """Minimal bandwidth demand when every group finishes at o_target.
 
     Minimizes, for each group, the sum of the UE demands at split G and
     the ES demand at o_target - G over G, by an iteratively refined grid
@@ -286,45 +290,40 @@ def _demand_at(o_target, pads, n0, grid=32, passes=2):
     bandwidth raised to the floor b_min.  The grid spans only splits at
     which the slowest UE and the ES upload are above the floor, so each
     finishes exactly on its deadline; a group with every link at the floor
-    collapses the grid to one split.  Returns (demand per group, split per
-    group, b_ue matrix, b_es, evaluation count).
+    collapses the grid to one split.  Returns (total demand, b_ue, b_es).
     """
-    (tcmp_pad, ph_pad, z_ue, ph_es, z_es, tcmp_max, g_top, t_es_floor,
-     floor_ue, floor_es) = pads
-    k, m = tcmp_pad.shape
+    n0, b_min = stack.problem.n0, stack.problem.b_min
+    z_ue = stack.z_ue[:, None, :]
+    tcmp_ue = stack.tcmp_ue[:, None, :]
+    ph_ue = stack.ph_ue[:, None, :]
+    floor_ue = b_min * (z_ue > 0.0)
+    floor_es = b_min * (stack.z_es > 0.0)
+    tcmp_max = np.max(stack.tcmp_ue, axis=1)
     lo = tcmp_max + 1e-12 * np.maximum(tcmp_max, 1e-9)
-    hi = np.minimum(np.maximum(g_top, lo), o_target)
-    lo = np.minimum(np.maximum(lo, o_target - t_es_floor), hi)
-    window_lo = lo.copy()
-    window_hi = hi.copy()
-    evals = 0
-    t = np.linspace(1e-9, 1.0 - 1e-9, grid)
-    best_g = None
-    for _ in range(passes):
+    hi = np.minimum(np.maximum(stack.g_top, lo), o_target)
+    lo = np.minimum(np.maximum(lo, o_target - stack.t_es_floor), hi)
+    window_lo, window_hi = lo, hi
+    t = np.linspace(1e-9, 1.0 - 1e-9, _GRID)
+    rows = np.arange(lo.shape[0])
+    for _ in range(_PASSES):
         g = window_lo[:, None] + t[None, :] * (window_hi - window_lo)[:, None]
-        tau_ue = g[:, :, None] - tcmp_pad[:, None, :]
         b_ue = np.maximum(
-            deadline_bandwidth(z_ue, ph_pad[:, None, :], n0, tau_ue), floor_ue)
-        demand_ue = b_ue.sum(axis=2)
-        tau_es = o_target - g
+            deadline_bandwidth(z_ue, ph_ue, n0, g[:, :, None] - tcmp_ue),
+            floor_ue)
         b_es = np.maximum(
-            deadline_bandwidth(z_es[:, None], ph_es[:, None], n0, tau_es),
+            deadline_bandwidth(stack.z_es[:, None], stack.ph_es[:, None], n0,
+                               o_target - g),
             floor_es[:, None])
-        total = demand_ue + b_es
+        total = b_ue.sum(axis=2) + b_es
         idx = np.argmin(np.where(np.isfinite(total), total, np.inf), axis=1)
-        rows = np.arange(k)
         best_g = g[rows, idx]
-        best_total = total[rows, idx]
-        best_b_ue = b_ue[rows, idx, :]
-        best_b_es = b_es[rows, idx]
-        evals += k * grid
-        span = (window_hi - window_lo) / (grid - 1)
+        span = (window_hi - window_lo) / (_GRID - 1)
         window_lo = np.maximum(lo, best_g - span)
         window_hi = np.minimum(hi, best_g + span)
-    return best_total, best_g, best_b_ue, best_b_es, evals
+    return float(np.sum(total[rows, idx])), b_ue[rows, idx, :], b_es[rows, idx]
 
 
-def progressive_fill(problem, rel_tol=1e-6, max_outer=90):
+def progressive_fill(problem):
     """Min-max allocation exhausting B, by a root search on the latency.
 
     The total demand of the equal-finish structure, each link's demand
@@ -332,41 +331,33 @@ def progressive_fill(problem, rel_tol=1e-6, max_outer=90):
     the optimal O* is the root of demand(O) = B.  The search brackets O*
     between the slowest compute time and the equal-split latency (whose
     demand can never exceed B) and narrows the bracket by false position
-    with Illinois damping, stopping once |B - demand| <= rel_tol * B.
+    with Illinois damping, stopping once |B - demand| <= 1e-6 B.
     Every server that has a link above the floor finishes at O*.
     """
-    _check_floor_feasible(problem)
-    if not problem.groups:
-        raise InfeasibleAllocationError("no transmitting ES to allocate for")
-    pads = _pad_problem(problem)
-    eq = equal_split(problem)
-    work = eq.work
+    stack = _stack(problem)
     b = problem.total_b
-
-    lo = float(np.max(pads[5])) * (1.0 + 1e-12) + 1e-15
-    hi = eq.achieved_o
+    evals = len(problem.groups) * _GRID * _PASSES
+    work = 1
+    lo = float(np.max(stack.tcmp_ue)) * (1.0 + 1e-12) + 1e-15
+    hi = _equal(stack).achieved_o
     if not np.isfinite(hi):
         raise InfeasibleAllocationError(
             "equal-split latency is infinite; some link cannot transmit")
 
-    demand_hi, g_hi, bu_hi, bes_hi, ev = _demand_at(hi, pads, problem.n0)
-    work += ev
-    total_hi = float(np.sum(demand_hi))
-    guard = 0
-    while not np.isfinite(total_hi) or total_hi > b:
+    for _ in range(61):
+        total_hi, bu_hi, bes_hi = _demand_at(hi, stack)
+        work += evals
+        if np.isfinite(total_hi) and total_hi <= b:
+            break
         hi *= 2.0
-        demand_hi, g_hi, bu_hi, bes_hi, ev = _demand_at(hi, pads, problem.n0)
-        work += ev
-        total_hi = float(np.sum(demand_hi))
-        guard += 1
-        if guard > 60:
-            raise InfeasibleAllocationError("latency bracket expansion failed")
+    else:
+        raise InfeasibleAllocationError("latency bracket expansion failed")
 
-    best = (hi, g_hi, bu_hi, bes_hi, total_hi)
+    best = (bu_hi, bes_hi, total_hi)
     f_lo = np.inf
     f_hi = total_hi - b
-    for _ in range(max_outer):
-        if abs(b - best[4]) <= rel_tol * b:
+    for _ in range(_MAX_OUTER):
+        if abs(b - best[2]) <= _REL_TOL * b:
             break
         if np.isfinite(f_lo):
             # false position (Illinois damping) once both residuals are finite
@@ -375,23 +366,16 @@ def progressive_fill(problem, rel_tol=1e-6, max_outer=90):
                 mid = 0.5 * (lo + hi)
         else:
             mid = 0.5 * (lo + hi)
-        demand, g_mid, bu_mid, bes_mid, ev = _demand_at(mid, pads, problem.n0)
-        work += ev
-        total = float(np.sum(demand))
+        total, bu_mid, bes_mid = _demand_at(mid, stack)
+        work += evals
         f_mid = total - b if np.isfinite(total) else np.inf
         if np.isfinite(total) and total <= b:
             hi = mid
             f_hi = f_mid
             f_lo *= 0.5
-            best = (mid, g_mid, bu_mid, bes_mid, total)
+            best = (bu_mid, bes_mid, total)
         else:
             lo = mid
             f_lo = f_mid
             f_hi *= 0.5
-
-    o_star, g_star, bu_mat, bes_vec, total = best
-    b_ue = []
-    for i, grp in enumerate(problem.groups):
-        n = grp.tcmp_ue.shape[0]
-        b_ue.append(np.asarray(bu_mat[i, :n], dtype=float))
-    return _result_from_allocation(problem, b_ue, bes_vec, work)
+    return _result(stack, best[0], best[1], work)

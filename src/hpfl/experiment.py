@@ -61,16 +61,11 @@ class Prepared:
 
 @dataclass
 class ExperimentResult:
-    """A finished run plus the constants it was reported against."""
+    """A finished run: its records, its engine and the estimated constants."""
 
-    scenario: Scenario
     records: list
     engine: RoundEngine
     constants: object
-    phi: float
-    nu: float
-    phi_sched: float
-    beta: float
 
 
 def _stream(seed, tag):
@@ -124,9 +119,8 @@ def _run(scenario, audit, forced_plan=None):
     phi_sched = phi if scenario.phi_override < 0 else scenario.phi_override
     engine = RoundEngine(prep, scenario, beta, phi_sched, phi, nu)
     records = engine.run(scenario.rounds, forced_plan=forced_plan)
-    return ExperimentResult(scenario=scenario, records=records, engine=engine,
-                            constants=prep.constants, phi=phi, nu=nu,
-                            phi_sched=phi_sched, beta=beta)
+    return ExperimentResult(records=records, engine=engine,
+                            constants=prep.constants)
 
 
 def run_experiment(scenario, forced_plan=None):
@@ -158,17 +152,18 @@ def _package_version():
 
 
 def manifest_dict(result, extra=None):
-    scn = result.scenario
+    engine = result.engine
+    scn = engine.scenario
     out = {
         "config": scn.to_dict(),
         "config_hash": scn.config_hash(),
         "seed": scn.seed,
         "rounds": len(result.records),
-        "beta_effective": result.beta,
+        "beta_effective": engine.beta,
         "constants": result.constants.to_dict(),
-        "phi": result.phi,
-        "nu": result.nu,
-        "phi_sched": result.phi_sched,
+        "phi": engine.phi,
+        "nu": engine.nu,
+        "phi_sched": engine.phi_sched,
         "versions": {
             "package": _package_version(),
             "numpy": np.__version__,
@@ -208,8 +203,8 @@ def audit_bound(result):
     """
     engine = result.engine
     model = engine.model
-    alpha = result.scenario.alpha
-    loss, grad = meta.objective(result.scenario.mode)
+    alpha = engine.scenario.alpha
+    loss, grad = meta.objective(engine.scenario.mode)
     train = engine.federation.train
 
     def global_loss(w):
@@ -238,7 +233,7 @@ def audit_bound(result):
         t = rec.round
         stale_sum = sum(g_at(v) for v in rec.versions)
         descent = f_at(t + 1) - f_at(t)
-        bound = result.phi * stale_sum + result.nu
+        bound = engine.phi * stale_sum + engine.nu
         tol = 1e-9 * max(1.0, abs(bound))
         rows.append({
             "round": t,

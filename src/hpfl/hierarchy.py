@@ -28,7 +28,7 @@ import numpy as np
 
 from . import meta
 from .bandwidth import AllocationProblem, ESGroup, equal_split, progressive_fill
-from .network import dbm_per_hz_to_w, sample_channels, tcom, tcmp, uplink_rate
+from .network import dbm_per_hz_to_w, es_latency, sample_channels, tcmp
 from .scheduler import baseline_select, objective_value, schedule
 
 __all__ = [
@@ -193,18 +193,7 @@ class RoundEngine:
             result = progressive_fill(problem)
         else:
             result = equal_split(problem)
-        return np.asarray(result.latencies, dtype=float), result.work
-
-    def _counterfactual_latency(self, ph_ue, ph_es):
-        """Latency estimates of servers that did not hold bandwidth.
-
-        Every link is priced at ``idle_share``; ``ph_ue`` (I, N) and
-        ``ph_es`` (I,) are the rows of the I servers estimated.
-        """
-        z, share = self.scenario.z_bits, self.idle_share
-        t_ue = self.tcmp_ue + tcom(z, uplink_rate(share, 1.0, ph_ue, self.n0))
-        t_es = tcom(z, uplink_rate(share, 1.0, ph_es, self.n0))
-        return t_ue.max(axis=1) + t_es
+        return result.latencies, result.work
 
     def run_round(self, forced_selection=None):
         """Advance the federation by one cloud round and record it."""
@@ -221,8 +210,10 @@ class RoundEngine:
                                                         ph_es)
         idle = ~self.work_set
         if idle.any():
-            latencies[idle] = self._counterfactual_latency(ph_ue[idle],
-                                                           ph_es[idle])
+            z, share = p.z_bits, self.idle_share
+            latencies[idle] = es_latency(self.tcmp_ue, ph_ue[idle],
+                                         ph_es[idle], z, z, share, share,
+                                         self.n0)
 
         importance = self.grad_norm_sq
         capped = False

@@ -7,9 +7,10 @@ spectral density N0 in W/Hz. Channel gains combine a fixed path-loss
 factor o * d^-2 with a per-round unit-mean exponential fading multiplier
 (Rayleigh amplitude means exponential power).
 
-An ES's round latency is the slowest of its UEs (compute plus upload)
-plus its own upload to the cloud; the system round latency is the max
-over the selected ESs. Aggregation time is ignored as negligible.
+An ES's round latency (es_latency, used by the allocator and for idle
+servers) is the slowest of its UEs (compute plus upload) plus its own
+upload to the cloud; the system round latency is the max over the
+selected ESs. Aggregation time is ignored as negligible.
 """
 
 from dataclasses import dataclass
@@ -41,11 +42,27 @@ def uplink_rate(b, p, h, n0):
                                   np.asarray(p, dtype=float),
                                   np.asarray(h, dtype=float))
     pos = b > 0.0
-    snr = np.divide(p * h, b * n0, out=np.zeros_like(b), where=pos)
+    with np.errstate(divide="ignore", over="ignore"):
+        snr = np.divide(p * h, b * n0, out=np.zeros_like(b), where=pos)
     out = np.where(pos, b * np.log2(1.0 + snr), 0.0)
+    # below about 1e-297 Hz, b * n0 underflows and the SNR overflows; there
+    # 1 + snr rounds to snr, so take log2(snr) as a difference of logs
+    big = np.isinf(snr)
+    if big.any():
+        out[big] = b[big] * (np.log2(p[big] * h[big]) - np.log2(b[big])
+                             - np.log2(n0))
     if scalar:
         return float(out[0])
     return out
+
+
+def es_latency(tcmp_ue, ph_ue, ph_es, z_ue, z_es, b_ue, b_es, n0):
+    """Round latency of each ES: slowest UE (compute plus upload) + own upload.
+
+    UE arguments broadcast to (..., N), ES arguments to (...); ph = p h.
+    """
+    t_ue = tcmp_ue + tcom(z_ue, uplink_rate(b_ue, 1.0, ph_ue, n0))
+    return t_ue.max(axis=-1) + tcom(z_es, uplink_rate(b_es, 1.0, ph_es, n0))
 
 
 def power_limited_rate(p, h, n0):
@@ -54,12 +71,13 @@ def power_limited_rate(p, h, n0):
 
 
 def tcom(z_bits, rate):
-    """Upload time Z / r; rate 0 gives an infinite-latency sentinel."""
+    """Upload time Z / r; rate 0, or a time past the float range, is inf."""
     scalar = np.ndim(z_bits) == 0 and np.ndim(rate) == 0
     z, r = np.broadcast_arrays(np.atleast_1d(np.asarray(z_bits, dtype=float)),
                                np.asarray(rate, dtype=float))
     out = np.full(z.shape, np.inf)
-    np.divide(z, r, out=out, where=r > 0.0)
+    with np.errstate(over="ignore"):
+        np.divide(z, r, out=out, where=r > 0.0)
     out[z == 0.0] = 0.0
     if scalar:
         return float(out[0])

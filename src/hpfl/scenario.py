@@ -14,6 +14,10 @@ import numbers
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
+from .network import db_to_linear, dbm_per_hz_to_w
+
 __all__ = ["ConfigError", "Scenario", "load_scenario", "save_scenario"]
 
 
@@ -153,6 +157,13 @@ def _validate(s):
     _require(s.d_ue_hi >= s.d_ue_lo, "d_ue_hi", "must be at least d_ue_lo")
     _require(s.d_es_lo > 0, "d_es_lo", "distance must be positive")
     _require(s.d_es_hi >= s.d_es_lo, "d_es_hi", "must be at least d_es_lo")
+    for field, to_linear in (("n0_dbm_hz", dbm_per_hz_to_w),
+                             ("o_ue_db", db_to_linear),
+                             ("o_es_db", db_to_linear)):
+        with np.errstate(over="ignore"):
+            linear = to_linear(np.float64(getattr(s, field)))
+        _require(0.0 < linear < np.inf, field,
+                 "must convert to a positive, finite linear value")
     _require(s.rounds >= 0, "rounds", "must be non-negative")
     _require(s.seed >= 0, "seed", "must be non-negative")
     _require(s.probe_count >= 2, "probe_count", "estimation needs two probes")

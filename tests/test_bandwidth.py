@@ -282,6 +282,45 @@ class TestProgressiveFill:
         problem = AllocationProblem(groups=(), n0=N0, total_b=5e6, b_min=1e3)
         with pytest.raises(InfeasibleAllocationError):
             progressive_fill(problem)
+        with pytest.raises(InfeasibleAllocationError):
+            equal_split(problem)
+
+
+def ragged_problem(b_min):
+    """Groups of 3, 1, 2 and 4 UEs; one without UE and one without ES payload."""
+    rng = np.random.default_rng(67)
+    groups = tuple(
+        ESGroup(tcmp_ue=rng.uniform(0.005, 0.05, size=n),
+                ph_ue=0.01 * 10.0 ** rng.uniform(-9.0, -7.5, size=n),
+                ph_es=0.1 * 10.0 ** rng.uniform(-9.0, -7.5),
+                z_ue=z_ue, z_es=z_es)
+        for n, z_ue, z_es in ((3, 1e6, 8e5), (1, 0.0, 1e6), (2, 5e5, 0.0),
+                              (4, 1.2e6, 1e6)))
+    return AllocationProblem(groups=groups, n0=N0, total_b=5e6, b_min=b_min)
+
+
+@pytest.mark.parametrize("allocate", [equal_split, progressive_fill])
+@pytest.mark.parametrize("b_min", [1.0, 2e5])
+def test_result_contract_on_ragged_groups(allocate, b_min):
+    """One UE bandwidth array per group, in the group's own length; no
+    bandwidth on links without payload; latencies priced group by group."""
+    problem = ragged_problem(b_min)
+    res = allocate(problem)
+    assert len(res.b_ue) == len(problem.groups)
+    assert res.b_es.shape == (len(problem.groups),)
+    for grp, b_ue, b_es, lat in zip(problem.groups, res.b_ue, res.b_es,
+                                    res.latencies):
+        assert b_ue.shape == grp.tcmp_ue.shape
+        if grp.z_ue == 0.0:
+            assert np.all(b_ue == 0.0)
+        if grp.z_es == 0.0:
+            assert b_es == 0.0
+        assert lat == pytest.approx(group_latency(grp, b_ue, b_es, problem.n0),
+                                    rel=1e-12)
+    assert res.achieved_o == np.max(res.latencies)
+    used = sum(float(np.sum(b)) for b in res.b_ue) + float(np.sum(res.b_es))
+    assert res.used_b == pytest.approx(used, rel=1e-12)
+    assert res.used_b <= problem.total_b * (1.0 + 1e-9)
 
 
 @settings(max_examples=25)

@@ -260,6 +260,11 @@ class TestCli:
         ('{"k": "5"}', [], "k"),
         ('{"total_b": Infinity}', [], "total_b"),
         ("{}", ["--seed", "-1"], "seed"),
+        ('{"n0_dbm_hz": 1e308}', [], "n0_dbm_hz"),
+        ('{"n0_dbm_hz": -1e308}', [], "n0_dbm_hz"),
+        ('{"o_ue_db": 1e308}', [], "o_ue_db"),
+        ('{"o_es_db": 1e308}', [], "o_es_db"),
+        ('{"o_es_db": -1e308}', [], "o_es_db"),
     ])
     def test_malformed_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                       raw, args, field):

@@ -1,4 +1,4 @@
-"""Golden outputs: rounds.csv and audit.csv of three short reference runs.
+"""Golden outputs: rounds.csv and audit.csv of five short reference runs.
 
 The files under tests/golden were written by the code these tests guard.
 Headers and integer columns must match exactly; float columns match
@@ -21,6 +21,8 @@ SCENARIOS = {
     "desk": {},
     "mlp": {"model": "mlp", "hidden": 32},
     "quadratic": {"family": "quadratic"},
+    "equal": {"allocation": "equal"},
+    "floor": {"k": 10, "n_k": 8, "total_b": 2e6, "b_min": 2e4},
 }
 INT_COLUMNS = {"round", "A_eff", "runtime_us", "holds"}
 REL_TOL = 1e-9

@@ -39,6 +39,15 @@ def test_uplink_rate_zero_cases():
     assert uplink_rate(0.0, 0.01, 1e-8, N0_TABLE) == 0.0
 
 
+@pytest.mark.parametrize("b", [1e-300, 1e-305, 2.2e-313])
+def test_uplink_rate_where_the_snr_overflows(b):
+    """b * N0 underflows here; the rate must stay finite and tiny."""
+    above = uplink_rate(1e-290, 0.01, 1e-8, N0_TABLE)
+    for rate in (uplink_rate(b, 0.01, 1e-8, N0_TABLE),
+                 uplink_rate(np.array([b, 1e6]), 0.01, 1e-8, N0_TABLE)[0]):
+        assert np.isfinite(rate) and 0.0 < rate < above
+
+
 def test_uplink_rate_monotone_in_bandwidth():
     rng = np.random.default_rng(0)
     for _ in range(100):

@@ -56,6 +56,11 @@ class TestValidation:
         ("d_ue_hi", 1.0),
         ("d_es_hi", 10.0),
         ("eig_hi", 0.1),
+        ("n0_dbm_hz", 1e308),
+        ("n0_dbm_hz", -1e308),
+        ("o_ue_db", 1e308),
+        ("o_es_db", 1e308),
+        ("o_es_db", -1e308),
     ])
     def test_bad_value_names_the_field(self, field, value):
         with pytest.raises(ConfigError, match="^%s: " % field):
