@@ -22,7 +22,7 @@ def main():
     rows = run_sweep(scn, "rho", parse_sweep_values(args.values),
                      out_dir=args.out)
     print("  rho  final_loss  mean_latency  mean_importance  mean_A_eff")
-    for row, _ in rows:
+    for row in rows:
         print("%5.2f  %10.4f  %12.4f  %15.4f  %10.2f"
               % (row["value"], row["final_loss"], row["mean_latency"],
                  row["mean_importance"], row["mean_a_eff"]))

@@ -335,6 +335,10 @@ def progressive_fill(problem):
     Every server that has a link above the floor finishes at O*.
     """
     stack = _stack(problem)
+    # a floor that fills the budget leaves every link at b_min; the float
+    # sum of the L floors can exceed B by an ulp, so no bracket would close
+    if stack.equal_share <= problem.b_min * (1.0 + 1e-9):
+        return _equal(stack)
     b = problem.total_b
     evals = len(problem.groups) * _GRID * _PASSES
     work = 1

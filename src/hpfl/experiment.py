@@ -38,6 +38,7 @@ __all__ = [
 
 CSV_HEADER = "round,loss,acc,latency,importance,A_eff,runtime_us,bound_rhs"
 AUDIT_HEADER = "round,f_t,f_next,descent,bound,holds"
+SWEEP_HEADER = "value,final_loss,mean_latency,mean_importance,mean_a_eff"
 
 _TASK_STREAM = 101
 _TOPOLOGY_STREAM = 131
@@ -190,10 +191,12 @@ def write_outputs(result, out_dir, extra_manifest=None):
 def audit_bound(result):
     """Check the per-round loss-change bound on a finished run.
 
-    For each round t the audit recomputes, with full knowledge the edge
-    servers do not have, the true global objective F at w_t and w_{t+1}
-    and the true global gradient norm at every delivered stale model
-    w_{t - tau_k}.  The inequality checked is
+    For each round t the audit takes F(w_t), the true global objective,
+    from the run's recorded loss, and F(w_{t+1}) from the next round's
+    record; only F at the final model w_T is evaluated.  It then computes,
+    with full knowledge the edge servers do not have, the true global
+    gradient norm once at every delivered stale model w_{t - tau_k}.
+    The inequality checked is
 
         F(w_{t+1}) - F(w_t) <= phi * sum_selected ||grad F(stale)||^2 + nu
 
@@ -201,44 +204,32 @@ def audit_bound(result):
     made with beta = 1 / meta_lip for the pair to be a guarantee.
     Returns a list of per-round dicts with descent, bound, and holds.
     """
+    records = result.records
+    if not records:
+        return []
     engine = result.engine
     model = engine.model
     alpha = engine.scenario.alpha
     loss, grad = meta.objective(engine.scenario.mode)
     train = engine.federation.train
-
-    def global_loss(w):
-        return float(np.mean(loss(model, w, train, alpha)))
-
-    def global_grad_norm_sq(w):
-        g = grad(model, w, train, alpha).reshape(-1, model.n_params)
-        g = g.mean(axis=0)
-        return float(g @ g)
-
-    f_cache = {}
-    g_cache = {}
-
-    def f_at(v):
-        if v not in f_cache:
-            f_cache[v] = global_loss(engine.history[v])
-        return f_cache[v]
-
-    def g_at(v):
-        if v not in g_cache:
-            g_cache[v] = global_grad_norm_sq(engine.history[v])
-        return g_cache[v]
+    f = [rec.loss for rec in records]
+    f.append(float(np.mean(loss(model, engine.history[-1], train, alpha))))
+    g_norm_sq = {}
+    for v in sorted({v for rec in records for v in rec.versions}):
+        g = grad(model, engine.history[v], train, alpha)
+        g = g.reshape(-1, model.n_params).mean(axis=0)
+        g_norm_sq[v] = float(g @ g)
 
     rows = []
-    for rec in result.records:
-        t = rec.round
-        stale_sum = sum(g_at(v) for v in rec.versions)
-        descent = f_at(t + 1) - f_at(t)
+    for rec, f_t, f_next in zip(records, f, f[1:]):
+        stale_sum = sum(g_norm_sq[v] for v in rec.versions)
+        descent = f_next - f_t
         bound = engine.phi * stale_sum + engine.nu
         tol = 1e-9 * max(1.0, abs(bound))
         rows.append({
-            "round": t,
-            "f_t": f_at(t),
-            "f_next": f_at(t + 1),
+            "round": rec.round,
+            "f_t": f_t,
+            "f_next": f_next,
             "descent": descent,
             "bound": bound,
             "holds": descent <= bound + tol,
@@ -276,9 +267,13 @@ def parse_sweep_values(spec):
         if len(parts) != 3:
             raise ValueError("range form must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("step must be positive")
-        n = int(np.floor((stop - start) / step + 0.5)) + 1
+        if not step > 0:   # a NaN step fails this test too
+            raise ValueError("--values: step must be positive")
+        steps = (stop - start) / step
+        if not np.isfinite([start, stop, step, steps]).all():
+            raise ValueError("--values: start, stop, step and the step count "
+                             "must be finite, got %r" % (spec,))
+        n = int(np.floor(steps + 0.5)) + 1
         vals = [start + i * step for i in range(max(n, 1))]
         vals = [v for v in vals if v <= stop + 1e-12]
     else:
@@ -288,13 +283,34 @@ def parse_sweep_values(spec):
     return tuple(round(v, 10) for v in vals)
 
 
+def _sweep_one(scenario, param, value, out_dir):
+    """Run one sweep value, write its outputs, and return its summary row.
+
+    The run's result is dropped on return, so a sweep holds one at a time.
+    """
+    result = run_experiment(scenario.replace(**{param: value}))
+    if out_dir is not None:
+        write_outputs(result, os.path.join(out_dir, "%s=%r" % (param, value)))
+    recs = result.records
+    nan = float("nan")
+    return {
+        "value": value,
+        "final_loss": recs[-1].loss if recs else nan,
+        "mean_latency": float(np.mean([r.latency for r in recs]))
+        if recs else nan,
+        "mean_importance": float(np.mean([r.importance for r in recs]))
+        if recs else nan,
+        "mean_a_eff": float(np.mean([r.a_eff for r in recs])) if recs else nan,
+    }
+
+
 def run_sweep(scenario, param, values, out_dir=None):
     """Re-run the scenario for each value of one numeric field.
 
     Each value is cast to the field's declared type and each run lands in
     its own subdirectory, named ``param=repr(value)``; sweep.csv
     summarizes final loss plus mean latency, captured importance, and
-    selected count.
+    selected count.  Returns those summary rows, one dict per value.
     """
     kind = {f.name: f.type for f in dataclasses.fields(Scenario)}.get(param)
     if kind is None:
@@ -305,33 +321,12 @@ def run_sweep(scenario, param, values, out_dir=None):
     values = [kind(v) for v in values]
     if len(set(values)) != len(values):
         raise ConfigError("%s: sweep values %s repeat" % (param, values))
-    rows = []
-    for value in values:
-        scn = scenario.replace(**{param: value})
-        result = run_experiment(scn)
-        recs = result.records
-        row = {
-            "value": value,
-            "final_loss": recs[-1].loss if recs else float("nan"),
-            "mean_latency": float(np.mean([r.latency for r in recs]))
-            if recs else float("nan"),
-            "mean_importance": float(np.mean([r.importance for r in recs]))
-            if recs else float("nan"),
-            "mean_a_eff": float(np.mean([r.a_eff for r in recs]))
-            if recs else float("nan"),
-        }
-        rows.append((row, result))
-        if out_dir is not None:
-            sub = os.path.join(out_dir, "%s=%r" % (param, value))
-            write_outputs(result, sub)
+    rows = [_sweep_one(scenario, param, value, out_dir) for value in values]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
-            fh.write("value,final_loss,mean_latency,mean_importance,mean_a_eff\n")
-            for row, _ in rows:
-                fh.write(",".join([
-                    _fmt(row["value"]), _fmt(row["final_loss"]),
-                    _fmt(row["mean_latency"]), _fmt(row["mean_importance"]),
-                    _fmt(row["mean_a_eff"]),
-                ]) + "\n")
+            fh.write(SWEEP_HEADER + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(row[c]) for c in SWEEP_HEADER.split(","))
+                         + "\n")
     return rows

@@ -223,10 +223,8 @@ class RoundEngine:
                 raise ValueError("forced selection must pick at least one of "
                                  "%d servers" % k)
         elif p.selection == "proposed":
-            decision = schedule(importance, latencies, self.forced, p.rho,
-                                self.phi_sched, p.a_max)
-            pi = decision.pi
-            capped = decision.capped
+            pi, capped = schedule(importance, latencies, self.forced, p.rho,
+                                  self.phi_sched, p.a_max)
         else:
             pi = baseline_select(p.selection, k, p.a_max, self._random_rng)
 

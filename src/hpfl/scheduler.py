@@ -9,12 +9,9 @@ forced inclusion of servers whose staleness budget is exhausted, followed by
 a hard cap on how many uploads the cloud accepts per round.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SelectionVector",
     "net_scores",
     "threshold_decisions",
     "apply_cap",
@@ -82,12 +79,14 @@ def apply_cap(pass_mask, forced_mask, scores, staleness, a_max):
 
 
 def schedule(importance, latency, forced, rho, phi, a_max):
-    """Run the full selection rule and return a SelectionVector.
+    """Run the full selection rule and return ``(pi, capped)``.
 
     Threshold decisions come first, servers in ``forced`` are added
     unconditionally, the cap ``a_max`` is then enforced with forced servers
     ranked ahead, and if nothing at all qualifies the single best-scoring
     server is selected so every round delivers at least one upload.
+    ``pi`` is the boolean selection mask; ``capped`` is True when the cap
+    dropped otherwise-qualified servers.
     """
     scores = net_scores(importance, latency, rho, phi)
     forced = np.asarray(forced, dtype=bool)
@@ -97,23 +96,9 @@ def schedule(importance, latency, forced, rho, phi, a_max):
     if not (passes | forced).any():
         pi = np.zeros_like(passes)
         pi[int(np.argmax(scores))] = True
-        return SelectionVector(pi=pi, capped=False)
-    staleness = np.zeros(scores.shape[0])
-    staleness[forced] = 1.0
-    pi, capped = apply_cap(passes, forced, scores, staleness, a_max)
-    return SelectionVector(pi=pi, capped=capped)
-
-
-@dataclass(frozen=True)
-class SelectionVector:
-    """Outcome of one scheduling decision.
-
-    pi      -- boolean selection mask over edge servers
-    capped  -- True when the upload cap dropped otherwise-qualified servers
-    """
-
-    pi: np.ndarray
-    capped: bool
+        return pi, False
+    # forced servers tie on a zero staleness key, so score and index rank them
+    return apply_cap(passes, forced, scores, np.zeros(scores.shape[0]), a_max)
 
 
 def objective_value(pi, importance, latency, rho, phi):

@@ -270,6 +270,22 @@ class TestProgressiveFill:
             slowest_above = np.min(lat[above], initial=np.inf)
             assert lat.max() <= slowest_above * (1.0 + 1e-6)
 
+    def test_floor_that_fills_the_budget_is_the_equal_split(self):
+        """b_min = B / L: every link sits at the floor, although the float
+        sum of the L floors may exceed B by an ulp."""
+        rng = np.random.default_rng(71)
+        base = make_problem(rng, 3, 3)
+        problem = AllocationProblem(groups=base.groups, n0=N0,
+                                    total_b=base.total_b,
+                                    b_min=base.total_b / 12)
+        res = progressive_fill(problem)
+        for b_ue, b_es in zip(res.b_ue, res.b_es):
+            links = np.append(b_ue, b_es)
+            np.testing.assert_allclose(links, problem.b_min, rtol=1e-9)
+        assert res.used_b <= problem.total_b * (1.0 + 1e-9)
+        np.testing.assert_array_equal(res.latencies,
+                                      equal_split(problem).latencies)
+
     def test_floor_beyond_budget_is_infeasible(self):
         rng = np.random.default_rng(59)
         problem = make_problem(rng, 2, 3, total_b=1e5, b_min=5e4)

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from hpfl import cli
+from hpfl import cli, meta
 from hpfl.experiment import (
     AUDIT_HEADER,
     CSV_HEADER,
+    audit_bound,
     manifest_dict,
     parse_sweep_values,
     rounds_csv_text,
@@ -124,6 +125,39 @@ class TestAudit:
             assert row["holds"] == (row["descent"] <= row["bound"] + 1e-9 *
                                     max(1.0, abs(row["bound"])))
 
+    @pytest.mark.parametrize("mode", ["hpfl", "hfl"])
+    @pytest.mark.parametrize("rounds", [0, 4])
+    def test_audit_evaluates_each_model_once(self, monkeypatch, mode, rounds):
+        """The audit reads F(w_t) from the records: one loss call, at the
+        final model, and one gradient call per delivered version."""
+        result = run_experiment(SMALL.replace(mode=mode, rounds=rounds))
+        loss, grad = meta.objective(mode)
+        calls = {"loss": 0, "grad": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(meta, loss.__name__, counted("loss", loss))
+        monkeypatch.setattr(meta, grad.__name__, counted("grad", grad))
+        rows = audit_bound(result)
+        versions = {v for rec in result.records for v in rec.versions}
+        assert calls == {"loss": 1 if rounds else 0, "grad": len(versions)}
+
+        engine = result.engine
+        train = engine.federation.train
+
+        def f(t):
+            return np.mean(loss(engine.model, engine.history[t], train,
+                                SMALL.alpha))
+
+        assert len(rows) == rounds
+        for t, row in enumerate(rows):
+            assert row["f_t"] == f(t)
+            assert row["f_next"] == f(t + 1)
+
 
 class TestSweep:
     def test_parse_forms(self):
@@ -192,6 +226,13 @@ class TestSweepCli:
         assert code == 2
         assert "config error: k: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", ["0:inf:1", "nan:1:0.1"])
+    def test_non_finite_range_is_config_error(self, tmp_path, capsys, values):
+        code, out = _sweep(tmp_path, "rho", values)
+        assert code == 2
+        assert "config error: --values: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCli:
     def test_run_success(self, tmp_path, capsys):
@@ -205,6 +246,17 @@ class TestCli:
     def test_run_with_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         save_scenario(SMALL.replace(rounds=1), cfg)
+        code = cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "o")])
+        assert code == 0
+
+    def test_floor_that_fills_the_budget_runs(self, tmp_path):
+        """b_min equal to the share B / L puts every link at the floor."""
+        scn = Scenario(k=3, n_k=3, n_train=8, n_eval=8, s_max=0, a_max=1,
+                       rounds=1, b_min=5e6 / 12)
+        assert len(run_experiment(scn).records) == 1
+        cfg = tmp_path / "cfg.json"
+        save_scenario(scn, cfg)
         code = cli.main(["run", "--config", str(cfg), "--out",
                          str(tmp_path / "o")])
         assert code == 0

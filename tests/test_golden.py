@@ -1,4 +1,5 @@
-"""Golden outputs: rounds.csv and audit.csv of five short reference runs.
+"""Golden outputs: rounds.csv and audit.csv of five short reference runs,
+and sweep.csv of a two-value rho sweep over the desk defaults.
 
 The files under tests/golden were written by the code these tests guard.
 Headers and integer columns must match exactly; float columns match
@@ -12,7 +13,8 @@ import os
 
 import pytest
 
-from hpfl.experiment import rounds_csv_text, run_audit, run_experiment
+from hpfl.experiment import (rounds_csv_text, run_audit, run_experiment,
+                             run_sweep)
 from hpfl.scenario import Scenario
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -41,7 +43,7 @@ def _assert_matches(got_text, golden_name):
     header = want[0]
     for got_row, want_row in zip(got[1:], want[1:]):
         for col, g, w in zip(header, got_row, want_row):
-            where = "%s round %s column %s" % (golden_name, want_row[0], col)
+            where = "%s row %s column %s" % (golden_name, want_row[0], col)
             if col in INT_COLUMNS:
                 assert g == w, where
             else:
@@ -62,3 +64,9 @@ def test_audit_csv_matches_golden(name, tmp_path):
     run_audit(scn, out_dir=str(tmp_path))
     with open(tmp_path / "audit.csv") as fh:
         _assert_matches(fh.read(), os.path.join(name, "audit.csv"))
+
+
+def test_sweep_csv_matches_golden(tmp_path):
+    run_sweep(Scenario(rounds=ROUNDS), "rho", (0.3, 0.7), out_dir=str(tmp_path))
+    with open(tmp_path / "sweep.csv") as fh:
+        _assert_matches(fh.read(), os.path.join("sweep", "sweep.csv"))

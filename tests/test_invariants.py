@@ -10,7 +10,7 @@ budget, so it binds in some runs.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpfl import hierarchy
@@ -82,8 +82,14 @@ def checked_run(scn):
     return records, calls
 
 
+# a floor equal to the share fills the budget: every link sits at b_min
+FLOOR_FILLS_BUDGET = Scenario(k=3, n_k=3, n_train=8, n_eval=8, s_max=0,
+                              a_max=1, rounds=1, b_min=5e6 / 12)
+
+
 @settings(max_examples=30)
 @given(scn=scenarios())
+@example(scn=FLOOR_FILLS_BUDGET)
 def test_every_record_keeps_the_invariants(scn):
     records, calls = checked_run(scn)
     assert len(records) == scn.rounds

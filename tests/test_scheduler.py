@@ -147,33 +147,33 @@ class TestSchedule:
     def test_round_trip_selection(self):
         imp = np.array([10.0, 0.1, 6.0])
         lat = np.array([1.0, 4.0, 1.5])
-        sel = schedule(imp, lat, np.zeros(3, dtype=bool), rho=0.5,
-                       phi=1.0, a_max=2)
-        assert sel.pi.tolist() == [True, False, True]
-        assert not sel.capped
+        pi, capped = schedule(imp, lat, np.zeros(3, dtype=bool), rho=0.5,
+                              phi=1.0, a_max=2)
+        assert pi.tolist() == [True, False, True]
+        assert not capped
 
     def test_fallback_selects_single_best_scorer(self):
         imp = np.zeros(4)
         lat = np.array([3.0, 1.0, 2.0, 5.0])
-        sel = schedule(imp, lat, np.zeros(4, dtype=bool), rho=0.0,
-                       phi=1.0, a_max=4)
-        assert sel.pi.tolist() == [False, True, False, False]
-        assert not sel.capped
+        pi, capped = schedule(imp, lat, np.zeros(4, dtype=bool), rho=0.0,
+                              phi=1.0, a_max=4)
+        assert pi.tolist() == [False, True, False, False]
+        assert not capped
 
     def test_forced_suppresses_fallback(self):
         imp = np.zeros(3)
         lat = np.array([3.0, 1.0, 2.0])
         forced = np.array([True, False, False])
-        sel = schedule(imp, lat, forced, rho=0.0, phi=1.0, a_max=3)
-        assert sel.pi.tolist() == [True, False, False]
+        pi, _ = schedule(imp, lat, forced, rho=0.0, phi=1.0, a_max=3)
+        assert pi.tolist() == [True, False, False]
 
     def test_cap_drops_weakest_passer(self):
         imp = np.array([5.0, 4.0, 3.0])
         lat = np.zeros(3)
-        sel = schedule(imp, lat, np.zeros(3, dtype=bool), rho=1.0,
-                       phi=1.0, a_max=2)
-        assert sel.pi.tolist() == [True, True, False]
-        assert sel.capped
+        pi, capped = schedule(imp, lat, np.zeros(3, dtype=bool), rho=1.0,
+                              phi=1.0, a_max=2)
+        assert pi.tolist() == [True, True, False]
+        assert capped
 
     def test_forced_shape_validation(self):
         with pytest.raises(ValueError, match="forced"):
