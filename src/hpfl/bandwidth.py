@@ -1,34 +1,17 @@
 """Min-max bandwidth allocation across the selected edge servers.
 
-The allocator answers: given a total budget B, how much bandwidth does
-each UE uplink and each ES uplink get so that the slowest selected ES
-finishes as early as possible. At the optimum every selected ES finishes
-at the same time O*, and within an ES all of its UEs finish their upload
-at a common instant G_k, leaving O* - G_k for the ES's own upload.
+Given a budget B, every UE and ES uplink gets the bandwidth that lets the
+slowest selected ES finish first: every selected ES finishes at one time
+O*, and the UEs of ES k at one instant G_k, leaving O* - G_k for its own
+upload.  A payload link demands max(deadline bandwidth, b_min), so a link
+at the floor finishes early, and so does an ES whose links all sit there.
 
-Every payload link also gets at least the floor b_min. The floor is part
-of each link's demand, max(deadline bandwidth, b_min), so a link at the
-floor finishes early and the rest still share one finish time; a group
-whose links all sit at the floor finishes before O*.
-
-Two nested solvers realize that structure:
-
-* the bandwidth needed by one link to meet an upload deadline tau has a
-  closed form through W_{-1}, the lower real solution of w e^w = z (the
-  upper solution W_0 only carries the trivial root), and
-* for a candidate O*, each ES's bandwidth demand minimizes over the
-  split G_k between the UE tier and the ES upload; the total demand is
-  decreasing in O*, so an outer root search (false position with
-  Illinois damping) finds the O* whose demand exhausts B.
-
-Both allocators pad the groups once into (K, M) arrays, M the largest
-group; every solve and result reads that one layout, prices each ES with
-network.es_latency, and cuts the UE bandwidths back into one array per
-group.
-
-Lambert W is evaluated in-package by Halley iteration to 1e-12 residual,
-with a monotone bisection fallback when the closed form fails residual
-verification.
+A link's deadline bandwidth has a closed form through W_{-1}, the lower
+real solution of w e^w = z, found by Halley iteration to 1e-12 residual.
+progressive_fill solves the min-max KKT system by safeguarded Newton
+iteration and certifies its answer; equal_split gives each payload link
+B / L.  Both pad the groups once into (K, M+1) arrays and price each ES
+with network.es_latency.
 """
 
 from dataclasses import dataclass
@@ -45,10 +28,13 @@ class InfeasibleAllocationError(RuntimeError):
 _BRANCH_POINT = -np.exp(-1.0)
 _W_TOL = 1e-12          # Lambert-W residual, relative to |z|
 _HALLEY_ITERS = 40
-_GRID = 32              # split grid points per refinement pass
-_PASSES = 2
-_REL_TOL = 1e-6         # progressive_fill stops at |B - demand| <= this * B
-_MAX_OUTER = 90
+# progressive_fill stops at stationarity _TOL with the demand in
+# [(1 - _GAP) B, B]; a link within _KINK of b_min is on its floor's kink
+_TOL = 1e-10
+_GAP = 5e-10
+_KINK = 1e-9
+_SETTLE = 0.3
+_MAX_ITER = 100
 
 
 def _halley(w, z, keep_below):
@@ -202,31 +188,29 @@ class AllocationProblem:
 
 @dataclass
 class AllocationResult:
+    """An allocation and its certificate: the largest relative stationarity
+    residual (nan for an equal split) and the unspent budget, in Hz."""
+
     b_ue: list
     b_es: np.ndarray
     latencies: np.ndarray
     achieved_o: float
     used_b: float
     work: int
+    stationarity_residual: float
+    budget_residual: float
 
 
 @dataclass(frozen=True)
 class _Stack:
-    """The groups padded once to (K, M); ``real`` marks the true UEs, and
-    padding slots, with zero compute time and payload, take no bandwidth."""
+    """Groups padded to (K, M+1) links, ES last; ``real`` marks the UEs."""
 
     problem: AllocationProblem
     real: np.ndarray
     tcmp_ue: np.ndarray
-    ph_ue: np.ndarray
-    ph_es: np.ndarray
-    z_ue: np.ndarray
-    z_es: np.ndarray
+    ph: np.ndarray
+    z: np.ndarray
     equal_share: float          # B / L over the L payload links
-    # past these finish times a link needs less than b_min, so it sits at
-    # the floor: g_top for the whole UE tier, t_es_floor for the ES upload
-    g_top: np.ndarray
-    t_es_floor: np.ndarray
 
 
 def _stack(problem):
@@ -238,148 +222,163 @@ def _stack(problem):
     real = np.arange(sizes.max()) < sizes[:, None]
     tcmp_ue = np.zeros(real.shape)
     tcmp_ue[real] = np.concatenate([grp.tcmp_ue for grp in groups])
-    ph_ue = np.ones(real.shape)
-    ph_ue[real] = np.concatenate([grp.ph_ue for grp in groups])
-    z_ue = real * np.array([grp.z_ue for grp in groups])[:, None]
-    ph_es = np.array([grp.ph_es for grp in groups])
-    z_es = np.array([grp.z_es for grp in groups])
-    links = int(np.count_nonzero(z_ue > 0.0) + np.count_nonzero(z_es > 0.0))
-    if links * problem.b_min > problem.total_b:
+    ph = np.ones((len(groups), real.shape[1] + 1))
+    ph[:, :-1][real] = np.concatenate([grp.ph_ue for grp in groups])
+    ph[:, -1] = [grp.ph_es for grp in groups]
+    z = np.column_stack([real * np.array([grp.z_ue for grp in groups])[:, None],
+                         [grp.z_es for grp in groups]])
+    links = int(np.count_nonzero(z > 0.0))
+    equal_share = problem.total_b / links if links else 0.0
+    if links and problem.b_min > equal_share:
         raise InfeasibleAllocationError(
             f"{links} links need at least {links * problem.b_min:.6g} Hz "
             f"at the configured floor but only {problem.total_b:.6g} Hz "
             "are available")
-    t_ue_floor = tcom(z_ue, uplink_rate(problem.b_min, 1.0, ph_ue, problem.n0))
     return _Stack(
-        problem=problem, real=real, tcmp_ue=tcmp_ue, ph_ue=ph_ue, ph_es=ph_es,
-        z_ue=z_ue, z_es=z_es,
-        equal_share=problem.total_b / links if links else 0.0,
-        g_top=np.max(tcmp_ue + t_ue_floor, axis=1),
-        t_es_floor=tcom(z_es, uplink_rate(problem.b_min, 1.0, ph_es,
-                                          problem.n0)))
+        problem=problem, real=real, tcmp_ue=tcmp_ue, ph=ph, z=z,
+        equal_share=equal_share)
 
 
-def _result(stack, b_ue, b_es, work):
-    """AllocationResult of padded (K, M) UE and (K,) ES bandwidths."""
-    latencies = es_latency(stack.tcmp_ue, stack.ph_ue, stack.ph_es,
-                           stack.z_ue, stack.z_es, b_ue, b_es,
+def _result(stack, b, work=1, stationarity=np.nan):
+    """AllocationResult of padded (K, M+1) link bandwidths."""
+    b_ue, b_es = b[:, :-1], b[:, -1].copy()
+    latencies = es_latency(stack.tcmp_ue, stack.ph[:, :-1], stack.ph[:, -1],
+                           stack.z[:, :-1], stack.z[:, -1], b_ue, b_es,
                            stack.problem.n0)
-    sizes = np.count_nonzero(stack.real, axis=1)
+    used_b = float(np.sum(b_ue) + np.sum(b_es))
     return AllocationResult(
-        b_ue=np.split(b_ue[stack.real], np.cumsum(sizes)[:-1]), b_es=b_es,
-        latencies=latencies, achieved_o=float(np.max(latencies)),
-        used_b=float(np.sum(b_ue) + np.sum(b_es)), work=work)
-
-
-def _equal(stack):
-    return _result(stack, stack.equal_share * (stack.z_ue > 0.0),
-                   stack.equal_share * (stack.z_es > 0.0), work=1)
+        b_ue=np.split(b_ue[stack.real], np.cumsum(stack.real.sum(axis=1))[:-1]),
+        b_es=b_es, latencies=latencies, achieved_o=float(np.max(latencies)),
+        used_b=used_b, work=work, stationarity_residual=stationarity,
+        budget_residual=stack.problem.total_b - used_b)
 
 
 def equal_split(problem):
     """Every positive-payload link gets the same share B / L."""
-    return _equal(_stack(problem))
+    stack = _stack(problem)
+    return _result(stack, stack.equal_share * (stack.z > 0.0))
 
 
-def _demand_at(o_target, stack):
-    """Minimal bandwidth demand when every group finishes at o_target.
-
-    Minimizes, for each group, the sum of the UE demands at split G and
-    the ES demand at o_target - G over G, by an iteratively refined grid
-    (the demand is convex in the split).  A link's demand is its deadline
-    bandwidth raised to the floor b_min.  The grid spans only splits at
-    which the slowest UE and the ES upload are above the floor, so each
-    finishes exactly on its deadline; a group with every link at the floor
-    collapses the grid to one split.  Returns (total demand, b_ue, b_es).
-    """
-    n0, b_min = stack.problem.n0, stack.problem.b_min
-    z_ue = stack.z_ue[:, None, :]
-    tcmp_ue = stack.tcmp_ue[:, None, :]
-    ph_ue = stack.ph_ue[:, None, :]
-    floor_ue = b_min * (z_ue > 0.0)
-    floor_es = b_min * (stack.z_es > 0.0)
-    tcmp_max = np.max(stack.tcmp_ue, axis=1)
-    lo = tcmp_max + 1e-12 * np.maximum(tcmp_max, 1e-9)
-    hi = np.minimum(np.maximum(stack.g_top, lo), o_target)
-    lo = np.minimum(np.maximum(lo, o_target - stack.t_es_floor), hi)
-    window_lo, window_hi = lo, hi
-    t = np.linspace(1e-9, 1.0 - 1e-9, _GRID)
-    rows = np.arange(lo.shape[0])
-    for _ in range(_PASSES):
-        g = window_lo[:, None] + t[None, :] * (window_hi - window_lo)[:, None]
-        b_ue = np.maximum(
-            deadline_bandwidth(z_ue, ph_ue, n0, g[:, :, None] - tcmp_ue),
-            floor_ue)
-        b_es = np.maximum(
-            deadline_bandwidth(stack.z_es[:, None], stack.ph_es[:, None], n0,
-                               o_target - g),
-            floor_es[:, None])
-        total = b_ue.sum(axis=2) + b_es
-        idx = np.argmin(np.where(np.isfinite(total), total, np.inf), axis=1)
-        best_g = g[rows, idx]
-        span = (window_hi - window_lo) / (_GRID - 1)
-        window_lo = np.maximum(lo, best_g - span)
-        window_hi = np.minimum(hi, best_g + span)
-    return float(np.sum(total[rows, idx])), b_ue[rows, idx, :], b_es[rows, idx]
+def _slopes(stack, b, tau, live):
+    """b'(tau) and b''(tau) of the live links, 0 elsewhere.  With u = s / b
+    and s = p h / N0, r(b) = b log2(1 + u) has r' = log2(1 + u) - u / ((1 +
+    u) ln 2) and r'' = -u^2 / (b (1 + u)^2 ln 2), and r(b(tau)) = z / tau
+    gives b' = -z / (tau^2 r') and b'' = (2 z / tau^3 - r'' b'^2) / r'."""
+    b, tau, z = np.where(live, b, 1.0), np.where(live, tau, 1.0), stack.z * live
+    v = 1.0 / (1.0 + stack.problem.n0 * b / stack.ph)         # u / (1 + u)
+    r1 = (np.log1p(stack.ph / (stack.problem.n0 * b)) - v) / LN2
+    d1 = -z / (tau * tau * r1)
+    return d1, (2.0 * z / tau ** 3 + v * v / (b * LN2) * d1 * d1) / r1
 
 
 def progressive_fill(problem):
-    """Min-max allocation exhausting B, by a root search on the latency.
-
-    The total demand of the equal-finish structure, each link's demand
-    raised to the floor b_min, is decreasing in the common latency O, so
-    the optimal O* is the root of demand(O) = B.  The search brackets O*
-    between the slowest compute time and the equal-split latency (whose
-    demand can never exceed B) and narrows the bracket by false position
-    with Illinois damping, stopping once |B - demand| <= 1e-6 B.
-    Every server that has a link above the floor finishes at O*.
-    """
+    """Min-max allocation exhausting B: a safeguarded Newton solve of the KKT
+    system in the servers' UE-tier finish times G_k and the latency O, with
+    sum_i b_i'(G_k - t_i) = b_es'(O - G_k) per server and sum_k D_k = B, a
+    link demanding its deadline bandwidth raised to b_min.  Each iteration
+    prices all links in one deadline_bandwidth call over (K, M+1).  Returns
+    at a relative stationarity residual <= 1e-10 with the demand within
+    5e-10 B below B, reporting both; every server with a link above the
+    floor finishes at O."""
     stack = _stack(problem)
-    # a floor that fills the budget leaves every link at b_min; the float
-    # sum of the L floors can exceed B by an ulp, so no bracket would close
+    n0, total, z, t_ue = problem.n0, problem.total_b, stack.z, stack.tcmp_ue
+    # a floor that fills the budget leaves b_min on every link, and no choice
     if stack.equal_share <= problem.b_min * (1.0 + 1e-9):
-        return _equal(stack)
-    b = problem.total_b
-    evals = len(problem.groups) * _GRID * _PASSES
-    work = 1
-    lo = float(np.max(stack.tcmp_ue)) * (1.0 + 1e-12) + 1e-15
-    hi = _equal(stack).achieved_o
-    if not np.isfinite(hi):
-        raise InfeasibleAllocationError(
-            "equal-split latency is infinite; some link cannot transmit")
+        return _result(stack, stack.equal_share * (z > 0.0), stationarity=0.0)
+    ue, has_es = np.arange(z.shape[1]) < z.shape[1] - 1, z[:, -1] > 0.0
+    floor = problem.b_min * (z > 0.0)
+    # each link's upload time at b_min (given longer, it sits at the floor),
+    # at B (given less, it needs more than B) and at the equal share
+    t_floor, t_budget, t_eq = tcom(z, uplink_rate(np.array(
+        [problem.b_min, total, stack.equal_share])[:, None, None], 1.0,
+        stack.ph, n0))
+    kink_ue = t_ue + t_floor[:, :-1]
+    g_top = np.max(kink_ue, axis=1)
+    g_low = np.max(t_ue + t_budget[:, :-1], axis=1)
+    tf_es, tb_es = t_floor[:, -1], t_budget[:, -1]
 
-    for _ in range(61):
-        total_hi, bu_hi, bes_hi = _demand_at(hi, stack)
-        work += evals
-        if np.isfinite(total_hi) and total_hi <= b:
-            break
-        hi *= 2.0
-    else:
-        raise InfeasibleAllocationError("latency bracket expansion failed")
+    def window(o_at, ue_lo=-np.inf, ue_hi=np.inf, es_off=False):
+        """The G_k at which no link needs more than B, cut to a kink piece."""
+        kink_es = o_at - tf_es
+        hi = np.where(es_off, np.minimum(ue_hi, kink_es), ue_hi)
+        return (np.maximum(np.maximum(g_low, kink_es), ue_lo),
+                np.minimum(np.minimum(g_top, o_at - tb_es), hi))
 
-    best = (bu_hi, bes_hi, total_hi)
-    f_lo = np.inf
-    f_hi = total_hi - b
-    for _ in range(_MAX_OUTER):
-        if abs(b - best[2]) <= _REL_TOL * b:
-            break
-        if np.isfinite(f_lo):
-            # false position (Illinois damping) once both residuals are finite
-            mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            if not (lo < mid < hi):
-                mid = 0.5 * (lo + hi)
-        else:
-            mid = 0.5 * (lo + hi)
-        total, bu_mid, bes_mid = _demand_at(mid, stack)
-        work += evals
-        f_mid = total - b if np.isfinite(total) else np.inf
-        if np.isfinite(total) and total <= b:
-            hi = mid
-            f_hi = f_mid
-            f_lo *= 0.5
-            best = (bu_mid, bes_mid, total)
-        else:
-            lo = mid
-            f_lo = f_mid
-            f_hi *= 0.5
-    return _result(stack, best[0], best[1], work)
+    o_eq = float(np.max(np.max(t_ue + t_eq[:, :-1], axis=1) + t_eq[:, -1]))
+    # start where each link needs c / tau, c its bandwidth-time at the equal
+    # share: server k then splits O - t_k as sqrt(C_ue) : sqrt(c_es) and
+    # needs (sqrt(C_ue) + sqrt(c_es))^2 / (O - t_k)
+    root_ue = np.sqrt(stack.equal_share * np.sum(t_eq[:, :-1], axis=1))
+    root_es = np.sqrt(stack.equal_share * t_eq[:, -1])
+    need, t_k = (root_ue + root_es) ** 2, np.max(t_ue, axis=1)
+    o = float(np.sum(need * t_k) / np.sum(need) + np.sum(need) / total)
+    g = t_k + (o - t_k) * np.divide(
+        root_ue, root_ue + root_es, out=np.zeros(t_k.shape), where=root_ue > 0)
+    # below o_lo some server needs more than B (one without payload
+    # finishes with its compute whatever O is)
+    o_lo = float(np.max((g_low + tb_es)[np.any(z > 0.0, axis=1)]))
+    if not np.isfinite(o_lo):
+        raise InfeasibleAllocationError("some link cannot transmit")
+    o = o if o > o_lo else 0.5 * (o_lo + o_eq)
+    target = total * (1.0 - 0.5 * _GAP)
+    for it in range(1, _MAX_ITER + 1):
+        lo, hi = window(o)
+        pinned = lo >= hi               # floors or no payload fix the split
+        g = np.clip(g, lo, hi)          # hi where lo >= hi
+        tau = np.concatenate([g[:, None] - t_ue, (o - g)[:, None]], axis=1)
+        raw = deadline_bandwidth(z, stack.ph, n0, tau)
+        b = np.maximum(raw, floor)
+        demand = float(np.sum(b))
+        # a link at the floor has zero derivative, so D_k is convex and
+        # piecewise smooth in G_k; a link on its floor's kink counts on the
+        # side where it is above the floor: smaller G_k for a UE link
+        above = raw > floor * (1.0 + _KINK)
+        kink = ~above & (raw >= floor * (1.0 - _KINK)) & (z > 0.0)
+        d1, d2 = _slopes(stack, raw, tau, above | kink)
+        on_l, on_r = above | (kink & ue), above | (kink & ~ue)
+        f_l, f_r = (np.sum(np.where(ue, d1, -d1) * on, axis=1)   # dD_k/dG_k
+                    for on in (on_l, on_r))
+        gap = np.where(pinned, 0.0, np.maximum(np.maximum(f_l, -f_r), 0.0))
+        stationarity = float(np.max(gap / np.maximum(
+            np.sum(np.abs(d1), axis=1), np.finfo(float).tiny)))
+        if total * (1.0 - _GAP) <= demand <= total and stationarity <= _TOL:
+            return _result(stack, b, 1 + it * len(problem.groups),
+                           stationarity)
+        # O is past the root if its demand is within the target, short of it
+        # if even the least demand that convexity allows exceeds the target
+        decided = demand <= target
+        if not decided and demand + np.sum(~pinned * np.minimum(np.minimum(
+                f_r * (hi - g), f_l * (lo - g)), 0.0)) > target:
+            o_lo, decided = max(o_lo, o), True
+
+        # a free split steps on the side of G_k its residual points to
+        left = ~pinned & (f_l > 0.0)
+        free = left | (~pinned & (f_r < 0.0))
+        on = np.where(left[:, None], on_l, on_r)
+        f = np.where(left, f_l, f_r)
+        a = np.where(free, np.sum(d2 * on, axis=1), 1.0)
+        d1_es, d2_es = d1[:, -1] * on[:, -1], d2[:, -1] * on[:, -1]
+        piece = (np.max(np.where(~on[:, :-1] & (z[:, :-1] > 0.0), kink_ue,
+                                 -np.inf), axis=1),
+                 np.min(np.where(on[:, :-1], kink_ue, np.inf), axis=1),
+                 has_es & ~on[:, -1])
+        # O's Newton step, on 1 / demand, aims the demand the splits reach at
+        # this O at the target; by the envelope theorem the slope is
+        # sum_k b_es'(O - G_k), or a pinned split's own where it moves with O
+        lo, hi = window(o, *piece)
+        dg = np.where(free, np.clip(g - f / a, lo, hi) - g, 0.0)
+        settled = demand + np.sum(f * dg + 0.5 * a * dg * dg)
+        residual = (settled - target) * settled / target
+        follow = np.where(pinned, ~has_es & (o < g_top), kink[:, -1])
+        slope = np.sum(np.where(free, d1_es,
+                                follow * f_l + d1[:, -1] * on_l[:, -1]))
+        o_new = o - residual / slope if slope < 0.0 else np.nan
+        if not decided and stationarity > _SETTLE:
+            o_new = o       # settle the splits until the residual's sign holds
+        elif not o_lo < o_new:   # bisect on the residual's sign
+            o_new = 0.5 * (o_lo + o) if residual <= 0.0 else 2.0 * o - o_lo
+        lo, hi = window(o_new, *piece)
+        g = np.where(free, np.clip(g - (f - d2_es * (o_new - o)) / a, lo, hi),
+                     g + follow * (o_new - o))
+        o = o_new
+    raise InfeasibleAllocationError(f"no convergence in {_MAX_ITER} iterations")

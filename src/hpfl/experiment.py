@@ -4,7 +4,7 @@ audit the per-round descent bound, sweep parameters, and emit CSV/JSON.
 Outputs are deterministic given (config, seed): floats are written with
 repr so two identical runs produce byte-identical files.  Despite its
 name, the runtime_us column is not a time: it counts the allocator's
-solver evaluations in the round plus one per edge server.
+server-demand evaluations in the round plus one per edge server.
 """
 
 import dataclasses

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hpfl import bandwidth, hierarchy
 from hpfl.bandwidth import (
     AllocationProblem,
     ESGroup,
     InfeasibleAllocationError,
     bisect_link_bandwidth,
+    deadline_bandwidth,
     equal_split,
     lambert_w,
     power_limited_rate,
@@ -19,6 +21,8 @@ from hpfl.bandwidth import (
     tcom,
     uplink_rate,
 )
+from hpfl.experiment import run_experiment
+from hpfl.scenario import Scenario
 
 N0 = 10.0 ** -20.4
 
@@ -189,7 +193,7 @@ class TestProgressiveFill:
                                    int(rng.integers(1, 4)))
             res = progressive_fill(problem)
             assert res.used_b <= problem.total_b * (1.0 + 1e-9)
-            assert res.used_b >= problem.total_b * (1.0 - 1e-6)
+            assert res.used_b >= problem.total_b * (1.0 - 1e-9)
 
     def test_equal_finish_within_and_across_groups(self):
         rng = np.random.default_rng(37)
@@ -337,6 +341,7 @@ def test_result_contract_on_ragged_groups(allocate, b_min):
     used = sum(float(np.sum(b)) for b in res.b_ue) + float(np.sum(res.b_es))
     assert res.used_b == pytest.approx(used, rel=1e-12)
     assert res.used_b <= problem.total_b * (1.0 + 1e-9)
+    assert res.budget_residual == problem.total_b - res.used_b
 
 
 @settings(max_examples=25)
@@ -352,10 +357,73 @@ def test_progressive_fill_invariants(seed, n_es, n_ue, budget):
     problem = make_problem(rng, n_es, n_ue, total_b=budget, b_min=1.0)
     res = progressive_fill(problem)
     assert res.used_b <= budget * (1.0 + 1e-9)
-    assert res.used_b >= budget * (1.0 - 1e-6)
+    assert res.used_b >= budget * (1.0 - 1e-9)
     for gi, grp in enumerate(problem.groups):
         b = np.atleast_1d(res.b_ue[gi])
         assert np.all(b >= problem.b_min * (1.0 - 1e-9))
         t = ue_finish_times(grp, b, problem.n0)
         assert np.max(t) - np.min(t) <= 1e-6 * np.max(t)
     assert res.achieved_o <= equal_split(problem).achieved_o * (1.0 + 1e-6)
+
+
+PAYLOAD = st.one_of(st.just(0.0), st.floats(min_value=2e5, max_value=2e6))
+
+
+@st.composite
+def ragged_problems(draw):
+    """Up to four groups of 1 to 4 UEs, any payload possibly zero, and a
+    floor anywhere from 0 up to and including the equal share."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    groups = tuple(
+        ESGroup(tcmp_ue=rng.uniform(0.005, 0.05, size=n),
+                ph_ue=0.01 * 10.0 ** rng.uniform(-9.0, -7.5, size=n),
+                ph_es=0.1 * 10.0 ** rng.uniform(-9.0, -7.5),
+                z_ue=draw(PAYLOAD), z_es=draw(PAYLOAD))
+        for n in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    links = sum(grp.tcmp_ue.size * (grp.z_ue > 0.0) + (grp.z_es > 0.0)
+                for grp in groups)
+    # with no payload link there is nothing to spend the budget on
+    assume(links > 0)
+    total_b = draw(st.floats(min_value=1e6, max_value=2e7))
+    share = total_b / links
+    b_min = draw(st.one_of(st.just(share), st.floats(min_value=0.0,
+                                                     max_value=share)))
+    return AllocationProblem(groups=groups, n0=N0, total_b=total_b,
+                             b_min=b_min)
+
+
+@settings(max_examples=200)
+@given(problem=ragged_problems())
+def test_progressive_fill_certificate(problem):
+    """Every solve spends B to within 1e-9 B, is stationary to 1e-8, gives
+    each payload link at least the floor, and beats the equal split."""
+    res = progressive_fill(problem)
+    assert abs(res.budget_residual) <= 1e-9 * problem.total_b
+    assert 0.0 <= res.stationarity_residual <= 1e-8
+    for grp, b_ue, b_es in zip(problem.groups, res.b_ue, res.b_es):
+        assert np.all(b_ue >= problem.b_min * (1.0 - 1e-9) * (grp.z_ue > 0.0))
+        assert b_es >= problem.b_min * (1.0 - 1e-9) * (grp.z_es > 0.0)
+    assert res.achieved_o <= equal_split(problem).achieved_o * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_desk_solves_price_the_links_at_most_ten_times(monkeypatch, seed):
+    """Each progressive_fill solve of a desk run makes at most ten
+    deadline_bandwidth calls: a count, so it does not depend on the
+    machine's speed."""
+    calls, per_solve = [0], []
+
+    def counted(*args):
+        calls[0] += 1
+        return deadline_bandwidth(*args)
+
+    def solve(problem):
+        calls[0] = 0
+        result = progressive_fill(problem)
+        per_solve.append(calls[0])
+        return result
+
+    monkeypatch.setattr(bandwidth, "deadline_bandwidth", counted)
+    monkeypatch.setattr(hierarchy, "progressive_fill", solve)
+    run_experiment(Scenario(seed=seed))
+    assert per_solve and max(per_solve) <= 10

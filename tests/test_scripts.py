@@ -1,5 +1,7 @@
 """The example scripts under scripts/ run end to end against the library."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -34,3 +36,42 @@ def test_run_demo_writes_outputs(tmp_path):
     rows = (tmp_path / "rounds.csv").read_text().splitlines()
     assert len(rows) == 3
     assert (tmp_path / "manifest.json").is_file()
+
+
+def _line(failed=0, **values):
+    return {"correct": not failed, "attempted": 10, "failed": failed,
+            "metrics": {name: {"unit": "ms", "value": value}
+                        for name, value in values.items()}}
+
+
+def test_bench_assembles_final_lines():
+    """scripts/bench.py turns bench/run.py final lines into one record:
+    per-seed runs and medians for each side, which side ran first, the
+    change's traced line, and every traced metric side by side."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_script", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    runs = [
+        ("parent", "desk", 1, 0, _line(round_ms_p50=25.0)),
+        ("change", "desk", 1, 0, _line(round_ms_p50=5.0)),
+        ("change", "desk", 2, 0, _line(round_ms_p50=4.0)),
+        ("parent", "desk", 2, 0, _line(failed=1, round_ms_p50=27.0)),
+        ("change", "desk", 3, 0, _line(round_ms_p50=6.0)),
+        ("parent", "desk", 3, 0, _line(round_ms_p50=26.0)),
+        ("parent", "desk", 1, 1, _line(**{"bandwidth.ms_per_round": 23.0})),
+        ("change", "desk", 1, 1, _line(**{"bandwidth.ms_per_round": 2.0})),
+    ]
+    out = bench.assemble(runs, {"nproc": 2}, "canned")
+    pair = out["pairs"]["desk"]
+    assert pair["seeds"] == [1, 2, 3]
+    assert pair["first"] == ["parent", "change", "change"]
+    assert pair["parent"]["runs"]["round_ms_p50"] == [25.0, 27.0, 26.0]
+    assert pair["parent"]["median"]["round_ms_p50"] == 26.0
+    assert pair["parent"]["failed"] == [0, 1, 0]
+    assert pair["change"]["median"]["round_ms_p50"] == 5.0
+    assert out["traced"]["desk"] == runs[-1][4]
+    assert out["layers"]["desk"]["bandwidth.ms_per_round"] == {
+        "parent": 23.0, "change": 2.0, "unit": "ms"}
+    assert out["environment"] == {"nproc": 2}
+    assert json.loads(json.dumps(out)) == out
