@@ -1,15 +1,14 @@
 """Benchmark a change against its parent and write BENCH_<pr>.json.
 
-Usage: python3 scripts/bench.py --pr N --parent REV [--seeds 1,...,10]
-                                [--seconds 30]
+Usage: python3 scripts/bench.py --pr N --parent REV
 
 Run from the repository root.  The working tree is the change; REV (for
 example HEAD before committing, HEAD~1 after) is exported with
 ``git archive`` into a temporary directory and is the parent.  For each
 workload (desk, large, audit_mlp), ``bench/run.py --trace 0`` runs once per
-seed on each side, the two sides alternating which runs first, and
-``--trace 1`` runs once per side at the first seed.  The final JSON line of
-every run goes into BENCH_<pr>.json:
+seed 1-10 on each side, the two sides alternating which runs first, and
+``--trace 1`` runs once per side at seed 1; every run lasts bench/run.py's
+default time.  The final JSON line of every run goes into BENCH_<pr>.json:
 
 - ``pairs``: each side's end-to-end metrics per seed, their medians and
   failure counts, and which side ran first;
@@ -30,14 +29,14 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("desk", "large", "audit_mlp")
 SIDES = ("parent", "change")
+SEEDS = tuple(range(1, 11))
 
 
-def run_bench(checkout, workload, seed, seconds, trace):
+def run_bench(checkout, workload, seed, trace):
     """Final JSON line of one bench/run.py run in ``checkout``."""
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"), "--workload",
-         workload, "--seed", str(seed), "--seconds", str(seconds),
-         "--trace", str(trace)],
+         workload, "--seed", str(seed), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -69,8 +68,6 @@ def assemble(runs, environment, description):
                              for name, values in rec["runs"].items()}
     layers = {}
     for workload, sides in traced.items():
-        if set(sides) != set(SIDES):
-            continue
         metrics = {side: sides[side]["metrics"] for side in SIDES}
         layers[workload] = {
             name: {"parent": metrics["parent"][name]["value"],
@@ -79,8 +76,7 @@ def assemble(runs, environment, description):
             for name in metrics["change"] if name in metrics["parent"]}
     return {"description": description, "environment": environment,
             "pairs": pairs, "layers": layers,
-            "traced": {w: s["change"] for w, s in traced.items()
-                       if "change" in s}}
+            "traced": {w: s["change"] for w, s in traced.items()}}
 
 
 def export(rev, into):
@@ -98,10 +94,7 @@ def main():
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--parent", required=True,
                     help="git revision of the parent commit")
-    ap.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10")
-    ap.add_argument("--seconds", type=int, default=30)
     args = ap.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
     parent_commit = subprocess.run(
         ["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
         capture_output=True, text=True).stdout.strip()
@@ -110,31 +103,29 @@ def main():
         export(args.parent, parent)
         where = {"parent": parent, "change": ROOT}
         for workload in WORKLOADS:
-            for i, seed in enumerate(seeds):
+            for i, seed in enumerate(SEEDS):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    line = run_bench(where[side], workload, seed,
-                                     args.seconds, 0)
+                    line = run_bench(where[side], workload, seed, 0)
                     runs.append((side, workload, seed, 0, line))
                     print(side, workload, seed, json.dumps(line["metrics"]),
                           flush=True)
             for side in SIDES:
-                line = run_bench(where[side], workload, seeds[0],
-                                 args.seconds, 1)
-                runs.append((side, workload, seeds[0], 1, line))
+                line = run_bench(where[side], workload, SEEDS[0], 1)
+                runs.append((side, workload, SEEDS[0], 1, line))
     with open(os.path.join(ROOT, "bench", "results", "%s-seed%d-trace0.json"
-                           % (WORKLOADS[0], seeds[0]))) as fh:
+                           % (WORKLOADS[0], SEEDS[0]))) as fh:
         environment = json.load(fh)["environment"]
     environment.pop("loadavg_at_start", None)
     description = (
         "hpfl benchmark record, written by scripts/bench.py. 'pairs' holds "
         "the end-to-end metrics of 'python3 bench/run.py --workload W --seed "
-        "S --seconds %d --trace 0' at seeds %s on the parent (%s) and on this "
-        "change, alternating which side runs first, with their medians. "
-        "'traced' holds this change's final line of the same command with "
-        "'--trace 1' at seed %d, and 'layers' every traced metric, parent "
-        "against change. Host times are at the benchmark's reference speed."
-        % (args.seconds, args.seeds, parent_commit, seeds[0]))
+        "S --trace 0' at seeds %d-%d on the parent (%s) and on this change, "
+        "alternating which side runs first, with their medians. 'traced' "
+        "holds this change's final line of the same command with '--trace 1' "
+        "at seed %d, and 'layers' every traced metric, parent against change. "
+        "Host times are at the benchmark's reference speed."
+        % (SEEDS[0], SEEDS[-1], parent_commit, SEEDS[0]))
     out = os.path.join(ROOT, "BENCH_%d.json" % args.pr)
     with open(out, "w") as fh:
         json.dump(assemble(runs, environment, description), fh, indent=1,

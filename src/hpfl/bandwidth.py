@@ -10,8 +10,8 @@ A link's deadline bandwidth has a closed form through W_{-1}, the lower
 real solution of w e^w = z, found by Halley iteration to 1e-12 residual.
 progressive_fill solves the min-max KKT system by safeguarded Newton
 iteration and certifies its answer; equal_split gives each payload link
-B / L.  Both pad the groups once into (K, M+1) arrays and price each ES
-with network.es_latency.
+B / L and prices each ES with network.es_latency.  Both pad the groups once
+into (K, M+1) arrays.
 """
 
 from dataclasses import dataclass
@@ -44,15 +44,24 @@ def _halley(w, z, keep_below):
     for _ in range(_HALLEY_ITERS):
         ew = np.exp(w)
         f = w * ew - z
-        if np.all(np.abs(f) <= _W_TOL * scale):
+        if (np.abs(f) <= _W_TOL * scale).all():
             break
-        wp1 = w + 1.0
-        wp1 = np.where(np.abs(wp1) < 1e-300, 1e-300, wp1)
+        wp1 = np.where(np.abs(w + 1.0) < 1e-300, 1e-300, w + 1.0)
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        w_new = w - step
+        w_new = w - f / denom
         w = np.where(w_new >= keep_below, (w + keep_below) / 2.0, w_new)
     return w
+
+
+def _w_lower(z):
+    """W_{-1} on (-1/e, 0), unchecked: a series or asymptotic start + Halley."""
+    p_sq = np.maximum(2.0 * (np.e * z + 1.0), 0.0)
+    p = np.sqrt(p_sq)
+    lz = np.log(-z)
+    llz = np.log(-lz)
+    w = np.where(p_sq < 0.5, -1.0 - p - p_sq / 3.0 - 11.0 / 72.0 * p * p_sq,
+                 lz - llz + llz / lz)
+    return _halley(np.minimum(w, -1.0 - 1e-12), z, keep_below=-1.0 + 1e-16)
 
 
 def lambert_w(z):
@@ -66,25 +75,9 @@ def lambert_w(z):
     if np.any(z < _BRANCH_POINT - 1e-14) or np.any(z >= 0.0):
         raise ValueError("argument outside the real domain [-1/e, 0) of W_{-1}")
     z = np.maximum(z, _BRANCH_POINT)
-
-    p_sq = 2.0 * (np.e * z + 1.0)
-    p_sq = np.maximum(p_sq, 0.0)
-    p = np.sqrt(p_sq)
-    near = p_sq < 0.5
-
-    series = -1.0 - p - p_sq / 3.0 - 11.0 / 72.0 * p * p_sq
-    zc = np.minimum(z, -1e-300)
-    lz = np.log(-zc)
-    asym = lz - np.log(np.maximum(-lz, 1e-300))
-    w0 = np.where(near, series, asym)
-    w0 = np.minimum(w0, -1.0 - 1e-12)
-    w = _halley(w0, z, keep_below=-1.0 + 1e-16)
-
-    exact = z == _BRANCH_POINT
-    w = np.where(exact, -1.0, w)
-    if scalar:
-        return float(w[0])
-    return w
+    w = np.where(z == _BRANCH_POINT, -1.0,
+                 _w_lower(np.minimum(z, -np.finfo(float).tiny)))
+    return float(w[0]) if scalar else w
 
 
 def deadline_bandwidth(z_bits, ph, n0, tau):
@@ -95,20 +88,15 @@ def deadline_bandwidth(z_bits, ph, n0, tau):
     rate reaches the power-limited ceiling p h / (N0 ln 2)). Does not
     raise: callers that must fail use solve_link_bandwidth.
     """
-    z, ph, tau = np.broadcast_arrays(
-        np.asarray(z_bits, dtype=float), np.asarray(ph, dtype=float),
-        np.asarray(tau, dtype=float))
-    out = np.full(z.shape, np.inf)
-    out[z == 0.0] = 0.0
+    z, ph, tau = (np.asarray(a, dtype=float) for a in (z_bits, ph, tau))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gamma = n0 * z * LN2 / (tau * ph)
-    ok = (z > 0.0) & (tau > 0.0) & (ph > 0.0) & (gamma < 1.0) & (gamma > 0.0)
-    if np.any(ok):
-        g = gamma[ok]
-        wv = lambert_w(-g * np.exp(-g))
-        denom = -(wv + g)
-        out[ok] = z[ok] * LN2 / (tau[ok] * denom)
-    return out
+        ok = (z > 0.0) & (tau > 0.0) & (ph > 0.0) & (gamma < 1.0) & (gamma > 0.0)
+        # with u the SNR, log(1 + u) / u = gamma, and the rate needs
+        # b = z ln 2 / (tau (-W_{-1}(-gamma e^-gamma) - gamma))
+        g = np.where(ok, gamma, 0.5)
+        b = z * LN2 / (tau * -(_w_lower(-g * np.exp(-g)) + g))
+    return np.where(ok, b, np.where(z == 0.0, 0.0, np.inf))
 
 
 def bisect_link_bandwidth(z_bits, p, h, n0, tcom_target, rel_tol=1e-12,
@@ -239,16 +227,18 @@ def _stack(problem):
         equal_share=equal_share)
 
 
-def _result(stack, b, work=1, stationarity=np.nan):
-    """AllocationResult of padded (K, M+1) link bandwidths."""
+def _result(stack, b, latencies=None, work=1, stationarity=np.nan):
+    """AllocationResult of padded (K, M+1) link bandwidths; the latencies
+    are priced with es_latency unless given."""
     b_ue, b_es = b[:, :-1], b[:, -1].copy()
-    latencies = es_latency(stack.tcmp_ue, stack.ph[:, :-1], stack.ph[:, -1],
-                           stack.z[:, :-1], stack.z[:, -1], b_ue, b_es,
-                           stack.problem.n0)
-    used_b = float(np.sum(b_ue) + np.sum(b_es))
+    if latencies is None:
+        latencies = es_latency(stack.tcmp_ue, stack.ph[:, :-1], stack.ph[:, -1],
+                               stack.z[:, :-1], stack.z[:, -1], b_ue, b_es,
+                               stack.problem.n0)
+    used_b = float(b_ue.sum() + b_es.sum())
     return AllocationResult(
         b_ue=np.split(b_ue[stack.real], np.cumsum(stack.real.sum(axis=1))[:-1]),
-        b_es=b_es, latencies=latencies, achieved_o=float(np.max(latencies)),
+        b_es=b_es, latencies=latencies, achieved_o=float(latencies.max()),
         used_b=used_b, work=work, stationarity_residual=stationarity,
         budget_residual=stack.problem.total_b - used_b)
 
@@ -279,7 +269,8 @@ def progressive_fill(problem):
     prices all links in one deadline_bandwidth call over (K, M+1).  Returns
     at a relative stationarity residual <= 1e-10 with the demand within
     5e-10 B below B, reporting both; every server with a link above the
-    floor finishes at O."""
+    floor finishes at O.  After _MAX_ITER iterations it returns the latest
+    iterate within B (the equal split if there is none) and its residuals."""
     stack = _stack(problem)
     n0, total, z, t_ue = problem.n0, problem.total_b, stack.z, stack.tcmp_ue
     # a floor that fills the budget leaves b_min on every link, and no choice
@@ -293,16 +284,18 @@ def progressive_fill(problem):
         [problem.b_min, total, stack.equal_share])[:, None, None], 1.0,
         stack.ph, n0))
     kink_ue = t_ue + t_floor[:, :-1]
-    g_top = np.max(kink_ue, axis=1)
-    g_low = np.max(t_ue + t_budget[:, :-1], axis=1)
+    g_top = kink_ue.max(axis=1)
+    g_low = (t_ue + t_budget[:, :-1]).max(axis=1)
     tf_es, tb_es = t_floor[:, -1], t_budget[:, -1]
 
-    def window(o_at, ue_lo=-np.inf, ue_hi=np.inf, es_off=False):
+    def window(o_at, piece=None):
         """The G_k at which no link needs more than B, cut to a kink piece."""
-        kink_es = o_at - tf_es
-        hi = np.where(es_off, np.minimum(ue_hi, kink_es), ue_hi)
-        return (np.maximum(np.maximum(g_low, kink_es), ue_lo),
-                np.minimum(np.minimum(g_top, o_at - tb_es), hi))
+        lo, hi = np.maximum(g_low, o_at - tf_es), np.minimum(g_top, o_at - tb_es)
+        if piece is not None:   # (UE-side bounds, ES link at its floor)
+            lo = np.maximum(lo, piece[0])
+            hi = np.minimum(hi, np.where(piece[2], np.minimum(
+                piece[1], o_at - tf_es), piece[1]))
+        return lo, hi
 
     o_eq = float(np.max(np.max(t_ue + t_eq[:, :-1], axis=1) + t_eq[:, -1]))
     # start where each link needs c / tau, c its bandwidth-time at the equal
@@ -321,14 +314,15 @@ def progressive_fill(problem):
         raise InfeasibleAllocationError("some link cannot transmit")
     o = o if o > o_lo else 0.5 * (o_lo + o_eq)
     target = total * (1.0 - 0.5 * _GAP)
+    kept = (stack.equal_share * (z > 0.0), None, np.nan)
     for it in range(1, _MAX_ITER + 1):
         lo, hi = window(o)
         pinned = lo >= hi               # floors or no payload fix the split
-        g = np.clip(g, lo, hi)          # hi where lo >= hi
+        g = np.minimum(np.maximum(g, lo), hi)     # hi where lo >= hi
         tau = np.concatenate([g[:, None] - t_ue, (o - g)[:, None]], axis=1)
         raw = deadline_bandwidth(z, stack.ph, n0, tau)
         b = np.maximum(raw, floor)
-        demand = float(np.sum(b))
+        demand = float(b.sum())
         # a link at the floor has zero derivative, so D_k is convex and
         # piecewise smooth in G_k; a link on its floor's kink counts on the
         # side where it is above the floor: smaller G_k for a UE link
@@ -336,19 +330,21 @@ def progressive_fill(problem):
         kink = ~above & (raw >= floor * (1.0 - _KINK)) & (z > 0.0)
         d1, d2 = _slopes(stack, raw, tau, above | kink)
         on_l, on_r = above | (kink & ue), above | (kink & ~ue)
-        f_l, f_r = (np.sum(np.where(ue, d1, -d1) * on, axis=1)   # dD_k/dG_k
-                    for on in (on_l, on_r))
+        signed = np.where(ue, d1, -d1)
+        f_l, f_r = (signed * on_l).sum(axis=1), (signed * on_r).sum(axis=1)
         gap = np.where(pinned, 0.0, np.maximum(np.maximum(f_l, -f_r), 0.0))
-        stationarity = float(np.max(gap / np.maximum(
-            np.sum(np.abs(d1), axis=1), np.finfo(float).tiny)))
-        if total * (1.0 - _GAP) <= demand <= total and stationarity <= _TOL:
-            return _result(stack, b, 1 + it * len(problem.groups),
-                           stationarity)
+        stationarity = float((gap / np.maximum(
+            np.abs(d1).sum(axis=1), np.finfo(float).tiny)).max())
+        if demand <= total:     # a link at the floor uploads in t_floor
+            t = np.where(b > raw, t_floor, tau) * (z > 0.0)
+            kept = (b, (t_ue + t[:, :-1]).max(axis=1) + t[:, -1], stationarity)
+            if demand >= total * (1.0 - _GAP) and stationarity <= _TOL:
+                break
         # O is past the root if its demand is within the target, short of it
         # if even the least demand that convexity allows exceeds the target
         decided = demand <= target
-        if not decided and demand + np.sum(~pinned * np.minimum(np.minimum(
-                f_r * (hi - g), f_l * (lo - g)), 0.0)) > target:
+        if not decided and demand + (~pinned * np.minimum(np.minimum(
+                f_r * (hi - g), f_l * (lo - g)), 0.0)).sum() > target:
             o_lo, decided = max(o_lo, o), True
 
         # a free split steps on the side of G_k its residual points to
@@ -356,29 +352,33 @@ def progressive_fill(problem):
         free = left | (~pinned & (f_r < 0.0))
         on = np.where(left[:, None], on_l, on_r)
         f = np.where(left, f_l, f_r)
-        a = np.where(free, np.sum(d2 * on, axis=1), 1.0)
+        a = np.where(free, (d2 * on).sum(axis=1), 1.0)
         d1_es, d2_es = d1[:, -1] * on[:, -1], d2[:, -1] * on[:, -1]
-        piece = (np.max(np.where(~on[:, :-1] & (z[:, :-1] > 0.0), kink_ue,
-                                 -np.inf), axis=1),
-                 np.min(np.where(on[:, :-1], kink_ue, np.inf), axis=1),
+        piece = (np.where(~on[:, :-1] & (z[:, :-1] > 0.0), kink_ue,
+                          -np.inf).max(axis=1),
+                 np.where(on[:, :-1], kink_ue, np.inf).min(axis=1),
                  has_es & ~on[:, -1])
         # O's Newton step, on 1 / demand, aims the demand the splits reach at
         # this O at the target; by the envelope theorem the slope is
         # sum_k b_es'(O - G_k), or a pinned split's own where it moves with O
-        lo, hi = window(o, *piece)
-        dg = np.where(free, np.clip(g - f / a, lo, hi) - g, 0.0)
-        settled = demand + np.sum(f * dg + 0.5 * a * dg * dg)
+        lo, hi = window(o, piece)
+        dg = np.where(free, np.minimum(np.maximum(g - f / a, lo), hi) - g, 0.0)
+        settled = demand + (f * dg + 0.5 * a * dg * dg).sum()
         residual = (settled - target) * settled / target
         follow = np.where(pinned, ~has_es & (o < g_top), kink[:, -1])
-        slope = np.sum(np.where(free, d1_es,
-                                follow * f_l + d1[:, -1] * on_l[:, -1]))
+        slope = np.where(free, d1_es,
+                         follow * f_l + d1[:, -1] * on_l[:, -1]).sum()
         o_new = o - residual / slope if slope < 0.0 else np.nan
         if not decided and stationarity > _SETTLE:
             o_new = o       # settle the splits until the residual's sign holds
-        elif not o_lo < o_new:   # bisect on the residual's sign
-            o_new = 0.5 * (o_lo + o) if residual <= 0.0 else 2.0 * o - o_lo
-        lo, hi = window(o_new, *piece)
-        g = np.where(free, np.clip(g - (f - d2_es * (o_new - o)) / a, lo, hi),
-                     g + follow * (o_new - o))
+        elif not o_lo < o_new:
+            # bisect on the residual's sign; O sitting on o_lo must rise
+            o_new = (0.5 * (o_lo + o) if residual <= 0.0
+                     else 2.0 * o - o_lo if o > o_lo else 2.0 * o)
+        lo, hi = window(o_new, piece)
+        g = np.where(free, np.minimum(np.maximum(
+            g - (f - d2_es * (o_new - o)) / a, lo), hi), g + follow * (o_new - o))
         o = o_new
-    raise InfeasibleAllocationError(f"no convergence in {_MAX_ITER} iterations")
+    b, latencies, stationarity = kept
+    return _result(stack, b, latencies, 1 + it * len(problem.groups),
+                   stationarity)

@@ -406,6 +406,30 @@ def test_progressive_fill_certificate(problem):
     assert res.achieved_o <= equal_split(problem).achieved_o * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("b_min", [1.0, 2e5])
+def test_capped_solve_returns_a_feasible_iterate(monkeypatch, cap, b_min):
+    """A solve stopped after `cap` iterations does not raise: it returns
+    its latest iterate within the budget (the equal split if none was),
+    with that iterate's own residuals and latencies."""
+    monkeypatch.setattr(bandwidth, "_MAX_ITER", cap)
+    problem = ragged_problem(b_min)
+    res = progressive_fill(problem)
+    assert res.used_b <= problem.total_b * (1.0 + 1e-12)
+    assert res.budget_residual == problem.total_b - res.used_b
+    assert res.work == 1 + cap * len(problem.groups)
+    for grp, b_ue, b_es, lat in zip(problem.groups, res.b_ue, res.b_es,
+                                    res.latencies):
+        assert np.all(b_ue >= problem.b_min * (1.0 - 1e-9) * (grp.z_ue > 0.0))
+        assert b_es >= problem.b_min * (1.0 - 1e-9) * (grp.z_es > 0.0)
+        assert lat == pytest.approx(group_latency(grp, b_ue, b_es, problem.n0),
+                                    rel=1e-12)
+    assert not res.stationarity_residual < 0.0
+    monkeypatch.undo()
+    assert progressive_fill(problem).achieved_o <= \
+        res.achieved_o * (1.0 + 1e-9)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_desk_solves_price_the_links_at_most_ten_times(monkeypatch, seed):
     """Each progressive_fill solve of a desk run makes at most ten
