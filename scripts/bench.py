@@ -11,7 +11,9 @@ seed 1-10 on each side, the two sides alternating which runs first, and
 default time.  The final JSON line of every run goes into BENCH_<pr>.json:
 
 - ``pairs``: each side's end-to-end metrics per seed, their medians and
-  failure counts, and which side ran first;
+  failure counts, and which side ran first; ``same_outputs`` is true when
+  both sides wrote the same ``rounds.csv`` digest for every scenario seed,
+  and ``outputs_differ`` lists the scenario seeds where they did not;
 - ``traced``: the change's traced final line;
 - ``layers``: every traced metric, parent against change;
 - ``environment``: the machine, from the change's first result record.
@@ -32,27 +34,41 @@ SIDES = ("parent", "change")
 SEEDS = tuple(range(1, 11))
 
 
+def result_path(checkout, workload, seed):
+    """The full record a ``--trace 0`` run of bench/run.py writes."""
+    return os.path.join(checkout, "bench", "results",
+                        "%s-seed%d-trace0.json" % (workload, seed))
+
+
 def run_bench(checkout, workload, seed, trace):
-    """Final JSON line of one bench/run.py run in ``checkout``."""
+    """One bench/run.py run in ``checkout``: its final JSON line, and for
+    ``--trace 0`` the rounds.csv digest of each scenario seed (else None)."""
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"), "--workload",
          workload, "--seed", str(seed), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    if trace:
+        return line, None
+    with open(result_path(checkout, workload, seed)) as fh:
+        outputs = json.load(fh)["outputs"]
+    return line, {int(s): o["rounds_csv_sha256"] for s, o in outputs.items()}
 
 
 def assemble(runs, environment, description):
-    """BENCH record from (side, workload, seed, trace, final line) tuples.
+    """BENCH record from (side, workload, seed, trace, final line, digests)
+    tuples, as run_bench returns the last two.
 
     ``runs`` is in the order the runs were made.  A ``--trace 0`` line adds
-    one entry per end-to-end metric to its side's pairs; a ``--trace 1``
-    line is the side's traced line.
+    one entry per end-to-end metric to its side's pairs, and its digests to
+    the side's outputs; a ``--trace 1`` line is the side's traced line.
     """
-    pairs, traced = {}, {}
-    for side, workload, seed, trace, line in runs:
+    pairs, traced, digests = {}, {}, {}
+    for side, workload, seed, trace, line, outputs in runs:
         if trace:
             traced.setdefault(workload, {})[side] = line
             continue
+        digests.setdefault(workload, {}).setdefault(side, {}).update(outputs)
         pair = pairs.setdefault(workload, {"seeds": [], "first": []})
         if seed not in pair["seeds"]:
             pair["seeds"].append(seed)
@@ -61,11 +77,16 @@ def assemble(runs, environment, description):
         rec["failed"].append(line["failed"])
         for name, metric in line["metrics"].items():
             rec["runs"].setdefault(name, []).append(metric["value"])
-    for pair in pairs.values():
+    for workload, pair in pairs.items():
         for side in SIDES:
             rec = pair[side]
             rec["median"] = {name: statistics.median(values)
                              for name, values in rec["runs"].items()}
+        parent, change = (digests[workload][side] for side in SIDES)
+        pair["outputs_differ"] = sorted(
+            s for s in parent.keys() | change.keys()
+            if parent.get(s) != change.get(s))
+        pair["same_outputs"] = not pair["outputs_differ"]
     layers = {}
     for workload, sides in traced.items():
         metrics = {side: sides[side]["metrics"] for side in SIDES}
@@ -106,22 +127,23 @@ def main():
             for i, seed in enumerate(SEEDS):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    line = run_bench(where[side], workload, seed, 0)
-                    runs.append((side, workload, seed, 0, line))
+                    line, outputs = run_bench(where[side], workload, seed, 0)
+                    runs.append((side, workload, seed, 0, line, outputs))
                     print(side, workload, seed, json.dumps(line["metrics"]),
                           flush=True)
             for side in SIDES:
-                line = run_bench(where[side], workload, SEEDS[0], 1)
-                runs.append((side, workload, SEEDS[0], 1, line))
-    with open(os.path.join(ROOT, "bench", "results", "%s-seed%d-trace0.json"
-                           % (WORKLOADS[0], SEEDS[0]))) as fh:
+                line, _ = run_bench(where[side], workload, SEEDS[0], 1)
+                runs.append((side, workload, SEEDS[0], 1, line, None))
+    with open(result_path(ROOT, WORKLOADS[0], SEEDS[0])) as fh:
         environment = json.load(fh)["environment"]
     environment.pop("loadavg_at_start", None)
     description = (
         "hpfl benchmark record, written by scripts/bench.py. 'pairs' holds "
         "the end-to-end metrics of 'python3 bench/run.py --workload W --seed "
         "S --trace 0' at seeds %d-%d on the parent (%s) and on this change, "
-        "alternating which side runs first, with their medians. 'traced' "
+        "alternating which side runs first, with their medians, and "
+        "'same_outputs', whether both sides wrote the same rounds.csv for "
+        "every scenario seed. 'traced' "
         "holds this change's final line of the same command with '--trace 1' "
         "at seed %d, and 'layers' every traced metric, parent against change. "
         "Host times are at the benchmark's reference speed."

@@ -4,8 +4,9 @@ The cloud keeps the global model; each edge server (ES) keeps the stale
 copy it received when last selected, and its UEs personalize that copy
 with one meta-gradient step.  Every round the engine:
 
-1. recomputes local updates at edge servers whose base model changed,
-2. scores loss/accuracy of the entering global model,
+1. scores loss/accuracy of the entering global model,
+2. recomputes local updates at edge servers whose base model changed,
+   from the same adaptation of their UEs the scoring made,
 3. draws this round's channel fading and allocates uplink bandwidth to
    the servers that worked during the round (the previous selection),
 4. predicts per-server latency, schedules the uploads, and reallocates
@@ -134,19 +135,21 @@ class RoundEngine:
             np.random.SeedSequence([scenario.seed, 433]))
         _, self._grad = meta.objective(scenario.mode)
 
-    def _refresh(self):
+    def _refresh(self, theta):
         """Recompute the UE updates of every server whose base changed.
 
         One call covers all dirty servers, each server's base broadcast
         over its UEs.  Unselected servers keep full-batch gradients of an
-        unchanged base, which are bit-identical, so they are skipped.
+        unchanged base, which are bit-identical, so they are skipped.  A
+        changed base is the entering model, adapted to ``theta`` by _evaluate.
         """
         ids = np.flatnonzero(self.dirty)
         if not ids.size:
             return
         grads = self._grad(self.model, self.base[ids, None, :],
                            self.federation.train[ids], self.scenario.alpha,
-                           context=lambda i: _ue_name((ids[i[0]], i[1])))
+                           context=lambda i: _ue_name((ids[i[0]], i[1])),
+                           theta=None if theta is None else theta[ids])
         mean = grads.mean(axis=1)
         self.mean_grad[ids] = mean
         self.grad_norm_sq[ids] = (mean[:, None, :] @ mean[:, :, None])[:, 0, 0]
@@ -159,21 +162,22 @@ class RoundEngine:
         over UEs of the base training loss at theta, the adapted point
         (personalized mode) or the global model itself (conventional
         mode).  Accuracy scores each UE's held-out shard at its theta;
-        task families without labels report accuracy 0.
+        task families without labels report accuracy 0.  Returns (loss,
+        accuracy, the (K, N, P) adapted points or None in "hfl" mode).
         """
         train, eval_ = self.federation.train, self.federation.eval
+        theta = None
         if self.scenario.mode == "hpfl":
             theta = meta.adapt(self.model, self.w, train, self.scenario.alpha,
                                context=_ue_name)
-        else:
-            theta = self.w
-        losses = meta.plain_loss(self.model, theta, train, context=_ue_name)
+        at = self.w if theta is None else theta
+        losses = meta.plain_loss(self.model, at, train, context=_ue_name)
         acc = 0.0
         if hasattr(eval_, "x"):
-            pred = self.model.predict(theta, eval_.x)
+            pred = self.model.predict(at, eval_.x)
             if pred is not None:
                 acc = int(np.sum(pred == eval_.y)) / eval_.y.size
-        return float(np.mean(losses)), float(acc)
+        return float(np.mean(losses)), float(acc), theta
 
     def _allocate(self, members, ph_ue, ph_es):
         """Bandwidth split over the servers masked by ``members``.
@@ -199,8 +203,8 @@ class RoundEngine:
         """Advance the federation by one cloud round and record it."""
         p = self.scenario
         k = p.k
-        self._refresh()
-        loss, acc = self._evaluate()
+        loss, acc, theta = self._evaluate()
+        self._refresh(theta)
         snapshot = sample_channels(self.topology, p.seed, self.t)
         ph_ue = p.p_ue * snapshot.h_ue
         ph_es = p.p_es * snapshot.h_es

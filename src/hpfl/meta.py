@@ -54,16 +54,22 @@ def meta_loss(model, w, shard, alpha, context=""):
     return value
 
 
-def meta_grad(model, w, shard, alpha, context=""):
-    """Exact gradient of meta_loss via two gradients and one HVP."""
-    g2 = model.grad(adapt(model, w, shard, alpha, context), shard)
+def meta_grad(model, w, shard, alpha, context="", theta=None):
+    """Exact gradient of meta_loss via two gradients and one HVP.
+
+    A caller that already holds ``theta = adapt(model, w, shard, alpha)``
+    passes it, and the adaptation gradient is not computed again.
+    """
+    if theta is None:
+        theta = adapt(model, w, shard, alpha, context)
+    g2 = model.grad(theta, shard)
     _check_finite(g2, "adapted-point gradient", context)
     out = g2 - alpha * model.hvp(w, shard, g2)
     _check_finite(out, "meta gradient", context)
     return out
 
 
-def plain_grad(model, w, shard, alpha=0.0, context=""):
+def plain_grad(model, w, shard, alpha=0.0, context="", theta=None):
     """Conventional gradient, signature-compatible with meta_grad."""
     g = model.grad(w, shard)
     _check_finite(g, "gradient", context)

@@ -27,7 +27,9 @@ a single shard is the case with no batch axes.  ``loss`` returns one value
 per batch entry, ``grad`` and ``hvp`` one ``(..., P)`` vector, ``predict``
 one ``(..., n)`` label array.  Products are stacked ``np.matmul`` calls, so
 each UE's result is the same BLAS call a single shard makes, bit for bit.
-The Hessian is never materialized.
+The Hessian is never materialized.  Logits are class-major, ``(..., c, n)``,
+so the softmax runs down the short class axis over all samples at once; its
+sums keep NumPy's row-major order, so outputs are those of row-major logits.
 """
 
 from dataclasses import dataclass
@@ -107,25 +109,48 @@ def _pack(batch, *parts):
     return np.concatenate([p.reshape(batch + (-1,)) for p in parts], axis=-1)
 
 
-def _onehot(y, n_classes):
-    return y[..., None] == np.arange(n_classes)
+def _class_sum(a):
+    """Sum over the classes of ``a (..., c, n)`` in NumPy's pairwise order
+    for one contiguous row: one by one below 8 classes, eight running sums
+    added as a tree up to 128, two halves above."""
+    c = a.shape[-2]
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        return _class_sum(a[..., :half, :]) + _class_sum(a[..., half:, :])
+    out, tail = a[..., 0, :], 1
+    if c >= 8:
+        r, tail = a[..., :8, :], c - c % 8
+        for i in range(8, tail, 8):
+            r = r + a[..., i:i + 8, :]
+        out = ((r[..., 0, :] + r[..., 1, :]) + (r[..., 2, :] + r[..., 3, :])) \
+            + ((r[..., 4, :] + r[..., 5, :]) + (r[..., 6, :] + r[..., 7, :]))
+    for i in range(tail, c):
+        out = out + a[..., i, :]
+    return out
 
 
-def _picked_nll(z, y):
-    """Mean negative log-likelihood of labels y under logits z."""
-    picked = np.take_along_axis(_log_softmax(z), y[..., None], axis=-1)
-    return -picked[..., 0].mean(axis=-1)
+def _sample_mean(a):
+    """Mean over the samples of ``a (..., c, n)``, added one by one."""
+    return np.ascontiguousarray(_t(a)).mean(axis=-2)
 
 
 def _softmax(z):
-    zs = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(zs)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Class-major softmax of logits ``z (..., c, n)``."""
+    e = np.exp(z - z.max(axis=-2, keepdims=True))
+    return e / _class_sum(e)[..., None, :]
 
 
-def _log_softmax(z):
-    zs = z - z.max(axis=-1, keepdims=True)
-    return zs - np.log(np.exp(zs).sum(axis=-1, keepdims=True))
+def _nll(z, y):
+    """Mean negative log-likelihood of labels y (..., n) under logits z."""
+    zs = z - z.max(axis=-2, keepdims=True)
+    log_norm = np.log(_class_sum(np.exp(zs)))
+    picked = np.take_along_axis(zs, y[..., None, :], axis=-2)[..., 0, :]
+    return -(picked - log_norm).mean(axis=-1)
+
+
+def _minus_onehot(p, y):
+    """Class-major probabilities p minus the one-hot labels y (..., n)."""
+    return p - (y[..., None, :] == np.arange(p.shape[-2])[:, None])
 
 
 class LogisticModel:
@@ -148,8 +173,9 @@ class LogisticModel:
         return weights.reshape(w.shape[:-1] + (c, d)), bias
 
     def _logits(self, w, x):
+        """Class-major logits (..., c, n)."""
         weights, bias = self._unpack(w)
-        return x @ _t(weights) + bias[..., None, :]
+        return weights @ _t(x) + bias[..., :, None]
 
     def init_params(self, rng, scale=1.0):
         c, d = self.n_classes, self.dim
@@ -158,28 +184,29 @@ class LogisticModel:
         return np.concatenate([weights, bias])
 
     def loss(self, w, shard):
-        nll = _picked_nll(self._logits(w, shard.x), shard.y)
+        nll = _nll(self._logits(w, shard.x), shard.y)
         return nll + 0.5 * self.l2 * _dot(w, w)
 
     def grad(self, w, shard):
         x = shard.x
-        delta = _softmax(self._logits(w, x)) - _onehot(shard.y, self.n_classes)
-        g_w = _t(delta) @ x / shard.size
-        g_b = delta.mean(axis=-2)
+        delta = _minus_onehot(_softmax(self._logits(w, x)), shard.y)
+        g_w = delta @ x / shard.size
+        g_b = _sample_mean(delta)
         return _pack(g_b.shape[:-1], g_w, g_b) + self.l2 * w
 
     def hvp(self, w, shard, v):
         x = shard.x
         v_w, v_b = self._unpack(v)
         p = _softmax(self._logits(w, x))
-        rz = x @ _t(v_w) + v_b[..., None, :]
-        rp = p * (rz - (p * rz).sum(axis=-1, keepdims=True))
-        h_w = _t(rp) @ x / shard.size
-        h_b = rp.mean(axis=-2)
+        rz = v_w @ _t(x) + v_b[..., :, None]
+        rp = p * (rz - _class_sum(p * rz)[..., None, :])
+        h_w = rp @ x / shard.size
+        h_b = _sample_mean(rp)
         return _pack(h_b.shape[:-1], h_w, h_b) + self.l2 * v
 
     def predict(self, w, x):
-        return np.argmax(self._logits(w, x), axis=-1)
+        weights, bias = self._unpack(w)
+        return np.argmax(x @ _t(weights) + bias[..., None, :], axis=-1)
 
 
 class MLPModel:
@@ -212,22 +239,23 @@ class MLPModel:
         return np.concatenate([w1, b1, w2, b2])
 
     def _forward(self, w, x):
+        """Output weights, activations (..., n, h) and class-major logits."""
         w1, b1, w2, b2 = self._unpack(w)
         a1 = np.tanh(x @ _t(w1) + b1[..., None, :])
-        z2 = a1 @ _t(w2) + b2[..., None, :]
+        z2 = w2 @ _t(a1) + b2[..., :, None]
         return w2, a1, z2
 
     def loss(self, w, shard):
         _, _, z2 = self._forward(w, shard.x)
-        return _picked_nll(z2, shard.y) + 0.5 * self.l2 * _dot(w, w)
+        return _nll(z2, shard.y) + 0.5 * self.l2 * _dot(w, w)
 
     def grad(self, w, shard):
         n = shard.size
         w2, a1, z2 = self._forward(w, shard.x)
-        d2 = _softmax(z2) - _onehot(shard.y, self.n_classes)
-        g_w2 = _t(d2) @ a1 / n
-        g_b2 = d2.mean(axis=-2)
-        d1 = (d2 @ w2) * (1.0 - a1 ** 2)
+        d2 = _minus_onehot(_softmax(z2), shard.y)
+        g_w2 = d2 @ a1 / n
+        g_b2 = _sample_mean(d2)
+        d1 = (_t(d2) @ w2) * (1.0 - a1 ** 2)
         g_w1 = _t(d1) @ shard.x / n
         g_b1 = d1.mean(axis=-2)
         return _pack(g_b1.shape[:-1], g_w1, g_b1, g_w2, g_b2) + self.l2 * w
@@ -238,26 +266,27 @@ class MLPModel:
         w2, a1, z2 = self._forward(w, x)
         v1, vb1, v2, vb2 = self._unpack(v)
         p = _softmax(z2)
-        d2 = p - _onehot(shard.y, self.n_classes)
+        d2 = _minus_onehot(p, shard.y)
 
         rz1 = x @ _t(v1) + vb1[..., None, :]
         ra1 = (1.0 - a1 ** 2) * rz1
-        rz2 = a1 @ _t(v2) + ra1 @ _t(w2) + vb2[..., None, :]
-        rd2 = p * (rz2 - (p * rz2).sum(axis=-1, keepdims=True))
+        rz2 = v2 @ _t(a1) + w2 @ _t(ra1) + vb2[..., :, None]
+        rd2 = p * (rz2 - _class_sum(p * rz2)[..., None, :])
 
-        h_w2 = (_t(rd2) @ a1 + _t(d2) @ ra1) / n
-        h_b2 = rd2.mean(axis=-2)
+        h_w2 = (rd2 @ a1 + d2 @ ra1) / n
+        h_b2 = _sample_mean(rd2)
 
-        u = d2 @ w2
-        ru = d2 @ v2 + rd2 @ w2
+        u = _t(d2) @ w2
+        ru = _t(d2) @ v2 + _t(rd2) @ w2
         rd1 = ru * (1.0 - a1 ** 2) + u * (-2.0 * a1 * ra1)
         h_w1 = _t(rd1) @ x / n
         h_b1 = rd1.mean(axis=-2)
         return _pack(h_b1.shape[:-1], h_w1, h_b1, h_w2, h_b2) + self.l2 * v
 
     def predict(self, w, x):
-        _, _, z2 = self._forward(w, x)
-        return np.argmax(z2, axis=-1)
+        w1, b1, w2, b2 = self._unpack(w)
+        a1 = np.tanh(x @ _t(w1) + b1[..., None, :])
+        return np.argmax(a1 @ _t(w2) + b2[..., None, :], axis=-1)
 
 
 class QuadraticModel:

@@ -176,8 +176,9 @@ class TestRoundEngine:
     def test_poisoned_ue_is_named_after_a_partial_refresh(self, poisoned):
         """Only server 1 refreshes in round 1; its rows keep their ES id.
 
-        A poisoned UE of server 1 is caught by the refresh, one of server 2
-        by the evaluation of every UE that follows it.
+        The evaluation adapts every UE before the refresh reuses that
+        adaptation, so a poisoned UE of server 1 and one of server 2 are
+        both caught by the evaluation.
         """
         scn = Scenario(k=3, n_k=4, rounds=0, seed=19)
         eng, prep = engine_for(scn)
@@ -187,3 +188,30 @@ class TestRoundEngine:
         with pytest.raises(meta.NonFiniteError,
                            match=r" at es %d ue %d$" % poisoned):
             eng.run_round()
+
+    @pytest.mark.parametrize("mode", ["hpfl", "hfl"])
+    def test_kernel_calls_per_round(self, mode, monkeypatch):
+        """An hpfl round adapts once, for the evaluation and the refresh
+        together: 2 grad calls and 1 hvp call, round 0 included.  An hfl
+        round makes at most the refresh's grad call and no hvp call."""
+        scn = Scenario(k=4, n_k=3, mode=mode, s_max=2, a_max=2, rounds=0,
+                       seed=23)
+        eng, prep = engine_for(scn)
+        calls = {"grad": 0, "hvp": 0}
+
+        def counting(name):
+            method = getattr(prep.model, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return counted
+        for name in calls:
+            monkeypatch.setattr(prep.model, name, counting(name))
+        for _ in range(6):
+            calls.update(grad=0, hvp=0)
+            eng.run_round()
+            if mode == "hpfl":
+                assert calls == {"grad": 2, "hvp": 1}
+            else:
+                assert calls["grad"] <= 1 and calls["hvp"] == 0

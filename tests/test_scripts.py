@@ -46,31 +46,43 @@ def _line(failed=0, **values):
 
 def test_bench_assembles_final_lines():
     """scripts/bench.py turns bench/run.py final lines into one record:
-    per-seed runs and medians for each side, which side ran first, the
-    change's traced line, and every traced metric side by side."""
+    per-seed runs and medians for each side, which side ran first, whether
+    both sides wrote the same rounds.csv per scenario seed, the change's
+    traced line, and every traced metric side by side."""
     spec = importlib.util.spec_from_file_location(
         "bench_script", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    same = {1000: "a", 1001: "b"}
     runs = [
-        ("parent", "desk", 1, 0, _line(round_ms_p50=25.0)),
-        ("change", "desk", 1, 0, _line(round_ms_p50=5.0)),
-        ("change", "desk", 2, 0, _line(round_ms_p50=4.0)),
-        ("parent", "desk", 2, 0, _line(failed=1, round_ms_p50=27.0)),
-        ("change", "desk", 3, 0, _line(round_ms_p50=6.0)),
-        ("parent", "desk", 3, 0, _line(round_ms_p50=26.0)),
-        ("parent", "desk", 1, 1, _line(**{"bandwidth.ms_per_round": 23.0})),
-        ("change", "desk", 1, 1, _line(**{"bandwidth.ms_per_round": 2.0})),
+        ("parent", "desk", 1, 0, _line(round_ms_p50=25.0), same),
+        ("change", "desk", 1, 0, _line(round_ms_p50=5.0), same),
+        ("change", "desk", 2, 0, _line(round_ms_p50=4.0), {2000: "c"}),
+        ("parent", "desk", 2, 0, _line(failed=1, round_ms_p50=27.0),
+         {2000: "c", 2001: "d"}),
+        ("change", "desk", 3, 0, _line(round_ms_p50=6.0), {3000: "e"}),
+        ("parent", "desk", 3, 0, _line(round_ms_p50=26.0), {3000: "f"}),
+        ("parent", "desk", 1, 1, _line(**{"bandwidth.ms_per_round": 23.0}),
+         None),
+        ("change", "desk", 1, 1, _line(**{"bandwidth.ms_per_round": 2.0}),
+         None),
+        ("parent", "large", 1, 0, _line(round_ms_p50=17.0), same),
+        ("change", "large", 1, 0, _line(round_ms_p50=13.0), same),
     ]
     out = bench.assemble(runs, {"nproc": 2}, "canned")
     pair = out["pairs"]["desk"]
+    # a digest on one side only, or two different digests, both differ
+    assert pair["outputs_differ"] == [2001, 3000]
+    assert pair["same_outputs"] is False
+    assert out["pairs"]["large"]["same_outputs"] is True
+    assert out["pairs"]["large"]["outputs_differ"] == []
     assert pair["seeds"] == [1, 2, 3]
     assert pair["first"] == ["parent", "change", "change"]
     assert pair["parent"]["runs"]["round_ms_p50"] == [25.0, 27.0, 26.0]
     assert pair["parent"]["median"]["round_ms_p50"] == 26.0
     assert pair["parent"]["failed"] == [0, 1, 0]
     assert pair["change"]["median"]["round_ms_p50"] == 5.0
-    assert out["traced"]["desk"] == runs[-1][4]
+    assert out["traced"]["desk"] == runs[7][4]
     assert out["layers"]["desk"]["bandwidth.ms_per_round"] == {
         "parent": 23.0, "change": 2.0, "unit": "ms"}
     assert out["environment"] == {"nproc": 2}

@@ -7,7 +7,7 @@ from hpfl import meta
 from hpfl.experiment import prepare
 from hpfl.scenario import Scenario
 from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
-                        QuadraticTask, TaskShard)
+                        QuadraticTask, TaskShard, _class_sum, _sample_mean)
 
 K, N, SAMPLES, DIM, CLASSES = 3, 4, 6, 5, 4
 
@@ -132,3 +132,22 @@ def test_federation_hands_out_views_of_one_stack(family):
     # the quadratic stand-in sample count is the dimension
     assert fed.train.size == (scn.n_train if family == "classification"
                               else scn.dim)
+
+
+@pytest.mark.parametrize("classes", [2, 3, 7, 8, 9, 10, 16, 17, 130])
+def test_class_sum_keeps_the_row_major_order(classes):
+    """Class-major logits are summed over classes in the order NumPy sums a
+    contiguous row, so the softmax is the bits of the row-major one."""
+    e = np.exp(np.random.default_rng(classes).standard_normal((3, classes, 33)))
+    row_major = np.ascontiguousarray(np.swapaxes(e, -1, -2)).sum(axis=-1)
+    np.testing.assert_array_equal(_class_sum(e), row_major)
+
+
+@pytest.mark.parametrize("samples", [1, 7, 32, 33])
+def test_sample_mean_keeps_the_row_major_order(samples):
+    """The mean over samples of class-major values equals the row-major
+    mean over the sample axis of the same values, bit for bit."""
+    rows = np.random.default_rng(samples).standard_normal((2, 3, samples, 10))
+    class_major = np.ascontiguousarray(np.swapaxes(rows, -1, -2))
+    np.testing.assert_array_equal(_sample_mean(class_major),
+                                  rows.mean(axis=-2))
