@@ -13,7 +13,9 @@ default time.  The final JSON line of every run goes into BENCH_<pr>.json:
 - ``pairs``: each side's end-to-end metrics per seed, their medians and
   failure counts, and which side ran first; ``same_outputs`` is true when
   both sides wrote the same ``rounds.csv`` digest for every scenario seed,
-  and ``outputs_differ`` lists the scenario seeds where they did not;
+  ``outputs_differ`` lists the scenario seeds where they did not, and
+  ``outputs_max_rel`` is the largest relative difference of any ``sim.*``
+  statistic over the scenario seeds both sides ran;
 - ``traced``: the change's traced final line;
 - ``layers``: every traced metric, parent against change;
 - ``environment``: the machine, from the change's first result record.
@@ -21,6 +23,7 @@ default time.  The final JSON line of every run goes into BENCH_<pr>.json:
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -42,7 +45,8 @@ def result_path(checkout, workload, seed):
 
 def run_bench(checkout, workload, seed, trace):
     """One bench/run.py run in ``checkout``: its final JSON line, and for
-    ``--trace 0`` the rounds.csv digest of each scenario seed (else None)."""
+    ``--trace 0`` the outputs of each scenario seed (else None): its
+    ``sim.*`` statistics and rounds.csv digest."""
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"), "--workload",
          workload, "--seed", str(seed), "--trace", str(trace)],
@@ -52,23 +56,33 @@ def run_bench(checkout, workload, seed, trace):
         return line, None
     with open(result_path(checkout, workload, seed)) as fh:
         outputs = json.load(fh)["outputs"]
-    return line, {int(s): o["rounds_csv_sha256"] for s, o in outputs.items()}
+    return line, {int(s): o for s, o in outputs.items()}
+
+
+def relative_gap(a, b):
+    """|a - b| over the larger magnitude: 0 when equal, inf when only one
+    side has a value."""
+    if a == b:
+        return 0.0
+    if a is None or b is None:
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
 
 
 def assemble(runs, environment, description):
-    """BENCH record from (side, workload, seed, trace, final line, digests)
+    """BENCH record from (side, workload, seed, trace, final line, outputs)
     tuples, as run_bench returns the last two.
 
     ``runs`` is in the order the runs were made.  A ``--trace 0`` line adds
-    one entry per end-to-end metric to its side's pairs, and its digests to
+    one entry per end-to-end metric to its side's pairs, and its outputs to
     the side's outputs; a ``--trace 1`` line is the side's traced line.
     """
-    pairs, traced, digests = {}, {}, {}
+    pairs, traced, per_seed = {}, {}, {}
     for side, workload, seed, trace, line, outputs in runs:
         if trace:
             traced.setdefault(workload, {})[side] = line
             continue
-        digests.setdefault(workload, {}).setdefault(side, {}).update(outputs)
+        per_seed.setdefault(workload, {}).setdefault(side, {}).update(outputs)
         pair = pairs.setdefault(workload, {"seeds": [], "first": []})
         if seed not in pair["seeds"]:
             pair["seeds"].append(seed)
@@ -82,11 +96,17 @@ def assemble(runs, environment, description):
             rec = pair[side]
             rec["median"] = {name: statistics.median(values)
                              for name, values in rec["runs"].items()}
-        parent, change = (digests[workload][side] for side in SIDES)
+        parent, change = (per_seed[workload][side] for side in SIDES)
+        both = parent.keys() & change.keys()
         pair["outputs_differ"] = sorted(
-            s for s in parent.keys() | change.keys()
-            if parent.get(s) != change.get(s))
+            (parent.keys() ^ change.keys())
+            | {s for s in both if parent[s]["rounds_csv_sha256"]
+               != change[s]["rounds_csv_sha256"]})
         pair["same_outputs"] = not pair["outputs_differ"]
+        pair["outputs_max_rel"] = max(
+            (relative_gap(parent[s][name], change[s].get(name))
+             for s in both for name in parent[s] if name.startswith("sim.")),
+            default=None)
     layers = {}
     for workload, sides in traced.items():
         metrics = {side: sides[side]["metrics"] for side in SIDES}
@@ -141,9 +161,11 @@ def main():
         "hpfl benchmark record, written by scripts/bench.py. 'pairs' holds "
         "the end-to-end metrics of 'python3 bench/run.py --workload W --seed "
         "S --trace 0' at seeds %d-%d on the parent (%s) and on this change, "
-        "alternating which side runs first, with their medians, and "
+        "alternating which side runs first, with their medians, "
         "'same_outputs', whether both sides wrote the same rounds.csv for "
-        "every scenario seed. 'traced' "
+        "every scenario seed, and 'outputs_max_rel', the largest relative "
+        "difference of any sim.* statistic over the scenario seeds both "
+        "sides ran. 'traced' "
         "holds this change's final line of the same command with '--trace 1' "
         "at seed %d, and 'layers' every traced metric, parent against change. "
         "Host times are at the benchmark's reference speed."

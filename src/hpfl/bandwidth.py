@@ -25,7 +25,6 @@ class InfeasibleAllocationError(RuntimeError):
     """No bandwidth assignment can meet the request."""
 
 
-_BRANCH_POINT = -np.exp(-1.0)
 _W_TOL = 1e-12          # Lambert-W residual, relative to |z|
 _HALLEY_ITERS = 40
 # progressive_fill stops at stationarity _TOL with the demand in
@@ -62,22 +61,6 @@ def _w_lower(z):
     w = np.where(p_sq < 0.5, -1.0 - p - p_sq / 3.0 - 11.0 / 72.0 * p * p_sq,
                  lz - llz + llz / lz)
     return _halley(np.minimum(w, -1.0 - 1e-12), z, keep_below=-1.0 + 1e-16)
-
-
-def lambert_w(z):
-    """Real Lambert W_{-1} (the solution w <= -1), scalar or array input.
-
-    Defined on [-1/e, 0); values outside the domain raise ValueError.
-    Residual |w e^w - z| is driven to 1e-12 relative to |z|.
-    """
-    scalar = np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z < _BRANCH_POINT - 1e-14) or np.any(z >= 0.0):
-        raise ValueError("argument outside the real domain [-1/e, 0) of W_{-1}")
-    z = np.maximum(z, _BRANCH_POINT)
-    w = np.where(z == _BRANCH_POINT, -1.0,
-                 _w_lower(np.minimum(z, -np.finfo(float).tiny)))
-    return float(w[0]) if scalar else w
 
 
 def deadline_bandwidth(z_bits, ph, n0, tau):
@@ -132,8 +115,8 @@ def solve_link_bandwidth(z_bits, p, h, n0, tcom_target, who="link"):
     """Closed-form deadline bandwidth for one link, verified by residual.
 
     Raises InfeasibleAllocationError naming the link when the deadline
-    cannot be met by any bandwidth. Falls back to bisection if the
-    closed form fails residual verification.
+    cannot be met by any bandwidth, and RuntimeError naming the link when
+    the closed form misses the deadline by more than 1e-9 relative.
     """
     if tcom_target <= 0.0:
         raise InfeasibleAllocationError(
@@ -148,8 +131,10 @@ def solve_link_bandwidth(z_bits, p, h, n0, tcom_target, who="link"):
             f"power-limited ceiling {cap:.6g} bit/s")
     b = float(deadline_bandwidth(z_bits, p * h, n0, tcom_target))
     achieved = tcom(z_bits, uplink_rate(b, p, h, n0))
-    if not np.isfinite(b) or abs(achieved - tcom_target) > 1e-9 * tcom_target:
-        b = bisect_link_bandwidth(z_bits, p, h, n0, tcom_target)
+    miss = abs(achieved - tcom_target) / tcom_target
+    if not miss <= 1e-9:
+        raise RuntimeError(f"{who}: the closed-form bandwidth {b:.6g} Hz "
+                           f"misses the deadline by {miss:.3g} relative")
     return b
 
 

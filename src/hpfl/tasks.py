@@ -28,8 +28,9 @@ per batch entry, ``grad`` and ``hvp`` one ``(..., P)`` vector, ``predict``
 one ``(..., n)`` label array.  Products are stacked ``np.matmul`` calls, so
 each UE's result is the same BLAS call a single shard makes, bit for bit.
 The Hessian is never materialized.  Logits are class-major, ``(..., c, n)``,
-so the softmax runs down the short class axis over all samples at once; its
-sums keep NumPy's row-major order, so outputs are those of row-major logits.
+so the softmax runs down the short class axis over all samples at once.  Its
+sums and means are plain NumPy reductions, and ``predict`` takes its argmax
+over the same class-major logits.
 """
 
 from dataclasses import dataclass
@@ -109,41 +110,16 @@ def _pack(batch, *parts):
     return np.concatenate([p.reshape(batch + (-1,)) for p in parts], axis=-1)
 
 
-def _class_sum(a):
-    """Sum over the classes of ``a (..., c, n)`` in NumPy's pairwise order
-    for one contiguous row: one by one below 8 classes, eight running sums
-    added as a tree up to 128, two halves above."""
-    c = a.shape[-2]
-    if c > 128:
-        half = c // 2 - c // 2 % 8
-        return _class_sum(a[..., :half, :]) + _class_sum(a[..., half:, :])
-    out, tail = a[..., 0, :], 1
-    if c >= 8:
-        r, tail = a[..., :8, :], c - c % 8
-        for i in range(8, tail, 8):
-            r = r + a[..., i:i + 8, :]
-        out = ((r[..., 0, :] + r[..., 1, :]) + (r[..., 2, :] + r[..., 3, :])) \
-            + ((r[..., 4, :] + r[..., 5, :]) + (r[..., 6, :] + r[..., 7, :]))
-    for i in range(tail, c):
-        out = out + a[..., i, :]
-    return out
-
-
-def _sample_mean(a):
-    """Mean over the samples of ``a (..., c, n)``, added one by one."""
-    return np.ascontiguousarray(_t(a)).mean(axis=-2)
-
-
 def _softmax(z):
     """Class-major softmax of logits ``z (..., c, n)``."""
     e = np.exp(z - z.max(axis=-2, keepdims=True))
-    return e / _class_sum(e)[..., None, :]
+    return e / e.sum(axis=-2, keepdims=True)
 
 
 def _nll(z, y):
     """Mean negative log-likelihood of labels y (..., n) under logits z."""
     zs = z - z.max(axis=-2, keepdims=True)
-    log_norm = np.log(_class_sum(np.exp(zs)))
+    log_norm = np.log(np.exp(zs).sum(axis=-2))
     picked = np.take_along_axis(zs, y[..., None, :], axis=-2)[..., 0, :]
     return -(picked - log_norm).mean(axis=-1)
 
@@ -191,7 +167,7 @@ class LogisticModel:
         x = shard.x
         delta = _minus_onehot(_softmax(self._logits(w, x)), shard.y)
         g_w = delta @ x / shard.size
-        g_b = _sample_mean(delta)
+        g_b = delta.mean(axis=-1)
         return _pack(g_b.shape[:-1], g_w, g_b) + self.l2 * w
 
     def hvp(self, w, shard, v):
@@ -199,14 +175,13 @@ class LogisticModel:
         v_w, v_b = self._unpack(v)
         p = _softmax(self._logits(w, x))
         rz = v_w @ _t(x) + v_b[..., :, None]
-        rp = p * (rz - _class_sum(p * rz)[..., None, :])
+        rp = p * (rz - (p * rz).sum(axis=-2, keepdims=True))
         h_w = rp @ x / shard.size
-        h_b = _sample_mean(rp)
+        h_b = rp.mean(axis=-1)
         return _pack(h_b.shape[:-1], h_w, h_b) + self.l2 * v
 
     def predict(self, w, x):
-        weights, bias = self._unpack(w)
-        return np.argmax(x @ _t(weights) + bias[..., None, :], axis=-1)
+        return self._logits(w, x).argmax(axis=-2)
 
 
 class MLPModel:
@@ -254,7 +229,7 @@ class MLPModel:
         w2, a1, z2 = self._forward(w, shard.x)
         d2 = _minus_onehot(_softmax(z2), shard.y)
         g_w2 = d2 @ a1 / n
-        g_b2 = _sample_mean(d2)
+        g_b2 = d2.mean(axis=-1)
         d1 = (_t(d2) @ w2) * (1.0 - a1 ** 2)
         g_w1 = _t(d1) @ shard.x / n
         g_b1 = d1.mean(axis=-2)
@@ -271,10 +246,10 @@ class MLPModel:
         rz1 = x @ _t(v1) + vb1[..., None, :]
         ra1 = (1.0 - a1 ** 2) * rz1
         rz2 = v2 @ _t(a1) + w2 @ _t(ra1) + vb2[..., :, None]
-        rd2 = p * (rz2 - _class_sum(p * rz2)[..., None, :])
+        rd2 = p * (rz2 - (p * rz2).sum(axis=-2, keepdims=True))
 
         h_w2 = (rd2 @ a1 + d2 @ ra1) / n
-        h_b2 = _sample_mean(rd2)
+        h_b2 = rd2.mean(axis=-1)
 
         u = _t(d2) @ w2
         ru = _t(d2) @ v2 + _t(rd2) @ w2
@@ -284,9 +259,7 @@ class MLPModel:
         return _pack(h_b1.shape[:-1], h_w1, h_b1, h_w2, h_b2) + self.l2 * v
 
     def predict(self, w, x):
-        w1, b1, w2, b2 = self._unpack(w)
-        a1 = np.tanh(x @ _t(w1) + b1[..., None, :])
-        return np.argmax(a1 @ _t(w2) + b2[..., None, :], axis=-1)
+        return self._forward(w, x)[2].argmax(axis=-2)
 
 
 class QuadraticModel:

@@ -14,7 +14,6 @@ from hpfl.bandwidth import (
     bisect_link_bandwidth,
     deadline_bandwidth,
     equal_split,
-    lambert_w,
     power_limited_rate,
     progressive_fill,
     solve_link_bandwidth,
@@ -53,32 +52,25 @@ def group_latency(grp, b_ue, b_es, n0):
 
 
 class TestLambertW:
+    """W_{-1} on (-1/e, 0), the branch deadline_bandwidth prices links with."""
+
     def test_special_values(self):
-        assert lambert_w(-1.0 / np.e) == -1.0
-        assert abs(lambert_w(-2.0 * np.exp(-2.0)) + 2.0) < 1e-14
-        assert abs(lambert_w(-np.log(2.0) / 2.0) + np.log(4.0)) < 1e-14
+        assert abs(bandwidth._w_lower(-2.0 * np.exp(-2.0)) + 2.0) < 1e-14
+        assert abs(bandwidth._w_lower(-np.log(2.0) / 2.0) + np.log(4.0)) < 1e-14
 
     def test_defining_identity_branch_minus1(self):
         rng = np.random.default_rng(6)
         z = rng.uniform(-1.0 / np.e + 1e-12, -1e-12, size=400)
-        w = lambert_w(z)
+        w = bandwidth._w_lower(z)
         assert np.all(w <= -1.0)
         assert np.all(np.abs(w * np.exp(w) - z) <= 1e-11 * np.abs(z))
 
     def test_matches_scipy_away_from_branch_point(self):
         rng = np.random.default_rng(7)
         zm = rng.uniform(-1.0 / np.e + 1e-8, -1e-10, size=300)
-        ours = lambert_w(zm)
+        ours = bandwidth._w_lower(zm)
         ref = scipy.special.lambertw(zm, -1).real
         assert np.all(np.abs(ours - ref) <= 1e-9 * np.abs(ref))
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            lambert_w(-0.5)
-        with pytest.raises(ValueError):
-            lambert_w(0.1)
-        with pytest.raises(ValueError):
-            lambert_w(0.0)
 
 
 class TestLinkSolver:
@@ -127,6 +119,16 @@ class TestLinkSolver:
             solve_link_bandwidth(1e6, 0.01, 1e-8, N0, 1e-6, who="ue 3")
         with pytest.raises(InfeasibleAllocationError, match="not positive"):
             solve_link_bandwidth(1e6, 0.01, 1e-8, N0, 0.0)
+
+    def test_closed_form_miss_raises_naming_link(self, monkeypatch):
+        """A closed form off by 0.1% is reported, not replaced by bisection."""
+        exact = bandwidth.deadline_bandwidth
+        monkeypatch.setattr(bandwidth, "deadline_bandwidth",
+                            lambda *args: 1.001 * exact(*args))
+        with pytest.raises(RuntimeError, match=r"^ue 3: .* misses the deadline "
+                           r"by 0\.000\d+ relative$") as err:
+            solve_link_bandwidth(1e6, 0.01, 1e-8, N0, 1.0, who="ue 3")
+        assert not isinstance(err.value, InfeasibleAllocationError)
 
 
 class TestEqualSplit:

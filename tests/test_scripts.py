@@ -44,30 +44,44 @@ def _line(failed=0, **values):
                         for name, value in values.items()}}
 
 
+def _outputs(digest, loss, holds=None):
+    return {"rounds_csv_sha256": digest, "sim.final_loss": loss,
+            "sim.audit_holds_frac": holds}
+
+
 def test_bench_assembles_final_lines():
     """scripts/bench.py turns bench/run.py final lines into one record:
     per-seed runs and medians for each side, which side ran first, whether
-    both sides wrote the same rounds.csv per scenario seed, the change's
-    traced line, and every traced metric side by side."""
+    both sides wrote the same rounds.csv per scenario seed, the largest
+    relative difference of a sim.* statistic over the scenario seeds both
+    sides ran, the change's traced line, and every traced metric side by
+    side."""
     spec = importlib.util.spec_from_file_location(
         "bench_script", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    same = {1000: "a", 1001: "b"}
+    same = {1000: _outputs("a", 0.5), 1001: _outputs("b", 0.25)}
     runs = [
         ("parent", "desk", 1, 0, _line(round_ms_p50=25.0), same),
         ("change", "desk", 1, 0, _line(round_ms_p50=5.0), same),
-        ("change", "desk", 2, 0, _line(round_ms_p50=4.0), {2000: "c"}),
+        ("change", "desk", 2, 0, _line(round_ms_p50=4.0),
+         {2000: _outputs("c", 1.0)}),
         ("parent", "desk", 2, 0, _line(failed=1, round_ms_p50=27.0),
-         {2000: "c", 2001: "d"}),
-        ("change", "desk", 3, 0, _line(round_ms_p50=6.0), {3000: "e"}),
-        ("parent", "desk", 3, 0, _line(round_ms_p50=26.0), {3000: "f"}),
+         {2000: _outputs("c", 1.0), 2001: _outputs("d", 100.0)}),
+        ("change", "desk", 3, 0, _line(round_ms_p50=6.0),
+         {3000: _outputs("e", 5.0)}),
+        ("parent", "desk", 3, 0, _line(round_ms_p50=26.0),
+         {3000: _outputs("f", 4.0)}),
         ("parent", "desk", 1, 1, _line(**{"bandwidth.ms_per_round": 23.0}),
          None),
         ("change", "desk", 1, 1, _line(**{"bandwidth.ms_per_round": 2.0}),
          None),
         ("parent", "large", 1, 0, _line(round_ms_p50=17.0), same),
         ("change", "large", 1, 0, _line(round_ms_p50=13.0), same),
+        ("parent", "audit_mlp", 1, 0, _line(round_ms_p50=4.0),
+         {1000: _outputs("g", 0.5)}),
+        ("change", "audit_mlp", 1, 0, _line(round_ms_p50=4.0),
+         {1000: _outputs("g", 0.5, holds=1.0)}),
     ]
     out = bench.assemble(runs, {"nproc": 2}, "canned")
     pair = out["pairs"]["desk"]
@@ -76,6 +90,11 @@ def test_bench_assembles_final_lines():
     assert pair["same_outputs"] is False
     assert out["pairs"]["large"]["same_outputs"] is True
     assert out["pairs"]["large"]["outputs_differ"] == []
+    # seed 2001 ran on the parent only; seed 3000 differs by 1 in 5
+    assert pair["outputs_max_rel"] == 0.2
+    assert out["pairs"]["large"]["outputs_max_rel"] == 0.0
+    # a statistic on one side only differs without bound
+    assert out["pairs"]["audit_mlp"]["outputs_max_rel"] == float("inf")
     assert pair["seeds"] == [1, 2, 3]
     assert pair["first"] == ["parent", "change", "change"]
     assert pair["parent"]["runs"]["round_ms_p50"] == [25.0, 27.0, 26.0]

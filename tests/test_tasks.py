@@ -7,7 +7,7 @@ from hpfl import meta
 from hpfl.experiment import prepare
 from hpfl.scenario import Scenario
 from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
-                        QuadraticTask, TaskShard, _class_sum, _sample_mean)
+                        QuadraticTask, TaskShard)
 
 K, N, SAMPLES, DIM, CLASSES = 3, 4, 6, 5, 4
 
@@ -134,20 +134,61 @@ def test_federation_hands_out_views_of_one_stack(family):
                               else scn.dim)
 
 
-@pytest.mark.parametrize("classes", [2, 3, 7, 8, 9, 10, 16, 17, 130])
-def test_class_sum_keeps_the_row_major_order(classes):
-    """Class-major logits are summed over classes in the order NumPy sums a
-    contiguous row, so the softmax is the bits of the row-major one."""
-    e = np.exp(np.random.default_rng(classes).standard_normal((3, classes, 33)))
-    row_major = np.ascontiguousarray(np.swapaxes(e, -1, -2)).sum(axis=-1)
-    np.testing.assert_array_equal(_class_sum(e), row_major)
+def _reference_softmax_layer(h, y, weights, bias):
+    """Textbook row-major softmax regression of labels y (n,) on inputs
+    h (n, m): the probability rows P, the loss, the gradient blocks
+    (P - Y)'H / n and mean(P - Y), and the argmax labels."""
+    n, c = len(y), len(bias)
+    z = h @ weights.T + bias
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    loss = -np.mean(np.log(p[np.arange(n), y]))
+    delta = p - np.eye(c)[y]
+    return p, loss, delta.T @ h / n, delta.mean(axis=0), z.argmax(axis=1)
+
+
+def _assert_close(got, ref):
+    np.testing.assert_allclose(got, ref, rtol=1e-12,
+                               atol=1e-14 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("samples", [1, 7, 32, 33])
-def test_sample_mean_keeps_the_row_major_order(samples):
-    """The mean over samples of class-major values equals the row-major
-    mean over the sample axis of the same values, bit for bit."""
-    rows = np.random.default_rng(samples).standard_normal((2, 3, samples, 10))
-    class_major = np.ascontiguousarray(np.swapaxes(rows, -1, -2))
-    np.testing.assert_array_equal(_sample_mean(class_major),
-                                  rows.mean(axis=-2))
+@pytest.mark.parametrize("classes", [2, 3, 10, 17, 130])
+def test_logistic_kernels_match_the_row_major_reference(classes, samples):
+    """Class-major loss, grad, hvp and predict against row-major formulas."""
+    rng = np.random.default_rng(100 * classes + samples)
+    l2 = 1e-2
+    model = LogisticModel(DIM, classes, l2=l2)
+    shard = TaskShard(x=rng.standard_normal((samples, DIM)),
+                      y=rng.integers(0, classes, size=samples))
+    w, v = rng.standard_normal((2, model.n_params))
+    (weights, bias), (v_w, v_b) = model._unpack(w), model._unpack(v)
+    p, loss, g_w, g_b, labels = _reference_softmax_layer(
+        shard.x, shard.y, weights, bias)
+    # the softmax Jacobian diag(p) - p p' of each row times the logits' change
+    rz = shard.x @ v_w.T + v_b
+    rp = p * (rz - (p * rz).sum(axis=1, keepdims=True))
+    _assert_close(model.loss(w, shard), loss + 0.5 * l2 * w @ w)
+    _assert_close(model.grad(w, shard),
+                  np.concatenate([g_w.ravel(), g_b]) + l2 * w)
+    _assert_close(model.hvp(w, shard, v),
+                  np.concatenate([(rp.T @ shard.x / samples).ravel(),
+                                  rp.mean(axis=0)]) + l2 * v)
+    np.testing.assert_array_equal(model.predict(w, shard.x), labels)
+
+
+@pytest.mark.parametrize("samples", [1, 7, 32, 33])
+@pytest.mark.parametrize("classes", [2, 3, 10, 17, 130])
+def test_mlp_output_layer_matches_the_row_major_reference(classes, samples):
+    """The MLP's output-layer gradient and predict against row-major formulas."""
+    rng = np.random.default_rng(100 * classes + samples)
+    model = MLPModel(DIM, 3, classes)
+    shard = TaskShard(x=rng.standard_normal((samples, DIM)),
+                      y=rng.integers(0, classes, size=samples))
+    w = rng.standard_normal(model.n_params)
+    w1, b1, w2, b2 = model._unpack(w)
+    a1 = np.tanh(shard.x @ w1.T + b1)
+    _, _, g_w2, g_b2, labels = _reference_softmax_layer(a1, shard.y, w2, b2)
+    _assert_close(model.grad(w, shard)[-w2.size - b2.size:],
+                  np.concatenate([g_w2.ravel(), g_b2]))
+    np.testing.assert_array_equal(model.predict(w, shard.x), labels)
