@@ -18,10 +18,12 @@ default time.  The final JSON line of every run goes into BENCH_<pr>.json:
   statistic over the scenario seeds both sides ran;
 - ``traced``: the change's traced final line;
 - ``layers``: every traced metric, parent against change;
-- ``environment``: the machine, from the change's first result record.
+- ``environment``: the machine, from the change's first result record;
+- ``src_lines``: the line count of ``src/hpfl/*.py`` on each side.
 """
 
 import argparse
+import glob
 import json
 import math
 import os
@@ -57,6 +59,15 @@ def run_bench(checkout, workload, seed, trace):
     with open(result_path(checkout, workload, seed)) as fh:
         outputs = json.load(fh)["outputs"]
     return line, {int(s): o for s, o in outputs.items()}
+
+
+def src_lines(checkout):
+    """Lines in the checkout's src/hpfl/*.py files, as ``wc -l`` counts."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "hpfl", "*.py")):
+        with open(path) as fh:
+            total += fh.read().count("\n")
+    return total
 
 
 def relative_gap(a, b):
@@ -143,6 +154,7 @@ def main():
     with tempfile.TemporaryDirectory() as parent:
         export(args.parent, parent)
         where = {"parent": parent, "change": ROOT}
+        lines = {side: src_lines(where[side]) for side in SIDES}
         for workload in WORKLOADS:
             for i, seed in enumerate(SEEDS):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -170,10 +182,11 @@ def main():
         "at seed %d, and 'layers' every traced metric, parent against change. "
         "Host times are at the benchmark's reference speed."
         % (SEEDS[0], SEEDS[-1], parent_commit, SEEDS[0]))
+    record = assemble(runs, environment, description)
+    record["src_lines"] = lines
     out = os.path.join(ROOT, "BENCH_%d.json" % args.pr)
     with open(out, "w") as fh:
-        json.dump(assemble(runs, environment, description), fh, indent=1,
-                  sort_keys=True)
+        json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print("wrote", out)
 

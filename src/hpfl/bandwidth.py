@@ -10,8 +10,9 @@ A link's deadline bandwidth has a closed form through W_{-1}, the lower
 real solution of w e^w = z, found by Halley iteration to 1e-12 residual.
 progressive_fill solves the min-max KKT system by safeguarded Newton
 iteration and certifies its answer; equal_split gives each payload link
-B / L and prices each ES with network.es_latency.  Both pad the groups once
-into (K, M+1) arrays.
+B / L.  Both pad the groups once into (K, M+1) arrays in network's link
+layout, each ES's own link last, and price every ES's latency with
+network.es_latency over (K, M+1) upload times.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ class InfeasibleAllocationError(RuntimeError):
 
 _W_TOL = 1e-12          # Lambert-W residual, relative to |z|
 _HALLEY_ITERS = 40
+_KEEP_BELOW = -1.0 + 1e-16  # Halley's iterates stay on the W_{-1} branch
 # progressive_fill stops at stationarity _TOL with the demand in
 # [(1 - _GAP) B, B]; a link within _KINK of b_min is on its floor's kink
 _TOL = 1e-10
@@ -36,9 +38,16 @@ _SETTLE = 0.3
 _MAX_ITER = 100
 
 
-def _halley(w, z, keep_below):
-    """Vectorized Halley iteration on w e^w = z, kept below keep_below."""
-    z = np.asarray(z, dtype=float)
+def _w_lower(z):
+    """W_{-1} on (-1/e, 0), unchecked: a series or asymptotic start, then
+    Halley iteration that stays on that branch."""
+    p_sq = np.maximum(2.0 * (np.e * z + 1.0), 0.0)
+    p = np.sqrt(p_sq)
+    lz = np.log(-z)
+    llz = np.log(-lz)
+    w = np.minimum(np.where(p_sq < 0.5,
+                            -1.0 - p - p_sq / 3.0 - 11.0 / 72.0 * p * p_sq,
+                            lz - llz + llz / lz), -1.0 - 1e-12)
     scale = np.maximum(np.abs(z), 1e-290)
     for _ in range(_HALLEY_ITERS):
         ew = np.exp(w)
@@ -48,19 +57,8 @@ def _halley(w, z, keep_below):
         wp1 = np.where(np.abs(w + 1.0) < 1e-300, 1e-300, w + 1.0)
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         w_new = w - f / denom
-        w = np.where(w_new >= keep_below, (w + keep_below) / 2.0, w_new)
+        w = np.where(w_new >= _KEEP_BELOW, (w + _KEEP_BELOW) / 2.0, w_new)
     return w
-
-
-def _w_lower(z):
-    """W_{-1} on (-1/e, 0), unchecked: a series or asymptotic start + Halley."""
-    p_sq = np.maximum(2.0 * (np.e * z + 1.0), 0.0)
-    p = np.sqrt(p_sq)
-    lz = np.log(-z)
-    llz = np.log(-lz)
-    w = np.where(p_sq < 0.5, -1.0 - p - p_sq / 3.0 - 11.0 / 72.0 * p * p_sq,
-                 lz - llz + llz / lz)
-    return _halley(np.minimum(w, -1.0 - 1e-12), z, keep_below=-1.0 + 1e-16)
 
 
 def deadline_bandwidth(z_bits, ph, n0, tau):
@@ -217,9 +215,8 @@ def _result(stack, b, latencies=None, work=1, stationarity=np.nan):
     are priced with es_latency unless given."""
     b_ue, b_es = b[:, :-1], b[:, -1].copy()
     if latencies is None:
-        latencies = es_latency(stack.tcmp_ue, stack.ph[:, :-1], stack.ph[:, -1],
-                               stack.z[:, :-1], stack.z[:, -1], b_ue, b_es,
-                               stack.problem.n0)
+        latencies = es_latency(stack.tcmp_ue, tcom(stack.z, uplink_rate(
+            b, 1.0, stack.ph, stack.problem.n0)))
     used_b = float(b_ue.sum() + b_es.sum())
     return AllocationResult(
         b_ue=np.split(b_ue[stack.real], np.cumsum(stack.real.sum(axis=1))[:-1]),
@@ -282,7 +279,7 @@ def progressive_fill(problem):
                 piece[1], o_at - tf_es), piece[1]))
         return lo, hi
 
-    o_eq = float(np.max(np.max(t_ue + t_eq[:, :-1], axis=1) + t_eq[:, -1]))
+    o_eq = float(es_latency(t_ue, t_eq).max())
     # start where each link needs c / tau, c its bandwidth-time at the equal
     # share: server k then splits O - t_k as sqrt(C_ue) : sqrt(c_es) and
     # needs (sqrt(C_ue) + sqrt(c_es))^2 / (O - t_k)
@@ -322,7 +319,7 @@ def progressive_fill(problem):
             np.abs(d1).sum(axis=1), np.finfo(float).tiny)).max())
         if demand <= total:     # a link at the floor uploads in t_floor
             t = np.where(b > raw, t_floor, tau) * (z > 0.0)
-            kept = (b, (t_ue + t[:, :-1]).max(axis=1) + t[:, -1], stationarity)
+            kept = (b, es_latency(t_ue, t), stationarity)
             if demand >= total * (1.0 - _GAP) and stationarity <= _TOL:
                 break
         # O is past the root if its demand is within the target, short of it

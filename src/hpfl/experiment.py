@@ -40,6 +40,7 @@ CSV_HEADER = "round,loss,acc,latency,importance,A_eff,runtime_us,bound_rhs"
 AUDIT_HEADER = "round,f_t,f_next,descent,bound,holds"
 SWEEP_HEADER = "value,final_loss,mean_latency,mean_importance,mean_a_eff"
 
+MAX_SWEEP_VALUES = 1000
 _TASK_STREAM = 101
 _TOPOLOGY_STREAM = 131
 _INIT_STREAM = 151
@@ -260,7 +261,10 @@ def run_audit(scenario, out_dir=None):
 
 
 def parse_sweep_values(spec):
-    """Parse a sweep value list: 'a:b:step' (inclusive) or 'v1,v2,...'."""
+    """Parse a sweep value list: 'a:b:step' (inclusive) or 'v1,v2,...'.
+
+    A range gives at most MAX_SWEEP_VALUES values, each rounded to 12
+    significant digits of the range's magnitude; list values stay as typed."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
@@ -273,14 +277,17 @@ def parse_sweep_values(spec):
         if not np.isfinite([start, stop, step, steps]).all():
             raise ValueError("--values: start, stop, step and the step count "
                              "must be finite, got %r" % (spec,))
-        n = int(np.floor(steps + 0.5)) + 1
-        vals = [start + i * step for i in range(max(n, 1))]
-        vals = [v for v in vals if v <= stop + 1e-12]
+        n = int(np.floor(steps + 1e-9)) + 1
+        if n > MAX_SWEEP_VALUES:
+            raise ValueError("--values: %r gives more than %d values"
+                             % (spec, MAX_SWEEP_VALUES))
+        digits = 12 - int(np.floor(np.log10(max(abs(start), abs(stop), step))))
+        vals = [round(start + i * step, digits) for i in range(n)]
     else:
         vals = [float(p) for p in spec.split(",") if p.strip()]
     if not vals:
         raise ValueError("no sweep values given")
-    return tuple(round(v, 10) for v in vals)
+    return tuple(vals)
 
 
 def _sweep_one(scenario, param, value, out_dir):

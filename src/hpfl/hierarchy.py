@@ -29,7 +29,8 @@ import numpy as np
 
 from . import meta
 from .bandwidth import AllocationProblem, ESGroup, equal_split, progressive_fill
-from .network import dbm_per_hz_to_w, es_latency, sample_channels, tcmp
+from .network import (dbm_per_hz_to_w, es_latency, sample_channels, tcmp,
+                      tcom, uplink_rate)
 from .scheduler import baseline_select, objective_value, schedule
 
 __all__ = [
@@ -179,17 +180,17 @@ class RoundEngine:
                 acc = int(np.sum(pred == eval_.y)) / eval_.y.size
         return float(np.mean(losses)), float(acc), theta
 
-    def _allocate(self, members, ph_ue, ph_es):
+    def _allocate(self, members, ph):
         """Bandwidth split over the servers masked by ``members``.
 
-        ``ph_ue`` (K, N) and ``ph_es`` (K,) are this round's transmit power
-        times channel gain.  Returns (per-ES latency array over the
-        members, solver work units).
+        ``ph`` (K, N+1) is this round's transmit power times channel gain,
+        each server's own link last.  Returns (per-ES latency array over
+        the members, solver work units).
         """
         p = self.scenario
         groups = tuple(
-            ESGroup(tcmp_ue=self.tcmp_ue, ph_ue=ph_ue[i], ph_es=float(ph_es[i]),
-                    z_ue=p.z_bits, z_es=p.z_bits)
+            ESGroup(tcmp_ue=self.tcmp_ue, ph_ue=ph[i, :-1],
+                    ph_es=float(ph[i, -1]), z_ue=p.z_bits, z_es=p.z_bits)
             for i in np.flatnonzero(members))
         problem = AllocationProblem(groups=groups, n0=self.n0,
                                     total_b=p.total_b, b_min=p.b_min)
@@ -205,19 +206,15 @@ class RoundEngine:
         k = p.k
         loss, acc, theta = self._evaluate()
         self._refresh(theta)
-        snapshot = sample_channels(self.topology, p.seed, self.t)
-        ph_ue = p.p_ue * snapshot.h_ue
-        ph_es = p.p_es * snapshot.h_es
+        ph = np.append(np.full(p.n_k, p.p_ue), p.p_es) * sample_channels(
+            self.topology, p.seed, self.t)
 
         latencies = np.empty(k)
-        latencies[self.work_set], work = self._allocate(self.work_set, ph_ue,
-                                                        ph_es)
+        latencies[self.work_set], work = self._allocate(self.work_set, ph)
         idle = ~self.work_set
         if idle.any():
-            z, share = p.z_bits, self.idle_share
-            latencies[idle] = es_latency(self.tcmp_ue, ph_ue[idle],
-                                         ph_es[idle], z, z, share, share,
-                                         self.n0)
+            rate = uplink_rate(self.idle_share, 1.0, ph[idle], self.n0)
+            latencies[idle] = es_latency(self.tcmp_ue, tcom(p.z_bits, rate))
 
         importance = self.grad_norm_sq
         capped = False
@@ -235,7 +232,7 @@ class RoundEngine:
         # servers picked outside the working set need bandwidth they never
         # had, so the physical round re-splits over the actual uploaders
         if not np.array_equal(pi, self.work_set):
-            sel_lat, extra = self._allocate(pi, ph_ue, ph_es)
+            sel_lat, extra = self._allocate(pi, ph)
             work += extra
             latency = float(sel_lat.max())
         else:

@@ -7,10 +7,11 @@ spectral density N0 in W/Hz. Channel gains combine a fixed path-loss
 factor o * d^-2 with a per-round unit-mean exponential fading multiplier
 (Rayleigh amplitude means exponential power).
 
-An ES's round latency (es_latency, used by the allocator and for idle
-servers) is the slowest of its UEs (compute plus upload) plus its own
-upload to the cloud; the system round latency is the max over the
-selected ESs. Aggregation time is ignored as negligible.
+Links are laid out as (..., N+1), an ES's N UE links and then its own link
+to the cloud: sample_channels draws gains and es_latency prices upload
+times in that layout.  An ES's round latency is the slowest of its UEs
+(compute plus upload) plus its own upload; the system round latency is
+the max over the selected ESs. Aggregation time is ignored as negligible.
 """
 
 from dataclasses import dataclass
@@ -37,32 +38,24 @@ def tcmp(c_cycles, d_bits, delta):
 
 def uplink_rate(b, p, h, n0):
     """Shannon uplink rate in bit/s; zero bandwidth gives rate 0."""
-    scalar = np.ndim(b) == 0 and np.ndim(p) == 0 and np.ndim(h) == 0
-    b, p, h = np.broadcast_arrays(np.atleast_1d(np.asarray(b, dtype=float)),
-                                  np.asarray(p, dtype=float),
-                                  np.asarray(h, dtype=float))
-    pos = b > 0.0
-    with np.errstate(divide="ignore", over="ignore"):
-        snr = np.divide(p * h, b * n0, out=np.zeros_like(b), where=pos)
-    out = np.where(pos, b * np.log2(1.0 + snr), 0.0)
-    # below about 1e-297 Hz, b * n0 underflows and the SNR overflows; there
-    # 1 + snr rounds to snr, so take log2(snr) as a difference of logs
-    big = np.isinf(snr)
-    if big.any():
-        out[big] = b[big] * (np.log2(p[big] * h[big]) - np.log2(b[big])
-                             - np.log2(n0))
-    if scalar:
-        return float(out[0])
-    return out
+    b = np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        snr = p * h / (b * n0)
+        # below about 1e-297 Hz, b * n0 underflows and the SNR overflows;
+        # there 1 + snr rounds to snr, so log2(snr) is a difference of logs
+        rate = b * np.where(np.isinf(snr),
+                            np.log2(p * h) - np.log2(b) - np.log2(n0),
+                            np.log2(1.0 + snr))
+    return np.where(b > 0.0, rate, 0.0)[()]
 
 
-def es_latency(tcmp_ue, ph_ue, ph_es, z_ue, z_es, b_ue, b_es, n0):
+def es_latency(tcmp_ue, t):
     """Round latency of each ES: slowest UE (compute plus upload) + own upload.
 
-    UE arguments broadcast to (..., N), ES arguments to (...); ph = p h.
+    ``t`` holds upload times as (..., N+1), the ES's own link last;
+    ``tcmp_ue`` broadcasts against its first N.
     """
-    t_ue = tcmp_ue + tcom(z_ue, uplink_rate(b_ue, 1.0, ph_ue, n0))
-    return t_ue.max(axis=-1) + tcom(z_es, uplink_rate(b_es, 1.0, ph_es, n0))
+    return (tcmp_ue + t[..., :-1]).max(axis=-1) + t[..., -1]
 
 
 def power_limited_rate(p, h, n0):
@@ -72,16 +65,9 @@ def power_limited_rate(p, h, n0):
 
 def tcom(z_bits, rate):
     """Upload time Z / r; rate 0, or a time past the float range, is inf."""
-    scalar = np.ndim(z_bits) == 0 and np.ndim(rate) == 0
-    z, r = np.broadcast_arrays(np.atleast_1d(np.asarray(z_bits, dtype=float)),
-                               np.asarray(rate, dtype=float))
-    out = np.full(z.shape, np.inf)
-    with np.errstate(over="ignore"):
-        np.divide(z, r, out=out, where=r > 0.0)
-    out[z == 0.0] = 0.0
-    if scalar:
-        return float(out[0])
-    return out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = np.divide(z_bits, rate)
+    return np.where(z_bits == 0.0, 0.0, np.where(rate > 0.0, t, np.inf))[()]
 
 
 @dataclass(frozen=True)
@@ -108,23 +94,14 @@ def sample_topology(rng, k, n_k, d_ue_range=(2.0, 50.0),
                     o_ue=db_to_linear(o_ue_db), o_es=db_to_linear(o_es_db))
 
 
-@dataclass(frozen=True)
-class ChannelSnapshot:
-    """Per-round channel gains: h = o * d^-2 * fading, fading ~ Exp(1).
-
-    h_ue is (K, N) like the topology's d_ue, h_es is (K,).
-    """
-
-    h_ue: np.ndarray
-    h_es: np.ndarray
-
-
 def sample_channels(topology, seed, round_index):
-    """Fading resampled each round, deterministic per (seed, round)."""
+    """Per-round gains h = o * d^-2 * fading, fading ~ Exp(1), as (K, N+1):
+    row k holds ES k's UE links, then its own.  Fading is resampled each
+    round, deterministic per (seed, round)."""
     rng = np.random.default_rng(
         np.random.SeedSequence([int(seed), 211, int(round_index)]))
     h_ue = topology.o_ue * topology.d_ue ** -2.0 * rng.exponential(
         1.0, size=topology.d_ue.shape)
     h_es = topology.o_es * topology.d_es ** -2.0 * rng.exponential(
         1.0, size=topology.d_es.shape)
-    return ChannelSnapshot(h_ue=h_ue, h_es=h_es)
+    return np.column_stack([h_ue, h_es])

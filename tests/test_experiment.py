@@ -164,6 +164,19 @@ class TestSweep:
         assert parse_sweep_values("0.4:0.8:0.2") == (0.4, 0.6, 0.8)
         assert parse_sweep_values("1,2,5") == (1.0, 2.0, 5.0)
         assert parse_sweep_values("3") == (3.0,)
+        assert parse_sweep_values("0.1:0.3:0.1") == (0.1, 0.2, 0.3)
+        assert parse_sweep_values("-0.3:0.3:0.1") == (
+            -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
+
+    def test_parse_keeps_small_values(self):
+        assert parse_sweep_values("1e-11,2e-11") == (1e-11, 2e-11)
+        assert parse_sweep_values("1e-12:3e-12:1e-12") == (1e-12, 2e-12, 3e-12)
+        assert parse_sweep_values("0:2.6e-13:1e-13") == (0.0, 1e-13, 2e-13)
+
+    def test_parse_rejects_a_long_range_before_building_it(self):
+        with pytest.raises(ValueError, match="--values: .* more than 1000"):
+            parse_sweep_values("0:1:1e-12")
+        assert len(parse_sweep_values("1:1000:1")) == 1000
 
     def test_parse_rejects_junk(self):
         with pytest.raises(ValueError):
@@ -226,7 +239,7 @@ class TestSweepCli:
         assert code == 2
         assert "config error: k: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("values", ["0:inf:1", "nan:1:0.1"])
+    @pytest.mark.parametrize("values", ["0:inf:1", "nan:1:0.1", "0:1:1e-12"])
     def test_non_finite_range_is_config_error(self, tmp_path, capsys, values):
         code, out = _sweep(tmp_path, "rho", values)
         assert code == 2

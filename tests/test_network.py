@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hpfl.network import (ChannelSnapshot, dbm_per_hz_to_w, db_to_linear,
+from hpfl.network import (dbm_per_hz_to_w, db_to_linear, es_latency,
                           power_limited_rate, sample_channels,
                           sample_topology, tcmp, tcom, uplink_rate)
 
@@ -90,6 +90,44 @@ def test_tcom_sentinels():
     assert tcom(0.0, 1e6) == 0.0
 
 
+def test_scalar_calls_return_floats():
+    for value in (uplink_rate(1e6, 0.01, 1e-8, N0_TABLE),
+                  uplink_rate(0.0, 0.01, 1e-8, N0_TABLE),
+                  uplink_rate(1e-305, 0.01, 1e-8, N0_TABLE),
+                  tcom(1e6, 2e6), tcom(1e6, 0.0), tcom(0.0, 0.0)):
+        assert isinstance(value, float)
+
+
+def test_es_latency_matches_per_link_reference():
+    """Pricing a (K, N+1) link array in one call, each ES's own link last,
+    gives the bits of scalar uplink_rate/tcom calls link by link, also at
+    zero payloads, zero bandwidth and bandwidths where the SNR overflows."""
+    rng = np.random.default_rng(11)
+    k, n = 8, 5
+    tcmp_ue = rng.uniform(0.0, 0.05, size=(k, n))
+    ph = 0.01 * 10.0 ** rng.uniform(-11.0, -7.0, size=(k, n + 1))
+    z = rng.uniform(1e5, 1e7, size=(k, n + 1))
+    b = 10.0 ** rng.uniform(2.0, 7.0, size=(k, n + 1))
+    z[0, 1] = z[1, -1] = 0.0
+    z[2] = 0.0
+    b[0, 1] = b[3, 0] = b[3, -1] = b[2, 2] = 0.0
+    b[4, 2], b[4, -1], b[5, 3], b[6, 0] = 1e-300, 2.2e-313, 1e-305, 5e-324
+    rate = uplink_rate(b, 1.0, ph, N0_TABLE)
+    assert np.isfinite(rate).all()
+    got = es_latency(tcmp_ue, tcom(z, rate))
+
+    def t(i, j):
+        return tcom(z[i, j], uplink_rate(b[i, j], 1.0, ph[i, j], N0_TABLE))
+
+    want = [max(tcmp_ue[i, j] + t(i, j) for j in range(n)) + t(i, n)
+            for i in range(k)]
+    assert got.shape == (k,)
+    np.testing.assert_array_equal(got, want)
+    # a payload without bandwidth never uploads; an ES without payload
+    # waits only on its UEs' compute
+    assert np.isinf(got[3]) and got[2] == tcmp_ue[2].max()
+
+
 def test_sample_topology_ranges():
     rng = np.random.default_rng(3)
     topo = sample_topology(rng, 4, 3)
@@ -106,11 +144,11 @@ def test_sample_channels_deterministic():
     topo = sample_topology(rng, 2, 2)
     a = sample_channels(topo, seed=9, round_index=5)
     b = sample_channels(topo, seed=9, round_index=5)
-    assert a.h_ue.shape == (2, 2)
-    np.testing.assert_array_equal(a.h_ue, b.h_ue)
-    np.testing.assert_array_equal(a.h_es, b.h_es)
+    assert a.shape == (2, 3)
+    np.testing.assert_array_equal(a[:, :-1], b[:, :-1])
+    np.testing.assert_array_equal(a[:, -1], b[:, -1])
     c = sample_channels(topo, seed=9, round_index=6)
-    assert not np.array_equal(a.h_es, c.h_es)
+    assert not np.array_equal(a[:, -1], c[:, -1])
 
 
 def test_channel_gain_empirical_mean():
@@ -121,7 +159,7 @@ def test_channel_gain_empirical_mean():
                     o_ue=10 ** -3.6, o_es=10 ** -4.0)
     snap = sample_channels(topo, seed=0, round_index=0)
     expected = 10 ** -3.6 * 10.0 ** -2
-    assert np.mean(snap.h_ue[0]) == pytest.approx(expected, rel=0.02)
+    assert np.mean(snap[0, :-1]) == pytest.approx(expected, rel=0.02)
 
 
 def test_channel_path_loss_ratio():
@@ -132,5 +170,5 @@ def test_channel_path_loss_ratio():
                     d_es=np.array([100.0, 100.0]),
                     o_ue=10 ** -3.6, o_es=10 ** -4.0)
     snap = sample_channels(topo, seed=1, round_index=0)
-    ratio = np.mean(snap.h_ue[0]) / np.mean(snap.h_ue[1])
+    ratio = np.mean(snap[0, :-1]) / np.mean(snap[1, :-1])
     assert ratio == pytest.approx(625.0, rel=0.05)

@@ -49,6 +49,27 @@ def _outputs(digest, loss, holds=None):
             "sim.audit_holds_frac": holds}
 
 
+def _bench_module():
+    spec = importlib.util.spec_from_file_location(
+        "bench_script", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_counts_source_lines(tmp_path):
+    """src_lines counts the lines of src/hpfl/*.py as wc -l does: newlines,
+    in .py files directly under src/hpfl only."""
+    pkg = tmp_path / "src" / "hpfl"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("\n\n\nz = 3")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (pkg / "sub" / "c.py").write_text("not counted\n")
+    bench = _bench_module()
+    assert bench.src_lines(str(tmp_path)) == 5
+
+
 def test_bench_assembles_final_lines():
     """scripts/bench.py turns bench/run.py final lines into one record:
     per-seed runs and medians for each side, which side ran first, whether
@@ -56,10 +77,7 @@ def test_bench_assembles_final_lines():
     relative difference of a sim.* statistic over the scenario seeds both
     sides ran, the change's traced line, and every traced metric side by
     side."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_script", ROOT / "scripts" / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _bench_module()
     same = {1000: _outputs("a", 0.5), 1001: _outputs("b", 0.25)}
     runs = [
         ("parent", "desk", 1, 0, _line(round_ms_p50=25.0), same),
