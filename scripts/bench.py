@@ -37,6 +37,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("desk", "large", "audit_mlp")
 SIDES = ("parent", "change")
 SEEDS = tuple(range(1, 11))
+STDERR_TAIL = 20
+
+
+class BenchRunError(RuntimeError):
+    """A bench/run.py run that exited non-zero."""
 
 
 def result_path(checkout, workload, seed):
@@ -45,14 +50,24 @@ def result_path(checkout, workload, seed):
                         "%s-seed%d-trace0.json" % (workload, seed))
 
 
-def run_bench(checkout, workload, seed, trace):
+def run_bench(side, checkout, workload, seed, trace):
     """One bench/run.py run in ``checkout``: its final JSON line, and for
     ``--trace 0`` the outputs of each scenario seed (else None): its
-    ``sim.*`` statistics and rounds.csv digest."""
+    ``sim.*`` statistics and rounds.csv digest.
+
+    A run that exits non-zero raises BenchRunError naming the side, the
+    workload, the seed and the trace flag, with the last lines of stderr.
+    """
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"), "--workload",
          workload, "--seed", str(seed), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        tail = proc.stderr.splitlines()[-STDERR_TAIL:]
+        raise BenchRunError(
+            "%s run failed: bench/run.py --workload %s --seed %d --trace %d "
+            "exited %d; its stderr ends:\n%s"
+            % (side, workload, seed, trace, proc.returncode, "\n".join(tail)))
     line = json.loads(proc.stdout.strip().splitlines()[-1])
     if trace:
         return line, None
@@ -159,12 +174,13 @@ def main():
             for i, seed in enumerate(SEEDS):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    line, outputs = run_bench(where[side], workload, seed, 0)
+                    line, outputs = run_bench(side, where[side], workload,
+                                              seed, 0)
                     runs.append((side, workload, seed, 0, line, outputs))
                     print(side, workload, seed, json.dumps(line["metrics"]),
                           flush=True)
             for side in SIDES:
-                line, _ = run_bench(where[side], workload, SEEDS[0], 1)
+                line, _ = run_bench(side, where[side], workload, SEEDS[0], 1)
                 runs.append((side, workload, SEEDS[0], 1, line, None))
     with open(result_path(ROOT, WORKLOADS[0], SEEDS[0])) as fh:
         environment = json.load(fh)["environment"]

@@ -21,6 +21,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .meta import NonFiniteError
+
 
 class EstimationError(RuntimeError):
     """Raised when the probe sample is too degenerate to estimate from."""
@@ -48,15 +50,23 @@ def _ball_probes(rng, dim, count, center, radius):
     return center + radius * radii * u / norms
 
 
+def _probe(model, w, shards, dirs, grad_out, hvp_out):
+    """Gradient and HVPs at w from one forward pass, freed on return."""
+    state = model.forward(w, shards)
+    grad_out[...] = model.grad(w, shards, state).reshape(grad_out.shape)
+    for r, v in enumerate(dirs):
+        hvp_out[r] = model.hvp(w, shards, v, state).reshape(hvp_out.shape[1:])
+
+
 def estimate_constants(model, shards, alpha, probe_count=8, rng_seed=0,
                        center=None, radius=1.0, n_directions=3):
     """Sampled maxima of the smoothness and diversity quantities.
 
     shards stacks every UE's training shard along its leading axes (a
-    shard without batch axes counts as one UE); each probe point costs one
-    gradient call and one HVP call per direction over the whole stack.
+    shard without batch axes counts as one UE); at each probe point one
+    gradient call and one HVP call per direction share one forward pass.
     Deterministic given rng_seed. Raises EstimationError if all probe
-    points coincide.
+    points coincide, and NonFiniteError naming a non-finite constant.
     """
     if probe_count < 2:
         raise ValueError("probe_count must be at least 2")
@@ -79,9 +89,7 @@ def estimate_constants(model, shards, alpha, probe_count=8, rng_seed=0,
     grads = np.empty((probe_count, n_ue, dim))
     hvps = np.empty((probe_count, n_directions, n_ue, dim))
     for j, w in enumerate(probes):
-        grads[j] = model.grad(w, shards).reshape(n_ue, dim)
-        for r, v in enumerate(dirs):
-            hvps[j, r] = model.hvp(w, shards, v).reshape(n_ue, dim)
+        _probe(model, w, shards, dirs, grads[j], hvps[j])
 
     grad_max = float(np.linalg.norm(grads, axis=2).max())
 
@@ -106,11 +114,18 @@ def estimate_constants(model, shards, alpha, probe_count=8, rng_seed=0,
     hess_div = float(np.sqrt(hvps.sum(axis=3).mean(axis=2).max()))
 
     meta_lip = 4.0 * grad_lip + alpha * hess_lip * grad_max
-    meta_div_sq = 3.0 * grad_max ** 2 * alpha ** 2 * hess_div ** 2 + 192.0 * grad_div ** 2
-    return SmoothnessConstants(
+    try:
+        meta_div_sq = 3.0 * grad_max ** 2 * alpha ** 2 * hess_div ** 2 + 192.0 * grad_div ** 2
+    except OverflowError:   # a float ** raises where a * returns inf
+        meta_div_sq = np.inf
+    constants = SmoothnessConstants(
         grad_lip=grad_lip, grad_max=grad_max, hess_lip=hess_lip,
         grad_div=grad_div, hess_div=hess_div,
         meta_lip=meta_lip, meta_div_sq=meta_div_sq)
+    for name, value in constants.to_dict().items():
+        if not np.isfinite(value):
+            raise NonFiniteError("non-finite constant %s" % name)
+    return constants
 
 
 def bound_constants(beta, s, a, k, meta_div_sq):

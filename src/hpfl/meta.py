@@ -25,14 +25,14 @@ class NonFiniteError(ValueError):
 
 
 def _check_finite(arr, what, context, vectors=True):
-    """Raise NonFiniteError at the first row of arr that is not finite.
+    """Return arr, raising NonFiniteError at its first row not finite.
 
     A row is one parameter vector (the last axis) when ``vectors`` is
     true, and one value otherwise.
     """
     finite = np.isfinite(arr)
     if finite.all():
-        return
+        return arr
     bad = ~finite.all(axis=-1) if vectors else ~finite
     if callable(context):
         context = context(tuple(int(i) for i in np.argwhere(bad)[0]))
@@ -42,8 +42,7 @@ def _check_finite(arr, what, context, vectors=True):
 
 def adapt(model, w, shard, alpha, context=""):
     """One-step adapted parameters theta = w - alpha * grad(w)."""
-    g = model.grad(w, shard)
-    _check_finite(g, "adaptation gradient", context)
+    g = _check_finite(model.grad(w, shard), "adaptation gradient", context)
     return w - alpha * g
 
 
@@ -58,13 +57,17 @@ def meta_grad(model, w, shard, alpha, context="", theta=None):
     """Exact gradient of meta_loss via two gradients and one HVP.
 
     A caller that already holds ``theta = adapt(model, w, shard, alpha)``
-    passes it, and the adaptation gradient is not computed again.
+    passes it; otherwise the adaptation gradient and the HVP share the
+    forward state at ``w`` (see tasks.py).
     """
+    state = None
     if theta is None:
-        theta = adapt(model, w, shard, alpha, context)
+        state = model.forward(w, shard)
+        g = model.grad(w, shard, state)
+        theta = w - alpha * _check_finite(g, "adaptation gradient", context)
     g2 = model.grad(theta, shard)
     _check_finite(g2, "adapted-point gradient", context)
-    out = g2 - alpha * model.hvp(w, shard, g2)
+    out = g2 - alpha * model.hvp(w, shard, g2, state)
     _check_finite(out, "meta gradient", context)
     return out
 

@@ -30,7 +30,9 @@ each UE's result is the same BLAS call a single shard makes, bit for bit.
 The Hessian is never materialized.  Logits are class-major, ``(..., c, n)``,
 so the softmax runs down the short class axis over all samples at once.  Its
 sums and means are plain NumPy reductions, and ``predict`` takes its argmax
-over the same class-major logits.
+over the same class-major logits.  ``forward(w, shard)`` returns the state
+that ``grad`` and ``hvp`` build at ``w`` unless handed it as ``state``, so a
+gradient and its HVPs at one point share one forward pass, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -163,20 +165,23 @@ class LogisticModel:
         nll = _nll(self._logits(w, shard.x), shard.y)
         return nll + 0.5 * self.l2 * _dot(w, w)
 
-    def grad(self, w, shard):
-        x = shard.x
-        delta = _minus_onehot(_softmax(self._logits(w, x)), shard.y)
-        g_w = delta @ x / shard.size
+    def forward(self, w, shard):
+        """The state: class-major softmax probabilities (..., c, n)."""
+        return _softmax(self._logits(w, shard.x))
+
+    def grad(self, w, shard, state=None):
+        p = self.forward(w, shard) if state is None else state
+        delta = _minus_onehot(p, shard.y)
+        g_w = delta @ shard.x / shard.size
         g_b = delta.mean(axis=-1)
         return _pack(g_b.shape[:-1], g_w, g_b) + self.l2 * w
 
-    def hvp(self, w, shard, v):
-        x = shard.x
+    def hvp(self, w, shard, v, state=None):
         v_w, v_b = self._unpack(v)
-        p = _softmax(self._logits(w, x))
-        rz = v_w @ _t(x) + v_b[..., :, None]
+        p = self.forward(w, shard) if state is None else state
+        rz = v_w @ _t(shard.x) + v_b[..., :, None]
         rp = p * (rz - (p * rz).sum(axis=-2, keepdims=True))
-        h_w = rp @ x / shard.size
+        h_w = rp @ shard.x / shard.size
         h_b = rp.mean(axis=-1)
         return _pack(h_b.shape[:-1], h_w, h_b) + self.l2 * v
 
@@ -213,21 +218,26 @@ class MLPModel:
         b2 = np.zeros(c)
         return np.concatenate([w1, b1, w2, b2])
 
-    def _forward(self, w, x):
+    def _logits(self, w, x):
         """Output weights, activations (..., n, h) and class-major logits."""
         w1, b1, w2, b2 = self._unpack(w)
         a1 = np.tanh(x @ _t(w1) + b1[..., None, :])
         z2 = w2 @ _t(a1) + b2[..., :, None]
         return w2, a1, z2
 
+    def forward(self, w, shard):
+        """The state: output weights, activations, class-major softmax."""
+        w2, a1, z2 = self._logits(w, shard.x)
+        return w2, a1, _softmax(z2)
+
     def loss(self, w, shard):
-        _, _, z2 = self._forward(w, shard.x)
+        _, _, z2 = self._logits(w, shard.x)
         return _nll(z2, shard.y) + 0.5 * self.l2 * _dot(w, w)
 
-    def grad(self, w, shard):
+    def grad(self, w, shard, state=None):
         n = shard.size
-        w2, a1, z2 = self._forward(w, shard.x)
-        d2 = _minus_onehot(_softmax(z2), shard.y)
+        w2, a1, p = self.forward(w, shard) if state is None else state
+        d2 = _minus_onehot(p, shard.y)
         g_w2 = d2 @ a1 / n
         g_b2 = d2.mean(axis=-1)
         d1 = (_t(d2) @ w2) * (1.0 - a1 ** 2)
@@ -235,12 +245,11 @@ class MLPModel:
         g_b1 = d1.mean(axis=-2)
         return _pack(g_b1.shape[:-1], g_w1, g_b1, g_w2, g_b2) + self.l2 * w
 
-    def hvp(self, w, shard, v):
+    def hvp(self, w, shard, v, state=None):
         n = shard.size
         x = shard.x
-        w2, a1, z2 = self._forward(w, x)
+        w2, a1, p = self.forward(w, shard) if state is None else state
         v1, vb1, v2, vb2 = self._unpack(v)
-        p = _softmax(z2)
         d2 = _minus_onehot(p, shard.y)
 
         rz1 = x @ _t(v1) + vb1[..., None, :]
@@ -259,7 +268,7 @@ class MLPModel:
         return _pack(h_b1.shape[:-1], h_w1, h_b1, h_w2, h_b2) + self.l2 * v
 
     def predict(self, w, x):
-        return self._forward(w, x)[2].argmax(axis=-2)
+        return self._logits(w, x)[2].argmax(axis=-2)
 
 
 class QuadraticModel:
@@ -284,10 +293,13 @@ class QuadraticModel:
         r = w - shard.a
         return 0.5 * _dot(r, self._apply_q(shard, r))
 
-    def grad(self, w, shard):
+    def forward(self, w, shard):
+        return None
+
+    def grad(self, w, shard, state=None):
         return self._apply_q(shard, w - shard.a)
 
-    def hvp(self, w, shard, v):
+    def hvp(self, w, shard, v, state=None):
         return self._apply_q(shard, v)
 
     def predict(self, w, x):

@@ -5,7 +5,9 @@ import pytest
 
 from hpfl.constants import (EstimationError, bound_constants,
                             estimate_constants)
-from hpfl.tasks import QuadraticModel, QuadraticTask
+from hpfl.meta import NonFiniteError
+from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
+                        QuadraticTask, TaskShard)
 
 
 def _stacked(*tasks):
@@ -51,6 +53,30 @@ def test_derived_fields_satisfy_formulas():
     for name in ("grad_lip", "grad_max", "hess_lip", "grad_div", "hess_div",
                  "meta_lip", "meta_div_sq"):
         assert getattr(c, name) >= 0.0
+
+
+@pytest.mark.parametrize("model", [LogisticModel(4, 3, l2=1e-2),
+                                   MLPModel(4, 5, 3, l2=1e-2)],
+                         ids=["logistic", "mlp"])
+def test_each_probe_makes_one_forward_pass(forward_points, model):
+    """A probe's gradient and its HVPs share one forward pass."""
+    rng = np.random.default_rng(2)
+    shards = TaskShard(x=rng.standard_normal((2, 3, 7, 4)),
+                       y=rng.integers(0, 3, size=(2, 3, 7)))
+    points = forward_points(type(model))
+    estimate_constants(model, shards, 0.1, probe_count=5, rng_seed=3)
+    assert len(points) == 5
+
+
+@pytest.mark.parametrize("alpha", [1e300, 1e200])
+def test_overflowing_constant_raises_naming_it(alpha):
+    """alpha ** 2 overflows a float: meta_div_sq is not finite."""
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((3, 3))
+    shard = _stacked(QuadraticTask(q=m @ m.T + np.eye(3), a=np.ones(3)),
+                     QuadraticTask(q=np.eye(3), a=np.zeros(3)))
+    with pytest.raises(NonFiniteError, match="^non-finite constant meta_div_sq$"):
+        estimate_constants(QuadraticModel(3), shard, alpha, rng_seed=1)
 
 
 def test_estimation_deterministic_in_seed():

@@ -340,6 +340,19 @@ class TestCli:
         assert code == 2
         assert "config error: %s: " % field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    def test_overflowing_constant_exits_1_naming_it(self, tmp_path, capsys,
+                                                    command):
+        """alpha passes validation, but alpha ** 2 overflows in the
+        smoothness constants: the run diverges, it does not crash."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"alpha": 1e300}')
+        code = cli.main([command, "--config", str(cfg), "--rounds", "1",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert ("run diverged: non-finite constant meta_div_sq"
+                in capsys.readouterr().err)
+
     def test_cli_overrides_reach_the_manifest(self, tmp_path):
         out = tmp_path / "o"
         code = cli.main(["run", "--rounds", "1", "--mode", "hfl",

@@ -74,6 +74,20 @@ def test_meta_grad_half_step_quadratic():
                                np.array([0.5, 0.0]), atol=1e-15)
 
 
+@pytest.mark.parametrize("model", [LogisticModel(3, 4), MLPModel(3, 5, 4)],
+                         ids=["logistic", "mlp"])
+def test_meta_grad_forwards_w_once(forward_points, model):
+    """The adaptation gradient and the HVP share the forward pass at w;
+    the adapted point's gradient makes the only other one."""
+    rng = np.random.default_rng(6)
+    shard = _random_shard(rng, 9, 3, 4)
+    w = model.init_params(rng)
+    points = forward_points(type(model))
+    meta_grad(model, w, shard, alpha=0.1)
+    assert sum(p is w for p in points) == 1
+    assert len(points) == 2
+
+
 def test_meta_grad_alpha_zero_equals_grad():
     rng = np.random.default_rng(5)
     model, task = _random_quadratic(rng, 4)

@@ -70,6 +70,26 @@ def test_bench_counts_source_lines(tmp_path):
     assert bench.src_lines(str(tmp_path)) == 5
 
 
+def test_bench_names_a_failed_run(tmp_path):
+    """A bench/run.py that exits 1 raises an error naming the side, the
+    workload, the seed and the trace flag, ending with stderr's last lines."""
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import sys\n"
+        "for i in range(30):\n"
+        "    print('line %d' % i, file=sys.stderr)\n"
+        "sys.exit(1)\n")
+    bench = _bench_module()
+    with pytest.raises(bench.BenchRunError) as info:
+        bench.run_bench("parent", str(tmp_path), "large", 3, 0)
+    message = str(info.value)
+    assert message.startswith(
+        "parent run failed: bench/run.py --workload large --seed 3 "
+        "--trace 0 exited 1")
+    assert message.endswith("line 29")
+    assert "line 10\n" in message and "line 9\n" not in message
+
+
 def test_bench_assembles_final_lines():
     """scripts/bench.py turns bench/run.py final lines into one record:
     per-seed runs and medians for each side, which side ran first, whether

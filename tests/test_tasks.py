@@ -77,6 +77,19 @@ def test_hvp_matches_per_ue_calls(case):
                        lambda k, j: model.hvp(per_ue[k, j], stack[k, j], v[0, 0]))
 
 
+def test_shared_forward_state_gives_the_same_bits(case):
+    """grad and hvp handed forward(w, s) equal the calls that build it."""
+    model, stack, w, per_ue, v = case
+    for batched_w, _ in _points(w, per_ue):
+        state = model.forward(batched_w, stack)
+        assert np.array_equal(model.grad(batched_w, stack, state),
+                              model.grad(batched_w, stack))
+        for direction in (v, v[0, 0]):
+            assert np.array_equal(
+                model.hvp(batched_w, stack, direction, state),
+                model.hvp(batched_w, stack, direction))
+
+
 def test_predict_matches_per_ue_calls(case):
     model, stack, w, per_ue, _ = case
     if isinstance(stack, QuadraticTask):
