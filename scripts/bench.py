@@ -20,6 +20,9 @@ default time.  The final JSON line of every run goes into BENCH_<pr>.json:
 - ``layers``: every traced metric, parent against change;
 - ``environment``: the machine, from the change's first result record;
 - ``src_lines``: the line count of ``src/hpfl/*.py`` on each side.
+
+When a run fails, the runs that finished are written to
+``BENCH_<pr>.partial.json`` before the error is raised.
 """
 
 import argparse
@@ -146,6 +149,37 @@ def assemble(runs, environment, description):
             "traced": {w: s["change"] for w, s in traced.items()}}
 
 
+def measure(where, partial):
+    """Every run, in order, as (side, workload, seed, trace, final line,
+    outputs) tuples; ``where`` maps each side to its checkout.
+
+    When a run fails, the runs that finished go to the JSON file
+    ``partial`` as a list of objects with those keys before the
+    BenchRunError propagates.
+    """
+    runs = []
+    try:
+        for workload in WORKLOADS:
+            for i, seed in enumerate(SEEDS):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    line, outputs = run_bench(side, where[side], workload,
+                                              seed, 0)
+                    runs.append((side, workload, seed, 0, line, outputs))
+                    print(side, workload, seed, json.dumps(line["metrics"]),
+                          flush=True)
+            for side in SIDES:
+                line, _ = run_bench(side, where[side], workload, SEEDS[0], 1)
+                runs.append((side, workload, SEEDS[0], 1, line, None))
+    except BenchRunError:
+        keys = ("side", "workload", "seed", "trace", "line", "outputs")
+        with open(partial, "w") as fh:
+            json.dump([dict(zip(keys, run)) for run in runs], fh, indent=1)
+            fh.write("\n")
+        raise
+    return runs
+
+
 def export(rev, into):
     """Write the tree of commit ``rev`` into the directory ``into``."""
     with tempfile.TemporaryFile() as fh:
@@ -165,23 +199,12 @@ def main():
     parent_commit = subprocess.run(
         ["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
         capture_output=True, text=True).stdout.strip()
-    runs = []
     with tempfile.TemporaryDirectory() as parent:
         export(args.parent, parent)
         where = {"parent": parent, "change": ROOT}
         lines = {side: src_lines(where[side]) for side in SIDES}
-        for workload in WORKLOADS:
-            for i, seed in enumerate(SEEDS):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                for side in order:
-                    line, outputs = run_bench(side, where[side], workload,
-                                              seed, 0)
-                    runs.append((side, workload, seed, 0, line, outputs))
-                    print(side, workload, seed, json.dumps(line["metrics"]),
-                          flush=True)
-            for side in SIDES:
-                line, _ = run_bench(side, where[side], workload, SEEDS[0], 1)
-                runs.append((side, workload, SEEDS[0], 1, line, None))
+        runs = measure(where, os.path.join(
+            ROOT, "BENCH_%d.partial.json" % args.pr))
     with open(result_path(ROOT, WORKLOADS[0], SEEDS[0])) as fh:
         environment = json.load(fh)["environment"]
     environment.pop("loadavg_at_start", None)

@@ -7,12 +7,13 @@ upload.  A payload link demands max(deadline bandwidth, b_min), so a link
 at the floor finishes early, and so does an ES whose links all sit there.
 
 A link's deadline bandwidth has a closed form through W_{-1}, the lower
-real solution of w e^w = z, found by Halley iteration to 1e-12 residual.
-progressive_fill solves the min-max KKT system by safeguarded Newton
-iteration and certifies its answer; equal_split gives each payload link
-B / L.  Both pad the groups once into (K, M+1) arrays in network's link
-layout, each ES's own link last, and price every ES's latency with
-network.es_latency over (K, M+1) upload times.
+real solution of w e^w = z, found by Halley iteration to 1e-12 residual;
+a solve computes its links' pricing constants once and starts each call
+from the W_{-1} of the last.  progressive_fill solves the min-max KKT
+system by safeguarded Newton iteration and certifies its answer;
+equal_split gives each payload link B / L.  Both work on (K, M+1) links
+in network's layout, each ES's own link last (a StackedProblem, or ESGroups
+padded into one), and price latencies with network.es_latency.
 """
 
 from dataclasses import dataclass
@@ -38,60 +39,75 @@ _SETTLE = 0.3
 _MAX_ITER = 100
 
 
-def _w_lower(z):
-    """W_{-1} on (-1/e, 0), unchecked: a series or asymptotic start, then
-    Halley iteration that stays on that branch."""
-    p_sq = np.maximum(2.0 * (np.e * z + 1.0), 0.0)
-    p = np.sqrt(p_sq)
-    lz = np.log(-z)
-    llz = np.log(-lz)
-    w = np.minimum(np.where(p_sq < 0.5,
-                            -1.0 - p - p_sq / 3.0 - 11.0 / 72.0 * p * p_sq,
-                            lz - llz + llz / lz), -1.0 - 1e-12)
-    scale = np.maximum(np.abs(z), 1e-290)
+def _w_lower(z, w=None):
+    """W_{-1} on (-1/e, 0), unchecked: Halley iteration on that branch from
+    w, or from a series or asymptotic start if w is None or too far off."""
+    start = w
+    if w is None:
+        p_sq = np.maximum(2.0 * (np.e * z + 1.0), 0.0)
+        p = np.sqrt(p_sq)
+        lz = np.log(-z)
+        llz = np.log(-lz)
+        w = np.minimum(np.where(p_sq < 0.5,
+                                -1.0 - p - p_sq / 3.0 - 11.0 / 72.0 * p * p_sq,
+                                lz - llz + llz / lz), -1.0 - 1e-12)
+    tol = _W_TOL * np.maximum(np.abs(z), 1e-290)
     for _ in range(_HALLEY_ITERS):
         ew = np.exp(w)
         f = w * ew - z
-        if (np.abs(f) <= _W_TOL * scale).all():
-            break
-        wp1 = np.where(np.abs(w + 1.0) < 1e-300, 1e-300, w + 1.0)
+        if (np.abs(f) <= tol).all():
+            return w
+        wp1 = np.minimum(w + 1.0, -1e-300)     # w <= -1 throughout
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         w_new = w - f / denom
         w = np.where(w_new >= _KEEP_BELOW, (w + _KEEP_BELOW) / 2.0, w_new)
-    return w
+    return w if start is None else _w_lower(z)
 
 
-def deadline_bandwidth(z_bits, ph, n0, tau):
+def deadline_bandwidth(z_bits, ph, n0, tau, memo=None):
     """Bandwidth each link needs to upload z_bits within tau seconds.
 
     Fully broadcast; returns 0 where the payload is zero and +inf where
     no finite bandwidth meets the deadline (tau <= 0, or the required
     rate reaches the power-limited ceiling p h / (N0 ln 2)). Does not
-    raise: callers that must fail use solve_link_bandwidth.
+    raise: callers that must fail use solve_link_bandwidth.  Calls pricing
+    the same links share one dict ``memo``, which keeps the constants of
+    z_bits, ph and n0 and the last W_{-1}, the next call's Halley start.
     """
-    z, ph, tau = (np.asarray(a, dtype=float) for a in (z_bits, ph, tau))
+    memo = {} if memo is None else memo
+    if not memo:
+        z = np.asarray(z_bits, dtype=float)
+        memo.update(nzl=n0 * z * LN2, zl=-(z * LN2), w=None, fill=np.where(
+            z == 0.0, 0.0, np.inf), pay=(z > 0.0) & (np.asarray(ph) > 0.0))
+    tau = np.asarray(tau, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gamma = n0 * z * LN2 / (tau * ph)
-        ok = (z > 0.0) & (tau > 0.0) & (ph > 0.0) & (gamma < 1.0) & (gamma > 0.0)
+        gamma = memo["nzl"] / (tau * ph)
+        ok = memo["pay"] & (gamma > 0.0) & (gamma < 1.0)
         # with u the SNR, log(1 + u) / u = gamma, and the rate needs
         # b = z ln 2 / (tau (-W_{-1}(-gamma e^-gamma) - gamma))
-        g = np.where(ok, gamma, 0.5)
-        b = z * LN2 / (tau * -(_w_lower(-g * np.exp(-g)) + g))
-    return np.where(ok, b, np.where(z == 0.0, 0.0, np.inf))
+        g = -np.where(ok, gamma, 0.5)
+        w = memo["w"] = _w_lower(g * np.exp(g), memo["w"])
+        b = memo["zl"] / (tau * (w - g))
+    return np.where(ok, b, memo["fill"])
+
+
+def _needed_rate(z_bits, p, h, n0, tcom_target, who):
+    """z_bits / tcom_target, or InfeasibleAllocationError if out of reach."""
+    if tcom_target <= 0.0:
+        raise InfeasibleAllocationError(
+            f"{who}: upload deadline {tcom_target!r} s is not positive")
+    need, cap = z_bits / tcom_target, power_limited_rate(p, h, n0)
+    if need >= cap:
+        raise InfeasibleAllocationError(
+            f"{who}: required rate {need:.6g} bit/s is not below the "
+            f"power-limited ceiling {cap:.6g} bit/s")
+    return need
 
 
 def bisect_link_bandwidth(z_bits, p, h, n0, tcom_target, rel_tol=1e-12,
                           max_iter=300):
     """Reference solver: invert the rate formula by pure bisection."""
-    if tcom_target <= 0.0:
-        raise InfeasibleAllocationError(
-            f"upload deadline {tcom_target!r} s is not positive")
-    need = z_bits / tcom_target
-    cap = power_limited_rate(p, h, n0)
-    if need >= cap:
-        raise InfeasibleAllocationError(
-            f"required rate {need:.6g} bit/s is not below the power-limited "
-            f"ceiling {cap:.6g} bit/s")
+    need = _needed_rate(z_bits, p, h, n0, tcom_target, "link")
     hi = 1.0
     while uplink_rate(hi, p, h, n0) < need:
         hi *= 2.0
@@ -116,17 +132,9 @@ def solve_link_bandwidth(z_bits, p, h, n0, tcom_target, who="link"):
     cannot be met by any bandwidth, and RuntimeError naming the link when
     the closed form misses the deadline by more than 1e-9 relative.
     """
-    if tcom_target <= 0.0:
-        raise InfeasibleAllocationError(
-            f"{who}: upload deadline {tcom_target!r} s is not positive")
-    if z_bits == 0.0:
+    if z_bits == 0.0 and tcom_target > 0.0:
         return 0.0
-    need = z_bits / tcom_target
-    cap = power_limited_rate(p, h, n0)
-    if need >= cap:
-        raise InfeasibleAllocationError(
-            f"{who}: required rate {need:.6g} bit/s is not below the "
-            f"power-limited ceiling {cap:.6g} bit/s")
+    _needed_rate(z_bits, p, h, n0, tcom_target, who)
     b = float(deadline_bandwidth(z_bits, p * h, n0, tcom_target))
     achieved = tcom(z_bits, uplink_rate(b, p, h, n0))
     miss = abs(achieved - tcom_target) / tcom_target
@@ -173,62 +181,73 @@ class AllocationResult:
 
 
 @dataclass(frozen=True)
-class _Stack:
-    """Groups padded to (K, M+1) links, ES last; ``real`` marks the UEs."""
+class StackedProblem:
+    """An AllocationProblem as (K, M+1) links, each ES's own link last:
+    ``tcmp_ue`` (K, M) holds the UEs' compute times, ``ph`` and ``z`` (K,
+    M+1) power times gain and payload bits; ``groups`` is built on read."""
 
-    problem: AllocationProblem
-    real: np.ndarray
     tcmp_ue: np.ndarray
     ph: np.ndarray
     z: np.ndarray
-    equal_share: float          # B / L over the L payload links
+    n0: float
+    total_b: float
+    b_min: float
+
+    @property
+    def groups(self):
+        """The ESGroups, for readers that walk the problem group by group."""
+        return tuple(ESGroup(t, ph[:-1], ph[-1], z[:-1].max(initial=0.0), z[-1])
+                     for t, ph, z in zip(self.tcmp_ue, self.ph, self.z))
 
 
 def _stack(problem):
-    """Pad the groups into one _Stack; raise if nothing can be allocated."""
-    groups = problem.groups
-    if not groups:
-        raise InfeasibleAllocationError("no transmitting ES to allocate for")
-    sizes = np.array([grp.tcmp_ue.shape[0] for grp in groups])
-    real = np.arange(sizes.max()) < sizes[:, None]
-    tcmp_ue = np.zeros(real.shape)
-    tcmp_ue[real] = np.concatenate([grp.tcmp_ue for grp in groups])
-    ph = np.ones((len(groups), real.shape[1] + 1))
-    ph[:, :-1][real] = np.concatenate([grp.ph_ue for grp in groups])
-    ph[:, -1] = [grp.ph_es for grp in groups]
-    z = np.column_stack([real * np.array([grp.z_ue for grp in groups])[:, None],
-                         [grp.z_es for grp in groups]])
-    links = int(np.count_nonzero(z > 0.0))
+    """The problem as a StackedProblem, B / L over its L payload links, and
+    the real UEs of padded ESGroups (else None); raise if infeasible."""
+    real = None
+    if not isinstance(problem, StackedProblem):
+        groups = problem.groups
+        if not groups:
+            raise InfeasibleAllocationError("no transmitting ES to allocate for")
+        sizes = np.array([grp.tcmp_ue.shape[0] for grp in groups])
+        real = np.arange(sizes.max()) < sizes[:, None]
+        tcmp_ue, ph = np.zeros(real.shape), np.ones((len(groups), real.shape[1] + 1))
+        tcmp_ue[real] = np.concatenate([grp.tcmp_ue for grp in groups])
+        ph[:, :-1][real] = np.concatenate([grp.ph_ue for grp in groups])
+        ph[:, -1] = [grp.ph_es for grp in groups]
+        z = np.column_stack([real * np.array([grp.z_ue for grp in groups])[:, None],
+                             [grp.z_es for grp in groups]])
+        problem = StackedProblem(tcmp_ue, ph, z, problem.n0, problem.total_b,
+                                 problem.b_min)
+    links = int(np.count_nonzero(problem.z > 0.0))
     equal_share = problem.total_b / links if links else 0.0
     if links and problem.b_min > equal_share:
         raise InfeasibleAllocationError(
             f"{links} links need at least {links * problem.b_min:.6g} Hz "
             f"at the configured floor but only {problem.total_b:.6g} Hz "
             "are available")
-    return _Stack(
-        problem=problem, real=real, tcmp_ue=tcmp_ue, ph=ph, z=z,
-        equal_share=equal_share)
+    return problem, equal_share, real
 
 
-def _result(stack, b, latencies=None, work=1, stationarity=np.nan):
+def _result(stack, real, b, latencies=None, work=1, stationarity=np.nan):
     """AllocationResult of padded (K, M+1) link bandwidths; the latencies
     are priced with es_latency unless given."""
     b_ue, b_es = b[:, :-1], b[:, -1].copy()
     if latencies is None:
         latencies = es_latency(stack.tcmp_ue, tcom(stack.z, uplink_rate(
-            b, 1.0, stack.ph, stack.problem.n0)))
+            b, 1.0, stack.ph, stack.n0)))
     used_b = float(b_ue.sum() + b_es.sum())
     return AllocationResult(
-        b_ue=np.split(b_ue[stack.real], np.cumsum(stack.real.sum(axis=1))[:-1]),
+        b_ue=b_ue if real is None else np.split(
+            b_ue[real], np.cumsum(real.sum(axis=1))[:-1]),
         b_es=b_es, latencies=latencies, achieved_o=float(latencies.max()),
         used_b=used_b, work=work, stationarity_residual=stationarity,
-        budget_residual=stack.problem.total_b - used_b)
+        budget_residual=stack.total_b - used_b)
 
 
 def equal_split(problem):
     """Every positive-payload link gets the same share B / L."""
-    stack = _stack(problem)
-    return _result(stack, stack.equal_share * (stack.z > 0.0))
+    stack, equal_share, real = _stack(problem)
+    return _result(stack, real, equal_share * (stack.z > 0.0))
 
 
 def _slopes(stack, b, tau, live):
@@ -237,8 +256,8 @@ def _slopes(stack, b, tau, live):
     u) ln 2) and r'' = -u^2 / (b (1 + u)^2 ln 2), and r(b(tau)) = z / tau
     gives b' = -z / (tau^2 r') and b'' = (2 z / tau^3 - r'' b'^2) / r'."""
     b, tau, z = np.where(live, b, 1.0), np.where(live, tau, 1.0), stack.z * live
-    v = 1.0 / (1.0 + stack.problem.n0 * b / stack.ph)         # u / (1 + u)
-    r1 = (np.log1p(stack.ph / (stack.problem.n0 * b)) - v) / LN2
+    v = 1.0 / (1.0 + stack.n0 * b / stack.ph)         # u / (1 + u)
+    r1 = (np.log1p(stack.ph / (stack.n0 * b)) - v) / LN2
     d1 = -z / (tau * tau * r1)
     return d1, (2.0 * z / tau ** 3 + v * v / (b * LN2) * d1 * d1) / r1
 
@@ -253,18 +272,17 @@ def progressive_fill(problem):
     5e-10 B below B, reporting both; every server with a link above the
     floor finishes at O.  After _MAX_ITER iterations it returns the latest
     iterate within B (the equal split if there is none) and its residuals."""
-    stack = _stack(problem)
-    n0, total, z, t_ue = problem.n0, problem.total_b, stack.z, stack.tcmp_ue
+    stack, equal_share, real = _stack(problem)
+    n0, total, z, t_ue = stack.n0, stack.total_b, stack.z, stack.tcmp_ue
     # a floor that fills the budget leaves b_min on every link, and no choice
-    if stack.equal_share <= problem.b_min * (1.0 + 1e-9):
-        return _result(stack, stack.equal_share * (z > 0.0), stationarity=0.0)
-    ue, has_es = np.arange(z.shape[1]) < z.shape[1] - 1, z[:, -1] > 0.0
-    floor = problem.b_min * (z > 0.0)
+    if equal_share <= stack.b_min * (1.0 + 1e-9):
+        return _result(stack, real, equal_share * (z > 0.0), stationarity=0.0)
+    ue, pay = np.arange(z.shape[1]) < z.shape[1] - 1, z > 0.0
+    sign, floor, has_es = np.where(ue, 1.0, -1.0), stack.b_min * pay, pay[:, -1]
     # each link's upload time at b_min (given longer, it sits at the floor),
     # at B (given less, it needs more than B) and at the equal share
     t_floor, t_budget, t_eq = tcom(z, uplink_rate(np.array(
-        [problem.b_min, total, stack.equal_share])[:, None, None], 1.0,
-        stack.ph, n0))
+        [stack.b_min, total, equal_share])[:, None, None], 1.0, stack.ph, n0))
     kink_ue = t_ue + t_floor[:, :-1]
     g_top = kink_ue.max(axis=1)
     g_low = (t_ue + t_budget[:, :-1]).max(axis=1)
@@ -283,42 +301,44 @@ def progressive_fill(problem):
     # start where each link needs c / tau, c its bandwidth-time at the equal
     # share: server k then splits O - t_k as sqrt(C_ue) : sqrt(c_es) and
     # needs (sqrt(C_ue) + sqrt(c_es))^2 / (O - t_k)
-    root_ue = np.sqrt(stack.equal_share * np.sum(t_eq[:, :-1], axis=1))
-    root_es = np.sqrt(stack.equal_share * t_eq[:, -1])
+    root_ue = np.sqrt(equal_share * np.sum(t_eq[:, :-1], axis=1))
+    root_es = np.sqrt(equal_share * t_eq[:, -1])
     need, t_k = (root_ue + root_es) ** 2, np.max(t_ue, axis=1)
     o = float(np.sum(need * t_k) / np.sum(need) + np.sum(need) / total)
     g = t_k + (o - t_k) * np.divide(
         root_ue, root_ue + root_es, out=np.zeros(t_k.shape), where=root_ue > 0)
     # below o_lo some server needs more than B (one without payload
     # finishes with its compute whatever O is)
-    o_lo = float(np.max((g_low + tb_es)[np.any(z > 0.0, axis=1)]))
+    o_lo = float(np.max((g_low + tb_es)[np.any(pay, axis=1)]))
     if not np.isfinite(o_lo):
         raise InfeasibleAllocationError("some link cannot transmit")
     o = o if o > o_lo else 0.5 * (o_lo + o_eq)
     target = total * (1.0 - 0.5 * _GAP)
-    kept = (stack.equal_share * (z > 0.0), None, np.nan)
+    kept, memo = (equal_share * pay, None, np.nan), {}
     for it in range(1, _MAX_ITER + 1):
         lo, hi = window(o)
         pinned = lo >= hi               # floors or no payload fix the split
         g = np.minimum(np.maximum(g, lo), hi)     # hi where lo >= hi
         tau = np.concatenate([g[:, None] - t_ue, (o - g)[:, None]], axis=1)
-        raw = deadline_bandwidth(z, stack.ph, n0, tau)
+        raw = deadline_bandwidth(z, stack.ph, n0, tau, memo)
         b = np.maximum(raw, floor)
         demand = float(b.sum())
         # a link at the floor has zero derivative, so D_k is convex and
         # piecewise smooth in G_k; a link on its floor's kink counts on the
         # side where it is above the floor: smaller G_k for a UE link
         above = raw > floor * (1.0 + _KINK)
-        kink = ~above & (raw >= floor * (1.0 - _KINK)) & (z > 0.0)
-        d1, d2 = _slopes(stack, raw, tau, above | kink)
-        on_l, on_r = above | (kink & ue), above | (kink & ~ue)
-        signed = np.where(ue, d1, -d1)
-        f_l, f_r = (signed * on_l).sum(axis=1), (signed * on_r).sum(axis=1)
+        kink = ~above & (raw >= floor * (1.0 - _KINK)) & pay
+        on_l, on_r, live = (above | (kink & ue), above | (kink & ~ue), above
+                            | kink) if kink.any() else (above,) * 3
+        d1, d2 = _slopes(stack, raw, tau, live)
+        signed = d1 * sign
+        f_l = (signed * on_l).sum(axis=1)
+        f_r = f_l if on_r is on_l else (signed * on_r).sum(axis=1)
         gap = np.where(pinned, 0.0, np.maximum(np.maximum(f_l, -f_r), 0.0))
         stationarity = float((gap / np.maximum(
-            np.abs(d1).sum(axis=1), np.finfo(float).tiny)).max())
+            np.abs(d1).sum(axis=1), 1e-300)).max())
         if demand <= total:     # a link at the floor uploads in t_floor
-            t = np.where(b > raw, t_floor, tau) * (z > 0.0)
+            t = np.where(b > raw, t_floor, tau) * pay
             kept = (b, es_latency(t_ue, t), stationarity)
             if demand >= total * (1.0 - _GAP) and stationarity <= _TOL:
                 break
@@ -332,11 +352,11 @@ def progressive_fill(problem):
         # a free split steps on the side of G_k its residual points to
         left = ~pinned & (f_l > 0.0)
         free = left | (~pinned & (f_r < 0.0))
-        on = np.where(left[:, None], on_l, on_r)
-        f = np.where(left, f_l, f_r)
+        on, f = (on_l, f_l) if on_r is on_l else (
+            np.where(left[:, None], on_l, on_r), np.where(left, f_l, f_r))
         a = np.where(free, (d2 * on).sum(axis=1), 1.0)
         d1_es, d2_es = d1[:, -1] * on[:, -1], d2[:, -1] * on[:, -1]
-        piece = (np.where(~on[:, :-1] & (z[:, :-1] > 0.0), kink_ue,
+        piece = (np.where(~on[:, :-1] & pay[:, :-1], kink_ue,
                           -np.inf).max(axis=1),
                  np.where(on[:, :-1], kink_ue, np.inf).min(axis=1),
                  has_es & ~on[:, -1])
@@ -362,5 +382,5 @@ def progressive_fill(problem):
             g - (f - d2_es * (o_new - o)) / a, lo), hi), g + follow * (o_new - o))
         o = o_new
     b, latencies, stationarity = kept
-    return _result(stack, b, latencies, 1 + it * len(problem.groups),
+    return _result(stack, real, b, latencies, 1 + it * z.shape[0],
                    stationarity)

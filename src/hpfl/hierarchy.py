@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import meta
-from .bandwidth import AllocationProblem, ESGroup, equal_split, progressive_fill
+from .bandwidth import StackedProblem, equal_split, progressive_fill
 from .network import (dbm_per_hz_to_w, es_latency, sample_channels, tcmp,
                       tcom, uplink_rate)
 from .scheduler import baseline_select, objective_value, schedule
@@ -143,6 +143,7 @@ class RoundEngine:
         over its UEs.  Unselected servers keep full-batch gradients of an
         unchanged base, which are bit-identical, so they are skipped.  A
         changed base is the entering model, adapted to ``theta`` by _evaluate.
+        A non-finite squared norm raises NonFiniteError naming its server.
         """
         ids = np.flatnonzero(self.dirty)
         if not ids.size:
@@ -151,9 +152,11 @@ class RoundEngine:
                            self.federation.train[ids], self.scenario.alpha,
                            context=lambda i: _ue_name((ids[i[0]], i[1])),
                            theta=None if theta is None else theta[ids])
-        mean = grads.mean(axis=1)
-        self.mean_grad[ids] = mean
-        self.grad_norm_sq[ids] = (mean[:, None, :] @ mean[:, :, None])[:, 0, 0]
+        self.mean_grad[ids] = mean = grads.mean(axis=1)
+        with np.errstate(over="ignore"):    # an overflow raises below
+            self.grad_norm_sq[ids] = meta._check_finite(
+                (mean[:, None, :] @ mean[:, :, None])[:, 0, 0],
+                "squared gradient norm", lambda i: "es %d" % ids[i[0]], False)
         self.dirty[ids] = False
 
     def _evaluate(self):
@@ -188,16 +191,13 @@ class RoundEngine:
         the members, solver work units).
         """
         p = self.scenario
-        groups = tuple(
-            ESGroup(tcmp_ue=self.tcmp_ue, ph_ue=ph[i, :-1],
-                    ph_es=float(ph[i, -1]), z_ue=p.z_bits, z_es=p.z_bits)
-            for i in np.flatnonzero(members))
-        problem = AllocationProblem(groups=groups, n0=self.n0,
-                                    total_b=p.total_b, b_min=p.b_min)
-        if p.allocation == "progressive":
-            result = progressive_fill(problem)
-        else:
-            result = equal_split(problem)
+        ph = ph[members]
+        problem = StackedProblem(
+            tcmp_ue=np.broadcast_to(self.tcmp_ue, ph[:, :-1].shape), ph=ph,
+            z=np.full(ph.shape, p.z_bits), n0=self.n0, total_b=p.total_b,
+            b_min=p.b_min)
+        result = (progressive_fill if p.allocation == "progressive"
+                  else equal_split)(problem)
         return result.latencies, result.work
 
     def run_round(self, forced_selection=None):

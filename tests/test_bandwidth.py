@@ -51,26 +51,50 @@ def group_latency(grp, b_ue, b_es, n0):
     return g + tcom(grp.z_es, uplink_rate(b_es, 1.0, grp.ph_es, n0))
 
 
+def warm(z):
+    """W_{-1} from the solution at a nearby point, as successive pricing
+    calls of one solve start from the previous call's W."""
+    return bandwidth._w_lower(z, bandwidth._w_lower(0.9 * np.asarray(z)))
+
+
 class TestLambertW:
-    """W_{-1} on (-1/e, 0), the branch deadline_bandwidth prices links with."""
+    """W_{-1} on (-1/e, 0), the branch deadline_bandwidth prices links with,
+    from the series or asymptotic start and from a warm one."""
+
+    STARTS = (bandwidth._w_lower, warm)
 
     def test_special_values(self):
-        assert abs(bandwidth._w_lower(-2.0 * np.exp(-2.0)) + 2.0) < 1e-14
-        assert abs(bandwidth._w_lower(-np.log(2.0) / 2.0) + np.log(4.0)) < 1e-14
+        for w_lower in self.STARTS:
+            assert abs(w_lower(-2.0 * np.exp(-2.0)) + 2.0) < 1e-14
+            assert abs(w_lower(-np.log(2.0) / 2.0) + np.log(4.0)) < 1e-14
 
     def test_defining_identity_branch_minus1(self):
         rng = np.random.default_rng(6)
         z = rng.uniform(-1.0 / np.e + 1e-12, -1e-12, size=400)
-        w = bandwidth._w_lower(z)
-        assert np.all(w <= -1.0)
-        assert np.all(np.abs(w * np.exp(w) - z) <= 1e-11 * np.abs(z))
+        for w_lower in self.STARTS:
+            w = w_lower(z)
+            assert np.all(w <= -1.0)
+            assert np.all(np.abs(w * np.exp(w) - z) <= 1e-11 * np.abs(z))
 
     def test_matches_scipy_away_from_branch_point(self):
         rng = np.random.default_rng(7)
         zm = rng.uniform(-1.0 / np.e + 1e-8, -1e-10, size=300)
-        ours = bandwidth._w_lower(zm)
         ref = scipy.special.lambertw(zm, -1).real
-        assert np.all(np.abs(ours - ref) <= 1e-9 * np.abs(ref))
+        for w_lower in self.STARTS:
+            assert np.all(np.abs(w_lower(zm) - ref) <= 1e-9 * np.abs(ref))
+
+
+@settings(max_examples=200)
+@given(z=st.floats(-1.0 / np.e + 1e-12, -1e-12),
+       start=st.one_of(st.floats(-60.0, -1.0), st.floats(-1e300, -1.0)))
+def test_w_lower_converges_from_any_start_on_the_branch(z, start):
+    """A start anywhere on the branch, near the root or far from it (then
+    Halley iteration falls back to the series or asymptotic start), ends
+    within the 1e-12 residual and below -1."""
+    with np.errstate(all="ignore"):     # as under deadline_bandwidth
+        w = bandwidth._w_lower(np.array([z]), np.array([start]))
+    assert w[0] <= -1.0
+    assert abs(w[0] * np.exp(w[0]) - z) <= 1e-12 * abs(z)
 
 
 class TestLinkSolver:
@@ -432,12 +456,10 @@ def test_capped_solve_returns_a_feasible_iterate(monkeypatch, cap, b_min):
         res.achieved_o * (1.0 + 1e-9)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_desk_solves_price_the_links_at_most_ten_times(monkeypatch, seed):
-    """Each progressive_fill solve of a desk run makes at most ten
-    deadline_bandwidth calls: a count, so it does not depend on the
-    machine's speed."""
-    calls, per_solve = [0], []
+def priced_solves(monkeypatch, scn):
+    """(deadline_bandwidth calls, work, servers) of each progressive_fill
+    solve of a run of scn."""
+    calls, solves = [0], []
 
     def counted(*args):
         calls[0] += 1
@@ -446,10 +468,35 @@ def test_desk_solves_price_the_links_at_most_ten_times(monkeypatch, seed):
     def solve(problem):
         calls[0] = 0
         result = progressive_fill(problem)
-        per_solve.append(calls[0])
+        solves.append((calls[0], result.work, len(problem.groups)))
         return result
 
     monkeypatch.setattr(bandwidth, "deadline_bandwidth", counted)
     monkeypatch.setattr(hierarchy, "progressive_fill", solve)
-    run_experiment(Scenario(seed=seed))
-    assert per_solve and max(per_solve) <= 10
+    run_experiment(scn)
+    assert solves
+    return solves
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_desk_solves_price_the_links_at_most_ten_times(monkeypatch, seed):
+    """Each progressive_fill solve of a desk run makes at most ten
+    deadline_bandwidth calls: a count, so it does not depend on the
+    machine's speed."""
+    solves = priced_solves(monkeypatch, Scenario(seed=seed))
+    assert max(n_calls for n_calls, _, _ in solves) <= 10
+
+
+# the floor binds in a few solves of these runs
+FLOOR_BINDS = dict(k=10, n_k=8, total_b=2e6, b_min=2e4)
+
+
+@pytest.mark.parametrize("fields", [{}, FLOOR_BINDS], ids=["desk", "floor"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_newton_iteration_prices_the_links_once(monkeypatch, seed,
+                                                     fields):
+    """Every solve makes one deadline_bandwidth call per Newton iteration:
+    its work is 1 plus one demand evaluation per server and iteration."""
+    for n_calls, work, n_groups in priced_solves(
+            monkeypatch, Scenario(seed=seed, **fields)):
+        assert n_calls * n_groups == work - 1

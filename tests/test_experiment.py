@@ -353,6 +353,21 @@ class TestCli:
         assert ("run diverged: non-finite constant meta_div_sq"
                 in capsys.readouterr().err)
 
+    def test_overflowing_importance_exits_1_naming_the_server(self, tmp_path,
+                                                              capsys):
+        """alpha = 1e150 keeps the constants finite, but a server's squared
+        meta-gradient norm overflows: the run diverges at once instead of
+        writing an infinite importance."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"alpha": 1e150}')
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(cfg), "--rounds", "1",
+                         "--out", str(out)])
+        assert code == 1
+        assert ("run diverged: non-finite squared gradient norm at es "
+                in capsys.readouterr().err)
+        assert not (out / "rounds.csv").exists()
+
     def test_cli_overrides_reach_the_manifest(self, tmp_path):
         out = tmp_path / "o"
         code = cli.main(["run", "--rounds", "1", "--mode", "hfl",

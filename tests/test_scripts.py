@@ -90,6 +90,38 @@ def test_bench_names_a_failed_run(tmp_path):
     assert "line 10\n" in message and "line 9\n" not in message
 
 
+STUB_FAILS_ON_SECOND_CALL = """\
+import json, os, sys
+here = os.path.dirname(os.path.abspath(__file__))
+count = os.path.join(here, "calls")
+calls = int(open(count).read()) + 1 if os.path.exists(count) else 1
+open(count, "w").write(str(calls))
+if calls > 1:
+    sys.exit("second call fails")
+os.makedirs(os.path.join(here, "results"))
+with open(os.path.join(here, "results", "desk-seed1-trace0.json"), "w") as fh:
+    json.dump({"outputs": {"1000": {"rounds_csv_sha256": "a"}}}, fh)
+print(json.dumps({"failed": 0, "metrics": {"round_ms_p50": {"value": 2.5}}}))
+"""
+
+
+def test_bench_keeps_finished_runs_when_a_run_fails(tmp_path):
+    """The runs made before a failed one are written to the partial file,
+    and the failure still propagates."""
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(STUB_FAILS_ON_SECOND_CALL)
+    partial = tmp_path / "BENCH_0.partial.json"
+    bench = _bench_module()
+    with pytest.raises(bench.BenchRunError, match="second call fails"):
+        bench.measure({"parent": str(tmp_path), "change": str(tmp_path)},
+                      str(partial))
+    runs = json.loads(partial.read_text())
+    assert runs == [{
+        "side": "parent", "workload": "desk", "seed": 1, "trace": 0,
+        "line": {"failed": 0, "metrics": {"round_ms_p50": {"value": 2.5}}},
+        "outputs": {"1000": {"rounds_csv_sha256": "a"}}}]
+
+
 def test_bench_assembles_final_lines():
     """scripts/bench.py turns bench/run.py final lines into one record:
     per-seed runs and medians for each side, which side ran first, whether
