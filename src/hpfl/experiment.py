@@ -266,11 +266,20 @@ def parse_sweep_values(spec):
     A range gives at most MAX_SWEEP_VALUES values, each rounded to 12
     significant digits of the range's magnitude; list values stay as typed."""
     spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError("range form must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+    is_range = ":" in spec
+    parts = [p for p in spec.split(":" if is_range else ",") if p.strip()]
+    if is_range and len(parts) != 3:
+        raise ValueError("--values: range form must be start:stop:step, "
+                         "got %r" % (spec,))
+    try:
+        vals = [float(p) for p in parts]
+    except ValueError:
+        raise ValueError("--values: %r holds a value that is not a number"
+                         % (spec,)) from None
+    if not vals:
+        raise ValueError("--values: no sweep values given")
+    if is_range:
+        start, stop, step = vals
         if not step > 0:   # a NaN step fails this test too
             raise ValueError("--values: step must be positive")
         steps = (stop - start) / step
@@ -283,10 +292,6 @@ def parse_sweep_values(spec):
                              % (spec, MAX_SWEEP_VALUES))
         digits = 12 - int(np.floor(np.log10(max(abs(start), abs(stop), step))))
         vals = [round(start + i * step, digits) for i in range(n)]
-    else:
-        vals = [float(p) for p in spec.split(",") if p.strip()]
-    if not vals:
-        raise ValueError("no sweep values given")
     return tuple(vals)
 
 

@@ -13,9 +13,14 @@ with one meta-gradient step.  Every round the engine:
    bandwidth to the servers that were actually selected,
 5. applies the cloud step from the selected servers' (stale) aggregated
    meta-gradients scaled by beta over the number of arrivals,
-6. hands the new model to the selected servers and ages the rest,
-   saturating their recorded staleness at the staleness budget and
-   marking them as must-select for the next round.
+6. hands the new model to the selected servers by setting their version
+   to the new round; the rest keep theirs and so age by one.
+
+A server's version is its only clock: its age is ``t - version``, the
+rounds since it last received the global model.  The work set and the
+servers to refresh are those of age 0, the servers of age at least
+``max(s_max, 1)`` must upload, and the staleness saturated at ``s_max``
+exists only in the round records.
 
 Reported per-round importance is ``phi * sum of delivered squared
 meta-gradient norms`` and the per-round bound value adds the constant
@@ -94,11 +99,8 @@ class RoundEngine:
 
     Per-edge-server state is kept as arrays with one row per server:
 
-    base         -- (K, P) global model copy each server works from
-    version      -- global round at which that copy was issued
-    staleness    -- rounds since refresh, saturated at ``s_max``
-    forced       -- staleness budget exhausted; must upload next round
-    dirty        -- base changed, local updates must be recomputed
+    version      -- global round whose model the server works from, so its
+                    base is ``history[version]`` and its age ``t - version``
     mean_grad    -- (K, P) mean UE meta-gradient at the base
     grad_norm_sq -- squared norm of mean_grad, the server's importance
     """
@@ -117,15 +119,9 @@ class RoundEngine:
         self.t = 0
         self.history = [self.w.copy()]
         k = scenario.k
-        self.base = np.tile(self.w, (k, 1))
         self.version = np.zeros(k, dtype=int)
-        self.staleness = np.zeros(k, dtype=int)
-        self.forced = np.zeros(k, dtype=bool)
-        self.dirty = np.ones(k, dtype=bool)
-        self.mean_grad = np.zeros_like(self.base)
+        self.mean_grad = np.zeros((k, self.w.size))
         self.grad_norm_sq = np.zeros(k)
-        # before the first selection every server works and uploads
-        self.work_set = np.ones(k, dtype=bool)
         d_bits = np.full(scenario.n_k, float(self.federation.train.size)) \
             * self.model.dim * BITS_PER_PARAM
         self.tcmp_ue = tcmp(scenario.c_cycles, d_bits, scenario.cpu_hz)
@@ -136,19 +132,17 @@ class RoundEngine:
             np.random.SeedSequence([scenario.seed, 433]))
         _, self._grad = meta.objective(scenario.mode)
 
-    def _refresh(self, theta):
-        """Recompute the UE updates of every server whose base changed.
+    def _refresh(self, ids, theta):
+        """Recompute the UE updates of the servers ``ids`` of age 0.
 
-        One call covers all dirty servers, each server's base broadcast
-        over its UEs.  Unselected servers keep full-batch gradients of an
-        unchanged base, which are bit-identical, so they are skipped.  A
-        changed base is the entering model, adapted to ``theta`` by _evaluate.
-        A non-finite squared norm raises NonFiniteError naming its server.
+        One call covers them all, the entering model broadcast over their
+        UEs and adapted to ``theta`` by _evaluate.  Older servers keep
+        full-batch gradients of an unchanged base, which are bit-identical,
+        so they are skipped.  A non-finite squared norm raises
+        NonFiniteError naming its server.
         """
-        ids = np.flatnonzero(self.dirty)
-        if not ids.size:
-            return
-        grads = self._grad(self.model, self.base[ids, None, :],
+        grads = self._grad(self.model,
+                           np.broadcast_to(self.w, (ids.size, 1, self.w.size)),
                            self.federation.train[ids], self.scenario.alpha,
                            context=lambda i: _ue_name((ids[i[0]], i[1])),
                            theta=None if theta is None else theta[ids])
@@ -157,7 +151,6 @@ class RoundEngine:
             self.grad_norm_sq[ids] = meta._check_finite(
                 (mean[:, None, :] @ mean[:, :, None])[:, 0, 0],
                 "squared gradient norm", lambda i: "es %d" % ids[i[0]], False)
-        self.dirty[ids] = False
 
     def _evaluate(self):
         """Training objective and held-out accuracy of the entering model.
@@ -204,14 +197,18 @@ class RoundEngine:
         """Advance the federation by one cloud round and record it."""
         p = self.scenario
         k = p.k
+        age = self.t - self.version
+        # the servers that received the entering model worked this round
+        # (at t = 0, all of them)
+        work_set = age == 0
         loss, acc, theta = self._evaluate()
-        self._refresh(theta)
+        self._refresh(np.flatnonzero(work_set), theta)
         ph = np.append(np.full(p.n_k, p.p_ue), p.p_es) * sample_channels(
             self.topology, p.seed, self.t)
 
         latencies = np.empty(k)
-        latencies[self.work_set], work = self._allocate(self.work_set, ph)
-        idle = ~self.work_set
+        latencies[work_set], work = self._allocate(work_set, ph)
+        idle = ~work_set
         if idle.any():
             rate = uplink_rate(self.idle_share, 1.0, ph[idle], self.n0)
             latencies[idle] = es_latency(self.tcmp_ue, tcom(p.z_bits, rate))
@@ -224,21 +221,24 @@ class RoundEngine:
                 raise ValueError("forced selection must pick at least one of "
                                  "%d servers" % k)
         elif p.selection == "proposed":
-            pi, capped = schedule(importance, latencies, self.forced, p.rho,
+            # a server is due once its age reaches the budget; those of age
+            # 0 were just handed the model, so s_max = 0 forces the rest
+            due = age >= max(p.s_max, 1)
+            pi, capped = schedule(importance, latencies, due, p.rho,
                                   self.phi_sched, p.a_max)
         else:
             pi = baseline_select(p.selection, k, p.a_max, self._random_rng)
 
         # servers picked outside the working set need bandwidth they never
         # had, so the physical round re-splits over the actual uploaders
-        if not np.array_equal(pi, self.work_set):
+        if not np.array_equal(pi, work_set):
             sel_lat, extra = self._allocate(pi, ph)
             work += extra
             latency = float(sel_lat.max())
         else:
             latency = float(latencies[pi].max())
 
-        staleness_used = tuple(int(s) for s in self.staleness[pi])
+        staleness_used = tuple(int(s) for s in np.minimum(age[pi], p.s_max))
         versions = tuple(int(v) for v in self.version[pi])
         a_eff = int(pi.sum())
         captured = float(self.phi * importance[pi].sum())
@@ -248,15 +248,8 @@ class RoundEngine:
         self.w = global_update(self.w, self.mean_grad, pi, self.beta)
         self.t += 1
         self.history.append(self.w.copy())
-        # uploaders receive the new model; the rest age, saturating at the
-        # budget, and must upload next round once it is reached
-        self.base[pi] = self.w
+        # uploaders receive the new model; the rest age by one
         self.version[pi] = self.t
-        self.dirty |= pi
-        self.staleness = np.where(pi, 0, np.minimum(self.staleness + 1,
-                                                    p.s_max))
-        self.forced = ~pi & (self.staleness >= p.s_max)
-        self.work_set = pi.copy()
 
         record = RoundRecord(
             round=self.t - 1,
@@ -269,7 +262,8 @@ class RoundEngine:
             bound_rhs=captured + self.nu,
             pi=tuple(int(v) for v in pi),
             staleness_used=staleness_used,
-            staleness_after=tuple(int(s) for s in self.staleness),
+            staleness_after=tuple(
+                int(s) for s in np.minimum(self.t - self.version, p.s_max)),
             versions=versions,
             objective=float(objective),
             capped=bool(capped),

@@ -239,8 +239,10 @@ class TestSweepCli:
         assert code == 2
         assert "config error: k: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("values", ["0:inf:1", "nan:1:0.1", "0:1:1e-12"])
+    @pytest.mark.parametrize("values", [
+        "0:inf:1", "nan:1:0.1", "0:1:1e-12", "0.4:0.8", "abc", "1:x:1", ","])
     def test_non_finite_range_is_config_error(self, tmp_path, capsys, values):
+        """Malformed values, not only non-finite ranges, name --values."""
         code, out = _sweep(tmp_path, "rho", values)
         assert code == 2
         assert "config error: --values: " in capsys.readouterr().err

@@ -1,12 +1,18 @@
-"""Golden outputs: rounds.csv and audit.csv of five short reference runs,
-and sweep.csv of a two-value rho sweep over the desk defaults.
+"""Golden outputs: rounds.csv, records.csv and audit.csv of five short
+reference runs, and sweep.csv of a two-value rho sweep over the desk
+defaults.
+
+records.csv pins the selection bookkeeping of each round record: the
+selection, the delivered versions, both staleness tuples, the cap flag
+and the schedule objective.  Tuples are written space-separated.
 
 The files under tests/golden were written by the code these tests guard.
-Headers and integer columns must match exactly; float columns match
+Headers, integer and tuple columns must match exactly; float columns match
 within 1e-9 relative, so a different BLAS build cannot flake the test.
 """
 
 import csv
+import functools
 import io
 import math
 import os
@@ -26,8 +32,34 @@ SCENARIOS = {
     "equal": {"allocation": "equal"},
     "floor": {"k": 10, "n_k": 8, "total_b": 2e6, "b_min": 2e4},
 }
-INT_COLUMNS = {"round", "A_eff", "runtime_us", "holds"}
+EXACT_COLUMNS = {"round", "A_eff", "runtime_us", "holds", "pi", "versions",
+                 "staleness_used", "staleness_after", "capped"}
+RECORD_FIELDS = ("round", "pi", "versions", "staleness_used",
+                 "staleness_after", "capped", "objective")
 REL_TOL = 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _records(name):
+    """Round records of the reference run ``name``, run once per session."""
+    return tuple(run_experiment(
+        Scenario(rounds=ROUNDS, **SCENARIOS[name])).records)
+
+
+def _cell(value):
+    if isinstance(value, tuple):
+        return " ".join(str(v) for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(int(value))
+
+
+def records_csv_text(records):
+    """CSV text of the RECORD_FIELDS of each round record."""
+    lines = [",".join(RECORD_FIELDS)]
+    for rec in records:
+        lines.append(",".join(_cell(getattr(rec, f)) for f in RECORD_FIELDS))
+    return "\n".join(lines) + "\n"
 
 
 def _rows(text):
@@ -44,7 +76,7 @@ def _assert_matches(got_text, golden_name):
     for got_row, want_row in zip(got[1:], want[1:]):
         for col, g, w in zip(header, got_row, want_row):
             where = "%s row %s column %s" % (golden_name, want_row[0], col)
-            if col in INT_COLUMNS:
+            if col in EXACT_COLUMNS:
                 assert g == w, where
             else:
                 assert math.isclose(float(g), float(w), rel_tol=REL_TOL), \
@@ -53,9 +85,14 @@ def _assert_matches(got_text, golden_name):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_rounds_csv_matches_golden(name):
-    scn = Scenario(rounds=ROUNDS, **SCENARIOS[name])
-    _assert_matches(rounds_csv_text(run_experiment(scn).records),
+    _assert_matches(rounds_csv_text(_records(name)),
                     os.path.join(name, "rounds.csv"))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_records_csv_matches_golden(name):
+    _assert_matches(records_csv_text(_records(name)),
+                    os.path.join(name, "records.csv"))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -52,7 +52,7 @@ class TestGlobalUpdate:
 
 
 class TestAdvanceStaleness:
-    """The post-round ageing of the engine's per-server arrays."""
+    """The post-round ageing: each server's age is ``t - version``."""
 
     def test_selected_server_syncs(self):
         scn = Scenario(k=2, n_k=1, s_max=3, a_max=2, rounds=0, seed=7)
@@ -60,11 +60,12 @@ class TestAdvanceStaleness:
         for _ in range(2):
             eng.run_round(forced_selection=np.array([False, True]))
         eng.run_round(forced_selection=np.array([True, False]))
-        assert eng.staleness.tolist() == [0, 1]
+        assert (eng.t - eng.version).tolist() == [0, 1]
         assert eng.version.tolist() == [3, 2]
-        assert eng.dirty.tolist() == [True, False]
-        assert np.array_equal(eng.base[0], eng.w)
-        assert np.array_equal(eng.base[1], eng.history[2])
+        # the next refresh recomputes the servers of age 0
+        assert np.flatnonzero(eng.t == eng.version).tolist() == [0]
+        assert np.array_equal(eng.history[eng.version[0]], eng.w)
+        assert np.array_equal(eng.history[eng.version[1]], eng.history[2])
 
     def test_staleness_accumulates_then_saturates(self):
         scn = Scenario(k=2, n_k=1, s_max=3, a_max=2, rounds=0, seed=7)
@@ -72,14 +73,17 @@ class TestAdvanceStaleness:
         after = [eng.run_round(forced_selection=np.array([True, False]))
                  .staleness_after[1] for _ in range(5)]
         assert after == [1, 2, 3, 3, 3]
-        assert eng.forced.tolist() == [False, True]
+        # the true age keeps growing past the saturated record, and a
+        # server past the budget is in the next selection
+        assert (eng.t - eng.version).tolist() == [0, 5]
+        assert eng.run_round().pi[1] == 1
 
     def test_budget_reached_flags_forced_inclusion(self):
         """A server at the budget is flagged, then the scheduler picks it."""
         scn = Scenario(k=2, n_k=1, s_max=1, a_max=2, rounds=0, seed=7)
         eng, _ = engine_for(scn)
         eng.run_round(forced_selection=np.array([False, True]))
-        assert eng.forced.tolist() == [True, False]
+        assert (eng.t - eng.version).tolist() == [1, 0]
         assert eng.run_round().pi[0] == 1
 
 

@@ -1,11 +1,14 @@
 """Whole-run invariants over random small scenarios.
 
 Every record of every run must keep the upload cap, the staleness budget
-and the version order.  Every bandwidth allocation must stay within the
-budget and give each payload link at least the floor b_min, and a
-progressive fill must finish every server that has a link above the floor
-at one common time.  The floor is drawn up to the equal share of the
-budget, so it binds in some runs.
+and the version order.  The recorded staleness is the age ``round -
+version`` of each server, saturated at the budget, and the proposed
+schedule uploads every server whose age has reached the budget, up to the
+cap.  Every bandwidth allocation must stay within the budget and give each
+payload link at least the floor b_min, and a progressive fill must finish
+every server that has a link above the floor at one common time.  The
+floor is drawn up to the equal share of the budget, so it binds in some
+runs.
 """
 
 import numpy as np
@@ -105,6 +108,44 @@ def test_every_record_keeps_the_invariants(scn):
         for i, version in zip(np.flatnonzero(rec.pi), rec.versions):
             assert version >= last_version[i]
             last_version[i] = version
+
+
+# s_max=0 forces every server left out of a round, three of them into a
+# cap of one
+FORCED_OVER_CAP = Scenario(k=4, n_k=1, n_train=8, n_eval=8, s_max=0, a_max=1,
+                           rounds=4)
+# a_max * (s_max + 1) = k: from round 2 on, a server falls due every round
+DUE_IN_TURN = Scenario(k=3, n_k=1, n_train=8, n_eval=8, s_max=2, a_max=1,
+                       rounds=6)
+
+
+@settings(max_examples=50)
+@given(scn=scenarios())
+@example(scn=FORCED_OVER_CAP)
+@example(scn=DUE_IN_TURN)
+def test_staleness_and_forcing_follow_the_versions(scn):
+    """Rebuild each server's version from the records and derive the rest.
+
+    A server's version is the round after its last upload (0 before any);
+    its age at round t is t - version, and it is due once the age reaches
+    max(s_max, 1).
+    """
+    version = np.zeros(scn.k, dtype=int)
+    due_age = max(scn.s_max, 1)
+    for rec in run_experiment(scn).records:
+        pi = np.asarray(rec.pi, dtype=bool)
+        age = rec.round - version
+        assert rec.versions == tuple(version[pi])
+        assert rec.staleness_used == tuple(np.minimum(age[pi], scn.s_max))
+        if scn.selection == "proposed":
+            due = age >= due_age
+            if due.sum() <= scn.a_max:
+                assert pi[due].all()
+            else:
+                assert pi.sum() == scn.a_max and due[pi].all()
+        version[pi] = rec.round + 1
+        assert rec.staleness_after == tuple(
+            np.minimum(rec.round + 1 - version, scn.s_max))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
