@@ -23,9 +23,10 @@ def main():
     print("beta = 1/meta_lip = %.6g" % result.engine.beta)
     print("bound held in %d/%d rounds (%.1f%%)"
           % (sum(r["holds"] for r in rows), len(rows), 100.0 * frac))
-    worst = max(rows, key=lambda r: r["descent"] - r["bound"])
-    print("tightest round %d: descent %.4g vs bound %.4g"
-          % (worst["round"], worst["descent"], worst["bound"]))
+    if rows:
+        worst = max(rows, key=lambda r: r["descent"] - r["bound"])
+        print("tightest round %d: descent %.4g vs bound %.4g"
+              % (worst["round"], worst["descent"], worst["bound"]))
 
 
 if __name__ == "__main__":

@@ -11,11 +11,14 @@ real solution of w e^w = z, found by Halley iteration to 1e-12 residual;
 a solve computes its links' pricing constants once and starts each call
 from the W_{-1} of the last.  progressive_fill solves the min-max KKT
 system by safeguarded Newton iteration and certifies its answer;
-equal_split gives each payload link B / L.  Both work on (K, M+1) links
-in network's layout, each ES's own link last (a StackedProblem, or ESGroups
-padded into one), and price latencies with network.es_latency.
+equal_split gives each payload link B / L.  Both read one
+AllocationProblem of (K, M+1) links in network's layout, each ES's own
+link last, and price latencies with network.es_latency.  An ES with fewer
+than M UEs pads its row with slots of z = 0, tcmp 0 and ph > 0, which no
+solver counts as a link.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,47 +147,17 @@ def solve_link_bandwidth(z_bits, p, h, n0, tcom_target, who="link"):
     return b
 
 
-@dataclass(frozen=True)
-class ESGroup:
-    """One transmitting ES: its UE links, compute times, and payloads."""
-
-    tcmp_ue: np.ndarray
-    ph_ue: np.ndarray
-    ph_es: float
-    z_ue: float
-    z_es: float
+# one row of an AllocationProblem: an ES's UE links, compute times, payloads
+ESGroup = namedtuple("ESGroup", "tcmp_ue ph_ue ph_es z_ue z_es")
 
 
 @dataclass(frozen=True)
 class AllocationProblem:
-    """Budget B shared by every link of the transmitting ESs."""
-
-    groups: tuple
-    n0: float
-    total_b: float
-    b_min: float
-
-
-@dataclass
-class AllocationResult:
-    """An allocation and its certificate: the largest relative stationarity
-    residual (nan for an equal split) and the unspent budget, in Hz."""
-
-    b_ue: list
-    b_es: np.ndarray
-    latencies: np.ndarray
-    achieved_o: float
-    used_b: float
-    work: int
-    stationarity_residual: float
-    budget_residual: float
-
-
-@dataclass(frozen=True)
-class StackedProblem:
-    """An AllocationProblem as (K, M+1) links, each ES's own link last:
+    """Budget B shared by (K, M+1) links, each ES's own link last:
     ``tcmp_ue`` (K, M) holds the UEs' compute times, ``ph`` and ``z`` (K,
-    M+1) power times gain and payload bits; ``groups`` is built on read."""
+    M+1) power times gain and payload bits.  An ES with fewer than M UEs
+    pads its row with slots of z = 0, tcmp 0 and ph > 0 (ph = 0 gives NaN
+    slopes); a pad gets no bandwidth and finishes at once."""
 
     tcmp_ue: np.ndarray
     ph: np.ndarray
@@ -195,29 +168,31 @@ class StackedProblem:
 
     @property
     def groups(self):
-        """The ESGroups, for readers that walk the problem group by group."""
+        """The ESGroups of an unpadded problem, for readers that walk it
+        group by group."""
         return tuple(ESGroup(t, ph[:-1], ph[-1], z[:-1].max(initial=0.0), z[-1])
                      for t, ph, z in zip(self.tcmp_ue, self.ph, self.z))
 
 
-def _stack(problem):
-    """The problem as a StackedProblem, B / L over its L payload links, and
-    the real UEs of padded ESGroups (else None); raise if infeasible."""
-    real = None
-    if not isinstance(problem, StackedProblem):
-        groups = problem.groups
-        if not groups:
-            raise InfeasibleAllocationError("no transmitting ES to allocate for")
-        sizes = np.array([grp.tcmp_ue.shape[0] for grp in groups])
-        real = np.arange(sizes.max()) < sizes[:, None]
-        tcmp_ue, ph = np.zeros(real.shape), np.ones((len(groups), real.shape[1] + 1))
-        tcmp_ue[real] = np.concatenate([grp.tcmp_ue for grp in groups])
-        ph[:, :-1][real] = np.concatenate([grp.ph_ue for grp in groups])
-        ph[:, -1] = [grp.ph_es for grp in groups]
-        z = np.column_stack([real * np.array([grp.z_ue for grp in groups])[:, None],
-                             [grp.z_es for grp in groups]])
-        problem = StackedProblem(tcmp_ue, ph, z, problem.n0, problem.total_b,
-                                 problem.b_min)
+@dataclass
+class AllocationResult:
+    """An allocation and its certificate: the largest relative stationarity
+    residual (nan for an equal split) and the unspent budget, in Hz."""
+
+    b_ue: np.ndarray
+    b_es: np.ndarray
+    latencies: np.ndarray
+    achieved_o: float
+    used_b: float
+    work: int
+    stationarity_residual: float
+    budget_residual: float
+
+
+def _equal_share(problem):
+    """B / L over the problem's L payload links; raise if infeasible."""
+    if not problem.z.shape[0]:
+        raise InfeasibleAllocationError("no transmitting ES to allocate for")
     links = int(np.count_nonzero(problem.z > 0.0))
     equal_share = problem.total_b / links if links else 0.0
     if links and problem.b_min > equal_share:
@@ -225,39 +200,38 @@ def _stack(problem):
             f"{links} links need at least {links * problem.b_min:.6g} Hz "
             f"at the configured floor but only {problem.total_b:.6g} Hz "
             "are available")
-    return problem, equal_share, real
+    return equal_share
 
 
-def _result(stack, real, b, latencies=None, work=1, stationarity=np.nan):
-    """AllocationResult of padded (K, M+1) link bandwidths; the latencies
-    are priced with es_latency unless given."""
+def _result(problem, b, latencies=None, work=1, stationarity=np.nan):
+    """AllocationResult of (K, M+1) link bandwidths; the latencies are
+    priced with es_latency unless given."""
     b_ue, b_es = b[:, :-1], b[:, -1].copy()
     if latencies is None:
-        latencies = es_latency(stack.tcmp_ue, tcom(stack.z, uplink_rate(
-            b, 1.0, stack.ph, stack.n0)))
+        latencies = es_latency(problem.tcmp_ue, tcom(problem.z, uplink_rate(
+            b, 1.0, problem.ph, problem.n0)))
     used_b = float(b_ue.sum() + b_es.sum())
     return AllocationResult(
-        b_ue=b_ue if real is None else np.split(
-            b_ue[real], np.cumsum(real.sum(axis=1))[:-1]),
-        b_es=b_es, latencies=latencies, achieved_o=float(latencies.max()),
-        used_b=used_b, work=work, stationarity_residual=stationarity,
-        budget_residual=stack.total_b - used_b)
+        b_ue=b_ue, b_es=b_es, latencies=latencies,
+        achieved_o=float(latencies.max()), used_b=used_b, work=work,
+        stationarity_residual=stationarity,
+        budget_residual=problem.total_b - used_b)
 
 
 def equal_split(problem):
     """Every positive-payload link gets the same share B / L."""
-    stack, equal_share, real = _stack(problem)
-    return _result(stack, real, equal_share * (stack.z > 0.0))
+    return _result(problem, _equal_share(problem) * (problem.z > 0.0))
 
 
-def _slopes(stack, b, tau, live):
+def _slopes(problem, b, tau, live):
     """b'(tau) and b''(tau) of the live links, 0 elsewhere.  With u = s / b
     and s = p h / N0, r(b) = b log2(1 + u) has r' = log2(1 + u) - u / ((1 +
     u) ln 2) and r'' = -u^2 / (b (1 + u)^2 ln 2), and r(b(tau)) = z / tau
     gives b' = -z / (tau^2 r') and b'' = (2 z / tau^3 - r'' b'^2) / r'."""
-    b, tau, z = np.where(live, b, 1.0), np.where(live, tau, 1.0), stack.z * live
-    v = 1.0 / (1.0 + stack.n0 * b / stack.ph)         # u / (1 + u)
-    r1 = (np.log1p(stack.ph / (stack.n0 * b)) - v) / LN2
+    n0, ph, z = problem.n0, problem.ph, problem.z * live
+    b, tau = np.where(live, b, 1.0), np.where(live, tau, 1.0)
+    v = 1.0 / (1.0 + n0 * b / ph)     # u / (1 + u)
+    r1 = (np.log1p(ph / (n0 * b)) - v) / LN2
     d1 = -z / (tau * tau * r1)
     return d1, (2.0 * z / tau ** 3 + v * v / (b * LN2) * d1 * d1) / r1
 
@@ -272,17 +246,18 @@ def progressive_fill(problem):
     5e-10 B below B, reporting both; every server with a link above the
     floor finishes at O.  After _MAX_ITER iterations it returns the latest
     iterate within B (the equal split if there is none) and its residuals."""
-    stack, equal_share, real = _stack(problem)
-    n0, total, z, t_ue = stack.n0, stack.total_b, stack.z, stack.tcmp_ue
+    equal_share = _equal_share(problem)
+    n0, total, b_min = problem.n0, problem.total_b, problem.b_min
+    z, ph, t_ue = problem.z, problem.ph, problem.tcmp_ue
     # a floor that fills the budget leaves b_min on every link, and no choice
-    if equal_share <= stack.b_min * (1.0 + 1e-9):
-        return _result(stack, real, equal_share * (z > 0.0), stationarity=0.0)
+    if equal_share <= b_min * (1.0 + 1e-9):
+        return _result(problem, equal_share * (z > 0.0), stationarity=0.0)
     ue, pay = np.arange(z.shape[1]) < z.shape[1] - 1, z > 0.0
-    sign, floor, has_es = np.where(ue, 1.0, -1.0), stack.b_min * pay, pay[:, -1]
+    sign, floor, has_es = np.where(ue, 1.0, -1.0), b_min * pay, pay[:, -1]
     # each link's upload time at b_min (given longer, it sits at the floor),
     # at B (given less, it needs more than B) and at the equal share
     t_floor, t_budget, t_eq = tcom(z, uplink_rate(np.array(
-        [stack.b_min, total, equal_share])[:, None, None], 1.0, stack.ph, n0))
+        [b_min, total, equal_share])[:, None, None], 1.0, ph, n0))
     kink_ue = t_ue + t_floor[:, :-1]
     g_top = kink_ue.max(axis=1)
     g_low = (t_ue + t_budget[:, :-1]).max(axis=1)
@@ -320,7 +295,7 @@ def progressive_fill(problem):
         pinned = lo >= hi               # floors or no payload fix the split
         g = np.minimum(np.maximum(g, lo), hi)     # hi where lo >= hi
         tau = np.concatenate([g[:, None] - t_ue, (o - g)[:, None]], axis=1)
-        raw = deadline_bandwidth(z, stack.ph, n0, tau, memo)
+        raw = deadline_bandwidth(z, ph, n0, tau, memo)
         b = np.maximum(raw, floor)
         demand = float(b.sum())
         # a link at the floor has zero derivative, so D_k is convex and
@@ -330,7 +305,7 @@ def progressive_fill(problem):
         kink = ~above & (raw >= floor * (1.0 - _KINK)) & pay
         on_l, on_r, live = (above | (kink & ue), above | (kink & ~ue), above
                             | kink) if kink.any() else (above,) * 3
-        d1, d2 = _slopes(stack, raw, tau, live)
+        d1, d2 = _slopes(problem, raw, tau, live)
         signed = d1 * sign
         f_l = (signed * on_l).sum(axis=1)
         f_r = f_l if on_r is on_l else (signed * on_r).sum(axis=1)
@@ -382,5 +357,4 @@ def progressive_fill(problem):
             g - (f - d2_es * (o_new - o)) / a, lo), hi), g + follow * (o_new - o))
         o = o_new
     b, latencies, stationarity = kept
-    return _result(stack, real, b, latencies, 1 + it * z.shape[0],
-                   stationarity)
+    return _result(problem, b, latencies, 1 + it * z.shape[0], stationarity)

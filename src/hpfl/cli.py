@@ -12,7 +12,7 @@ from .bandwidth import InfeasibleAllocationError
 from .experiment import (parse_sweep_values, run_audit, run_experiment,
                          run_sweep, write_outputs)
 from .meta import NonFiniteError
-from .scenario import Scenario, load_scenario
+from .scenario import CHOICES, Scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_DIVERGED = 1
@@ -25,9 +25,8 @@ def _add_common(p):
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--rounds", type=int, help="override the round count")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--mode", choices=("hpfl", "hfl"))
-    p.add_argument("--selection", choices=("proposed", "full", "random"))
-    p.add_argument("--allocation", choices=("progressive", "equal"))
+    for field in ("mode", "selection", "allocation"):
+        p.add_argument("--" + field, choices=CHOICES[field])
     p.add_argument("--rho", type=float, help="importance/latency weight")
 
 

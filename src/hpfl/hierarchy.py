@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import meta
-from .bandwidth import StackedProblem, equal_split, progressive_fill
+from .bandwidth import AllocationProblem, equal_split, progressive_fill
 from .network import (dbm_per_hz_to_w, es_latency, sample_channels, tcmp,
                       tcom, uplink_rate)
 from .scheduler import baseline_select, objective_value, schedule
@@ -172,8 +172,7 @@ class RoundEngine:
         acc = 0.0
         if hasattr(eval_, "x"):
             pred = self.model.predict(at, eval_.x)
-            if pred is not None:
-                acc = int(np.sum(pred == eval_.y)) / eval_.y.size
+            acc = int(np.sum(pred == eval_.y)) / eval_.y.size
         return float(np.mean(losses)), float(acc), theta
 
     def _allocate(self, members, ph):
@@ -185,7 +184,7 @@ class RoundEngine:
         """
         p = self.scenario
         ph = ph[members]
-        problem = StackedProblem(
+        problem = AllocationProblem(
             tcmp_ue=np.broadcast_to(self.tcmp_ue, ph[:, :-1].shape), ph=ph,
             z=np.full(ph.shape, p.z_bits), n0=self.n0, total_b=p.total_b,
             b_min=p.b_min)

@@ -99,7 +99,8 @@ class Scenario:
         return hashlib.sha256(blob).hexdigest()
 
 
-_CHOICES = {
+# the allowed values of each string field, which the CLI offers as choices
+CHOICES = {
     "family": ("classification", "quadratic"),
     "model": ("logistic", "mlp"),
     "mode": ("hpfl", "hfl"),
@@ -131,7 +132,7 @@ def _validate(s):
                  field.name, "must be %s, got %r" % (what, value))
     _require(s.k >= 1, "k", "need at least one edge server")
     _require(s.n_k >= 1, "n_k", "need at least one UE per edge server")
-    for field, choices in _CHOICES.items():
+    for field, choices in CHOICES.items():
         _require(getattr(s, field) in choices, field,
                  "must be one of %s" % (choices,))
     _require(s.dim >= 1, "dim", "must be positive")

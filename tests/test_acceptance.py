@@ -14,7 +14,6 @@ import scipy.stats
 
 from hpfl.bandwidth import (
     AllocationProblem,
-    ESGroup,
     bisect_link_bandwidth,
     power_limited_rate,
     progressive_fill,
@@ -201,49 +200,38 @@ LAYOUTS = [
 
 
 def random_small_problem(rng):
+    """Servers of the drawn layout, each row padded to the widest with
+    slots of z = 0, tcmp 0 and ph 1."""
     layout = LAYOUTS[int(rng.integers(len(LAYOUTS)))]
-    groups = []
-    for n_ue, with_es in layout:
+    m = max(n_ue for n_ue, _ in layout)
+    tcmp_ue, ph, z = np.zeros((len(layout), m)), \
+        np.ones((len(layout), m + 1)), np.zeros((len(layout), m + 1))
+    for k, (n_ue, with_es) in enumerate(layout):
         h_ue = 10.0 ** rng.uniform(-9.0, -7.5, size=n_ue)
-        groups.append(ESGroup(
-            tcmp_ue=rng.uniform(0.005, 0.05, size=n_ue),
-            ph_ue=0.01 * h_ue,
-            ph_es=0.1 * 10.0 ** rng.uniform(-9.0, -7.5),
-            z_ue=float(rng.uniform(2e5, 2e6)),
-            z_es=float(rng.uniform(2e5, 2e6)) if with_es else 0.0,
-        ))
-    return AllocationProblem(groups=tuple(groups), n0=N0, total_b=5e6,
-                             b_min=1.0)
+        tcmp_ue[k, :n_ue] = rng.uniform(0.005, 0.05, size=n_ue)
+        ph[k, :n_ue], ph[k, -1] = 0.01 * h_ue, \
+            0.1 * 10.0 ** rng.uniform(-9.0, -7.5)
+        z[k, :n_ue] = rng.uniform(2e5, 2e6)
+        z[k, -1] = rng.uniform(2e5, 2e6) if with_es else 0.0
+    return AllocationProblem(tcmp_ue, ph, z, N0, 5e6, 1.0)
 
 
 def link_slots(problem):
-    slots = []
-    for gi, grp in enumerate(problem.groups):
-        if grp.z_ue > 0.0:
-            for ui in range(grp.tcmp_ue.shape[0]):
-                slots.append((gi, ui))
-        if grp.z_es > 0.0:
-            slots.append((gi, -1))
-    return slots
+    """Indices of the payload links, server by server, UEs before the ES."""
+    return np.nonzero(problem.z > 0.0)
 
 
 def latency_of(problem, slots, b):
-    b_ue = [np.zeros(grp.tcmp_ue.shape[0]) for grp in problem.groups]
-    b_es = np.zeros(len(problem.groups))
-    for (gi, ui), bw in zip(slots, b):
-        if ui < 0:
-            b_es[gi] = bw
-        else:
-            b_ue[gi][ui] = bw
+    bw = np.zeros(problem.z.shape)
+    bw[slots] = b
     worst = 0.0
-    for gi, grp in enumerate(problem.groups):
-        g = 0.0
-        if grp.z_ue > 0.0:
-            rates = uplink_rate(b_ue[gi], 1.0, grp.ph_ue, problem.n0)
-            g = float(np.max(grp.tcmp_ue + tcom(grp.z_ue, rates)))
-        if grp.z_es > 0.0:
-            g += tcom(grp.z_es, uplink_rate(b_es[gi], 1.0, grp.ph_es,
-                                            problem.n0))
+    for t_ue, ph, z, b_k in zip(problem.tcmp_ue, problem.ph, problem.z, bw):
+        g, ue = 0.0, z[:-1] > 0.0
+        if ue.any():
+            rates = uplink_rate(b_k[:-1][ue], 1.0, ph[:-1][ue], problem.n0)
+            g = float(np.max(t_ue[ue] + tcom(z[:-1][ue], rates)))
+        if z[-1] > 0.0:
+            g += tcom(z[-1], uplink_rate(b_k[-1], 1.0, ph[-1], problem.n0))
         worst = max(worst, g)
     return worst
 
@@ -252,7 +240,7 @@ def brute_force_latency(problem):
     """Grid search plus simplex refinement over the bandwidth split."""
     slots = link_slots(problem)
     total = problem.total_b
-    n = len(slots)
+    n = len(slots[0])
     if n == 1:
         return latency_of(problem, slots, np.array([total]))
 
@@ -298,11 +286,12 @@ def test_criterion_5_allocator_optimality(capsys):
         worst_gap = max(worst_gap, abs(sol.achieved_o - oracle) / oracle)
 
         # equal finish times, within every server's clients and across servers
-        for grp, bu in zip(problem.groups, sol.b_ue):
-            if grp.z_ue > 0.0 and grp.tcmp_ue.shape[0] > 1:
-                t = grp.tcmp_ue + tcom(grp.z_ue,
-                                       uplink_rate(bu, 1.0, grp.ph_ue,
-                                                   problem.n0))
+        for t_ue, ph, z, bu in zip(problem.tcmp_ue, problem.ph[:, :-1],
+                                   problem.z[:, :-1], sol.b_ue):
+            ue = z > 0.0
+            if np.count_nonzero(ue) > 1:
+                t = t_ue[ue] + tcom(z[ue], uplink_rate(bu[ue], 1.0, ph[ue],
+                                                       problem.n0))
                 worst_finish = max(worst_finish,
                                    (t.max() - t.min()) / t.max())
         lats = sol.latencies

@@ -45,12 +45,6 @@ def scenarios(draw):
     return scn.replace(b_min=draw(st.floats(0.0, share)))
 
 
-def _links(result):
-    """Bandwidth of every link, one array per server."""
-    return [np.append(b_ue, b_es)
-            for b_ue, b_es in zip(result.b_ue, result.b_es)]
-
-
 def _checked(name, calls):
     """The engine's allocator ``name``, asserting the allocation invariants.
 
@@ -61,13 +55,11 @@ def _checked(name, calls):
     def checked(problem):
         result = allocator(problem)
         assert result.used_b <= problem.total_b * (1.0 + BUDGET_SLACK)
-        links = _links(result)
-        assert min(b.min() for b in links) >= \
-            problem.b_min * (1.0 - FLOOR_SLACK)
+        links = np.column_stack([result.b_ue, result.b_es])
+        assert links.min() >= problem.b_min * (1.0 - FLOOR_SLACK)
         if name == "progressive_fill":
             lat = np.asarray(result.latencies)
-            above = [b.max() > problem.b_min * (1.0 + FLOOR_SLACK)
-                     for b in links]
+            above = links.max(axis=1) > problem.b_min * (1.0 + FLOOR_SLACK)
             assert lat.max() <= np.min(lat[above], initial=np.inf) \
                 * (1.0 + FINISH_SPREAD)
         calls.append((problem, result))
@@ -160,6 +152,6 @@ def test_floor_binding_runs_finish_together(over, seed):
     for problem, result in calls:
         lat = np.asarray(result.latencies)
         assert lat.max() / lat.min() - 1.0 <= FINISH_SPREAD
-        floored += min(b.min() for b in _links(result)) \
+        floored += min(result.b_ue.min(), result.b_es.min()) \
             <= problem.b_min * (1.0 + FLOOR_SLACK)
     assert floored
