@@ -21,12 +21,14 @@ def main():
                    seed=args.seed)
     result, rows, frac = run_audit(scn, out_dir=args.out)
     print("beta = 1/meta_lip = %.6g" % result.engine.beta)
+    if not rows:
+        print("bound held in 0/0 rounds: no rounds audited")
+        return
     print("bound held in %d/%d rounds (%.1f%%)"
           % (sum(r["holds"] for r in rows), len(rows), 100.0 * frac))
-    if rows:
-        worst = max(rows, key=lambda r: r["descent"] - r["bound"])
-        print("tightest round %d: descent %.4g vs bound %.4g"
-              % (worst["round"], worst["descent"], worst["bound"]))
+    worst = max(rows, key=lambda r: r["descent"] - r["bound"])
+    print("tightest round %d: descent %.4g vs bound %.4g"
+          % (worst["round"], worst["descent"], worst["bound"]))
 
 
 if __name__ == "__main__":

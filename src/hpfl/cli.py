@@ -71,8 +71,11 @@ def main(argv=None):
             print("wrote %s (%d rounds)" % (args.out, len(result.records)))
         elif args.command == "audit":
             result, rows, frac = run_audit(scenario, out_dir=args.out)
-            print("wrote %s; bound held in %.1f%% of %d rounds"
-                  % (args.out, 100.0 * frac, len(rows)))
+            if rows:
+                print("wrote %s; bound held in %.1f%% of %d rounds"
+                      % (args.out, 100.0 * frac, len(rows)))
+            else:
+                print("wrote %s; no rounds audited" % args.out)
         else:
             values = parse_sweep_values(args.values)
             run_sweep(scenario, args.param, values, out_dir=args.out)

@@ -241,11 +241,12 @@ def audit_bound(result):
 def run_audit(scenario, out_dir=None):
     """Audit-grade run: step size pinned to 1/meta_lip, bound checked.
 
-    Returns (result, rows, fraction of rounds where the bound holds).
+    Returns (result, rows, fraction of rounds where the bound holds), the
+    fraction None (JSON null in the manifest) when no round was audited.
     """
     result = _run(scenario, audit=True)
     rows = audit_bound(result)
-    frac = float(np.mean([r["holds"] for r in rows])) if rows else 1.0
+    frac = float(np.mean([r["holds"] for r in rows])) if rows else None
     if out_dir is not None:
         write_outputs(result, out_dir,
                       extra_manifest={"audit_holds_fraction": frac})

@@ -33,6 +33,19 @@ sums and means are plain NumPy reductions, and ``predict`` takes its argmax
 over the same class-major logits.  ``forward(w, shard)`` returns the state
 that ``grad`` and ``hvp`` build at ``w`` unless handed it as ``state``, so a
 gradient and its HVPs at one point share one forward pass, bit for bit.
+
+Memory layout: the logistic model's logits and its HVP's logit change keep
+the logical shape ``(..., c, n)`` but are stored class-outermost, as
+``(c, ..., n)`` in C order (``_class_logits``).  Each class max, class sum
+and one-hot step then runs over whole contiguous slabs, one class of every
+UE and sample at a time, and the values are those of the plain product,
+bit for bit.  ``_softmax``, ``_nll`` and ``_minus_onehot`` follow the
+layout they are handed; the MLP's logits stay in C order, and so do its
+temporaries.  One exception to bit-equality: NumPy sums a stacked
+class-outermost column class by class but a C-ordered single-sample column
+pairwise, so with one sample per shard and eight or more classes a batched
+logistic call can differ in the last bits from a single-shard call and
+from the same kernels on C-ordered logits.
 """
 
 from dataclasses import dataclass
@@ -112,23 +125,51 @@ def _pack(batch, *parts):
     return np.concatenate([p.reshape(batch + (-1,)) for p in parts], axis=-1)
 
 
+def _class_logits(weights, bias, x):
+    """``weights @ x' + bias`` as (..., c, n) logits, class axis outermost.
+
+    weights is (..., c, d), bias (..., c) and x (..., n, d).  The result
+    has the logical shape and the bits of the plain expression (the same
+    BLAS call per batch entry), but it is laid out as (c, ..., n), the
+    batch axes broadcast, so a reduction down the classes runs over whole
+    contiguous slabs.
+    """
+    batch = np.broadcast(weights[..., 0, 0], x[..., 0, 0]).shape
+    nb = len(batch)
+    out = np.empty((weights.shape[-2],) + batch + (x.shape[-2],))
+    z = np.matmul(weights, _t(x),
+                  out=out.transpose(tuple(range(1, nb + 1)) + (0, nb + 1)))
+    # add the bias in storage order, (c, ..., 1) against (c, ..., n)
+    bias = bias.reshape((1,) * (nb + 1 - bias.ndim) + bias.shape + (1,))
+    out += bias.transpose((nb,) + tuple(range(nb)) + (nb + 1,))
+    return z
+
+
 def _softmax(z):
-    """Class-major softmax of logits ``z (..., c, n)``."""
-    e = np.exp(z - z.max(axis=-2, keepdims=True))
-    return e / e.sum(axis=-2, keepdims=True)
+    """Class-major softmax of logits ``z (..., c, n)``, in z's layout."""
+    e = z - z.max(axis=-2, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-2, keepdims=True)
+    return e
 
 
 def _nll(z, y):
     """Mean negative log-likelihood of labels y (..., n) under logits z."""
     zs = z - z.max(axis=-2, keepdims=True)
-    log_norm = np.log(np.exp(zs).sum(axis=-2))
     picked = np.take_along_axis(zs, y[..., None, :], axis=-2)[..., 0, :]
+    log_norm = np.log(np.exp(zs, out=zs).sum(axis=-2))
     return -(picked - log_norm).mean(axis=-1)
 
 
 def _minus_onehot(p, y):
-    """Class-major probabilities p minus the one-hot labels y (..., n)."""
-    return p - (y[..., None, :] == np.arange(p.shape[-2])[:, None])
+    """Class-major probabilities p minus the one-hot labels y (..., n).
+
+    The one-hot is built in p's layout, so the difference runs over
+    matching memory.
+    """
+    onehot = np.equal(y[..., None, :], np.arange(p.shape[-2])[:, None],
+                      out=np.empty_like(p, dtype=bool))
+    return p - onehot
 
 
 class LogisticModel:
@@ -147,13 +188,11 @@ class LogisticModel:
 
     def _unpack(self, w):
         c, d = self.n_classes, self.dim
-        weights, bias = np.split(w, [c * d], axis=-1)
-        return weights.reshape(w.shape[:-1] + (c, d)), bias
+        return w[..., :c * d].reshape(w.shape[:-1] + (c, d)), w[..., c * d:]
 
     def _logits(self, w, x):
-        """Class-major logits (..., c, n)."""
-        weights, bias = self._unpack(w)
-        return weights @ _t(x) + bias[..., :, None]
+        """Class-major logits (..., c, n), class axis outermost in memory."""
+        return _class_logits(*self._unpack(w), x)
 
     def init_params(self, rng, scale=1.0):
         c, d = self.n_classes, self.dim
@@ -177,9 +216,8 @@ class LogisticModel:
         return _pack(g_b.shape[:-1], g_w, g_b) + self.l2 * w
 
     def hvp(self, w, shard, v, state=None):
-        v_w, v_b = self._unpack(v)
         p = self.forward(w, shard) if state is None else state
-        rz = v_w @ _t(shard.x) + v_b[..., :, None]
+        rz = self._logits(v, shard.x)   # the logits are linear in w
         rp = p * (rz - (p * rz).sum(axis=-2, keepdims=True))
         h_w = rp @ shard.x / shard.size
         h_b = rp.mean(axis=-1)
@@ -206,9 +244,10 @@ class MLPModel:
 
     def _unpack(self, w):
         d, h, c = self.dim, self.hidden, self.n_classes
-        w1, b1, w2, b2 = np.split(w, np.cumsum([h * d, h, c * h]), axis=-1)
+        i, j, k = h * d, h * d + h, h * d + h + c * h
         batch = w.shape[:-1]
-        return w1.reshape(batch + (h, d)), b1, w2.reshape(batch + (c, h)), b2
+        return (w[..., :i].reshape(batch + (h, d)), w[..., i:j],
+                w[..., j:k].reshape(batch + (c, h)), w[..., k:])
 
     def init_params(self, rng, scale=1.0):
         d, h, c = self.dim, self.hidden, self.n_classes

@@ -312,6 +312,20 @@ class TestCli:
         assert code == 0
         assert (out / "audit.csv").exists()
 
+    def test_audit_of_no_rounds_reports_no_fraction(self, tmp_path, capsys):
+        """No round audited: no success rate printed, null in the manifest."""
+        cfg = tmp_path / "cfg.json"
+        save_scenario(SMALL, cfg)
+        out = tmp_path / "a"
+        code = cli.main(["audit", "--config", str(cfg), "--rounds", "0",
+                         "--out", str(out)])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "no rounds audited" in printed and "%" not in printed
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["audit_holds_fraction"] is None
+        assert (out / "audit.csv").read_text() == AUDIT_HEADER + "\n"
+
     def test_sweep_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         save_scenario(SMALL.replace(rounds=1), cfg)

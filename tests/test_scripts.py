@@ -24,6 +24,7 @@ def _run(script, *args):
     ("audit_run.py", (), "bound held in"),
     ("sweep_rho.py", ("--values", "0.4,0.6"), "  rho  final_loss"),
     ("audit_run.py", ("--rounds", "0"), "bound held in 0/0"),
+    ("audit_run.py", ("--rounds", "0"), "no rounds audited"),
 ])
 def test_script_runs(script, args, expect):
     proc = _run(script, *args)

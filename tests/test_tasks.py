@@ -7,7 +7,8 @@ from hpfl import meta
 from hpfl.experiment import prepare
 from hpfl.scenario import Scenario
 from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
-                        QuadraticTask, TaskShard)
+                        QuadraticTask, TaskShard, _minus_onehot, _nll,
+                        _softmax)
 
 K, N, SAMPLES, DIM, CLASSES = 3, 4, 6, 5, 4
 
@@ -113,6 +114,81 @@ def test_meta_grad_matches_per_ue_calls(case):
         _assert_rows_match(
             meta.meta_grad(model, batched_w, stack, alpha),
             lambda k, j: meta.meta_grad(model, ue_w(k, j), stack[k, j], alpha))
+
+
+def _plain_logistic(model, w, shard, v):
+    """The logistic kernels as plain C-ordered expressions: logits,
+    forward, loss, grad, hvp and predict."""
+    def pack(*parts):
+        batch = parts[-1].shape[:-1]
+        return np.concatenate([q.reshape(batch + (-1,)) for q in parts], -1)
+
+    (weights, bias), (v_w, v_b) = model._unpack(w), model._unpack(v)
+    xt = np.swapaxes(shard.x, -1, -2)
+    z = weights @ xt + bias[..., :, None]
+    zs = z - z.max(axis=-2, keepdims=True)
+    e = np.exp(zs)
+    p = e / e.sum(axis=-2, keepdims=True)
+    picked = np.take_along_axis(zs, shard.y[..., None, :], axis=-2)[..., 0, :]
+    nll = -(picked - np.log(e.sum(axis=-2))).mean(axis=-1)
+    loss = nll + 0.5 * model.l2 * (w[..., None, :] @ w[..., :, None])[..., 0, 0]
+    delta = p - (shard.y[..., None, :] == np.arange(p.shape[-2])[:, None])
+    grad = pack(delta @ shard.x / shard.size, delta.mean(axis=-1)) + model.l2 * w
+    rz = v_w @ xt + v_b[..., :, None]
+    rp = p * (rz - (p * rz).sum(axis=-2, keepdims=True))
+    hvp = pack(rp @ shard.x / shard.size, rp.mean(axis=-1)) + model.l2 * v
+    return z, p, loss, grad, hvp, z.argmax(axis=-2)
+
+
+LOGISTIC_POINTS = {
+    "shared": lambda w, per_ue: w,
+    "per_ue": lambda w, per_ue: per_ue,
+    # one point per server broadcast over its UEs, as the refresh passes it
+    "per_server": lambda w, per_ue: per_ue[:, :1],
+}
+
+
+def _logistic_case(at):
+    """(model, stack, point, direction) on the (K, N) stack."""
+    rng = np.random.default_rng(47)
+    model = LogisticModel(DIM, CLASSES, l2=1e-2)
+    stack = _classification_stack(rng)
+    w = model.init_params(rng, scale=0.7)
+    per_ue = w + 0.3 * rng.standard_normal((K, N, model.n_params))
+    v = rng.standard_normal((K, N, model.n_params))
+    return model, stack, LOGISTIC_POINTS[at](w, per_ue), v
+
+
+@pytest.mark.parametrize("at", sorted(LOGISTIC_POINTS))
+def test_class_outermost_logistic_kernels_equal_the_plain_expressions(at):
+    """Logits and state laid out class-outermost; every output bit for bit."""
+    model, stack, w, v = _logistic_case(at)
+    z, p, loss, grad, hvp, labels = _plain_logistic(model, w, stack, v)
+    got_z, got_p = model._logits(w, stack.x), model.forward(w, stack)
+    for got, want in [(got_z, z), (got_p, p), (model.loss(w, stack), loss),
+                      (model.grad(w, stack), grad),
+                      (model.hvp(w, stack, v), hvp),
+                      (model.predict(w, stack.x), labels)]:
+        np.testing.assert_array_equal(got, want)
+    # the class axis is outermost in memory: (c, K, N, n) in C order
+    assert np.moveaxis(got_z, -2, 0).flags.c_contiguous
+    assert np.moveaxis(got_p, -2, 0).flags.c_contiguous
+
+
+def test_softmax_helpers_follow_their_input_layout():
+    """On C-ordered logits, the MLP's layout, the helpers give the same
+    bits as on class-outermost logits, and keep the layout they are given."""
+    model, stack, w, _ = _logistic_case("per_ue")
+    z = model._logits(w, stack.x)
+    z_c = np.ascontiguousarray(z)
+    p, p_c = _softmax(z), _softmax(z_c)
+    np.testing.assert_array_equal(p_c, p)
+    np.testing.assert_array_equal(_nll(z_c, stack.y), _nll(z, stack.y))
+    d, d_c = _minus_onehot(p, stack.y), _minus_onehot(p_c, stack.y)
+    np.testing.assert_array_equal(d_c, d)
+    assert p_c.flags.c_contiguous and d_c.flags.c_contiguous
+    assert np.moveaxis(p, -2, 0).flags.c_contiguous
+    assert np.moveaxis(d, -2, 0).flags.c_contiguous
 
 
 def test_nonfinite_row_is_named_by_its_batch_index():
