@@ -198,8 +198,8 @@ def _equal_share(problem):
     if links and problem.b_min > equal_share:
         raise InfeasibleAllocationError(
             f"{links} links need at least {links * problem.b_min:.6g} Hz "
-            f"at the configured floor but only {problem.total_b:.6g} Hz "
-            "are available")
+            f"at the floor b_min = {problem.b_min:.6g} Hz but only "
+            f"{problem.total_b:.6g} Hz are available")
     return equal_share
 
 

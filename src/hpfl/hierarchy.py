@@ -7,18 +7,20 @@ with one meta-gradient step.  Every round the engine:
 1. scores loss/accuracy of the entering global model,
 2. recomputes local updates at edge servers whose base model changed,
    from the same adaptation of their UEs the scoring made,
-3. draws this round's channel fading and allocates uplink bandwidth to
-   the servers that worked during the round (the previous selection),
-4. predicts per-server latency, schedules the uploads, and reallocates
-   bandwidth to the servers that were actually selected,
+3. draws this round's channel fading and prices every server's latency
+   in closed form at the link share ``B / (min(a_max, K) (N+1))``, the
+   even split over as many servers as a round accepts,
+4. schedules the uploads on those prices and splits the bandwidth over
+   the selected servers in one allocator solve, whose slowest server
+   sets the round's latency,
 5. applies the cloud step from the selected servers' (stale) aggregated
    meta-gradients scaled by beta over the number of arrivals,
 6. hands the new model to the selected servers by setting their version
    to the new round; the rest keep theirs and so age by one.
 
 A server's version is its only clock: its age is ``t - version``, the
-rounds since it last received the global model.  The work set and the
-servers to refresh are those of age 0, the servers of age at least
+rounds since it last received the global model.  The servers to
+refresh are those of age 0, the servers of age at least
 ``max(s_max, 1)`` must upload, and the staleness saturated at ``s_max``
 exists only in the round records.
 
@@ -125,9 +127,10 @@ class RoundEngine:
         d_bits = np.full(scenario.n_k, float(self.federation.train.size)) \
             * self.model.dim * BITS_PER_PARAM
         self.tcmp_ue = tcmp(scenario.c_cycles, d_bits, scenario.cpu_hz)
-        # a server without bandwidth is priced at the even split of the
-        # budget over every link of the federation
-        self.idle_share = scenario.total_b / (k * (scenario.n_k + 1))
+        # one closed-form share prices every server alike, so the schedule
+        # compares like with like and only the selection is ever solved for
+        self.price_share = scenario.total_b / (
+            min(scenario.a_max, k) * (scenario.n_k + 1))
         self._random_rng = np.random.default_rng(
             np.random.SeedSequence([scenario.seed, 433]))
         _, self._grad = meta.objective(scenario.mode)
@@ -176,11 +179,12 @@ class RoundEngine:
         return float(np.mean(losses)), float(acc), theta
 
     def _allocate(self, members, ph):
-        """Bandwidth split over the servers masked by ``members``.
+        """The round's one bandwidth split, over the servers masked by
+        ``members``.
 
         ``ph`` (K, N+1) is this round's transmit power times channel gain,
-        each server's own link last.  Returns (per-ES latency array over
-        the members, solver work units).
+        each server's own link last.  Returns (the slowest member's
+        latency, solver work units).
         """
         p = self.scenario
         ph = ph[members]
@@ -190,27 +194,21 @@ class RoundEngine:
             b_min=p.b_min)
         result = (progressive_fill if p.allocation == "progressive"
                   else equal_split)(problem)
-        return result.latencies, result.work
+        return result.achieved_o, result.work
 
     def run_round(self, forced_selection=None):
         """Advance the federation by one cloud round and record it."""
         p = self.scenario
         k = p.k
         age = self.t - self.version
+        loss, acc, theta = self._evaluate()
         # the servers that received the entering model worked this round
         # (at t = 0, all of them)
-        work_set = age == 0
-        loss, acc, theta = self._evaluate()
-        self._refresh(np.flatnonzero(work_set), theta)
+        self._refresh(np.flatnonzero(age == 0), theta)
         ph = np.append(np.full(p.n_k, p.p_ue), p.p_es) * sample_channels(
             self.topology, p.seed, self.t)
-
-        latencies = np.empty(k)
-        latencies[work_set], work = self._allocate(work_set, ph)
-        idle = ~work_set
-        if idle.any():
-            rate = uplink_rate(self.idle_share, 1.0, ph[idle], self.n0)
-            latencies[idle] = es_latency(self.tcmp_ue, tcom(p.z_bits, rate))
+        latencies = es_latency(self.tcmp_ue, tcom(
+            p.z_bits, uplink_rate(self.price_share, 1.0, ph, self.n0)))
 
         importance = self.grad_norm_sq
         capped = False
@@ -228,14 +226,7 @@ class RoundEngine:
         else:
             pi = baseline_select(p.selection, k, p.a_max, self._random_rng)
 
-        # servers picked outside the working set need bandwidth they never
-        # had, so the physical round re-splits over the actual uploaders
-        if not np.array_equal(pi, work_set):
-            sel_lat, extra = self._allocate(pi, ph)
-            work += extra
-            latency = float(sel_lat.max())
-        else:
-            latency = float(latencies[pi].max())
+        latency, work = self._allocate(pi, ph)
 
         staleness_used = tuple(int(s) for s in np.minimum(age[pi], p.s_max))
         versions = tuple(int(v) for v in self.version[pi])

@@ -1,11 +1,16 @@
 """Experiment driver, CSV/manifest outputs, audit, sweep, CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hpfl
 from hpfl import cli, meta
+from hpfl.bandwidth import InfeasibleAllocationError
 from hpfl.experiment import (
     AUDIT_HEADER,
     CSV_HEADER,
@@ -266,9 +271,10 @@ class TestCli:
         assert code == 0
 
     def test_floor_that_fills_the_budget_runs(self, tmp_path):
-        """b_min equal to the share B / L puts every link at the floor."""
+        """b_min equal to the share B / L of the one selected server's L = 4
+        links puts every link at the floor."""
         scn = Scenario(k=3, n_k=3, n_train=8, n_eval=8, s_max=0, a_max=1,
-                       rounds=1, b_min=5e6 / 12)
+                       rounds=1, b_min=5e6 / 4)
         assert len(run_experiment(scn).records) == 1
         cfg = tmp_path / "cfg.json"
         save_scenario(scn, cfg)
@@ -303,6 +309,23 @@ class TestCli:
         code = cli.main(["run", "--config", str(cfg), "--out",
                          str(tmp_path / "o")])
         assert code == 3
+
+    def test_floor_binds_only_the_selected_links(self, tmp_path, capsys):
+        """Only the selected servers' links share the budget: 25 links at
+        3e5 Hz exceed 5e6 Hz, but the 15 links of a_max = 3 servers do not,
+        so only the full selection is infeasible."""
+        scn = Scenario(b_min=3e5, rounds=3)
+        for selection in ("proposed", "random"):
+            records = run_experiment(scn.replace(selection=selection)).records
+            assert len(records) == scn.rounds
+        with pytest.raises(InfeasibleAllocationError, match="b_min"):
+            run_experiment(scn.replace(selection="full"))
+        cfg = tmp_path / "cfg.json"
+        save_scenario(scn.replace(selection="full"), cfg)
+        code = cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "o")])
+        assert code == cli.EXIT_INFEASIBLE
+        assert "b_min" in capsys.readouterr().err
 
     def test_audit_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -394,3 +417,28 @@ class TestCli:
         cfg = manifest["config"]
         assert cfg["mode"] == "hfl" and cfg["selection"] == "full"
         assert cfg["rho"] == 0.9 and cfg["seed"] == 8
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({}, id="desk"),
+    pytest.param({"model": "mlp", "hidden": 32}, id="mlp"),
+])
+def test_rounds_csv_is_the_same_on_one_and_two_blas_threads(config, tmp_path):
+    """hpfl run writes the same rounds.csv bytes with OpenBLAS on one thread
+    and on two, each run in its own process."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hpfl.__file__)))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("threads" + threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpfl.cli", "run", "--config", str(cfg),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        written.append((out / "rounds.csv").read_bytes())
+    assert written[0] == written[1]

@@ -30,7 +30,7 @@ SCENARIOS = {
     "mlp": {"model": "mlp", "hidden": 32},
     "quadratic": {"family": "quadratic"},
     "equal": {"allocation": "equal"},
-    "floor": {"k": 10, "n_k": 8, "total_b": 2e6, "b_min": 2e4},
+    "floor": {"k": 10, "n_k": 8, "total_b": 2e6, "b_min": 4.5e4},
 }
 EXACT_COLUMNS = {"round", "A_eff", "runtime_us", "holds", "pi", "versions",
                  "staleness_used", "staleness_after", "capped"}
