@@ -26,22 +26,33 @@ one call evaluates every UE at a shared point or each UE at its own point;
 a single shard is the case with no batch axes.  ``loss`` returns one value
 per batch entry, ``grad`` and ``hvp`` one ``(..., P)`` vector, ``predict``
 one ``(..., n)`` label array.  Products are stacked ``np.matmul`` calls, so
-each UE's result is the same BLAS call a single shard makes, bit for bit.
-The Hessian is never materialized.  Logits are class-major, ``(..., c, n)``,
-so the softmax runs down the short class axis over all samples at once.  Its
-sums and means are plain NumPy reductions, and ``predict`` takes its argmax
-over the same class-major logits.  ``forward(w, shard)`` returns the state
-that ``grad`` and ``hvp`` build at ``w`` unless handed it as ``state``, so a
-gradient and its HVPs at one point share one forward pass, bit for bit.
+each UE's result is the same BLAS call a single shard makes, bit for bit,
+with one exception: at a shared point (parameters without batch axes) the
+logistic logits are one product over every sample of every shard, and each
+entry is the same length-d dot, so the bits are those of the stacked
+products.  The Hessian is never materialized.  Logits are class-major,
+``(..., c, n)``, so the softmax runs down the short class axis over all
+samples at once.  Its sums and means are plain NumPy reductions, and
+``predict`` takes the first class at the class max, as ``np.argmax`` does.
+``forward(w, shard)`` returns the state that ``grad`` and ``hvp`` build at
+``w`` unless handed it as ``state``, so a gradient and its HVPs at one
+point share one forward pass, bit for bit.
+
+Buffers: the kernels overwrite only arrays they made themselves.
+``_softmax`` and ``_nll`` work in place on the fresh logits they are
+handed, ``grad`` subtracts the one-hot in place only from a state it made,
+and the logistic ``hvp`` turns its own logit change into the probability
+change.  A state passed in is never written: ``meta_grad`` and
+``estimate_constants`` hand one state to ``grad`` and then to ``hvp``.
 
 Memory layout: the logistic model's logits and its HVP's logit change keep
 the logical shape ``(..., c, n)`` but are stored class-outermost, as
-``(c, ..., n)`` in C order (``_class_logits``).  Each class max, class sum
-and one-hot step then runs over whole contiguous slabs, one class of every
-UE and sample at a time, and the values are those of the plain product,
-bit for bit.  ``_softmax``, ``_nll`` and ``_minus_onehot`` follow the
-layout they are handed; the MLP's logits stay in C order, and so do its
-temporaries.  One exception to bit-equality: NumPy sums a stacked
+``(c, ..., n)`` in C order (``_class_logits``).  Each class max, class sum,
+label pick, one-hot step and, on wide slabs, the class argmax then runs
+over whole contiguous slabs, one class of every UE and sample at a time,
+and the values are those of the plain product, bit for bit.  The helpers
+follow the layout they are handed; the MLP's logits stay in C order, and
+so do its temporaries.  One exception to bit-equality: NumPy sums a stacked
 class-outermost column class by class but a C-ordered single-sample column
 pairwise, so with one sample per shard and eight or more classes a batched
 logistic call can differ in the last bits from a single-shard call and
@@ -125,51 +136,123 @@ def _pack(batch, *parts):
     return np.concatenate([p.reshape(batch + (-1,)) for p in parts], axis=-1)
 
 
+def _from_slabs(a):
+    """The (..., c, n) view of a (c, ..., n) array."""
+    nd = a.ndim
+    return a.transpose(tuple(range(1, nd - 1)) + (0, nd - 1))
+
+
+def _slabs(z):
+    """The (c, M) class slabs of class-outermost ``z``, as a view, or None
+    when z is laid out otherwise (the MLP's C-ordered batched logits)."""
+    nd = z.ndim
+    slabs = z.transpose((nd - 2,) + tuple(range(nd - 2)) + (nd - 1,))
+    if not slabs.flags.c_contiguous:
+        return None
+    return slabs.reshape(z.shape[-2], -1)
+
+
 def _class_logits(weights, bias, x):
     """``weights @ x' + bias`` as (..., c, n) logits, class axis outermost.
 
     weights is (..., c, d), bias (..., c) and x (..., n, d).  The result
-    has the logical shape and the bits of the plain expression (the same
-    BLAS call per batch entry), but it is laid out as (c, ..., n), the
-    batch axes broadcast, so a reduction down the classes runs over whole
-    contiguous slabs.
+    has the logical shape and the bits of the plain expression, but it is
+    laid out as (c, ..., n), the batch axes broadcast, so a reduction down
+    the classes runs over whole contiguous slabs.  At a shared point
+    (weights without batch axes) it is one product over every sample,
+    ``weights @ x.reshape(-1, d)'``, which is already (c, ..., n); else it
+    is one stacked product per batch entry, written into that layout.
+    Each entry is the same length-d dot either way.
     """
+    c, n = weights.shape[-2], x.shape[-2]
+    if weights.ndim == 2:
+        out = weights @ x.reshape(-1, x.shape[-1]).T
+        out += bias[:, None]
+        return _from_slabs(out.reshape((c,) + x.shape[:-2] + (n,)))
     batch = np.broadcast(weights[..., 0, 0], x[..., 0, 0]).shape
     nb = len(batch)
-    out = np.empty((weights.shape[-2],) + batch + (x.shape[-2],))
-    z = np.matmul(weights, _t(x),
-                  out=out.transpose(tuple(range(1, nb + 1)) + (0, nb + 1)))
+    out = np.empty((c,) + batch + (n,))
+    z = np.matmul(weights, _t(x), out=_from_slabs(out))
     # add the bias in storage order, (c, ..., 1) against (c, ..., n)
     bias = bias.reshape((1,) * (nb + 1 - bias.ndim) + bias.shape + (1,))
     out += bias.transpose((nb,) + tuple(range(nb)) + (nb + 1,))
     return z
 
 
+def _label_index(z, y):
+    """Flat index of each sample's label class in the slabs of ``z``."""
+    m = z.size // z.shape[-2]
+    if y.size != m:
+        y = np.broadcast_to(y, z.shape[:-2] + z.shape[-1:])
+    return y.reshape(-1) * m + np.arange(m)
+
+
 def _softmax(z):
-    """Class-major softmax of logits ``z (..., c, n)``, in z's layout."""
-    e = z - z.max(axis=-2, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-2, keepdims=True)
-    return e
+    """Class-major softmax of logits ``z (..., c, n)``, in place in z."""
+    z -= z.max(axis=-2, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-2, keepdims=True)
+    return z
 
 
 def _nll(z, y):
-    """Mean negative log-likelihood of labels y (..., n) under logits z."""
-    zs = z - z.max(axis=-2, keepdims=True)
-    picked = np.take_along_axis(zs, y[..., None, :], axis=-2)[..., 0, :]
-    log_norm = np.log(np.exp(zs, out=zs).sum(axis=-2))
+    """Mean negative log-likelihood of labels y (..., n) under logits z,
+    which it overwrites."""
+    z -= z.max(axis=-2, keepdims=True)
+    slabs = _slabs(z)
+    if slabs is None:
+        picked = np.take_along_axis(z, y[..., None, :], axis=-2)[..., 0, :]
+    else:
+        picked = slabs.reshape(-1).take(_label_index(z, y)).reshape(
+            z.shape[:-2] + z.shape[-1:])
+    log_norm = np.log(np.exp(z, out=z).sum(axis=-2))
     return -(picked - log_norm).mean(axis=-1)
 
 
-def _minus_onehot(p, y):
+def _minus_onehot(p, y, out=None):
     """Class-major probabilities p minus the one-hot labels y (..., n).
 
-    The one-hot is built in p's layout, so the difference runs over
-    matching memory.
+    The difference is written to ``out`` (``p`` itself when the caller
+    owns it), else to a copy of p in p's layout.  On class slabs only the
+    label entries are touched; C-ordered p (the MLP's) takes a C-ordered
+    one-hot, so the difference runs over matching memory.
     """
-    onehot = np.equal(y[..., None, :], np.arange(p.shape[-2])[:, None],
-                      out=np.empty_like(p, dtype=bool))
-    return p - onehot
+    if out is None:
+        out = np.copy(p)
+    slabs = _slabs(out)
+    if slabs is None:
+        out -= np.equal(y[..., None, :], np.arange(p.shape[-2])[:, None])
+    else:
+        slabs.reshape(-1)[_label_index(out, y)] -= 1.0
+    return out
+
+
+# below this many (UE, sample) columns NumPy's own argmax is faster
+_SLAB_ARGMAX_MIN = 2048
+
+
+def _class_argmax(z):
+    """``z.argmax(axis=-2)``, the first class at the class max.
+
+    On wide class slabs it compares each slab with the class max and counts
+    the classes before the first hit; a column whose max is NaN takes
+    NumPy's argmax, which picks its first NaN.
+    """
+    slabs = _slabs(z) if z.size >= _SLAB_ARGMAX_MIN * z.shape[-2] else None
+    if slabs is None:
+        return z.argmax(axis=-2)
+    top = slabs.max(axis=0)
+    found = np.zeros(top.shape, dtype=bool)
+    hits = np.zeros(top.shape, dtype=np.intp)
+    for slab in slabs[:-1]:
+        found |= slab == top
+        hits += found
+    # hits counts the classes k < c - 1 at or after the first max
+    labels = np.subtract(len(slabs) - 1, hits, out=hits)
+    nan = np.isnan(top)
+    if nan.any():
+        labels[nan] = slabs[:, nan].argmax(axis=0)
+    return labels.reshape(z.shape[:-2] + z.shape[-1:])
 
 
 class LogisticModel:
@@ -210,7 +293,7 @@ class LogisticModel:
 
     def grad(self, w, shard, state=None):
         p = self.forward(w, shard) if state is None else state
-        delta = _minus_onehot(p, shard.y)
+        delta = _minus_onehot(p, shard.y, out=p if state is None else None)
         g_w = delta @ shard.x / shard.size
         g_b = delta.mean(axis=-1)
         return _pack(g_b.shape[:-1], g_w, g_b) + self.l2 * w
@@ -218,13 +301,19 @@ class LogisticModel:
     def hvp(self, w, shard, v, state=None):
         p = self.forward(w, shard) if state is None else state
         rz = self._logits(v, shard.x)   # the logits are linear in w
-        rp = p * (rz - (p * rz).sum(axis=-2, keepdims=True))
+        expected = (p * rz).sum(axis=-2, keepdims=True)
+        if expected.shape[:-2] == rz.shape[:-2]:    # rz spans every entry
+            rz -= expected
+            rz *= p
+            rp = rz
+        else:
+            rp = p * (rz - expected)
         h_w = rp @ shard.x / shard.size
         h_b = rp.mean(axis=-1)
         return _pack(h_b.shape[:-1], h_w, h_b) + self.l2 * v
 
     def predict(self, w, x):
-        return self._logits(w, x).argmax(axis=-2)
+        return _class_argmax(self._logits(w, x))
 
 
 class MLPModel:
@@ -276,7 +365,7 @@ class MLPModel:
     def grad(self, w, shard, state=None):
         n = shard.size
         w2, a1, p = self.forward(w, shard) if state is None else state
-        d2 = _minus_onehot(p, shard.y)
+        d2 = _minus_onehot(p, shard.y, out=p if state is None else None)
         g_w2 = d2 @ a1 / n
         g_b2 = d2.mean(axis=-1)
         d1 = (_t(d2) @ w2) * (1.0 - a1 ** 2)
@@ -307,7 +396,7 @@ class MLPModel:
         return _pack(h_b1.shape[:-1], h_w1, h_b1, h_w2, h_b2) + self.l2 * v
 
     def predict(self, w, x):
-        return self._logits(w, x)[2].argmax(axis=-2)
+        return _class_argmax(self._logits(w, x)[2])
 
 
 class QuadraticModel:

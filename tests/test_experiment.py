@@ -422,6 +422,10 @@ class TestCli:
 @pytest.mark.parametrize("config", [
     pytest.param({}, id="desk"),
     pytest.param({"model": "mlp", "hidden": 32}, id="mlp"),
+    # the shared-point logits are one (10, 8) @ (8, 12800) product; OpenBLAS
+    # 0.3 splits a GEMM across two threads once m·n·k reaches 2 · 2^18, here
+    # from 6554 columns on, so k=20, n_k=10 (6400) would stay on one thread
+    pytest.param({"k": 20, "n_k": 20}, id="k20-n20"),
 ])
 def test_rounds_csv_is_the_same_on_one_and_two_blas_threads(config, tmp_path):
     """hpfl run writes the same rounds.csv bytes with OpenBLAS on one thread

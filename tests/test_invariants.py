@@ -9,7 +9,9 @@ servers, and its slowest server sets the round's latency.  Every
 allocation must stay within the budget and give each payload link at
 least the floor b_min, and a progressive fill must finish every server
 that has a link above the floor at one common time.  The floor is drawn
-up to the equal share of the budget, so it binds in some runs.
+up to the equal share of the budget over the links of the largest
+selection a round can make (all servers under "full", else ``a_max`` of
+them), so it binds in some runs.
 """
 
 import numpy as np
@@ -42,7 +44,10 @@ def scenarios(draw):
         n_eval=st.just(8),
         seed=st.integers(0, 10 ** 6),
     ))
-    share = scn.total_b / (scn.k * (scn.n_k + 1))
+    # a round solves over its selection only: at most min(a_max, k) servers,
+    # all k under "full"
+    largest = scn.k if scn.selection == "full" else min(scn.a_max, scn.k)
+    share = scn.total_b / (largest * (scn.n_k + 1))
     return scn.replace(b_min=draw(st.floats(0.0, share)))
 
 

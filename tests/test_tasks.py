@@ -7,8 +7,9 @@ from hpfl import meta
 from hpfl.experiment import prepare
 from hpfl.scenario import Scenario
 from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
-                        QuadraticTask, TaskShard, _minus_onehot, _nll,
-                        _softmax)
+                        QuadraticTask, TaskShard, _class_argmax,
+                        _class_logits, _from_slabs, _minus_onehot, _nll,
+                        _slabs, _softmax)
 
 K, N, SAMPLES, DIM, CLASSES = 3, 4, 6, 5, 4
 
@@ -78,17 +79,41 @@ def test_hvp_matches_per_ue_calls(case):
                        lambda k, j: model.hvp(per_ue[k, j], stack[k, j], v[0, 0]))
 
 
+def _copies(arrays):
+    """Deep copies of a tuple of arrays, None or forward states."""
+    return tuple(a if a is None else
+                 tuple(np.copy(b) for b in a) if isinstance(a, tuple)
+                 else np.copy(a) for a in arrays)
+
+
+def _assert_unchanged(arrays, before):
+    for got, want in zip(arrays, before):
+        if isinstance(got, tuple):
+            _assert_unchanged(got, want)
+        elif got is None:
+            assert want is None
+        else:
+            np.testing.assert_array_equal(got, want)
+
+
 def test_shared_forward_state_gives_the_same_bits(case):
-    """grad and hvp handed forward(w, s) equal the calls that build it."""
+    """grad and then hvp handed one forward(w, s), as meta_grad and
+    estimate_constants call them, equal the calls that build it, and leave
+    the state, the point, the direction and the shard as they were."""
     model, stack, w, per_ue, v = case
+    shard = (stack.x, stack.y) if isinstance(stack, TaskShard) \
+        else (stack.q, stack.a)
     for batched_w, _ in _points(w, per_ue):
         state = model.forward(batched_w, stack)
+        inputs = (state, batched_w, v) + shard
+        before = _copies(inputs)
         assert np.array_equal(model.grad(batched_w, stack, state),
                               model.grad(batched_w, stack))
         for direction in (v, v[0, 0]):
             assert np.array_equal(
                 model.hvp(batched_w, stack, direction, state),
                 model.hvp(batched_w, stack, direction))
+        _assert_unchanged(inputs, before)
 
 
 def test_predict_matches_per_ue_calls(case):
@@ -177,18 +202,121 @@ def test_class_outermost_logistic_kernels_equal_the_plain_expressions(at):
 
 def test_softmax_helpers_follow_their_input_layout():
     """On C-ordered logits, the MLP's layout, the helpers give the same
-    bits as on class-outermost logits, and keep the layout they are given."""
+    bits as on class-outermost logits, and keep the layout they are given.
+    ``_softmax`` and ``_nll`` overwrite the logits they are handed, and
+    ``_minus_onehot`` writes only to ``out``, else to a copy."""
     model, stack, w, _ = _logistic_case("per_ue")
     z = model._logits(w, stack.x)
     z_c = np.ascontiguousarray(z)
+    # np.copy keeps each layout
+    np.testing.assert_array_equal(_nll(np.copy(z_c), stack.y),
+                                  _nll(np.copy(z), stack.y))
     p, p_c = _softmax(z), _softmax(z_c)
+    assert p is z and p_c is z_c
     np.testing.assert_array_equal(p_c, p)
-    np.testing.assert_array_equal(_nll(z_c, stack.y), _nll(z, stack.y))
+    kept = np.copy(p)
     d, d_c = _minus_onehot(p, stack.y), _minus_onehot(p_c, stack.y)
     np.testing.assert_array_equal(d_c, d)
+    np.testing.assert_array_equal(p, kept)
     assert p_c.flags.c_contiguous and d_c.flags.c_contiguous
     assert np.moveaxis(p, -2, 0).flags.c_contiguous
     assert np.moveaxis(d, -2, 0).flags.c_contiguous
+    assert _minus_onehot(p, stack.y, out=p) is p
+    np.testing.assert_array_equal(p, d)
+
+
+@pytest.mark.parametrize("batch", [(), (5, 4), (50, 20)],
+                         ids=["single", "desk", "large"])
+def test_shared_point_logits_are_the_per_ue_product(batch):
+    """At a point without batch axes the logits are one product over every
+    sample, already class-outermost; each entry equals the per-UE stacked
+    product and the plain expression, bit for bit."""
+    rng = np.random.default_rng(23)
+    c, d = 10, 8
+    weights, bias = rng.standard_normal((c, d)), rng.standard_normal(c)
+    x = rng.standard_normal(batch + (32, d))
+    got = _class_logits(weights, bias, x)
+    # a leading axis of one forces the stacked product, one BLAS call a UE
+    per_ue = _class_logits(np.broadcast_to(weights, (1,) + batch + (c, d)),
+                           np.broadcast_to(bias, (1,) + batch + (c,)),
+                           x[None])[0]
+    np.testing.assert_array_equal(got, per_ue)
+    np.testing.assert_array_equal(
+        got, weights @ np.swapaxes(x, -1, -2) + bias[:, None])
+    assert got.shape == batch + (c, 32) and _slabs(got) is not None
+
+
+@pytest.mark.parametrize("name", ["logistic", "mlp"])
+def test_hvp_broadcasts_a_single_shard_over_per_ue_points(name):
+    """Per-UE points on one shard with one shared direction: the logit
+    change spans fewer batch entries than the state."""
+    make_model, make_stack = CASES[name]
+    rng = np.random.default_rng(37)
+    model, one = make_model(), make_stack(rng)[0, 0]
+    per_ue = rng.standard_normal((K, N, model.n_params))
+    v = rng.standard_normal((K, N, model.n_params))
+    _assert_rows_match(model.hvp(per_ue, one, v[0, 0]),
+                       lambda k, j: model.hvp(per_ue[k, j], one, v[0, 0]))
+
+
+def _tied_model(name, rng):
+    """A model and point whose class rows 1 and 4 are equal, so every
+    sample ties between those two classes."""
+    if name == "logistic":
+        model = LogisticModel(DIM, CLASSES + 6)
+        w = model.init_params(rng)
+        weights, bias = model._unpack(w)
+    else:
+        model = MLPModel(DIM, 3, CLASSES + 6)
+        w = model.init_params(rng)
+        _, _, weights, bias = model._unpack(w)
+    weights[4], bias[1] = weights[1], 2.0
+    bias[4] = bias[1]
+    return model, w
+
+
+def _logits(model, w, x):
+    z = model._logits(w, x)
+    return z[2] if isinstance(model, MLPModel) else z
+
+
+@pytest.mark.parametrize("name", ["logistic", "mlp"])
+@pytest.mark.parametrize("batch", [(), (2, 3), (8, 8)],
+                         ids=["single", "small", "wide"])
+def test_predict_is_numpys_argmax_on_ties_and_nan(name, batch):
+    """predict picks the first class at the class max, as np.argmax does,
+    with exact ties, NaN columns and columns of infinities; the wide
+    stacks and the single shard of 4096 samples take the slab path."""
+    rng = np.random.default_rng(61)
+    model, w = _tied_model(name, rng)
+    x = rng.standard_normal(batch + ((40,) if batch else (4096,)) + (DIM,))
+    x[..., 0, :] = np.nan                       # every class NaN
+    x[..., 1, :] = np.inf                       # infinite logits and ties
+    x[..., 2, :] = 0.0                          # the bias alone: ties at 2.0
+    if name == "logistic":
+        # classes without weight on feature 0 are NaN where it is infinite
+        model._unpack(w)[0][::3, 0] = 0.0
+        x[..., 3, 0] = np.inf
+    for at in (w, w + 0.1 * rng.standard_normal(batch + w.shape)):
+        with np.errstate(invalid="ignore", over="ignore"):
+            z = _logits(model, at, x)
+            got = model.predict(at, x)
+        want = np.argmax(z, axis=-2)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+        assert (got == 1).any() and np.isnan(z).any()
+
+
+@pytest.mark.parametrize("classes", [1, 2, 3, 10])
+def test_class_argmax_is_numpys_argmax(classes):
+    """The slab argmax on small integers (many ties), signed zeros, NaN and
+    infinities, against np.argmax down the class axis."""
+    rng = np.random.default_rng(classes)
+    values = np.array([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan])
+    slabs = rng.choice(values, p=[.3, .2, .2, .2, .04, .03, .03],
+                       size=(classes, 16, 160))
+    z = _from_slabs(slabs)
+    np.testing.assert_array_equal(_class_argmax(z), np.argmax(z, axis=-2))
 
 
 def test_nonfinite_row_is_named_by_its_batch_index():
