@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import LN2, es_latency, power_limited_rate, tcom, uplink_rate
+from .network import LN2, es_latency, tcom, uplink_rate
 
 
 class InfeasibleAllocationError(RuntimeError):
@@ -73,9 +73,10 @@ def deadline_bandwidth(z_bits, ph, n0, tau, memo=None):
     Fully broadcast; returns 0 where the payload is zero and +inf where
     no finite bandwidth meets the deadline (tau <= 0, or the required
     rate reaches the power-limited ceiling p h / (N0 ln 2)). Does not
-    raise: callers that must fail use solve_link_bandwidth.  Calls pricing
-    the same links share one dict ``memo``, which keeps the constants of
-    z_bits, ph and n0 and the last W_{-1}, the next call's Halley start.
+    raise: progressive_fill reports a link that no bandwidth serves.
+    Calls pricing the same links share one dict ``memo``, which keeps the
+    constants of z_bits, ph and n0 and the last W_{-1}, the next call's
+    Halley start.
     """
     memo = {} if memo is None else memo
     if not memo:
@@ -92,59 +93,6 @@ def deadline_bandwidth(z_bits, ph, n0, tau, memo=None):
         w = memo["w"] = _w_lower(g * np.exp(g), memo["w"])
         b = memo["zl"] / (tau * (w - g))
     return np.where(ok, b, memo["fill"])
-
-
-def _needed_rate(z_bits, p, h, n0, tcom_target, who):
-    """z_bits / tcom_target, or InfeasibleAllocationError if out of reach."""
-    if tcom_target <= 0.0:
-        raise InfeasibleAllocationError(
-            f"{who}: upload deadline {tcom_target!r} s is not positive")
-    need, cap = z_bits / tcom_target, power_limited_rate(p, h, n0)
-    if need >= cap:
-        raise InfeasibleAllocationError(
-            f"{who}: required rate {need:.6g} bit/s is not below the "
-            f"power-limited ceiling {cap:.6g} bit/s")
-    return need
-
-
-def bisect_link_bandwidth(z_bits, p, h, n0, tcom_target, rel_tol=1e-12,
-                          max_iter=300):
-    """Reference solver: invert the rate formula by pure bisection."""
-    need = _needed_rate(z_bits, p, h, n0, tcom_target, "link")
-    hi = 1.0
-    while uplink_rate(hi, p, h, n0) < need:
-        hi *= 2.0
-        if hi > 1e30:
-            raise InfeasibleAllocationError("bandwidth bracket expansion failed")
-    lo = 0.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if uplink_rate(mid, p, h, n0) < need:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
-def solve_link_bandwidth(z_bits, p, h, n0, tcom_target, who="link"):
-    """Closed-form deadline bandwidth for one link, verified by residual.
-
-    Raises InfeasibleAllocationError naming the link when the deadline
-    cannot be met by any bandwidth, and RuntimeError naming the link when
-    the closed form misses the deadline by more than 1e-9 relative.
-    """
-    if z_bits == 0.0 and tcom_target > 0.0:
-        return 0.0
-    _needed_rate(z_bits, p, h, n0, tcom_target, who)
-    b = float(deadline_bandwidth(z_bits, p * h, n0, tcom_target))
-    achieved = tcom(z_bits, uplink_rate(b, p, h, n0))
-    miss = abs(achieved - tcom_target) / tcom_target
-    if not miss <= 1e-9:
-        raise RuntimeError(f"{who}: the closed-form bandwidth {b:.6g} Hz "
-                           f"misses the deadline by {miss:.3g} relative")
-    return b
 
 
 # one row of an AllocationProblem: an ES's UE links, compute times, payloads

@@ -24,6 +24,10 @@ import numpy as np
 from .meta import NonFiniteError
 
 
+_PROBE_RADIUS = 1.0     # of the ball the probes are drawn from
+_N_DIRECTIONS = 3       # HVP directions at each probe
+
+
 class EstimationError(RuntimeError):
     """Raised when the probe sample is too degenerate to estimate from."""
 
@@ -59,35 +63,33 @@ def _probe(model, w, shards, dirs, grad_out, hvp_out):
 
 
 def estimate_constants(model, shards, alpha, probe_count=8, rng_seed=0,
-                       center=None, radius=1.0, n_directions=3):
+                       center=None):
     """Sampled maxima of the smoothness and diversity quantities.
 
+    The probe_count probes lie in the radius-1 ball around center (the
+    origin if None) and take HVPs along the same 3 random directions.
     shards stacks every UE's training shard along its leading axes (a
     shard without batch axes counts as one UE); at each probe point one
     gradient call and one HVP call per direction share one forward pass.
     Deterministic given rng_seed. Raises EstimationError if all probe
     points coincide, and NonFiniteError naming a non-finite constant.
     """
-    if probe_count < 2:
-        raise ValueError("probe_count must be at least 2")
     n_ue = int(np.prod(shards.batch_shape))
-    if n_ue == 0:
-        raise ValueError("need at least one shard")
     dim = model.n_params
     if center is None:
         center = np.zeros(dim)
     rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), 17]))
-    probes = _ball_probes(rng, dim, probe_count, center, radius)
+    probes = _ball_probes(rng, dim, probe_count, center, _PROBE_RADIUS)
 
     dists = np.linalg.norm(probes[:, None, :] - probes[None, :, :], axis=2)
     if dists.max() < 1e-12:
         raise EstimationError("all probe points identical; cannot form difference quotients")
 
-    dirs = rng.standard_normal((n_directions, dim))
+    dirs = rng.standard_normal((_N_DIRECTIONS, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
     grads = np.empty((probe_count, n_ue, dim))
-    hvps = np.empty((probe_count, n_directions, n_ue, dim))
+    hvps = np.empty((probe_count, _N_DIRECTIONS, n_ue, dim))
     for j, w in enumerate(probes):
         _probe(model, w, shards, dirs, grads[j], hvps[j])
 
@@ -129,11 +131,7 @@ def estimate_constants(model, shards, alpha, probe_count=8, rng_seed=0,
 
 
 def bound_constants(beta, s, a, k, meta_div_sq):
-    """The (phi, nu) pair of the per-round loss-change bound."""
-    if a < 1:
-        raise ValueError("target selected count A must be >= 1")
-    if s < 0:
-        raise ValueError("staleness bound S must be >= 0")
+    """The (phi, nu) pair of the per-round loss-change bound; S >= 0, A >= 1."""
     phi = 5.0 * beta * s ** 2 / a
     nu = 10.0 * beta * k * meta_div_sq / a + 5.0 * beta * s ** 2 * k * meta_div_sq / a
     return phi, nu

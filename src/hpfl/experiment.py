@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import meta
-from .constants import bound_constants, estimate_constants
+from .constants import EstimationError, bound_constants, estimate_constants
 from .hierarchy import RoundEngine
 from .network import sample_topology
 from .scenario import ConfigError, Scenario
@@ -102,9 +102,13 @@ def prepare(scenario):
         d_es_range=(scn.d_es_lo, scn.d_es_hi),
         o_ue_db=scn.o_ue_db, o_es_db=scn.o_es_db)
     w0 = model.init_params(_stream(scn.seed, _INIT_STREAM), scale=scn.init_scale)
-    constants = estimate_constants(
-        model, federation.train, scn.alpha, probe_count=scn.probe_count,
-        rng_seed=scn.seed, center=w0)
+    try:
+        constants = estimate_constants(
+            model, federation.train, scn.alpha, probe_count=scn.probe_count,
+            rng_seed=scn.seed, center=w0)
+    except EstimationError:     # the probe ball's radius is fixed
+        raise ConfigError("init_scale: %r puts w0 so far out that every "
+                          "probe rounds to it" % (scn.init_scale,)) from None
     return Prepared(model=model, federation=federation, topology=topology,
                     w0=w0, constants=constants)
 

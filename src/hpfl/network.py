@@ -58,11 +58,6 @@ def es_latency(tcmp_ue, t):
     return (tcmp_ue + t[..., :-1]).max(axis=-1) + t[..., -1]
 
 
-def power_limited_rate(p, h, n0):
-    """Supremum of uplink_rate over bandwidth: p h / (N0 ln 2)."""
-    return p * h / (n0 * LN2)
-
-
 def tcom(z_bits, rate):
     """Upload time Z / r; rate 0, or a time past the float range, is inf."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -85,8 +80,7 @@ class Topology:
     o_es: float
 
 
-def sample_topology(rng, k, n_k, d_ue_range=(2.0, 50.0),
-                    d_es_range=(50.0, 200.0), o_ue_db=-36.0, o_es_db=-40.0):
+def sample_topology(rng, k, n_k, d_ue_range, d_es_range, o_ue_db, o_es_db):
     """Distances drawn once per scenario; fixed for the whole run."""
     d_ue = rng.uniform(d_ue_range[0], d_ue_range[1], size=(k, n_k))
     d_es = rng.uniform(d_es_range[0], d_es_range[1], size=k)

@@ -6,47 +6,25 @@ trades the two off with a mixing weight rho: selecting k is worth
 ``rho * phi * I_k`` in expected descent and costs ``(1 - rho) * O_k`` in
 wall-clock terms.  The decision rule is a per-server threshold, followed by
 forced inclusion of servers whose staleness budget is exhausted, followed by
-a hard cap on how many uploads the cloud accepts per round.
+a hard cap on how many uploads the cloud accepts per round.  The inputs
+are the engine's (K,) arrays and a validated Scenario's knobs, unchecked.
 """
 
 import numpy as np
 
 __all__ = [
     "net_scores",
-    "threshold_decisions",
     "apply_cap",
     "schedule",
     "objective_value",
-    "separable_objective_value",
     "baseline_select",
 ]
 
 
-def _as_float(arr, name):
-    out = np.asarray(arr, dtype=float)
-    if out.ndim != 1:
-        raise ValueError("%s must be one-dimensional, got shape %s" % (name, out.shape))
-    return out
-
-
 def net_scores(importance, latency, rho, phi):
-    """Per-server net benefit ``rho*phi*I - (1-rho)*O`` of accepting an upload."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1], got %r" % (rho,))
-    imp = _as_float(importance, "importance")
-    lat = _as_float(latency, "latency")
-    if imp.shape != lat.shape:
-        raise ValueError("importance and latency must have matching shapes")
-    return rho * phi * imp - (1.0 - rho) * lat
-
-
-def threshold_decisions(importance, latency, rho, phi):
-    """Boolean mask of servers whose benefit meets the threshold.
-
-    A server passes when ``rho*phi*I_k >= (1-rho)*O_k``; exact ties are
-    treated as passes.
-    """
-    return net_scores(importance, latency, rho, phi) >= 0.0
+    """Per-server net benefit ``rho*phi*I - (1-rho)*O`` of accepting an
+    upload, for (K,) arrays; a server passes the threshold when it is >= 0."""
+    return rho * phi * importance - (1.0 - rho) * latency
 
 
 def apply_cap(pass_mask, forced_mask, scores, staleness, a_max):
@@ -57,12 +35,6 @@ def apply_cap(pass_mask, forced_mask, scores, staleness, a_max):
     class only), then higher score, then lower index.  Returns the final
     0/1 mask and a flag telling whether anything was dropped.
     """
-    if a_max < 1:
-        raise ValueError("a_max must be at least 1, got %r" % (a_max,))
-    pass_mask = np.asarray(pass_mask, dtype=bool)
-    forced_mask = np.asarray(forced_mask, dtype=bool)
-    scores = _as_float(scores, "scores")
-    staleness = np.asarray(staleness)
     k = scores.shape[0]
     idx = np.arange(k)
     # lexsort uses the last key as primary
@@ -89,9 +61,6 @@ def schedule(importance, latency, forced, rho, phi, a_max):
     dropped otherwise-qualified servers.
     """
     scores = net_scores(importance, latency, rho, phi)
-    forced = np.asarray(forced, dtype=bool)
-    if forced.shape != scores.shape:
-        raise ValueError("forced mask must match importance shape")
     passes = scores >= 0.0
     if not (passes | forced).any():
         pi = np.zeros_like(passes)
@@ -107,29 +76,14 @@ def objective_value(pi, importance, latency, rho, phi):
     The latency term is the slowest selected upload because the cloud step
     waits for every accepted server.  An empty selection scores 0.
     """
-    pi = np.asarray(pi, dtype=bool)
-    imp = _as_float(importance, "importance")
-    lat = _as_float(latency, "latency")
     if not pi.any():
         return 0.0
-    gain = rho * phi * float(imp[pi].sum())
-    wait = (1.0 - rho) * float(lat[pi].max())
+    gain = rho * phi * float(importance[pi].sum())
+    wait = (1.0 - rho) * float(latency[pi].max())
     return -gain + wait
 
 
-def separable_objective_value(pi, importance, latency, rho, phi):
-    """Relaxed objective with a summed latency term instead of the max.
-
-    ``-rho*phi*sum(pi*I) + (1-rho)*sum(pi*O)`` decomposes per server, which
-    is what makes the threshold rule exact for it.
-    """
-    pi = np.asarray(pi, dtype=bool)
-    imp = _as_float(importance, "importance")
-    lat = _as_float(latency, "latency")
-    return -rho * phi * float(imp[pi].sum()) + (1.0 - rho) * float(lat[pi].sum())
-
-
-def baseline_select(mode, k, a_max, rng=None):
+def baseline_select(mode, k, a_max, rng):
     """Reference selection policies used for comparison runs.
 
     ``full`` selects every server regardless of the cap; ``random`` draws a
@@ -137,10 +91,6 @@ def baseline_select(mode, k, a_max, rng=None):
     """
     if mode == "full":
         return np.ones(k, dtype=bool)
-    if mode == "random":
-        if rng is None:
-            raise ValueError("random baseline needs an rng")
-        pi = np.zeros(k, dtype=bool)
-        pi[rng.choice(k, size=min(a_max, k), replace=False)] = True
-        return pi
-    raise ValueError("unknown baseline mode %r" % (mode,))
+    pi = np.zeros(k, dtype=bool)
+    pi[rng.choice(k, size=min(a_max, k), replace=False)] = True
+    return pi

@@ -476,8 +476,8 @@ def _random_spd(rng, dim, eig_lo, eig_hi):
     return (q_mat * eigs) @ q_mat.T
 
 
-def build_quadratic_federation(rng, k, n_k, dim, eig_lo=0.5, eig_hi=2.0,
-                               es_spread=1.0, ue_spread=0.5):
+def build_quadratic_federation(rng, k, n_k, dim, eig_lo, eig_hi, es_spread,
+                               ue_spread):
     """Stacked Federation of k servers with n_k UEs each, quadratic family.
 
     Each ES has its own optimum center; its UEs scatter around it, which

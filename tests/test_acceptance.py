@@ -14,23 +14,22 @@ import scipy.stats
 
 from hpfl.bandwidth import (
     AllocationProblem,
-    bisect_link_bandwidth,
-    power_limited_rate,
     progressive_fill,
-    solve_link_bandwidth,
     tcom,
     uplink_rate,
 )
 from hpfl.experiment import prepare, run_audit, run_experiment, write_outputs
 from hpfl.scenario import Scenario
-from hpfl.scheduler import (
-    apply_cap,
-    net_scores,
-    separable_objective_value,
-    threshold_decisions,
-)
+from hpfl.scheduler import apply_cap, net_scores
 from hpfl.meta import meta_grad, meta_loss
 from hpfl.tasks import LogisticModel, QuadraticModel, QuadraticTask, TaskShard
+from oracles import (
+    bisect_link_bandwidth,
+    power_limited_rate,
+    separable_objective_value,
+    solve_link_bandwidth,
+    threshold_decisions,
+)
 
 N0 = 10.0 ** -20.4
 

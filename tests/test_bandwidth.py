@@ -13,17 +13,16 @@ from hpfl import bandwidth, hierarchy
 from hpfl.bandwidth import (
     AllocationProblem,
     InfeasibleAllocationError,
-    bisect_link_bandwidth,
     deadline_bandwidth,
     equal_split,
-    power_limited_rate,
     progressive_fill,
-    solve_link_bandwidth,
     tcom,
     uplink_rate,
 )
 from hpfl.experiment import run_experiment
 from hpfl.scenario import Scenario
+from oracles import (bisect_link_bandwidth, power_limited_rate,
+                     solve_link_bandwidth)
 
 N0 = 10.0 ** -20.4
 

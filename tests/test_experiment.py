@@ -303,6 +303,16 @@ class TestCli:
         cfg.write_text(json.dumps({"rho": 7.0}))
         assert cli.main(["run", "--config", str(cfg)]) == 2
 
+    def test_far_initial_model_is_config_error(self, tmp_path, capsys):
+        """At init_scale 1e20 the radius-1 estimation probes round to w0."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "quadratic", "init_scale": 1e20,
+                                   "rounds": 1}))
+        code = cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: init_scale: ")
+
     def test_infeasible_allocation_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         save_scenario(SMALL.replace(b_min=4e6, rounds=1), cfg)

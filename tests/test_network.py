@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from hpfl.network import (dbm_per_hz_to_w, db_to_linear, es_latency,
-                          power_limited_rate, sample_channels,
-                          sample_topology, tcmp, tcom, uplink_rate)
+                          sample_channels, sample_topology, tcmp, tcom,
+                          uplink_rate)
+from oracles import power_limited_rate
 
 N0_TABLE = dbm_per_hz_to_w(-174.0)
+# the distance ranges and path-loss factors of the default scenario
+DESK_TOPOLOGY = ((2.0, 50.0), (50.0, 200.0), -36.0, -40.0)
 
 
 def test_noise_conversion():
@@ -130,7 +133,7 @@ def test_es_latency_matches_per_link_reference():
 
 def test_sample_topology_ranges():
     rng = np.random.default_rng(3)
-    topo = sample_topology(rng, 4, 3)
+    topo = sample_topology(rng, 4, 3, *DESK_TOPOLOGY)
     assert topo.d_ue.shape == (4, 3)
     assert topo.d_es.shape == (4,)
     assert np.all((topo.d_ue >= 2.0) & (topo.d_ue <= 50.0))
@@ -141,7 +144,7 @@ def test_sample_topology_ranges():
 
 def test_sample_channels_deterministic():
     rng = np.random.default_rng(4)
-    topo = sample_topology(rng, 2, 2)
+    topo = sample_topology(rng, 2, 2, *DESK_TOPOLOGY)
     a = sample_channels(topo, seed=9, round_index=5)
     b = sample_channels(topo, seed=9, round_index=5)
     assert a.shape == (2, 3)

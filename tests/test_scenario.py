@@ -61,6 +61,7 @@ class TestValidation:
         ("o_ue_db", 1e308),
         ("o_es_db", 1e308),
         ("o_es_db", -1e308),
+        ("probe_count", 1),
     ])
     def test_bad_value_names_the_field(self, field, value):
         with pytest.raises(ConfigError, match="^%s: " % field):
