@@ -16,6 +16,11 @@ default time.  The final JSON line of every run goes into BENCH_<pr>.json:
   ``outputs_differ`` lists the scenario seeds where they did not, and
   ``outputs_max_rel`` is the largest relative difference of any ``sim.*``
   statistic over the scenario seeds both sides ran;
+- ``gain``, per workload and end-to-end metric of BENCHMARK.json: the pairs
+  (same seed) the change won in the metric's better direction, ties counting
+  for neither, each side's quartiles, and ``resolved``, true when the change
+  won at least 9 of every 10 pairs and its median beats the parent's by more
+  than the parent's interquartile range;
 - ``traced``: the change's traced final line;
 - ``layers``: every traced metric, parent against change;
 - ``environment``: the machine, from the change's first result record;
@@ -41,6 +46,8 @@ WORKLOADS = ("desk", "large", "audit_mlp")
 SIDES = ("parent", "change")
 SEEDS = tuple(range(1, 11))
 STDERR_TAIL = 20
+# a resolved gain wins at least WIN_SHARE of the pairs
+WIN_SHARE = (9, 10)
 
 
 class BenchRunError(RuntimeError):
@@ -98,13 +105,40 @@ def relative_gap(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def assemble(runs, environment, description):
+def quartiles(values):
+    """Lower quartile, median and upper quartile of values, interpolated
+    as NumPy's default percentile does."""
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def gain(parent, change, better):
+    """The change's gain over the parent in one metric, from per-seed runs
+    paired by position; ``better`` is "lower" or "higher"."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change))
+    pairs = min(len(parent), len(change))
+    q_parent, q_change = quartiles(parent), quartiles(change)
+    return {"better": better, "wins": wins, "pairs": pairs,
+            "quartiles": {"parent": q_parent, "change": q_change},
+            "resolved": wins * WIN_SHARE[1] >= pairs * WIN_SHARE[0]
+            and sign * (q_parent[1] - q_change[1]) > q_parent[2] - q_parent[0]}
+
+
+def directions():
+    """Each end-to-end metric's better direction, from BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+
+def assemble(runs, environment, description, better):
     """BENCH record from (side, workload, seed, trace, final line, outputs)
     tuples, as run_bench returns the last two.
 
     ``runs`` is in the order the runs were made.  A ``--trace 0`` line adds
     one entry per end-to-end metric to its side's pairs, and its outputs to
     the side's outputs; a ``--trace 1`` line is the side's traced line.
+    ``better`` maps the metrics to judge with gain() to their better
+    direction.
     """
     pairs, traced, per_seed = {}, {}, {}
     for side, workload, seed, trace, line, outputs in runs:
@@ -125,6 +159,10 @@ def assemble(runs, environment, description):
             rec = pair[side]
             rec["median"] = {name: statistics.median(values)
                              for name, values in rec["runs"].items()}
+        pair["gain"] = {
+            name: gain(pair["parent"]["runs"][name],
+                       pair["change"]["runs"][name], direction)
+            for name, direction in better.items()}
         parent, change = (per_seed[workload][side] for side in SIDES)
         both = parent.keys() & change.keys()
         pair["outputs_differ"] = sorted(
@@ -216,12 +254,15 @@ def main():
         "'same_outputs', whether both sides wrote the same rounds.csv for "
         "every scenario seed, and 'outputs_max_rel', the largest relative "
         "difference of any sim.* statistic over the scenario seeds both "
-        "sides ran. 'traced' "
+        "sides ran. 'gain' judges each end-to-end metric: the pairs the "
+        "change won, each side's quartiles, and 'resolved', true when the "
+        "change won at least 9 of 10 pairs and its median beats the "
+        "parent's by more than the parent's interquartile range. 'traced' "
         "holds this change's final line of the same command with '--trace 1' "
         "at seed %d, and 'layers' every traced metric, parent against change. "
         "Host times are at the benchmark's reference speed."
         % (SEEDS[0], SEEDS[-1], parent_commit, SEEDS[0]))
-    record = assemble(runs, environment, description)
+    record = assemble(runs, environment, description, directions())
     record["src_lines"] = lines
     out = os.path.join(ROOT, "BENCH_%d.json" % args.pr)
     with open(out, "w") as fh:

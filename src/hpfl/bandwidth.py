@@ -10,12 +10,14 @@ A link's deadline bandwidth has a closed form through W_{-1}, the lower
 real solution of w e^w = z, found by Halley iteration to 1e-12 residual;
 a solve computes its links' pricing constants once and starts each call
 from the W_{-1} of the last.  progressive_fill solves the min-max KKT
-system by safeguarded Newton iteration and certifies its answer;
-equal_split gives each payload link B / L.  Both read one
-AllocationProblem of (K, M+1) links in network's layout, each ES's own
-link last, and price latencies with network.es_latency.  An ES with fewer
-than M UEs pads its row with slots of z = 0, tcmp 0 and ph > 0, which no
-solver counts as a link.
+system by safeguarded Newton iteration and certifies its answer; an
+iteration does the floor's kink bookkeeping only when some payload link
+is at b_min or within _KINK of it, and otherwise steps on a smooth piece
+of every server's demand.  equal_split gives each payload link B / L.
+Both read one AllocationProblem of (K, M+1) links in network's layout,
+each ES's own link last, and price latencies with network.es_latency.  An
+ES with fewer than M UEs pads its row with slots of z = 0, tcmp 0 and
+ph > 0, which no solver counts as a link.
 """
 
 from collections import namedtuple
@@ -63,7 +65,9 @@ def _w_lower(z, w=None):
         wp1 = np.minimum(w + 1.0, -1e-300)     # w <= -1 throughout
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         w_new = w - f / denom
-        w = np.where(w_new >= _KEEP_BELOW, (w + _KEEP_BELOW) / 2.0, w_new)
+        cross = w_new >= _KEEP_BELOW
+        w = (np.where(cross, (w + _KEEP_BELOW) / 2.0, w_new) if cross.any()
+             else w_new)
     return w if start is None else _w_lower(z)
 
 
@@ -87,12 +91,13 @@ def deadline_bandwidth(z_bits, ph, n0, tau, memo=None):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gamma = memo["nzl"] / (tau * ph)
         ok = memo["pay"] & (gamma > 0.0) & (gamma < 1.0)
+        every = ok.all()
         # with u the SNR, log(1 + u) / u = gamma, and the rate needs
         # b = z ln 2 / (tau (-W_{-1}(-gamma e^-gamma) - gamma))
-        g = -np.where(ok, gamma, 0.5)
+        g = -gamma if every else -np.where(ok, gamma, 0.5)
         w = memo["w"] = _w_lower(g * np.exp(g), memo["w"])
         b = memo["zl"] / (tau * (w - g))
-    return np.where(ok, b, memo["fill"])
+    return b if every else np.where(ok, b, memo["fill"])
 
 
 # one row of an AllocationProblem: an ES's UE links, compute times, payloads
@@ -172,16 +177,30 @@ def equal_split(problem):
 
 
 def _slopes(problem, b, tau, live):
-    """b'(tau) and b''(tau) of the live links, 0 elsewhere.  With u = s / b
-    and s = p h / N0, r(b) = b log2(1 + u) has r' = log2(1 + u) - u / ((1 +
-    u) ln 2) and r'' = -u^2 / (b (1 + u)^2 ln 2), and r(b(tau)) = z / tau
-    gives b' = -z / (tau^2 r') and b'' = (2 z / tau^3 - r'' b'^2) / r'."""
-    n0, ph, z = problem.n0, problem.ph, problem.z * live
-    b, tau = np.where(live, b, 1.0), np.where(live, tau, 1.0)
+    """b'(tau) and b''(tau) of the live links (every link if live is None),
+    0 elsewhere.  With u = s / b and s = p h / N0, r(b) = b log2(1 + u) has
+    r' = log2(1 + u) - u / ((1 + u) ln 2) and r'' = -u^2 / (b (1 + u)^2
+    ln 2), and r(b(tau)) = z / tau gives b' = -z / (tau^2 r') and b'' = (2 z
+    / tau^3 - r'' b'^2) / r'."""
+    n0, ph, z = problem.n0, problem.ph, problem.z
+    if live is not None:
+        z, b, tau = z * live, np.where(live, b, 1.0), np.where(live, tau, 1.0)
     v = 1.0 / (1.0 + n0 * b / ph)     # u / (1 + u)
     r1 = (np.log1p(ph / (n0 * b)) - v) / LN2
     d1 = -z / (tau * tau * r1)
     return d1, (2.0 * z / tau ** 3 + v * v / (b * LN2) * d1 * d1) / r1
+
+
+def _floor_masks(raw, floor, above, pay, ue):
+    """The floor's bookkeeping in an iteration where some payload link is at
+    or near b_min: the demand max(raw, floor), the links on the floor's kink
+    (within _KINK of it) and the masks of the links that count left of G_k,
+    right of it and at all; the three masks are one object off the kink."""
+    b = np.maximum(raw, floor)
+    kink = ~above & (raw >= floor * (1.0 - _KINK)) & pay
+    if not kink.any():
+        return b, kink, above, above, above
+    return b, kink, above | (kink & ue), above | (kink & ~ue), above | kink
 
 
 def progressive_fill(problem):
@@ -189,11 +208,14 @@ def progressive_fill(problem):
     system in the servers' UE-tier finish times G_k and the latency O, with
     sum_i b_i'(G_k - t_i) = b_es'(O - G_k) per server and sum_k D_k = B, a
     link demanding its deadline bandwidth raised to b_min.  Each iteration
-    prices all links in one deadline_bandwidth call over (K, M+1).  Returns
-    at a relative stationarity residual <= 1e-10 with the demand within
-    5e-10 B below B, reporting both; every server with a link above the
-    floor finishes at O.  After _MAX_ITER iterations it returns the latest
-    iterate within B (the equal split if there is none) and its residuals."""
+    prices all links in one deadline_bandwidth call over (K, M+1); only an
+    iteration with a payload link within _KINK of b_min or below it runs
+    the floor's bookkeeping (_floor_masks and the kink pieces), the others
+    sit on a smooth piece of every D_k.  Returns at a relative stationarity
+    residual <= 1e-10 with the demand within 5e-10 B below B, reporting
+    both; every server with a link above the floor finishes at O.  After
+    _MAX_ITER iterations it returns the latest iterate within B (the equal
+    split if there is none) and its residuals."""
     equal_share = _equal_share(problem)
     n0, total, b_min = problem.n0, problem.total_b, problem.b_min
     z, ph, t_ue = problem.z, problem.ph, problem.tcmp_ue
@@ -202,6 +224,7 @@ def progressive_fill(problem):
         return _result(problem, equal_share * (z > 0.0), stationarity=0.0)
     ue, pay = np.arange(z.shape[1]) < z.shape[1] - 1, z > 0.0
     sign, floor, has_es = np.where(ue, 1.0, -1.0), b_min * pay, pay[:, -1]
+    no_es = ~has_es
     # each link's upload time at b_min (given longer, it sits at the floor),
     # at B (given less, it needs more than B) and at the equal share
     t_floor, t_budget, t_eq = tcom(z, uplink_rate(np.array(
@@ -210,89 +233,105 @@ def progressive_fill(problem):
     g_top = kink_ue.max(axis=1)
     g_low = (t_ue + t_budget[:, :-1]).max(axis=1)
     tf_es, tb_es = t_floor[:, -1], t_budget[:, -1]
+    # below o_lo some server needs more than B (one without payload
+    # finishes with its compute whatever O is)
+    o_lo = float((g_low + tb_es)[pay.any(axis=1)].max())
+    if not np.isfinite(o_lo):
+        raise InfeasibleAllocationError("some link cannot transmit")
 
-    def window(o_at, piece=None):
-        """The G_k at which no link needs more than B, cut to a kink piece."""
-        lo, hi = np.maximum(g_low, o_at - tf_es), np.minimum(g_top, o_at - tb_es)
+    def window(o_at, top=g_top, piece=None):
+        """The G_k at which no link needs more than B, below top, cut to a
+        kink piece."""
+        lo, hi = np.maximum(g_low, o_at - tf_es), np.minimum(top, o_at - tb_es)
         if piece is not None:   # (UE-side bounds, ES link at its floor)
             lo = np.maximum(lo, piece[0])
             hi = np.minimum(hi, np.where(piece[2], np.minimum(
                 piece[1], o_at - tf_es), piece[1]))
         return lo, hi
 
-    o_eq = float(es_latency(t_ue, t_eq).max())
     # start where each link needs c / tau, c its bandwidth-time at the equal
     # share: server k then splits O - t_k as sqrt(C_ue) : sqrt(c_es) and
     # needs (sqrt(C_ue) + sqrt(c_es))^2 / (O - t_k)
-    root_ue = np.sqrt(equal_share * np.sum(t_eq[:, :-1], axis=1))
+    root_ue = np.sqrt(equal_share * t_eq[:, :-1].sum(axis=1))
     root_es = np.sqrt(equal_share * t_eq[:, -1])
-    need, t_k = (root_ue + root_es) ** 2, np.max(t_ue, axis=1)
-    o = float(np.sum(need * t_k) / np.sum(need) + np.sum(need) / total)
+    need, t_k = (root_ue + root_es) ** 2, t_ue.max(axis=1)
+    need_sum = need.sum()
+    o = float((need * t_k).sum() / need_sum + need_sum / total)
     g = t_k + (o - t_k) * np.divide(
         root_ue, root_ue + root_es, out=np.zeros(t_k.shape), where=root_ue > 0)
-    # below o_lo some server needs more than B (one without payload
-    # finishes with its compute whatever O is)
-    o_lo = float(np.max((g_low + tb_es)[np.any(pay, axis=1)]))
-    if not np.isfinite(o_lo):
-        raise InfeasibleAllocationError("some link cannot transmit")
-    o = o if o > o_lo else 0.5 * (o_lo + o_eq)
+    if not o > o_lo:
+        o = 0.5 * (o_lo + float(es_latency(t_ue, t_eq).max()))
+    # with every payload link above its floor's kink, D_k is smooth in G_k
+    # up to the first kink of a payload UE link, and every mask is pay
+    n_pay, no_kink = np.count_nonzero(pay), np.zeros(pay.shape, dtype=bool)
+    smooth_top = np.minimum(g_top, np.where(pay[:, :-1], kink_ue,
+                                            np.inf).min(axis=1))
+    floor_kink, every_link = floor * (1.0 + _KINK), n_pay == pay.size
     target = total * (1.0 - 0.5 * _GAP)
-    kept, memo = (equal_share * pay, None, np.nan), {}
+    kept, memo = (equal_share * pay, None, None, np.nan), {}
     for it in range(1, _MAX_ITER + 1):
         lo, hi = window(o)
         pinned = lo >= hi               # floors or no payload fix the split
+        movable = ~pinned
         g = np.minimum(np.maximum(g, lo), hi)     # hi where lo >= hi
         tau = np.concatenate([g[:, None] - t_ue, (o - g)[:, None]], axis=1)
         raw = deadline_bandwidth(z, ph, n0, tau, memo)
-        b = np.maximum(raw, floor)
-        demand = float(b.sum())
         # a link at the floor has zero derivative, so D_k is convex and
         # piecewise smooth in G_k; a link on its floor's kink counts on the
         # side where it is above the floor: smaller G_k for a UE link
-        above = raw > floor * (1.0 + _KINK)
-        kink = ~above & (raw >= floor * (1.0 - _KINK)) & pay
-        on_l, on_r, live = (above | (kink & ue), above | (kink & ~ue), above
-                            | kink) if kink.any() else (above,) * 3
+        above = raw > floor_kink
+        smooth = np.count_nonzero(above) == n_pay
+        if smooth:      # above is pay
+            b, kink, live = raw, no_kink, None if every_link else above
+            on_l = on_r = above
+        else:
+            b, kink, on_l, on_r, live = _floor_masks(
+                raw, floor, above, pay, ue)
+        demand = float(b.sum())
         d1, d2 = _slopes(problem, raw, tau, live)
         signed = d1 * sign
-        f_l = (signed * on_l).sum(axis=1)
-        f_r = f_l if on_r is on_l else (signed * on_r).sum(axis=1)
+        if on_r is on_l:    # then d1 and d2 vanish off on_l already
+            f_l = f_r = signed.sum(axis=1)
+        else:
+            f_l, f_r = (signed * on_l).sum(axis=1), (signed * on_r).sum(axis=1)
         gap = np.where(pinned, 0.0, np.maximum(np.maximum(f_l, -f_r), 0.0))
         stationarity = float((gap / np.maximum(
             np.abs(d1).sum(axis=1), 1e-300)).max())
-        if demand <= total:     # a link at the floor uploads in t_floor
-            t = np.where(b > raw, t_floor, tau) * pay
-            kept = (b, es_latency(t_ue, t), stationarity)
+        if demand <= total:
+            kept = (b, raw, tau, stationarity)
             if demand >= total * (1.0 - _GAP) and stationarity <= _TOL:
                 break
         # O is past the root if its demand is within the target, short of it
         # if even the least demand that convexity allows exceeds the target
         decided = demand <= target
-        if not decided and demand + (~pinned * np.minimum(np.minimum(
+        if not decided and demand + (movable * np.minimum(np.minimum(
                 f_r * (hi - g), f_l * (lo - g)), 0.0)).sum() > target:
             o_lo, decided = max(o_lo, o), True
 
         # a free split steps on the side of G_k its residual points to
-        left = ~pinned & (f_l > 0.0)
-        free = left | (~pinned & (f_r < 0.0))
-        on, f = (on_l, f_l) if on_r is on_l else (
-            np.where(left[:, None], on_l, on_r), np.where(left, f_l, f_r))
-        a = np.where(free, (d2 * on).sum(axis=1), 1.0)
-        d1_es, d2_es = d1[:, -1] * on[:, -1], d2[:, -1] * on[:, -1]
-        piece = (np.where(~on[:, :-1] & pay[:, :-1], kink_ue,
-                          -np.inf).max(axis=1),
-                 np.where(on[:, :-1], kink_ue, np.inf).min(axis=1),
-                 has_es & ~on[:, -1])
+        left = movable & (f_l > 0.0)
+        free = left | (movable & (f_r < 0.0))
+        if on_r is on_l:
+            on, f, d1_l = on_l, f_l, d1
+        else:
+            on, f, d1_l = (np.where(left[:, None], on_l, on_r),
+                           np.where(left, f_l, f_r), d1 * on_l)
+            d1, d2 = d1 * on, d2 * on
+        a = np.where(free, d2.sum(axis=1), 1.0)
+        d1_es, d2_es = d1[:, -1], d2[:, -1]
+        top, piece = (smooth_top, None) if smooth else (g_top, (
+            np.where(~on[:, :-1] & pay[:, :-1], kink_ue, -np.inf).max(axis=1),
+            np.where(on[:, :-1], kink_ue, np.inf).min(axis=1),
+            has_es & ~on[:, -1]))
         # O's Newton step, on 1 / demand, aims the demand the splits reach at
         # this O at the target; by the envelope theorem the slope is
         # sum_k b_es'(O - G_k), or a pinned split's own where it moves with O
-        lo, hi = window(o, piece)
+        lo, hi = window(o, top, piece)
         dg = np.where(free, np.minimum(np.maximum(g - f / a, lo), hi) - g, 0.0)
         settled = demand + (f * dg + 0.5 * a * dg * dg).sum()
         residual = (settled - target) * settled / target
-        follow = np.where(pinned, ~has_es & (o < g_top), kink[:, -1])
-        slope = np.where(free, d1_es,
-                         follow * f_l + d1[:, -1] * on_l[:, -1]).sum()
+        follow = np.where(pinned, no_es & (o < g_top), kink[:, -1])
+        slope = np.where(free, d1_es, follow * f_l + d1_l[:, -1]).sum()
         o_new = o - residual / slope if slope < 0.0 else np.nan
         if not decided and stationarity > _SETTLE:
             o_new = o       # settle the splits until the residual's sign holds
@@ -300,9 +339,12 @@ def progressive_fill(problem):
             # bisect on the residual's sign; O sitting on o_lo must rise
             o_new = (0.5 * (o_lo + o) if residual <= 0.0
                      else 2.0 * o - o_lo if o > o_lo else 2.0 * o)
-        lo, hi = window(o_new, piece)
+        lo, hi = window(o_new, top, piece)
         g = np.where(free, np.minimum(np.maximum(
             g - (f - d2_es * (o_new - o)) / a, lo), hi), g + follow * (o_new - o))
         o = o_new
-    b, latencies, stationarity = kept
+    b, raw, tau, stationarity = kept
+    # a link at the floor uploads in t_floor
+    latencies = None if tau is None else es_latency(
+        t_ue, np.where(b > raw, t_floor, tau) * pay)
     return _result(problem, b, latencies, 1 + it * z.shape[0], stationarity)

@@ -41,11 +41,13 @@ def uplink_rate(b, p, h, n0):
     b = np.asarray(b, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         snr = p * h / (b * n0)
+        rate = b * np.log2(1.0 + snr)
         # below about 1e-297 Hz, b * n0 underflows and the SNR overflows;
         # there 1 + snr rounds to snr, so log2(snr) is a difference of logs
-        rate = b * np.where(np.isinf(snr),
-                            np.log2(p * h) - np.log2(b) - np.log2(n0),
-                            np.log2(1.0 + snr))
+        over = np.isinf(snr)
+        if over.any():
+            rate = np.where(over, b * (np.log2(p * h) - np.log2(b)
+                                       - np.log2(n0)), rate)
     return np.where(b > 0.0, rate, 0.0)[()]
 
 

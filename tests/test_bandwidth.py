@@ -358,6 +358,24 @@ def test_result_contract_on_ragged_groups(allocate, b_min):
     assert res.budget_residual == problem.total_b - res.used_b
 
 
+def silent_link(problem):
+    """problem with the first UE link's power times gain at 0."""
+    ph = problem.ph.copy()
+    ph[0, 0] = 0.0
+    return dataclasses.replace(problem, ph=ph)
+
+
+@pytest.mark.parametrize("make", [
+    silent_link, lambda problem: dataclasses.replace(problem, total_b=1e308)],
+    ids=["zero-gain", "budget-1e308"])
+def test_a_link_that_cannot_transmit_raises_before_any_warning(make):
+    """A payload link with no rate at B (zero gain, or a budget so large
+    that log2(1 + snr) rounds to 0) raises InfeasibleAllocationError, and no
+    RuntimeWarning comes first (pyproject.toml makes one an error)."""
+    with pytest.raises(InfeasibleAllocationError, match="cannot transmit"):
+        progressive_fill(make(ragged_problem(1.0)))
+
+
 @settings(max_examples=25)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
@@ -468,10 +486,25 @@ def floor_oracle(problem):
     return min(latency(start), float(res.fun))
 
 
-def test_min_max_optimal_with_a_binding_floor():
+def floor_iterations(monkeypatch):
+    """A list that gains one entry per Newton iteration that runs the
+    floor's bookkeeping, bandwidth._floor_masks."""
+    calls, masks = [], bandwidth._floor_masks
+
+    def counted(*args):
+        calls.append(1)
+        return masks(*args)
+
+    monkeypatch.setattr(bandwidth, "_floor_masks", counted)
+    return calls
+
+
+def test_min_max_optimal_with_a_binding_floor(monkeypatch):
     """With a floor of 0.2 to 0.95 of the equal share on 2 or 3 payload
     links, progressive_fill is within 1e-6 of the best split that keeps
-    every link at the floor or above, and the floor binds in some."""
+    every link at the floor or above, the floor binds in some, and some
+    Newton iteration runs the floor's bookkeeping."""
+    floor_calls = floor_iterations(monkeypatch)
     rng = np.random.default_rng(83)
     worst_gap, binding = 0.0, 0
     for _ in range(40):
@@ -489,6 +522,7 @@ def test_min_max_optimal_with_a_binding_floor():
         worst_gap = max(worst_gap, abs(res.achieved_o - oracle) / oracle)
     assert worst_gap <= 1e-6
     assert binding > 0
+    assert floor_calls
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
@@ -543,6 +577,15 @@ def test_desk_solves_price_the_links_at_most_ten_times(monkeypatch, seed):
     machine's speed."""
     solves = priced_solves(monkeypatch, Scenario(seed=seed))
     assert max(n_calls for n_calls, _, _ in solves) <= 10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_desk_solves_stay_on_smooth_pieces(monkeypatch, seed):
+    """No link of a desk solve comes near b_min, so no Newton iteration
+    runs the floor's bookkeeping."""
+    floor_calls = floor_iterations(monkeypatch)
+    assert priced_solves(monkeypatch, Scenario(seed=seed))
+    assert not floor_calls
 
 
 # the floor binds in a few solves of these runs

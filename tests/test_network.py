@@ -44,11 +44,15 @@ def test_uplink_rate_zero_cases():
 
 @pytest.mark.parametrize("b", [1e-300, 1e-305, 2.2e-313])
 def test_uplink_rate_where_the_snr_overflows(b):
-    """b * N0 underflows here; the rate must stay finite and tiny."""
+    """b * N0 underflows here; the rate must stay finite and tiny, alone,
+    beside a bandwidth that does not overflow, and among ones that all do."""
     above = uplink_rate(1e-290, 0.01, 1e-8, N0_TABLE)
-    for rate in (uplink_rate(b, 0.01, 1e-8, N0_TABLE),
-                 uplink_rate(np.array([b, 1e6]), 0.01, 1e-8, N0_TABLE)[0]):
+    alone = uplink_rate(b, 0.01, 1e-8, N0_TABLE)
+    every = uplink_rate(np.array([b, b, 0.5 * b]), 0.01, 1e-8, N0_TABLE)
+    for rate in (alone, uplink_rate(np.array([b, 1e6]), 0.01, 1e-8,
+                                    N0_TABLE)[0], *every):
         assert np.isfinite(rate) and 0.0 < rate < above
+    assert every[0] == every[1] == alone
 
 
 def test_uplink_rate_monotone_in_bandwidth():

@@ -155,7 +155,7 @@ def test_bench_assembles_final_lines():
         ("change", "audit_mlp", 1, 0, _line(round_ms_p50=4.0),
          {1000: _outputs("g", 0.5, holds=1.0)}),
     ]
-    out = bench.assemble(runs, {"nproc": 2}, "canned")
+    out = bench.assemble(runs, {"nproc": 2}, "canned", {})
     pair = out["pairs"]["desk"]
     # a digest on one side only, or two different digests, both differ
     assert pair["outputs_differ"] == [2001, 3000]
@@ -178,3 +178,53 @@ def test_bench_assembles_final_lines():
         "parent": 23.0, "change": 2.0, "unit": "ms"}
     assert out["environment"] == {"nproc": 2}
     assert json.loads(json.dumps(out)) == out
+
+
+def test_bench_judges_a_gain_by_pairs_and_the_parents_spread():
+    """gain counts the pairs the change won in the metric's direction, ties
+    for neither side, gives each side's quartiles, and resolves a gain only
+    with 9 of 10 pairs won and the medians apart by more than the parent's
+    interquartile range."""
+    bench = _bench_module()
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    faster = [p - 3.0 for p in parent]
+    out = bench.gain(parent, faster, "lower")
+    assert (out["wins"], out["pairs"], out["resolved"]) == (10, 10, True)
+    assert out["quartiles"]["parent"] == [11.0, 12.0, 13.0]
+    assert out["quartiles"]["change"] == [8.0, 9.0, 10.0]
+    # the same runs win nothing where higher is better
+    assert bench.gain(parent, faster, "higher")["wins"] == 0
+    # a tie is no win: 9 of 10 still resolves, 8 of 10 does not
+    tie = faster[:9] + [parent[9]]
+    assert bench.gain(parent, tie, "lower")["wins"] == 9
+    assert bench.gain(parent, tie, "lower")["resolved"] is True
+    two_ties = faster[:8] + parent[8:]
+    assert bench.gain(parent, two_ties, "lower")["wins"] == 8
+    assert bench.gain(parent, two_ties, "lower")["resolved"] is False
+    # 10 of 10 won by less than the parent's IQR of 2.0 is unresolved
+    close = [p - 1.5 for p in parent]
+    assert bench.gain(parent, close, "lower")["wins"] == 10
+    assert bench.gain(parent, close, "lower")["resolved"] is False
+    # higher is better: ok_frac rising in every pair, from a spread-out parent
+    out = bench.gain([0.5, 0.9, 1.0, 0.7], [1.0, 1.0, 1.0, 1.0], "higher")
+    assert out["wins"] == 3 and out["resolved"] is False
+
+
+def test_bench_records_a_gain_for_each_judged_metric():
+    """assemble adds a gain per workload for each metric it is given a
+    direction for, and only for those; BENCHMARK.json gives the directions
+    of the end-to-end metrics."""
+    bench = _bench_module()
+    same = {1000: _outputs("a", 0.5)}
+    runs = [(side, "desk", seed, 0, _line(round_ms_p50=value, run_s=1.0), same)
+            for seed in range(1, 11)
+            for side, value in (("parent", 2.0 + 0.01 * seed),
+                                ("change", 1.0 + 0.01 * seed))]
+    out = bench.assemble(runs, {}, "canned", {"round_ms_p50": "lower"})
+    gains = out["pairs"]["desk"]["gain"]
+    assert set(gains) == {"round_ms_p50"}
+    assert gains["round_ms_p50"]["wins"] == 10
+    assert gains["round_ms_p50"]["resolved"] is True
+    assert json.loads(json.dumps(out)) == out
+    assert bench.directions()["round_ms_p90"] == "lower"
+    assert bench.directions()["ok_frac"] == "higher"
