@@ -24,7 +24,8 @@ default time.  The final JSON line of every run goes into BENCH_<pr>.json:
 - ``traced``: the change's traced final line;
 - ``layers``: every traced metric, parent against change;
 - ``environment``: the machine, from the change's first result record;
-- ``src_lines``: the line count of ``src/hpfl/*.py`` on each side.
+- ``src_lines``: the line count of ``src/hpfl/*.py`` on each side, in
+  total and split into code, docstring, comment and blank lines.
 
 When a run fails, the runs that finished are written to
 ``BENCH_<pr>.partial.json`` before the error is raised.
@@ -32,6 +33,7 @@ When a run fails, the runs that finished are written to
 
 import argparse
 import glob
+import io
 import json
 import math
 import os
@@ -40,6 +42,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("desk", "large", "audit_mlp")
@@ -86,13 +89,50 @@ def run_bench(side, checkout, workload, seed, trace):
     return line, {int(s): o for s, o in outputs.items()}
 
 
+# a line holding tokens of several kinds counts as the first kind listed
+LINE_KINDS = ("code", "docstring", "comment")
+_LAYOUT = (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENDMARKER)
+
+
+def line_kinds(source):
+    """{line number: "code", "docstring" or "comment"} of Python source,
+    from its tokens.  A docstring is a string that makes up a statement on
+    its own; the lines missing from the map are blank."""
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    kinds = {}
+
+    def mark(tok, kind):
+        for row in range(tok.start[0], tok.end[0] + 1):
+            kinds[row] = min(kinds.get(row, kind), kind, key=LINE_KINDS.index)
+
+    body = [t for t in tokens if t.type not in (tokenize.NL, tokenize.COMMENT)]
+    for i, tok in enumerate(body):
+        if tok.type in _LAYOUT:
+            continue
+        alone = ((i == 0 or body[i - 1].type in _LAYOUT)
+                 and body[i + 1].type in (tokenize.NEWLINE, tokenize.ENDMARKER))
+        mark(tok, "docstring" if tok.type == tokenize.STRING and alone
+             else "code")
+    for tok in tokens:
+        if tok.type == tokenize.COMMENT:
+            mark(tok, "comment")
+    return kinds
+
+
 def src_lines(checkout):
-    """Lines in the checkout's src/hpfl/*.py files, as ``wc -l`` counts."""
-    total = 0
+    """Lines in the checkout's src/hpfl/*.py files: the ``total`` that
+    ``wc -l`` counts, and how many of them are code, docstring, comment and
+    blank lines."""
+    counts = dict.fromkeys(("total",) + LINE_KINDS + ("blank",), 0)
     for path in glob.glob(os.path.join(checkout, "src", "hpfl", "*.py")):
         with open(path) as fh:
-            total += fh.read().count("\n")
-    return total
+            source = fh.read()
+        counts["total"] += source.count("\n")
+        for kind in line_kinds(source).values():
+            counts[kind] += 1
+    counts["blank"] = counts["total"] - sum(counts[k] for k in LINE_KINDS)
+    return counts
 
 
 def relative_gap(a, b):

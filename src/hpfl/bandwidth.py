@@ -3,21 +3,19 @@
 Given a budget B, every UE and ES uplink gets the bandwidth that lets the
 slowest selected ES finish first: every selected ES finishes at one time
 O*, and the UEs of ES k at one instant G_k, leaving O* - G_k for its own
-upload.  A payload link demands max(deadline bandwidth, b_min), so a link
-at the floor finishes early, and so does an ES whose links all sit there.
+upload.  A link demands max(deadline bandwidth, b_min), so a link at the
+floor finishes early, and so does an ES whose links all sit there.
 
 A link's deadline bandwidth has a closed form through W_{-1}, the lower
 real solution of w e^w = z, found by Halley iteration to 1e-12 residual;
-a solve computes its links' pricing constants once and starts each call
-from the W_{-1} of the last.  progressive_fill solves the min-max KKT
+each pricing call of a solve starts from the W_{-1} of the last.  progressive_fill solves the min-max KKT
 system by safeguarded Newton iteration and certifies its answer; an
-iteration does the floor's kink bookkeeping only when some payload link
-is at b_min or within _KINK of it, and otherwise steps on a smooth piece
-of every server's demand.  equal_split gives each payload link B / L.
+iteration does the floor's kink bookkeeping only when some link is at
+b_min or within _KINK of it, and otherwise steps on a smooth piece of
+every server's demand.  equal_split gives each of the L links B / L.
 Both read one AllocationProblem of (K, M+1) links in network's layout,
-each ES's own link last, and price latencies with network.es_latency.  An
-ES with fewer than M UEs pads its row with slots of z = 0, tcmp 0 and
-ph > 0, which no solver counts as a link.
+each ES's own link last and every link uploading the same z bits, and
+price latencies with network.es_latency.
 """
 
 from collections import namedtuple
@@ -72,32 +70,27 @@ def _w_lower(z, w=None):
 
 
 def deadline_bandwidth(z_bits, ph, n0, tau, memo=None):
-    """Bandwidth each link needs to upload z_bits within tau seconds.
+    """Bandwidth each link needs to upload z_bits > 0 within tau seconds.
 
-    Fully broadcast; returns 0 where the payload is zero and +inf where
-    no finite bandwidth meets the deadline (tau <= 0, or the required
-    rate reaches the power-limited ceiling p h / (N0 ln 2)). Does not
-    raise: progressive_fill reports a link that no bandwidth serves.
-    Calls pricing the same links share one dict ``memo``, which keeps the
-    constants of z_bits, ph and n0 and the last W_{-1}, the next call's
-    Halley start.
+    Fully broadcast; returns +inf where no finite bandwidth meets the
+    deadline (tau <= 0, or the required rate reaches the power-limited
+    ceiling ph / (N0 ln 2)). Does not raise: progressive_fill reports a
+    link that no bandwidth serves.  Calls pricing the same links share one
+    dict ``memo``, which keeps the last W_{-1}, the next call's Halley
+    start.
     """
     memo = {} if memo is None else memo
-    if not memo:
-        z = np.asarray(z_bits, dtype=float)
-        memo.update(nzl=n0 * z * LN2, zl=-(z * LN2), w=None, fill=np.where(
-            z == 0.0, 0.0, np.inf), pay=(z > 0.0) & (np.asarray(ph) > 0.0))
     tau = np.asarray(tau, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gamma = memo["nzl"] / (tau * ph)
-        ok = memo["pay"] & (gamma > 0.0) & (gamma < 1.0)
+        gamma = n0 * z_bits * LN2 / (tau * ph)
+        ok = (gamma > 0.0) & (gamma < 1.0)
         every = ok.all()
         # with u the SNR, log(1 + u) / u = gamma, and the rate needs
         # b = z ln 2 / (tau (-W_{-1}(-gamma e^-gamma) - gamma))
         g = -gamma if every else -np.where(ok, gamma, 0.5)
-        w = memo["w"] = _w_lower(g * np.exp(g), memo["w"])
-        b = memo["zl"] / (tau * (w - g))
-    return b if every else np.where(ok, b, memo["fill"])
+        w = memo["w"] = _w_lower(g * np.exp(g), memo.get("w"))
+        b = -(z_bits * LN2) / (tau * (w - g))
+    return b if every else np.where(ok, b, np.inf)
 
 
 # one row of an AllocationProblem: an ES's UE links, compute times, payloads
@@ -107,24 +100,21 @@ ESGroup = namedtuple("ESGroup", "tcmp_ue ph_ue ph_es z_ue z_es")
 @dataclass(frozen=True)
 class AllocationProblem:
     """Budget B shared by (K, M+1) links, each ES's own link last:
-    ``tcmp_ue`` (K, M) holds the UEs' compute times, ``ph`` and ``z`` (K,
-    M+1) power times gain and payload bits.  An ES with fewer than M UEs
-    pads its row with slots of z = 0, tcmp 0 and ph > 0 (ph = 0 gives NaN
-    slopes); a pad gets no bandwidth and finishes at once."""
+    ``tcmp_ue`` (K, M) holds the UEs' compute times and ``ph`` (K, M+1)
+    power times gain; every link uploads ``z`` > 0 bits."""
 
     tcmp_ue: np.ndarray
     ph: np.ndarray
-    z: np.ndarray
+    z: float
     n0: float
     total_b: float
     b_min: float
 
     @property
     def groups(self):
-        """The ESGroups of an unpadded problem, for readers that walk it
-        group by group."""
-        return tuple(ESGroup(t, ph[:-1], ph[-1], z[:-1].max(initial=0.0), z[-1])
-                     for t, ph, z in zip(self.tcmp_ue, self.ph, self.z))
+        """The problem's ESGroups, for readers that walk it group by group."""
+        return tuple(ESGroup(t, ph[:-1], ph[-1], self.z, self.z)
+                     for t, ph in zip(self.tcmp_ue, self.ph))
 
 
 @dataclass
@@ -143,12 +133,12 @@ class AllocationResult:
 
 
 def _equal_share(problem):
-    """B / L over the problem's L payload links; raise if infeasible."""
-    if not problem.z.shape[0]:
+    """B / L over the problem's L links; raise if infeasible."""
+    if not problem.ph.shape[0]:
         raise InfeasibleAllocationError("no transmitting ES to allocate for")
-    links = int(np.count_nonzero(problem.z > 0.0))
-    equal_share = problem.total_b / links if links else 0.0
-    if links and problem.b_min > equal_share:
+    links = problem.ph.size
+    equal_share = problem.total_b / links
+    if problem.b_min > equal_share:
         raise InfeasibleAllocationError(
             f"{links} links need at least {links * problem.b_min:.6g} Hz "
             f"at the floor b_min = {problem.b_min:.6g} Hz but only "
@@ -162,7 +152,7 @@ def _result(problem, b, latencies=None, work=1, stationarity=np.nan):
     b_ue, b_es = b[:, :-1], b[:, -1].copy()
     if latencies is None:
         latencies = es_latency(problem.tcmp_ue, tcom(problem.z, uplink_rate(
-            b, 1.0, problem.ph, problem.n0)))
+            b, problem.ph, problem.n0)))
     used_b = float(b_ue.sum() + b_es.sum())
     return AllocationResult(
         b_ue=b_ue, b_es=b_es, latencies=latencies,
@@ -172,8 +162,8 @@ def _result(problem, b, latencies=None, work=1, stationarity=np.nan):
 
 
 def equal_split(problem):
-    """Every positive-payload link gets the same share B / L."""
-    return _result(problem, _equal_share(problem) * (problem.z > 0.0))
+    """Every link gets the same share B / L."""
+    return _result(problem, np.full(problem.ph.shape, _equal_share(problem)))
 
 
 def _slopes(problem, b, tau, live):
@@ -191,13 +181,13 @@ def _slopes(problem, b, tau, live):
     return d1, (2.0 * z / tau ** 3 + v * v / (b * LN2) * d1 * d1) / r1
 
 
-def _floor_masks(raw, floor, above, pay, ue):
-    """The floor's bookkeeping in an iteration where some payload link is at
-    or near b_min: the demand max(raw, floor), the links on the floor's kink
+def _floor_masks(raw, floor, above, ue):
+    """The floor's bookkeeping in an iteration where some link is at or near
+    b_min: the demand max(raw, floor), the links on the floor's kink
     (within _KINK of it) and the masks of the links that count left of G_k,
     right of it and at all; the three masks are one object off the kink."""
     b = np.maximum(raw, floor)
-    kink = ~above & (raw >= floor * (1.0 - _KINK)) & pay
+    kink = ~above & (raw >= floor * (1.0 - _KINK))
     if not kink.any():
         return b, kink, above, above, above
     return b, kink, above | (kink & ue), above | (kink & ~ue), above | kink
@@ -209,8 +199,8 @@ def progressive_fill(problem):
     sum_i b_i'(G_k - t_i) = b_es'(O - G_k) per server and sum_k D_k = B, a
     link demanding its deadline bandwidth raised to b_min.  Each iteration
     prices all links in one deadline_bandwidth call over (K, M+1); only an
-    iteration with a payload link within _KINK of b_min or below it runs
-    the floor's bookkeeping (_floor_masks and the kink pieces), the others
+    iteration with a link within _KINK of b_min or below it runs the
+    floor's bookkeeping (_floor_masks and the kink pieces), the others
     sit on a smooth piece of every D_k.  Returns at a relative stationarity
     residual <= 1e-10 with the demand within 5e-10 B below B, reporting
     both; every server with a link above the floor finishes at O.  After
@@ -221,21 +211,20 @@ def progressive_fill(problem):
     z, ph, t_ue = problem.z, problem.ph, problem.tcmp_ue
     # a floor that fills the budget leaves b_min on every link, and no choice
     if equal_share <= b_min * (1.0 + 1e-9):
-        return _result(problem, equal_share * (z > 0.0), stationarity=0.0)
-    ue, pay = np.arange(z.shape[1]) < z.shape[1] - 1, z > 0.0
-    sign, floor, has_es = np.where(ue, 1.0, -1.0), b_min * pay, pay[:, -1]
-    no_es = ~has_es
+        return _result(problem, np.full(ph.shape, equal_share),
+                       stationarity=0.0)
+    ue = np.arange(ph.shape[1]) < ph.shape[1] - 1
+    sign = np.where(ue, 1.0, -1.0)
     # each link's upload time at b_min (given longer, it sits at the floor),
     # at B (given less, it needs more than B) and at the equal share
     t_floor, t_budget, t_eq = tcom(z, uplink_rate(np.array(
-        [b_min, total, equal_share])[:, None, None], 1.0, ph, n0))
+        [b_min, total, equal_share])[:, None, None], ph, n0))
     kink_ue = t_ue + t_floor[:, :-1]
     g_top = kink_ue.max(axis=1)
     g_low = (t_ue + t_budget[:, :-1]).max(axis=1)
     tf_es, tb_es = t_floor[:, -1], t_budget[:, -1]
-    # below o_lo some server needs more than B (one without payload
-    # finishes with its compute whatever O is)
-    o_lo = float((g_low + tb_es)[pay.any(axis=1)].max())
+    # below o_lo some server needs more than B
+    o_lo = float((g_low + tb_es).max())
     if not np.isfinite(o_lo):
         raise InfeasibleAllocationError("some link cannot transmit")
 
@@ -257,21 +246,18 @@ def progressive_fill(problem):
     need, t_k = (root_ue + root_es) ** 2, t_ue.max(axis=1)
     need_sum = need.sum()
     o = float((need * t_k).sum() / need_sum + need_sum / total)
-    g = t_k + (o - t_k) * np.divide(
-        root_ue, root_ue + root_es, out=np.zeros(t_k.shape), where=root_ue > 0)
+    g = t_k + (o - t_k) * (root_ue / (root_ue + root_es))
     if not o > o_lo:
         o = 0.5 * (o_lo + float(es_latency(t_ue, t_eq).max()))
-    # with every payload link above its floor's kink, D_k is smooth in G_k
-    # up to the first kink of a payload UE link, and every mask is pay
-    n_pay, no_kink = np.count_nonzero(pay), np.zeros(pay.shape, dtype=bool)
-    smooth_top = np.minimum(g_top, np.where(pay[:, :-1], kink_ue,
-                                            np.inf).min(axis=1))
-    floor_kink, every_link = floor * (1.0 + _KINK), n_pay == pay.size
+    # with every link above its floor's kink, D_k is smooth in G_k up to
+    # the first kink of a UE link, and every mask is all true
+    no_kink = np.zeros(ph.shape, dtype=bool)
+    smooth_top, floor_kink = kink_ue.min(axis=1), b_min * (1.0 + _KINK)
     target = total * (1.0 - 0.5 * _GAP)
-    kept, memo = (equal_share * pay, None, None, np.nan), {}
+    kept, memo = (np.full(ph.shape, equal_share), None, None, np.nan), {}
     for it in range(1, _MAX_ITER + 1):
         lo, hi = window(o)
-        pinned = lo >= hi               # floors or no payload fix the split
+        pinned = lo >= hi               # the floors fix the split
         movable = ~pinned
         g = np.minimum(np.maximum(g, lo), hi)     # hi where lo >= hi
         tau = np.concatenate([g[:, None] - t_ue, (o - g)[:, None]], axis=1)
@@ -280,13 +266,12 @@ def progressive_fill(problem):
         # piecewise smooth in G_k; a link on its floor's kink counts on the
         # side where it is above the floor: smaller G_k for a UE link
         above = raw > floor_kink
-        smooth = np.count_nonzero(above) == n_pay
-        if smooth:      # above is pay
-            b, kink, live = raw, no_kink, None if every_link else above
+        smooth = np.count_nonzero(above) == above.size
+        if smooth:
+            b, kink, live = raw, no_kink, None
             on_l = on_r = above
         else:
-            b, kink, on_l, on_r, live = _floor_masks(
-                raw, floor, above, pay, ue)
+            b, kink, on_l, on_r, live = _floor_masks(raw, b_min, above, ue)
         demand = float(b.sum())
         d1, d2 = _slopes(problem, raw, tau, live)
         signed = d1 * sign
@@ -320,9 +305,8 @@ def progressive_fill(problem):
         a = np.where(free, d2.sum(axis=1), 1.0)
         d1_es, d2_es = d1[:, -1], d2[:, -1]
         top, piece = (smooth_top, None) if smooth else (g_top, (
-            np.where(~on[:, :-1] & pay[:, :-1], kink_ue, -np.inf).max(axis=1),
-            np.where(on[:, :-1], kink_ue, np.inf).min(axis=1),
-            has_es & ~on[:, -1]))
+            np.where(~on[:, :-1], kink_ue, -np.inf).max(axis=1),
+            np.where(on[:, :-1], kink_ue, np.inf).min(axis=1), ~on[:, -1]))
         # O's Newton step, on 1 / demand, aims the demand the splits reach at
         # this O at the target; by the envelope theorem the slope is
         # sum_k b_es'(O - G_k), or a pinned split's own where it moves with O
@@ -330,7 +314,7 @@ def progressive_fill(problem):
         dg = np.where(free, np.minimum(np.maximum(g - f / a, lo), hi) - g, 0.0)
         settled = demand + (f * dg + 0.5 * a * dg * dg).sum()
         residual = (settled - target) * settled / target
-        follow = np.where(pinned, no_es & (o < g_top), kink[:, -1])
+        follow = ~pinned & kink[:, -1]
         slope = np.where(free, d1_es, follow * f_l + d1_l[:, -1]).sum()
         o_new = o - residual / slope if slope < 0.0 else np.nan
         if not decided and stationarity > _SETTLE:
@@ -346,5 +330,5 @@ def progressive_fill(problem):
     b, raw, tau, stationarity = kept
     # a link at the floor uploads in t_floor
     latencies = None if tau is None else es_latency(
-        t_ue, np.where(b > raw, t_floor, tau) * pay)
-    return _result(problem, b, latencies, 1 + it * z.shape[0], stationarity)
+        t_ue, np.where(b > raw, t_floor, tau))
+    return _result(problem, b, latencies, 1 + it * ph.shape[0], stationarity)

@@ -62,12 +62,11 @@ def _probe(model, w, shards, dirs, grad_out, hvp_out):
         hvp_out[r] = model.hvp(w, shards, v, state).reshape(hvp_out.shape[1:])
 
 
-def estimate_constants(model, shards, alpha, probe_count=8, rng_seed=0,
-                       center=None):
+def estimate_constants(model, shards, alpha, probe_count, rng_seed, center):
     """Sampled maxima of the smoothness and diversity quantities.
 
-    The probe_count probes lie in the radius-1 ball around center (the
-    origin if None) and take HVPs along the same 3 random directions.
+    The probe_count probes lie in the radius-1 ball around center and take
+    HVPs along the same 3 random directions.
     shards stacks every UE's training shard along its leading axes (a
     shard without batch axes counts as one UE); at each probe point one
     gradient call and one HVP call per direction share one forward pass.
@@ -76,8 +75,6 @@ def estimate_constants(model, shards, alpha, probe_count=8, rng_seed=0,
     """
     n_ue = int(np.prod(shards.batch_shape))
     dim = model.n_params
-    if center is None:
-        center = np.zeros(dim)
     rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), 17]))
     probes = _ball_probes(rng, dim, probe_count, center, _PROBE_RADIUS)
 

@@ -190,8 +190,7 @@ class RoundEngine:
         ph = ph[members]
         problem = AllocationProblem(
             tcmp_ue=np.broadcast_to(self.tcmp_ue, ph[:, :-1].shape), ph=ph,
-            z=np.full(ph.shape, p.z_bits), n0=self.n0, total_b=p.total_b,
-            b_min=p.b_min)
+            z=p.z_bits, n0=self.n0, total_b=p.total_b, b_min=p.b_min)
         result = (progressive_fill if p.allocation == "progressive"
                   else equal_split)(problem)
         return result.achieved_o, result.work
@@ -208,7 +207,7 @@ class RoundEngine:
         ph = np.append(np.full(p.n_k, p.p_ue), p.p_es) * sample_channels(
             self.topology, p.seed, self.t)
         latencies = es_latency(self.tcmp_ue, tcom(
-            p.z_bits, uplink_rate(self.price_share, 1.0, ph, self.n0)))
+            p.z_bits, uplink_rate(self.price_share, ph, self.n0)))
 
         importance = self.grad_norm_sq
         capped = False

@@ -1,11 +1,11 @@
 """Wireless channel model and latency formulas.
 
 Computation time is cycles-per-bit times local data bits over CPU
-frequency. Uplink rate is the Shannon formula r = b log2(1 + p h / (b N0))
-for allocated bandwidth b, transmit power p, channel gain h, and noise
-spectral density N0 in W/Hz. Channel gains combine a fixed path-loss
-factor o * d^-2 with a per-round unit-mean exponential fading multiplier
-(Rayleigh amplitude means exponential power).
+frequency. Uplink rate is the Shannon formula r = b log2(1 + ph / (b N0))
+for allocated bandwidth b, ph the transmit power p times the channel gain
+h, and noise spectral density N0 in W/Hz. Channel gains combine a fixed
+path-loss factor o * d^-2 with a per-round unit-mean exponential fading
+multiplier (Rayleigh amplitude means exponential power).
 
 Links are laid out as (..., N+1), an ES's N UE links and then its own link
 to the cloud: sample_channels draws gains and es_latency prices upload
@@ -36,17 +36,17 @@ def tcmp(c_cycles, d_bits, delta):
     return c_cycles * d_bits / delta
 
 
-def uplink_rate(b, p, h, n0):
+def uplink_rate(b, ph, n0):
     """Shannon uplink rate in bit/s; zero bandwidth gives rate 0."""
     b = np.asarray(b, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        snr = p * h / (b * n0)
+        snr = ph / (b * n0)
         rate = b * np.log2(1.0 + snr)
         # below about 1e-297 Hz, b * n0 underflows and the SNR overflows;
         # there 1 + snr rounds to snr, so log2(snr) is a difference of logs
         over = np.isinf(snr)
         if over.any():
-            rate = np.where(over, b * (np.log2(p * h) - np.log2(b)
+            rate = np.where(over, b * (np.log2(ph) - np.log2(b)
                                        - np.log2(n0)), rate)
     return np.where(b > 0.0, rate, 0.0)[()]
 
@@ -61,10 +61,11 @@ def es_latency(tcmp_ue, t):
 
 
 def tcom(z_bits, rate):
-    """Upload time Z / r; rate 0, or a time past the float range, is inf."""
+    """Upload time of z_bits > 0 at rate r, Z / r; rate 0, or a time past
+    the float range, is inf."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = np.divide(z_bits, rate)
-    return np.where(z_bits == 0.0, 0.0, np.where(rate > 0.0, t, np.inf))[()]
+    return np.where(rate > 0.0, t, np.inf)[()]
 
 
 @dataclass(frozen=True)

@@ -36,14 +36,14 @@ def bisect_link_bandwidth(z_bits, p, h, n0, tcom_target, rel_tol=1e-12,
     """Reference solver: invert the rate formula by pure bisection."""
     need = _needed_rate(z_bits, p, h, n0, tcom_target, "link")
     hi = 1.0
-    while uplink_rate(hi, p, h, n0) < need:
+    while uplink_rate(hi, p * h, n0) < need:
         hi *= 2.0
         if hi > 1e30:
             raise InfeasibleAllocationError("bandwidth bracket expansion failed")
     lo = 0.0
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if uplink_rate(mid, p, h, n0) < need:
+        if uplink_rate(mid, p * h, n0) < need:
             lo = mid
         else:
             hi = mid
@@ -64,7 +64,7 @@ def solve_link_bandwidth(z_bits, p, h, n0, tcom_target, who="link"):
         return 0.0
     _needed_rate(z_bits, p, h, n0, tcom_target, who)
     b = float(bandwidth.deadline_bandwidth(z_bits, p * h, n0, tcom_target))
-    achieved = tcom(z_bits, uplink_rate(b, p, h, n0))
+    achieved = tcom(z_bits, uplink_rate(b, p * h, n0))
     miss = abs(achieved - tcom_target) / tcom_target
     if not miss <= 1e-9:
         raise RuntimeError(f"{who}: the closed-form bandwidth {b:.6g} Hz "

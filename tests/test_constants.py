@@ -25,7 +25,7 @@ def test_identity_quadratic_constants():
     model = QuadraticModel(3)
     shard = _identity_shard(3)
     c = estimate_constants(model, shard, alpha=0.1, probe_count=8,
-                           rng_seed=0)
+                           rng_seed=0, center=np.zeros(3))
     assert c.grad_lip == pytest.approx(1.0, rel=1e-9)
     assert c.hess_lip == pytest.approx(0.0, abs=1e-9)
     assert c.grad_div == pytest.approx(0.0, abs=1e-12)
@@ -44,7 +44,7 @@ def test_derived_fields_satisfy_formulas():
                                     a=rng.standard_normal(4)))
     alpha = 0.05
     c = estimate_constants(QuadraticModel(4), _stacked(*shards), alpha,
-                           probe_count=6, rng_seed=1)
+                           probe_count=6, rng_seed=1, center=np.zeros(4))
     assert c.meta_lip == pytest.approx(
         4.0 * c.grad_lip + alpha * c.hess_lip * c.grad_max, rel=1e-15)
     assert c.meta_div_sq == pytest.approx(
@@ -64,7 +64,8 @@ def test_each_probe_makes_one_forward_pass(forward_points, model):
     shards = TaskShard(x=rng.standard_normal((2, 3, 7, 4)),
                        y=rng.integers(0, 3, size=(2, 3, 7)))
     points = forward_points(type(model))
-    estimate_constants(model, shards, 0.1, probe_count=5, rng_seed=3)
+    estimate_constants(model, shards, 0.1, probe_count=5, rng_seed=3,
+                       center=np.zeros(model.n_params))
     assert len(points) == 5
 
 
@@ -76,17 +77,21 @@ def test_overflowing_constant_raises_naming_it(alpha):
     shard = _stacked(QuadraticTask(q=m @ m.T + np.eye(3), a=np.ones(3)),
                      QuadraticTask(q=np.eye(3), a=np.zeros(3)))
     with pytest.raises(NonFiniteError, match="^non-finite constant meta_div_sq$"):
-        estimate_constants(QuadraticModel(3), shard, alpha, rng_seed=1)
+        estimate_constants(QuadraticModel(3), shard, alpha, probe_count=8,
+                           rng_seed=1, center=np.zeros(3))
 
 
 def test_estimation_deterministic_in_seed():
     rng = np.random.default_rng(8)
     m = rng.standard_normal((3, 3))
     shard = _stacked(QuadraticTask(q=m @ m.T + np.eye(3), a=np.zeros(3)))
-    a = estimate_constants(QuadraticModel(3), shard, 0.03, rng_seed=7)
-    b = estimate_constants(QuadraticModel(3), shard, 0.03, rng_seed=7)
+    def estimate(seed):
+        return estimate_constants(QuadraticModel(3), shard, 0.03,
+                                  probe_count=8, rng_seed=seed,
+                                  center=np.zeros(3))
+
+    a, b, c = estimate(7), estimate(7), estimate(8)
     assert a == b
-    c = estimate_constants(QuadraticModel(3), shard, 0.03, rng_seed=8)
     assert a != c
 
 
@@ -95,7 +100,7 @@ def test_degenerate_probes_raise():
     model = QuadraticModel(2)
     shard = _identity_shard(2)
     with pytest.raises(EstimationError):
-        estimate_constants(model, shard, 0.1, probe_count=4,
+        estimate_constants(model, shard, 0.1, probe_count=4, rng_seed=0,
                            center=np.full(2, 1e20))
 
 

@@ -5,14 +5,18 @@ and the version order.  The recorded staleness is the age ``round -
 version`` of each server, saturated at the budget, and the proposed
 schedule uploads every server whose age has reached the budget, up to the
 cap.  Each round makes one bandwidth allocation, over exactly the selected
-servers, and its slowest server sets the round's latency.  Every
-allocation must stay within the budget and give each payload link at
-least the floor b_min, and a progressive fill must finish every server
+servers, each with its n_k UE links and its own link, every link uploading
+the scenario's z_bits; its slowest server sets the round's latency.  Every
+allocation must stay within the budget and give each link at least the
+floor b_min, and a progressive fill must finish every server
 that has a link above the floor at one common time.  The floor is drawn
 up to the equal share of the budget over the links of the largest
 selection a round can make (all servers under "full", else ``a_max`` of
 them), so it binds in some runs.
 """
+
+import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpfl import hierarchy
+from hpfl.bandwidth import AllocationProblem, progressive_fill
 from hpfl.experiment import run_experiment
 from hpfl.scenario import Scenario
 
@@ -51,14 +56,19 @@ def scenarios(draw):
     return scn.replace(b_min=draw(st.floats(0.0, share)))
 
 
-def _checked(name, calls):
-    """The engine's allocator ``name``, asserting the allocation invariants.
+def _checked(name, calls, scn):
+    """The engine's allocator ``name``, asserting its input contract and the
+    allocation invariants.
 
-    Every engine link carries a payload, because z_bits is positive.
+    The engine hands it full rows of n_k UE links and one ES link, every
+    link uploading the scenario's z_bits.
     """
     allocator = getattr(hierarchy, name)
 
     def checked(problem):
+        assert isinstance(problem.z, float) and problem.z == scn.z_bits
+        assert problem.ph.shape[1:] == (scn.n_k + 1,)
+        assert problem.tcmp_ue.shape == (problem.ph.shape[0], scn.n_k)
         result = allocator(problem)
         assert result.used_b <= problem.total_b * (1.0 + BUDGET_SLACK)
         links = np.column_stack([result.b_ue, result.b_es])
@@ -78,7 +88,7 @@ def checked_run(scn):
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         for name in ("progressive_fill", "equal_split"):
-            mp.setattr(hierarchy, name, _checked(name, calls))
+            mp.setattr(hierarchy, name, _checked(name, calls, scn))
         records = run_experiment(scn).records
     return records, calls
 
@@ -97,7 +107,8 @@ def test_every_record_keeps_the_invariants(scn):
     assert len(records) == scn.rounds
     assert len(calls) == scn.rounds
     for rec, (problem, result) in zip(records, calls):
-        assert problem.ph.shape[0] == rec.a_eff
+        assert problem.ph.shape == (rec.a_eff, scn.n_k + 1)
+        assert problem.tcmp_ue.shape == (rec.a_eff, scn.n_k)
         assert rec.latency == np.max(result.latencies)
     last_version = np.zeros(scn.k, dtype=int)
     for rec in records:
@@ -165,3 +176,27 @@ def test_floor_binding_runs_finish_together(over, seed):
         floored += min(result.b_ue.min(), result.b_es.min()) \
             <= problem.b_min * (1.0 + FLOOR_SLACK)
     assert floored
+
+
+def _bench_checks():
+    """bench/checks.py as a module, read without importing (so no bytecode
+    cache is written beside it)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    module = types.ModuleType("bench_checks")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("b_min, bound", [(1.0, False), (7.5e5, True)])
+def test_bench_sees_whether_the_floor_binds(b_min, bound):
+    """The benchmark's allocation check reports floor_bound on the links
+    the engine hands the allocator: not at a 1 Hz floor, and yes where the
+    floor holds the stronger server's links."""
+    problem = AllocationProblem(
+        np.full((2, 2), 0.01),
+        np.array([[1e-8, 1e-8, 1e-8], [1e-11, 1e-11, 1e-10]]), 1e6,
+        10.0 ** -20.4, 5e6, b_min)
+    quality = _bench_checks().allocation_quality(
+        problem, progressive_fill(problem))
+    assert quality["floor_bound"] is bound
+    assert not quality["over_budget"]

@@ -30,7 +30,7 @@ def test_tcmp_linearity():
 
 def test_uplink_rate_reference_value():
     """b=1 MHz, p=0.01 W, h=1e-8, N0 at -174 dBm/Hz: SNR ~ 2.512e4."""
-    rate = uplink_rate(1e6, 0.01, 1e-8, N0_TABLE)
+    rate = uplink_rate(1e6, 0.01 * 1e-8, N0_TABLE)
     snr = 0.01 * 1e-8 / (1e6 * N0_TABLE)
     assert snr == pytest.approx(2.512e4, rel=1e-3)
     assert rate == pytest.approx(1e6 * np.log2(1.0 + snr), rel=1e-12)
@@ -38,18 +38,18 @@ def test_uplink_rate_reference_value():
 
 
 def test_uplink_rate_zero_cases():
-    assert uplink_rate(1e6, 0.01, 0.0, N0_TABLE) == 0.0
-    assert uplink_rate(0.0, 0.01, 1e-8, N0_TABLE) == 0.0
+    assert uplink_rate(1e6, 0.0, N0_TABLE) == 0.0
+    assert uplink_rate(0.0, 0.01 * 1e-8, N0_TABLE) == 0.0
 
 
 @pytest.mark.parametrize("b", [1e-300, 1e-305, 2.2e-313])
 def test_uplink_rate_where_the_snr_overflows(b):
     """b * N0 underflows here; the rate must stay finite and tiny, alone,
     beside a bandwidth that does not overflow, and among ones that all do."""
-    above = uplink_rate(1e-290, 0.01, 1e-8, N0_TABLE)
-    alone = uplink_rate(b, 0.01, 1e-8, N0_TABLE)
-    every = uplink_rate(np.array([b, b, 0.5 * b]), 0.01, 1e-8, N0_TABLE)
-    for rate in (alone, uplink_rate(np.array([b, 1e6]), 0.01, 1e-8,
+    above = uplink_rate(1e-290, 0.01 * 1e-8, N0_TABLE)
+    alone = uplink_rate(b, 0.01 * 1e-8, N0_TABLE)
+    every = uplink_rate(np.array([b, b, 0.5 * b]), 0.01 * 1e-8, N0_TABLE)
+    for rate in (alone, uplink_rate(np.array([b, 1e6]), 0.01 * 1e-8,
                                     N0_TABLE)[0], *every):
         assert np.isfinite(rate) and 0.0 < rate < above
     assert every[0] == every[1] == alone
@@ -61,7 +61,7 @@ def test_uplink_rate_monotone_in_bandwidth():
         b = rng.uniform(1e3, 1e7)
         p = rng.uniform(1e-3, 1.0)
         h = 10 ** rng.uniform(-11, -7)
-        assert uplink_rate(2 * b, p, h, N0_TABLE) > uplink_rate(b, p, h, N0_TABLE)
+        assert uplink_rate(2 * b, p * h, N0_TABLE) > uplink_rate(b, p * h, N0_TABLE)
 
 
 def test_uplink_rate_concave_in_bandwidth():
@@ -71,7 +71,7 @@ def test_uplink_rate_concave_in_bandwidth():
         p = rng.uniform(1e-3, 1.0)
         h = 10 ** rng.uniform(-11, -7)
         step = b * 0.01
-        r0, r1, r2 = (uplink_rate(b + i * step, p, h, N0_TABLE)
+        r0, r1, r2 = (uplink_rate(b + i * step, p * h, N0_TABLE)
                       for i in range(3))
         assert r1 - r0 > 0
         assert (r2 - r1) < (r1 - r0)
@@ -79,60 +79,59 @@ def test_uplink_rate_concave_in_bandwidth():
 
 def test_uplink_rate_approaches_power_limit():
     ceiling = power_limited_rate(0.01, 1e-8, N0_TABLE)
-    assert uplink_rate(1e3, 0.01, 1e-8, N0_TABLE) < ceiling
-    assert uplink_rate(1e16, 0.01, 1e-8, N0_TABLE) == pytest.approx(
+    assert uplink_rate(1e3, 0.01 * 1e-8, N0_TABLE) < ceiling
+    assert uplink_rate(1e16, 0.01 * 1e-8, N0_TABLE) == pytest.approx(
         ceiling, rel=1e-4)
 
 
 def test_tcom_reference_and_linearity():
-    rate = uplink_rate(1e6, 0.01, 1e-8, N0_TABLE)
+    rate = uplink_rate(1e6, 0.01 * 1e-8, N0_TABLE)
     assert tcom(rate, rate) == pytest.approx(1.0, rel=1e-12)
     assert tcom(2 * rate, rate) == pytest.approx(2.0, rel=1e-12)
-    assert tcom(rate, uplink_rate(2e6, 0.01, 1e-8, N0_TABLE)) < 1.0
+    assert tcom(rate, uplink_rate(2e6, 0.01 * 1e-8, N0_TABLE)) < 1.0
 
 
 def test_tcom_sentinels():
+    """Rate 0, or a time past the float range, is inf."""
     assert tcom(1e6, 0.0) == np.inf
-    assert tcom(0.0, 0.0) == 0.0
-    assert tcom(0.0, 1e6) == 0.0
+    assert tcom(1e300, 1e-300) == np.inf
+    np.testing.assert_array_equal(tcom(1e6, np.array([0.0, 2e6, 1e-305])),
+                                  [np.inf, 0.5, np.inf])
 
 
 def test_scalar_calls_return_floats():
-    for value in (uplink_rate(1e6, 0.01, 1e-8, N0_TABLE),
-                  uplink_rate(0.0, 0.01, 1e-8, N0_TABLE),
-                  uplink_rate(1e-305, 0.01, 1e-8, N0_TABLE),
-                  tcom(1e6, 2e6), tcom(1e6, 0.0), tcom(0.0, 0.0)):
+    for value in (uplink_rate(1e6, 0.01 * 1e-8, N0_TABLE),
+                  uplink_rate(0.0, 0.01 * 1e-8, N0_TABLE),
+                  uplink_rate(1e-305, 0.01 * 1e-8, N0_TABLE),
+                  tcom(1e6, 2e6), tcom(1e6, 0.0), tcom(1e300, 1e-300)):
         assert isinstance(value, float)
 
 
 def test_es_latency_matches_per_link_reference():
-    """Pricing a (K, N+1) link array in one call, each ES's own link last,
-    gives the bits of scalar uplink_rate/tcom calls link by link, also at
-    zero payloads, zero bandwidth and bandwidths where the SNR overflows."""
+    """Pricing a (K, N+1) link array in one call, each ES's own link last
+    and every link uploading z bits, gives the bits of scalar
+    uplink_rate/tcom calls link by link, also at zero bandwidth and at
+    bandwidths where the SNR overflows."""
     rng = np.random.default_rng(11)
-    k, n = 8, 5
+    k, n, z = 8, 5, 1e6
     tcmp_ue = rng.uniform(0.0, 0.05, size=(k, n))
     ph = 0.01 * 10.0 ** rng.uniform(-11.0, -7.0, size=(k, n + 1))
-    z = rng.uniform(1e5, 1e7, size=(k, n + 1))
     b = 10.0 ** rng.uniform(2.0, 7.0, size=(k, n + 1))
-    z[0, 1] = z[1, -1] = 0.0
-    z[2] = 0.0
     b[0, 1] = b[3, 0] = b[3, -1] = b[2, 2] = 0.0
     b[4, 2], b[4, -1], b[5, 3], b[6, 0] = 1e-300, 2.2e-313, 1e-305, 5e-324
-    rate = uplink_rate(b, 1.0, ph, N0_TABLE)
+    rate = uplink_rate(b, ph, N0_TABLE)
     assert np.isfinite(rate).all()
     got = es_latency(tcmp_ue, tcom(z, rate))
 
     def t(i, j):
-        return tcom(z[i, j], uplink_rate(b[i, j], 1.0, ph[i, j], N0_TABLE))
+        return tcom(z, uplink_rate(b[i, j], ph[i, j], N0_TABLE))
 
     want = [max(tcmp_ue[i, j] + t(i, j) for j in range(n)) + t(i, n)
             for i in range(k)]
     assert got.shape == (k,)
     np.testing.assert_array_equal(got, want)
-    # a payload without bandwidth never uploads; an ES without payload
-    # waits only on its UEs' compute
-    assert np.isinf(got[3]) and got[2] == tcmp_ue[2].max()
+    # a link without bandwidth never uploads
+    assert np.isinf(got[[0, 2, 3]]).all() and np.isfinite(got[1])
 
 
 def test_sample_topology_ranges():

@@ -69,7 +69,33 @@ def test_bench_counts_source_lines(tmp_path):
     (pkg / "notes.txt").write_text("not\ncounted\n")
     (pkg / "sub" / "c.py").write_text("not counted\n")
     bench = _bench_module()
-    assert bench.src_lines(str(tmp_path)) == 5
+    assert bench.src_lines(str(tmp_path))["total"] == 5
+
+
+def test_bench_splits_source_lines_by_kind(tmp_path):
+    """src_lines splits the lines into code, docstring, comment and blank
+    ones: a line with code on it is code, a string that is a statement of
+    its own is a docstring wherever it stands, and a string inside code is
+    code."""
+    pkg = tmp_path / "src" / "hpfl"
+    pkg.mkdir(parents=True)
+    (pkg / "m.py").write_text(
+        '"""Module docstring,\n'
+        '\n'
+        'on three lines."""\n'
+        '\n'
+        '# a comment\n'
+        'x = 1  # code with a comment\n'
+        '\n'
+        '\n'
+        'def f():\n'
+        '    """One line."""\n'
+        '    # indented comment\n'
+        '    return """a string\n'
+        'in code"""\n')
+    bench = _bench_module()
+    assert bench.src_lines(str(tmp_path)) == {
+        "total": 13, "code": 4, "docstring": 4, "comment": 2, "blank": 3}
 
 
 def test_bench_names_a_failed_run(tmp_path):
