@@ -41,7 +41,6 @@ from .network import (dbm_per_hz_to_w, es_latency, sample_channels, tcmp,
 from .scheduler import baseline_select, objective_value, schedule
 
 __all__ = [
-    "AggregationError",
     "RoundRecord",
     "RoundEngine",
     "global_update",
@@ -55,19 +54,13 @@ def _ue_name(index):
     return "es %d ue %d" % index
 
 
-class AggregationError(RuntimeError):
-    """An aggregation step was asked to run on an empty selection."""
-
-
 def global_update(w, mean_grads, selected, beta):
     """Cloud step ``w - (beta/A) * sum of the A selected mean gradients``.
 
     ``mean_grads`` holds one aggregated meta-gradient per edge server as a
-    (K, P) array; ``selected`` masks the A servers that upload.
+    (K, P) array; ``selected`` masks the A >= 1 servers that upload.
     """
     picked = mean_grads[np.asarray(selected, dtype=bool)]
-    if not picked.shape[0]:
-        raise AggregationError("global update with an empty selection")
     return w - (beta / float(picked.shape[0])) * picked.sum(axis=0)
 
 

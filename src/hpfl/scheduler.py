@@ -74,10 +74,8 @@ def objective_value(pi, importance, latency, rho, phi):
     """Scheduling objective ``-rho*phi*sum(pi*I) + (1-rho)*max(pi*O)``.
 
     The latency term is the slowest selected upload because the cloud step
-    waits for every accepted server.  An empty selection scores 0.
+    waits for every accepted server.
     """
-    if not pi.any():
-        return 0.0
     gain = rho * phi * float(importance[pi].sum())
     wait = (1.0 - rho) * float(latency[pi].max())
     return -gain + wait

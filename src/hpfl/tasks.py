@@ -21,16 +21,21 @@ sample count that the engine turns into compute bits and so into latency.
 Every model exposes ``loss``, ``grad``, ``hvp`` and ``predict`` on flat
 parameter vectors, and all four accept leading batch axes on the shard
 (``x: (..., n, d)``, ``y: (..., n)``, ``q: (..., d, d)``, ``a: (..., d)``)
-and on the parameters (``w, v: (..., P)``).  The batch axes broadcast, so
-one call evaluates every UE at a shared point or each UE at its own point;
-a single shard is the case with no batch axes.  ``loss`` returns one value
-per batch entry, ``grad`` and ``hvp`` one ``(..., P)`` vector, ``predict``
-one ``(..., n)`` label array.  Products are stacked ``np.matmul`` calls, so
-each UE's result is the same BLAS call a single shard makes, bit for bit,
-with one exception: at a shared point (parameters without batch axes) the
-logistic logits are one product over every sample of every shard, and each
-entry is the same length-d dot, so the bits are those of the stacked
-products.  The Hessian is never materialized.  Logits are class-major,
+and on the parameters (``w, v: (..., P)``).  The parameters' batch axes
+must broadcast to the shard's, so one call evaluates every UE at a shared
+point, each UE at its own point or each server's point over its UEs; a
+single shard at a single point is the case with no batch axes.  ``loss``
+returns one value per batch entry, ``grad`` and ``hvp`` one ``(..., P)``
+vector, ``predict`` one ``(..., n)`` label array.  Products are stacked
+``np.matmul`` calls, so each UE's result is the same BLAS call a single
+shard makes, bit for bit, with one exception: at a shared point
+(parameters without batch axes) a classifier's logits are one product over
+every sample of every shard.  Each entry is the same dot over the inner
+dimension (``d``, or the MLP's hidden width), and while that is short
+(8 and 16 on x86-64 OpenBLAS) the bits are those of the stacked products;
+from 32 on, BLAS may block the long product differently, and entries can
+differ in the last bits (below 1e-15 of the largest logit at 32 and 64
+there).  The Hessian is never materialized.  Logits are class-major,
 ``(..., c, n)``, so the softmax runs down the short class axis over all
 samples at once.  Its sums and means are plain NumPy reductions, and
 ``predict`` takes the first class at the class max, as ``np.argmax`` does.
@@ -45,18 +50,18 @@ and the logistic ``hvp`` turns its own logit change into the probability
 change.  A state passed in is never written: ``meta_grad`` and
 ``estimate_constants`` hand one state to ``grad`` and then to ``hvp``.
 
-Memory layout: the logistic model's logits and its HVP's logit change keep
-the logical shape ``(..., c, n)`` but are stored class-outermost, as
-``(c, ..., n)`` in C order (``_class_logits``).  Each class max, class sum,
-label pick, one-hot step and, on wide slabs, the class argmax then runs
-over whole contiguous slabs, one class of every UE and sample at a time,
-and the values are those of the plain product, bit for bit.  The helpers
-follow the layout they are handed; the MLP's logits stay in C order, and
-so do its temporaries.  One exception to bit-equality: NumPy sums a stacked
-class-outermost column class by class but a C-ordered single-sample column
-pairwise, so with one sample per shard and eight or more classes a batched
-logistic call can differ in the last bits from a single-shard call and
-from the same kernels on C-ordered logits.
+Memory layout: both classifiers' logits, and the logistic HVP's logit
+change, keep the logical shape ``(..., c, n)`` but are stored
+class-outermost, as ``(c, ..., n)`` in C order (``_class_logits``); so are
+the softmax states and one-hot differences made from them.  Each class
+max, class sum, label pick, one-hot step and, on wide slabs, the class
+argmax then runs over whole contiguous slabs, one class of every UE and
+sample at a time, and the values are those of the plain product, bit for
+bit.  One exception to bit-equality: NumPy sums a stacked class-outermost
+column class by class but a single shard's single-sample column, which is
+contiguous, pairwise, so with one sample per shard and eight or more
+classes a batched call of either classifier can differ in the last bits
+from a single-shard call and from the same kernels on C-ordered logits.
 """
 
 from dataclasses import dataclass
@@ -143,35 +148,34 @@ def _from_slabs(a):
 
 
 def _slabs(z):
-    """The (c, M) class slabs of class-outermost ``z``, as a view, or None
-    when z is laid out otherwise (the MLP's C-ordered batched logits)."""
+    """The (c, M) class slabs of ``z (..., c, n)``, a view because every
+    logit array the kernels make is stored class-outermost."""
     nd = z.ndim
     slabs = z.transpose((nd - 2,) + tuple(range(nd - 2)) + (nd - 1,))
-    if not slabs.flags.c_contiguous:
-        return None
     return slabs.reshape(z.shape[-2], -1)
 
 
 def _class_logits(weights, bias, x):
     """``weights @ x' + bias`` as (..., c, n) logits, class axis outermost.
 
-    weights is (..., c, d), bias (..., c) and x (..., n, d).  The result
-    has the logical shape and the bits of the plain expression, but it is
-    laid out as (c, ..., n), the batch axes broadcast, so a reduction down
-    the classes runs over whole contiguous slabs.  At a shared point
+    weights is (..., c, d) and bias (..., c), their batch axes broadcasting
+    to those of x (..., n, d).  The result has the logical shape of the
+    plain expression, but it is laid out as (c, ..., n), so a reduction
+    down the classes runs over whole contiguous slabs.  At a shared point
     (weights without batch axes) it is one product over every sample,
     ``weights @ x.reshape(-1, d)'``, which is already (c, ..., n); else it
-    is one stacked product per batch entry, written into that layout.
-    Each entry is the same length-d dot either way.
+    is one stacked product per batch entry, written into that layout, with
+    the bits of the plain expression.  Each entry is the same length-d dot
+    either way, but the one product's bits equal the stacked products'
+    only for short d (see the module docstring).
     """
     c, n = weights.shape[-2], x.shape[-2]
     if weights.ndim == 2:
         out = weights @ x.reshape(-1, x.shape[-1]).T
         out += bias[:, None]
         return _from_slabs(out.reshape((c,) + x.shape[:-2] + (n,)))
-    batch = np.broadcast(weights[..., 0, 0], x[..., 0, 0]).shape
-    nb = len(batch)
-    out = np.empty((c,) + batch + (n,))
+    nb = x.ndim - 2
+    out = np.empty((c,) + x.shape[:-2] + (n,))
     z = np.matmul(weights, _t(x), out=_from_slabs(out))
     # add the bias in storage order, (c, ..., 1) against (c, ..., n)
     bias = bias.reshape((1,) * (nb + 1 - bias.ndim) + bias.shape + (1,))
@@ -179,12 +183,10 @@ def _class_logits(weights, bias, x):
     return z
 
 
-def _label_index(z, y):
-    """Flat index of each sample's label class in the slabs of ``z``."""
-    m = z.size // z.shape[-2]
-    if y.size != m:
-        y = np.broadcast_to(y, z.shape[:-2] + z.shape[-1:])
-    return y.reshape(-1) * m + np.arange(m)
+def _label_index(y):
+    """Flat index of each sample's label class in the (c, y.size) class
+    slabs of its logits."""
+    return y.reshape(-1) * y.size + np.arange(y.size)
 
 
 def _softmax(z):
@@ -199,12 +201,7 @@ def _nll(z, y):
     """Mean negative log-likelihood of labels y (..., n) under logits z,
     which it overwrites."""
     z -= z.max(axis=-2, keepdims=True)
-    slabs = _slabs(z)
-    if slabs is None:
-        picked = np.take_along_axis(z, y[..., None, :], axis=-2)[..., 0, :]
-    else:
-        picked = slabs.reshape(-1).take(_label_index(z, y)).reshape(
-            z.shape[:-2] + z.shape[-1:])
+    picked = _slabs(z).reshape(-1).take(_label_index(y)).reshape(y.shape)
     log_norm = np.log(np.exp(z, out=z).sum(axis=-2))
     return -(picked - log_norm).mean(axis=-1)
 
@@ -213,17 +210,12 @@ def _minus_onehot(p, y, out=None):
     """Class-major probabilities p minus the one-hot labels y (..., n).
 
     The difference is written to ``out`` (``p`` itself when the caller
-    owns it), else to a copy of p in p's layout.  On class slabs only the
-    label entries are touched; C-ordered p (the MLP's) takes a C-ordered
-    one-hot, so the difference runs over matching memory.
+    owns it), else to a copy of p in p's class-outermost layout.  Only the
+    label entries of the class slabs are touched.
     """
     if out is None:
         out = np.copy(p)
-    slabs = _slabs(out)
-    if slabs is None:
-        out -= np.equal(y[..., None, :], np.arange(p.shape[-2])[:, None])
-    else:
-        slabs.reshape(-1)[_label_index(out, y)] -= 1.0
+    _slabs(out).reshape(-1)[_label_index(y)] -= 1.0
     return out
 
 
@@ -238,9 +230,9 @@ def _class_argmax(z):
     the classes before the first hit; a column whose max is NaN takes
     NumPy's argmax, which picks its first NaN.
     """
-    slabs = _slabs(z) if z.size >= _SLAB_ARGMAX_MIN * z.shape[-2] else None
-    if slabs is None:
+    if z.size < _SLAB_ARGMAX_MIN * z.shape[-2]:
         return z.argmax(axis=-2)
+    slabs = _slabs(z)
     top = slabs.max(axis=0)
     found = np.zeros(top.shape, dtype=bool)
     hits = np.zeros(top.shape, dtype=np.intp)
@@ -300,14 +292,9 @@ class LogisticModel:
 
     def hvp(self, w, shard, v, state=None):
         p = self.forward(w, shard) if state is None else state
-        rz = self._logits(v, shard.x)   # the logits are linear in w
-        expected = (p * rz).sum(axis=-2, keepdims=True)
-        if expected.shape[:-2] == rz.shape[:-2]:    # rz spans every entry
-            rz -= expected
-            rz *= p
-            rp = rz
-        else:
-            rp = p * (rz - expected)
+        rp = self._logits(v, shard.x)   # the logits are linear in w
+        rp -= (p * rp).sum(axis=-2, keepdims=True)
+        rp *= p
         h_w = rp @ shard.x / shard.size
         h_b = rp.mean(axis=-1)
         return _pack(h_b.shape[:-1], h_w, h_b) + self.l2 * v
@@ -347,11 +334,11 @@ class MLPModel:
         return np.concatenate([w1, b1, w2, b2])
 
     def _logits(self, w, x):
-        """Output weights, activations (..., n, h) and class-major logits."""
+        """Output weights, activations (..., n, h) and class-major logits,
+        class axis outermost in memory."""
         w1, b1, w2, b2 = self._unpack(w)
         a1 = np.tanh(x @ _t(w1) + b1[..., None, :])
-        z2 = w2 @ _t(a1) + b2[..., :, None]
-        return w2, a1, z2
+        return w2, a1, _class_logits(w2, b2, a1)
 
     def forward(self, w, shard):
         """The state: output weights, activations, class-major softmax."""

@@ -1,9 +1,11 @@
-"""Static guard: every public function of the package serves a run.
+"""Static guards: every public function of the package serves a run, and
+every name the benchmark's tracer patches exists.
 
 A reference implementation that only tests call belongs in
-tests/oracles.py, not in src/hpfl.  The guard reads code, not text: only
-AST names and attributes count as references, so a docstring or an
-``__all__`` entry does not.
+tests/oracles.py, not in src/hpfl.  The first guard reads code, not text:
+only AST names and attributes count as references, so a docstring or an
+``__all__`` entry does not.  The second catches a traced name that no run
+calls, such as ``meta.meta_loss``, being renamed or deleted.
 """
 
 import ast
@@ -50,3 +52,22 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert not test_only, (
         "public functions no code in src/, scripts/ or bench/ calls "
         "(move them to tests/oracles.py or delete them): %s" % test_only)
+
+
+def traced_targets():
+    """The (owner, attribute) pairs the benchmark's tracer patches.
+
+    bench/tracer.py is run with exec rather than imported, so the test
+    writes no bytecode under bench/.
+    """
+    path = ROOT / "bench" / "tracer.py"
+    namespace = {}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace["targets"]()
+
+
+def test_every_traced_name_exists():
+    missing = ["%s.%s" % (getattr(owner, "__name__", owner), attr)
+               for owner, attr in traced_targets() if not hasattr(owner, attr)]
+    assert not missing, (
+        "bench/tracer.py traces names the package no longer has: %s" % missing)

@@ -7,7 +7,7 @@ import pytest
 
 from hpfl import meta
 from hpfl.experiment import prepare
-from hpfl.hierarchy import AggregationError, RoundEngine, global_update
+from hpfl.hierarchy import RoundEngine, global_update
 from hpfl.scenario import Scenario
 
 
@@ -44,11 +44,6 @@ class TestGlobalUpdate:
                      for k in (0, 2) for i in range(n_ue)]
             want = w[j] - beta / 2.0 * math.fsum(terms)
             assert abs(out[j] - want) <= 1e-12 * max(1.0, abs(want))
-
-    def test_empty_selection_rejected(self):
-        with pytest.raises(AggregationError, match="empty"):
-            global_update(np.zeros(2), np.zeros((2, 2)),
-                          np.zeros(2, dtype=bool), beta=0.1)
 
 
 class TestAdvanceStaleness:

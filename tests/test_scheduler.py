@@ -169,10 +169,6 @@ class TestObjectives:
         val = objective_value(pi, imp, lat, rho=0.25, phi=2.0)
         assert abs(val - (-0.25 * 2.0 * 5.0 + 0.75 * 4.0)) < 1e-15
 
-    def test_empty_selection_scores_zero(self):
-        assert objective_value(np.zeros(3, dtype=bool), np.ones(3),
-                               np.ones(3), 0.5, 1.0) == 0.0
-
     def test_separable_form_arithmetic(self):
         pi = np.array([True, True, False])
         imp = np.array([2.0, 9.0, 3.0])
