@@ -62,6 +62,56 @@ def _probe(model, w, shards, dirs, grad_out, hvp_out):
         hvp_out[r] = model.hvp(w, shards, v, state).reshape(hvp_out.shape[1:])
 
 
+def _sq_dists(a, b, out):
+    """Each row's squared distance ``||a - b||^2`` over the last axis, the
+    difference squared in ``out``.
+
+    The square root of their maximum is ``np.linalg.norm(a - b,
+    axis=-1).max()``, bit for bit: the norm squares and sums each row the
+    same way, and sqrt is monotone.
+    """
+    np.subtract(a, b, out=out)
+    np.multiply(out, out, out=out)
+    return out.sum(axis=-1)
+
+
+def _maxima(grads, hvps, dists):
+    """(grad_lip, grad_max, hess_lip, grad_div, hess_div) from the probes'
+    (probe, UE, P) gradients and (probe, direction, UE, P) HVPs.
+
+    Every difference is written into one ``hvps.shape[1:]`` buffer, and
+    hvps is overwritten by its deviations from the UE mean.  A probe pair
+    closer than 1e-12 gives no difference quotient.
+    """
+    buf = np.empty(hvps.shape[1:])
+    g_buf = buf[0]
+    n = len(grads)
+    grad_mean = grads.mean(axis=1, keepdims=True)
+    norm_sq, div_sq = np.empty(n), np.empty(n)
+    for j, g in enumerate(grads):
+        norm_sq[j] = np.multiply(g, g, out=g_buf).sum(axis=1).max()
+        div_sq[j] = _sq_dists(g, grad_mean[j], g_buf).mean()
+
+    grad_lip = 0.0
+    hess_lip = 0.0
+    for j in range(n):
+        for jj in range(j + 1, n):
+            dw = dists[j, jj]
+            if dw < 1e-12:
+                continue
+            grad_lip = max(grad_lip, float(
+                np.sqrt(_sq_dists(grads[j], grads[jj], g_buf).max()) / dw))
+            hess_lip = max(hess_lip, float(
+                np.sqrt(_sq_dists(hvps[j], hvps[jj], buf).max()) / dw))
+
+    # in place: the HVP stack is the largest array of a run
+    hvps -= hvps.mean(axis=2, keepdims=True)
+    hvps **= 2
+    hess_div = float(np.sqrt(hvps.sum(axis=3).mean(axis=2).max()))
+    return (grad_lip, float(np.sqrt(norm_sq.max())), hess_lip,
+            float(np.sqrt(div_sq.max())), hess_div)
+
+
 def estimate_constants(model, shards, alpha, probe_count, rng_seed, center):
     """Sampled maxima of the smoothness and diversity quantities.
 
@@ -89,28 +139,8 @@ def estimate_constants(model, shards, alpha, probe_count, rng_seed, center):
     hvps = np.empty((probe_count, _N_DIRECTIONS, n_ue, dim))
     for j, w in enumerate(probes):
         _probe(model, w, shards, dirs, grads[j], hvps[j])
-
-    grad_max = float(np.linalg.norm(grads, axis=2).max())
-
-    grad_lip = 0.0
-    hess_lip = 0.0
-    for j in range(probe_count):
-        for jj in range(j + 1, probe_count):
-            dw = dists[j, jj]
-            if dw < 1e-12:
-                continue
-            grad_lip = max(grad_lip, float(
-                np.linalg.norm(grads[j] - grads[jj], axis=1).max() / dw))
-            hess_lip = max(hess_lip, float(
-                np.linalg.norm(hvps[j] - hvps[jj], axis=2).max() / dw))
-
-    grad_mean = grads.mean(axis=1, keepdims=True)
-    grad_div = float(np.sqrt(
-        ((grads - grad_mean) ** 2).sum(axis=2).mean(axis=1).max()))
-    # in place: the HVP stack is the largest array of a run
-    hvps -= hvps.mean(axis=2, keepdims=True)
-    hvps **= 2
-    hess_div = float(np.sqrt(hvps.sum(axis=3).mean(axis=2).max()))
+    grad_lip, grad_max, hess_lip, grad_div, hess_div = _maxima(
+        grads, hvps, dists)
 
     meta_lip = 4.0 * grad_lip + alpha * hess_lip * grad_max
     try:

@@ -98,6 +98,11 @@ class RoundEngine:
                     base is ``history[version]`` and its age ``t - version``
     mean_grad    -- (K, P) mean UE meta-gradient at the base
     grad_norm_sq -- squared norm of mean_grad, the server's importance
+
+    Beside ``history``, the model entering each round, ``refreshed[t]`` is
+    the ``(ids, mean)`` pair of round t's refresh: the servers of age 0 and
+    their (len(ids), P) mean UE meta-gradients at ``history[t]``.  The
+    audit reads both; the run itself reads neither.
     """
 
     def __init__(self, prep, scenario, beta, phi_sched, phi, nu):
@@ -113,6 +118,7 @@ class RoundEngine:
         self.w = np.asarray(prep.w0, dtype=float).copy()
         self.t = 0
         self.history = [self.w.copy()]
+        self.refreshed = []
         k = scenario.k
         self.version = np.zeros(k, dtype=int)
         self.mean_grad = np.zeros((k, self.w.size))
@@ -143,6 +149,7 @@ class RoundEngine:
                            context=lambda i: _ue_name((ids[i[0]], i[1])),
                            theta=None if theta is None else theta[ids])
         self.mean_grad[ids] = mean = grads.mean(axis=1)
+        self.refreshed.append((ids, mean))
         with np.errstate(over="ignore"):    # an overflow raises below
             self.grad_norm_sq[ids] = meta._check_finite(
                 (mean[:, None, :] @ mean[:, :, None])[:, 0, 0],

@@ -41,7 +41,10 @@ samples at once.  Its sums and means are plain NumPy reductions, and
 ``predict`` takes the first class at the class max, as ``np.argmax`` does.
 ``forward(w, shard)`` returns the state that ``grad`` and ``hvp`` build at
 ``w`` unless handed it as ``state``, so a gradient and its HVPs at one
-point share one forward pass, bit for bit.
+point share one forward pass, bit for bit.  The logistic state is the
+softmax ``p``; the MLP's is ``(w2, a1, s1, p)``, its output weights,
+activations, tanh slope ``1 - a1**2`` and softmax, so neither ``grad`` nor
+``hvp`` recomputes the slope.
 
 Buffers: the kernels overwrite only arrays they made themselves.
 ``_softmax`` and ``_nll`` work in place on the fresh logits they are
@@ -337,13 +340,18 @@ class MLPModel:
         """Output weights, activations (..., n, h) and class-major logits,
         class axis outermost in memory."""
         w1, b1, w2, b2 = self._unpack(w)
-        a1 = np.tanh(x @ _t(w1) + b1[..., None, :])
+        a1 = x @ _t(w1)
+        a1 += b1[..., None, :]
+        np.tanh(a1, out=a1)
         return w2, a1, _class_logits(w2, b2, a1)
 
     def forward(self, w, shard):
-        """The state: output weights, activations, class-major softmax."""
+        """The state ``(w2, a1, s1, p)``: output weights, activations, the
+        tanh slope ``s1 = 1 - a1**2`` and the class-major softmax."""
         w2, a1, z2 = self._logits(w, shard.x)
-        return w2, a1, _softmax(z2)
+        s1 = a1 * a1
+        np.subtract(1.0, s1, out=s1)
+        return w2, a1, s1, _softmax(z2)
 
     def loss(self, w, shard):
         _, _, z2 = self._logits(w, shard.x)
@@ -351,11 +359,12 @@ class MLPModel:
 
     def grad(self, w, shard, state=None):
         n = shard.size
-        w2, a1, p = self.forward(w, shard) if state is None else state
+        w2, a1, s1, p = self.forward(w, shard) if state is None else state
         d2 = _minus_onehot(p, shard.y, out=p if state is None else None)
         g_w2 = d2 @ a1 / n
         g_b2 = d2.mean(axis=-1)
-        d1 = (_t(d2) @ w2) * (1.0 - a1 ** 2)
+        d1 = _t(d2) @ w2
+        d1 *= s1
         g_w1 = _t(d1) @ shard.x / n
         g_b1 = d1.mean(axis=-2)
         return _pack(g_b1.shape[:-1], g_w1, g_b1, g_w2, g_b2) + self.l2 * w
@@ -363,21 +372,30 @@ class MLPModel:
     def hvp(self, w, shard, v, state=None):
         n = shard.size
         x = shard.x
-        w2, a1, p = self.forward(w, shard) if state is None else state
+        w2, a1, s1, p = self.forward(w, shard) if state is None else state
         v1, vb1, v2, vb2 = self._unpack(v)
         d2 = _minus_onehot(p, shard.y)
 
-        rz1 = x @ _t(v1) + vb1[..., None, :]
-        ra1 = (1.0 - a1 ** 2) * rz1
-        rz2 = v2 @ _t(a1) + w2 @ _t(ra1) + vb2[..., :, None]
-        rd2 = p * (rz2 - (p * rz2).sum(axis=-2, keepdims=True))
+        # the changes along v of a1, of the softmax and of the hidden error,
+        # each built in place in an array this call made
+        ra1 = x @ _t(v1)
+        ra1 += vb1[..., None, :]
+        ra1 *= s1
+        rd2 = v2 @ _t(a1) + w2 @ _t(ra1) + vb2[..., :, None]
+        rd2 -= (p * rd2).sum(axis=-2, keepdims=True)
+        rd2 *= p
 
         h_w2 = (rd2 @ a1 + d2 @ ra1) / n
         h_b2 = rd2.mean(axis=-1)
 
         u = _t(d2) @ w2
-        ru = _t(d2) @ v2 + _t(rd2) @ w2
-        rd1 = ru * (1.0 - a1 ** 2) + u * (-2.0 * a1 * ra1)
+        # the bits of u * (-2 * a1 * ra1): scaling by -2 is exact
+        t = a1 * ra1
+        t *= u
+        t *= -2.0
+        rd1 = _t(d2) @ v2 + _t(rd2) @ w2
+        rd1 *= s1
+        rd1 += t
         h_w1 = _t(rd1) @ x / n
         h_b1 = rd1.mean(axis=-2)
         return _pack(h_b1.shape[:-1], h_w1, h_b1, h_w2, h_b2) + self.l2 * v

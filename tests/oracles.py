@@ -1,8 +1,10 @@
 """Reference implementations that tests compare the package against.
 
 No run calls these: the allocator prices links with the broadcast
-``bandwidth.deadline_bandwidth``, and the scheduler applies its threshold
-inline.  They stay here as slow, obviously correct oracles.
+``bandwidth.deadline_bandwidth``, the scheduler applies its threshold
+inline, the estimator reuses one difference buffer and the audit reuses
+the run's refreshed gradients.  They stay here as slow, obviously correct
+oracles.
 """
 
 import numpy as np
@@ -92,3 +94,42 @@ def separable_objective_value(pi, importance, latency, rho, phi):
     imp = np.asarray(importance, dtype=float)
     lat = np.asarray(latency, dtype=float)
     return -rho * phi * float(imp[pi].sum()) + (1.0 - rho) * float(lat[pi].sum())
+
+
+def estimator_maxima(grads, hvps, dists):
+    """(grad_lip, grad_max, hess_lip, grad_div, hess_div) with one fresh
+    ``np.linalg.norm`` per probe pair.
+
+    ``grads`` is (probe, UE, P), ``hvps`` (probe, direction, UE, P) and
+    ``dists`` the probes' pairwise distances; a pair closer than 1e-12 is
+    skipped.  Neither stack is written.
+    """
+    grad_max = float(np.linalg.norm(grads, axis=2).max())
+    grad_lip = 0.0
+    hess_lip = 0.0
+    for j in range(len(grads)):
+        for jj in range(j + 1, len(grads)):
+            dw = dists[j, jj]
+            if dw < 1e-12:
+                continue
+            grad_lip = max(grad_lip, float(
+                np.linalg.norm(grads[j] - grads[jj], axis=1).max() / dw))
+            hess_lip = max(hess_lip, float(
+                np.linalg.norm(hvps[j] - hvps[jj], axis=2).max() / dw))
+    grad_div = float(np.sqrt(((grads - grads.mean(axis=1, keepdims=True)) ** 2)
+                             .sum(axis=2).mean(axis=1).max()))
+    hess_div = float(np.sqrt(((hvps - hvps.mean(axis=2, keepdims=True)) ** 2)
+                             .sum(axis=3).mean(axis=2).max()))
+    return grad_lip, grad_max, hess_lip, grad_div, hess_div
+
+
+def full_federation_grad_norms_sq(engine, versions, grad):
+    """{v: squared norm of the global gradient at history[v]}, every UE of
+    the federation evaluated afresh at every version."""
+    out = {}
+    for v in versions:
+        g = grad(engine.model, engine.history[v], engine.federation.train,
+                 engine.scenario.alpha)
+        g = g.reshape(-1, engine.model.n_params).mean(axis=0)
+        out[v] = float(g @ g)
+    return out

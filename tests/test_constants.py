@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from hpfl.constants import (EstimationError, bound_constants,
+from hpfl.constants import (EstimationError, _maxima, bound_constants,
                             estimate_constants)
 from hpfl.meta import NonFiniteError
 from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
                         QuadraticTask, TaskShard)
+from oracles import estimator_maxima
 
 
 def _stacked(*tasks):
@@ -67,6 +68,41 @@ def test_each_probe_makes_one_forward_pass(forward_points, model):
     estimate_constants(model, shards, 0.1, probe_count=5, rng_seed=3,
                        center=np.zeros(model.n_params))
     assert len(points) == 5
+
+
+def _probe_stacks(rng, probes, n_ue, dim):
+    """Random (probe, UE, P) gradients, (probe, 3, UE, P) HVPs and the
+    pairwise distances of random probe points."""
+    points = rng.standard_normal((probes, 4))
+    dists = np.linalg.norm(points[:, None] - points[None, :], axis=2)
+    return (rng.standard_normal((probes, n_ue, dim)),
+            rng.standard_normal((probes, 3, n_ue, dim)), dists)
+
+
+def _assert_maxima_match_the_oracle(grads, hvps, dists):
+    want = estimator_maxima(grads, hvps, dists)
+    got = _maxima(grads.copy(), hvps.copy(), dists)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    return got
+
+
+@pytest.mark.parametrize("shape", [(8, 1000, 90), (8, 80, 618)],
+                         ids=["large", "audit_mlp"])
+def test_buffered_maxima_equal_the_pairwise_norms(shape):
+    """One difference buffer gives the five maxima of fresh norms, bit for
+    bit, on stacks of the large and audit_mlp estimator shapes."""
+    grads, hvps, dists = _probe_stacks(np.random.default_rng(shape[2]), *shape)
+    _assert_maxima_match_the_oracle(grads, hvps, dists)
+
+
+def test_buffered_maxima_skip_a_pair_closer_than_1e_12():
+    """Probes 0 and 1 lie 1e-13 apart but their gradients and HVPs differ
+    by O(1): the pair must give no difference quotient."""
+    grads, hvps, dists = _probe_stacks(np.random.default_rng(9), 4, 5, 6)
+    dists[0, 1] = dists[1, 0] = 1e-13
+    grad_lip, _, hess_lip, _, _ = _assert_maxima_match_the_oracle(
+        grads, hvps, dists)
+    assert grad_lip < 1e3 and hess_lip < 1e3
 
 
 @pytest.mark.parametrize("alpha", [1e300, 1e200])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hpfl
-from hpfl import cli, meta
+from hpfl import cli, experiment, meta
 from hpfl.bandwidth import InfeasibleAllocationError
 from hpfl.experiment import (
     AUDIT_HEADER,
@@ -24,6 +24,7 @@ from hpfl.experiment import (
     write_outputs,
 )
 from hpfl.scenario import Scenario, save_scenario
+from oracles import full_federation_grad_norms_sq
 
 SMALL = Scenario(k=3, n_k=2, n_train=16, n_eval=16, rounds=4, seed=1)
 
@@ -134,25 +135,43 @@ class TestAudit:
     @pytest.mark.parametrize("rounds", [0, 4])
     def test_audit_evaluates_each_model_once(self, monkeypatch, mode, rounds):
         """The audit reads F(w_t) from the records: one loss call, at the
-        final model, and one gradient call per delivered version."""
-        result = run_experiment(SMALL.replace(mode=mode, rounds=rounds))
+        final model.  At each delivered version v it reuses the gradients
+        of the servers refreshed at round v, those of age 0 (all of them at
+        v = 0, else round v - 1's selection), and makes one gradient call,
+        on a shard of exactly the other servers' UEs, if there are any."""
+        # one upload a round leaves servers out of most refreshes
+        result = run_experiment(SMALL.replace(mode=mode, rounds=rounds,
+                                              a_max=1))
+        engine = result.engine
+        train = engine.federation.train
         loss, grad = meta.objective(mode)
-        calls = {"loss": 0, "grad": 0}
+        calls = {"loss": [], "grad": []}
 
         def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
+            def wrapper(model, w, shard, *args, **kwargs):
+                calls[key].append((w, shard))
+                return fn(model, w, shard, *args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(meta, loss.__name__, counted("loss", loss))
         monkeypatch.setattr(meta, grad.__name__, counted("grad", grad))
         rows = audit_bound(result)
-        versions = {v for rec in result.records for v in rec.versions}
-        assert calls == {"loss": 1 if rounds else 0, "grad": len(versions)}
-
-        engine = result.engine
-        train = engine.federation.train
+        rests = []
+        for v in sorted({v for rec in result.records for v in rec.versions}):
+            refreshed = np.ones(SMALL.k, dtype=bool) if v == 0 \
+                else np.asarray(result.records[v - 1].pi, dtype=bool)
+            if not refreshed.all():
+                rests.append((v, np.flatnonzero(~refreshed)))
+        assert len(calls["loss"]) == (1 if rounds else 0)
+        for w, shard in calls["loss"]:
+            np.testing.assert_array_equal(w, engine.history[-1])
+            assert shard is train
+        assert len(calls["grad"]) == len(rests)
+        assert bool(rests) == bool(rounds)
+        for (w, shard), (v, rest) in zip(calls["grad"], rests):
+            np.testing.assert_array_equal(w, engine.history[v])
+            np.testing.assert_array_equal(shard.x, train.x[rest])
+            np.testing.assert_array_equal(shard.y, train.y[rest])
 
         def f(t):
             return np.mean(loss(engine.model, engine.history[t], train,
@@ -162,6 +181,32 @@ class TestAudit:
         for t, row in enumerate(rows):
             assert row["f_t"] == f(t)
             assert row["f_next"] == f(t + 1)
+
+    @pytest.mark.parametrize("over", [
+        pytest.param({}, id="desk"),
+        pytest.param({"model": "mlp"}, id="mlp"),
+        pytest.param({"family": "quadratic"}, id="quadratic"),
+        pytest.param({"mode": "hfl"}, id="hfl"),
+    ])
+    def test_reused_gradients_equal_a_full_recomputation(self, over):
+        """Each version's squared global gradient norm, built from the
+        run's refreshed server means, is within 1e-12 relative of the
+        whole federation evaluated afresh, and every ``holds`` is the one
+        the fresh norms give."""
+        result, rows, _ = run_audit(Scenario(seed=3, **over))
+        engine = result.engine
+        versions = {v for rec in result.records for v in rec.versions}
+        _, grad = meta.objective(engine.scenario.mode)
+        got = experiment._grad_norms_sq(engine, versions, grad)
+        want = full_federation_grad_norms_sq(engine, versions, grad)
+        assert got.keys() == want.keys()
+        for v in versions:
+            assert got[v] == pytest.approx(want[v], rel=1e-12, abs=0.0)
+        for rec, row in zip(result.records, rows):
+            bound = engine.phi * sum(want[v] for v in rec.versions) + engine.nu
+            assert row["bound"] == pytest.approx(bound, rel=1e-12, abs=0.0)
+            assert row["holds"] == (
+                row["descent"] <= bound + 1e-9 * max(1.0, abs(bound)))
 
 
 class TestSweep:

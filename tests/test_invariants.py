@@ -12,7 +12,9 @@ floor b_min, and a progressive fill must finish every server
 that has a link above the floor at one common time.  The floor is drawn
 up to the equal share of the budget over the links of the largest
 selection a round can make (all servers under "full", else ``a_max`` of
-them), so it binds in some runs.
+them), so it binds in some runs.  Each round's entry in the refresh log,
+which the audit reuses, names the servers of age 0 and holds their mean
+gradients at the entering model.
 """
 
 import pathlib
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hpfl import hierarchy
+from hpfl import hierarchy, meta
 from hpfl.bandwidth import AllocationProblem, progressive_fill
 from hpfl.experiment import run_experiment
 from hpfl.scenario import Scenario
@@ -159,6 +161,30 @@ def test_staleness_and_forcing_follow_the_versions(scn):
         version[pi] = rec.round + 1
         assert rec.staleness_after == tuple(
             np.minimum(rec.round + 1 - version, scn.s_max))
+
+
+@settings(max_examples=30)
+@given(scn=scenarios())
+@example(scn=FORCED_OVER_CAP)
+def test_refresh_log_holds_the_servers_of_age_0(scn):
+    """``engine.refreshed[t]`` names exactly the servers of age 0 at round
+    t, all of them at t = 0 and otherwise round t - 1's selection, and
+    holds their mean UE gradients at history[t] (the meta-gradient in
+    "hpfl" mode, the plain one in "hfl"), within 1e-12 of a fresh call."""
+    result = run_experiment(scn)
+    engine, records = result.engine, result.records
+    _, grad = meta.objective(scn.mode)
+    train = engine.federation.train
+    assert len(engine.refreshed) == len(records)
+    for t, (ids, mean) in enumerate(engine.refreshed):
+        want = np.arange(scn.k) if t == 0 \
+            else np.flatnonzero(records[t - 1].pi)
+        np.testing.assert_array_equal(ids, want)
+        fresh = grad(engine.model, engine.history[t], train[ids],
+                     scn.alpha).mean(axis=1)
+        assert mean.shape == fresh.shape
+        assert np.abs(mean - fresh).max() \
+            <= 1e-12 * max(1.0, np.abs(fresh).max())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -8,7 +8,7 @@ from hpfl.experiment import prepare
 from hpfl.scenario import Scenario
 from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
                         QuadraticTask, TaskShard, _class_argmax,
-                        _class_logits, _from_slabs)
+                        _class_logits, _from_slabs, _minus_onehot, _t)
 
 K, N, SAMPLES, DIM, CLASSES = 3, 4, 6, 5, 4
 
@@ -98,11 +98,12 @@ def _assert_unchanged(arrays, before):
 def test_shared_forward_state_gives_the_same_bits(case):
     """grad and then hvp handed one forward(w, s), as meta_grad and
     estimate_constants call them, equal the calls that build it, and leave
-    the state, the point, the direction and the shard as they were."""
+    every array of the state (the MLP's four), the point, the direction
+    and the shard as they were, at a shared, per-UE and per-server point."""
     model, stack, w, per_ue, v = case
     shard = (stack.x, stack.y) if isinstance(stack, TaskShard) \
         else (stack.q, stack.a)
-    for batched_w, _ in _points(w, per_ue):
+    for batched_w in (w, per_ue, per_ue[:, :1]):
         state = model.forward(batched_w, stack)
         inputs = (state, batched_w, v) + shard
         before = _copies(inputs)
@@ -213,11 +214,58 @@ def test_class_outermost_mlp_logits_equal_the_plain_expression(at):
     z = w2 @ np.swapaxes(a1, -1, -2) + b2[..., :, None]
     e = np.exp(z - z.max(axis=-2, keepdims=True))
     p = e / e.sum(axis=-2, keepdims=True)
-    got_z, got_p = model._logits(w, stack.x)[2], model.forward(w, stack)[2]
+    got_z, got_p = model._logits(w, stack.x)[2], model.forward(w, stack)[-1]
     for got, want in [(got_z, z), (got_p, p)]:
         np.testing.assert_array_equal(got, want)
         # (c, K, N, n) in C order
         assert np.moveaxis(got, -2, 0).flags.c_contiguous
+
+
+def _mlp_case(at):
+    """(model, stack, point, direction) on the (K, N) stack."""
+    make_model, make_stack = CASES["mlp"]
+    rng = np.random.default_rng(59)
+    model, stack = make_model(), make_stack(rng)
+    w = model.init_params(rng, scale=0.7)
+    w = POINTS[at](w, w + 0.3 * rng.standard_normal((K, N, model.n_params)))
+    return model, stack, w, rng.standard_normal((K, N, model.n_params))
+
+
+@pytest.mark.parametrize("at", sorted(POINTS))
+def test_mlp_state_carries_the_tanh_slope(at):
+    """forward's s1 is ``1.0 - a1 ** 2`` bit for bit."""
+    model, stack, w, _ = _mlp_case(at)
+    _, a1, s1, _ = model.forward(w, stack)
+    np.testing.assert_array_equal(s1, 1.0 - a1 ** 2)
+
+
+@pytest.mark.parametrize("at", sorted(POINTS))
+def test_mlp_in_place_kernels_keep_the_bits_of_the_plain_expressions(at):
+    """grad and hvp equal the same formulas written out of place, with
+    ``1.0 - a1 ** 2`` recomputed, bit for bit."""
+    model, stack, w, v = _mlp_case(at)
+    n, x = stack.size, stack.x
+    w2, a1, _, p = model.forward(w, stack)
+    v1, vb1, v2, vb2 = model._unpack(v)
+    d2 = _minus_onehot(p, stack.y)
+
+    def pack(*parts):
+        batch = parts[1].shape[:-1]
+        return np.concatenate([q.reshape(batch + (-1,)) for q in parts], -1)
+
+    d1 = (_t(d2) @ w2) * (1.0 - a1 ** 2)
+    grad = pack(_t(d1) @ x / n, d1.mean(axis=-2), d2 @ a1 / n,
+                d2.mean(axis=-1)) + model.l2 * w
+    ra1 = (1.0 - a1 ** 2) * (x @ _t(v1) + vb1[..., None, :])
+    rz2 = v2 @ _t(a1) + w2 @ _t(ra1) + vb2[..., :, None]
+    rd2 = p * (rz2 - (p * rz2).sum(axis=-2, keepdims=True))
+    u = _t(d2) @ w2
+    ru = _t(d2) @ v2 + _t(rd2) @ w2
+    rd1 = ru * (1.0 - a1 ** 2) + u * (-2.0 * a1 * ra1)
+    hvp = pack(_t(rd1) @ x / n, rd1.mean(axis=-2),
+               (rd2 @ a1 + d2 @ ra1) / n, rd2.mean(axis=-1)) + model.l2 * v
+    np.testing.assert_array_equal(model.grad(w, stack), grad)
+    np.testing.assert_array_equal(model.hvp(w, stack, v), hvp)
 
 
 @pytest.mark.parametrize("batch, d", [
