@@ -8,12 +8,13 @@ min-max uplink bandwidth allocation, plus an experiment harness that can
 audit the per-round descent bound it reports.
 """
 
+# above the submodule imports, which read it
+__version__ = "0.1.0"
+
 from .bandwidth import InfeasibleAllocationError
 from .experiment import (audit_bound, run_audit, run_experiment, run_sweep,
                          write_outputs)
 from .scenario import ConfigError, Scenario, load_scenario, save_scenario
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",

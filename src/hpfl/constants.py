@@ -158,7 +158,14 @@ def estimate_constants(model, shards, alpha, probe_count, rng_seed, center):
 
 
 def bound_constants(beta, s, a, k, meta_div_sq):
-    """The (phi, nu) pair of the per-round loss-change bound; S >= 0, A >= 1."""
-    phi = 5.0 * beta * s ** 2 / a
-    nu = 10.0 * beta * k * meta_div_sq / a + 5.0 * beta * s ** 2 * k * meta_div_sq / a
+    """The (phi, nu) pair of the per-round loss-change bound; S >= 0, A >= 1.
+
+    Raises NonFiniteError naming phi or nu when either is not finite.
+    """
+    s_sq = float(s) * float(s)    # a float ** raises where a * returns inf
+    phi = 5.0 * beta * s_sq / a
+    nu = 10.0 * beta * k * meta_div_sq / a + 5.0 * beta * s_sq * k * meta_div_sq / a
+    for name, value in (("phi", phi), ("nu", nu)):
+        if not np.isfinite(value):
+            raise NonFiniteError("non-finite constant %s" % name)
     return phi, nu

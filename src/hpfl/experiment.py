@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import meta
+from . import __version__, meta
 from .constants import EstimationError, bound_constants, estimate_constants
 from .hierarchy import RoundEngine
 from .network import sample_topology
@@ -137,24 +137,24 @@ def run_experiment(scenario, forced_plan=None):
     return _run(scenario, audit=False, forced_plan=forced_plan)
 
 
+def _csv_text(header, rows):
+    """CSV text: the header line, then one line per row of cell strings."""
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+def _write(out_dir, name, text):
+    """Write text to out_dir/name, creating out_dir if needed."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.write(text)
+
+
 def rounds_csv_text(records):
     """Canonical CSV text for a list of round records."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            str(r.round), _fmt(r.loss), _fmt(r.acc), _fmt(r.latency),
-            _fmt(r.importance), str(r.a_eff), str(r.runtime_us),
-            _fmt(r.bound_rhs),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def _package_version():
-    try:
-        from importlib.metadata import version
-        return version("hpfl")
-    except Exception:
-        return "unknown"
+    return _csv_text(CSV_HEADER, [
+        [str(r.round), _fmt(r.loss), _fmt(r.acc), _fmt(r.latency),
+         _fmt(r.importance), str(r.a_eff), str(r.runtime_us),
+         _fmt(r.bound_rhs)] for r in records])
 
 
 def manifest_dict(result, extra=None):
@@ -171,7 +171,7 @@ def manifest_dict(result, extra=None):
         "nu": engine.nu,
         "phi_sched": engine.phi_sched,
         "versions": {
-            "package": _package_version(),
+            "package": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
@@ -183,13 +183,9 @@ def manifest_dict(result, extra=None):
 
 def write_outputs(result, out_dir, extra_manifest=None):
     """Write rounds.csv and manifest.json into out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "rounds.csv"), "w") as fh:
-        fh.write(rounds_csv_text(result.records))
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest_dict(result, extra_manifest), fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    _write(out_dir, "rounds.csv", rounds_csv_text(result.records))
+    _write(out_dir, "manifest.json", json.dumps(manifest_dict(
+        result, extra_manifest), indent=2, sort_keys=True) + "\n")
     return out_dir
 
 
@@ -277,14 +273,10 @@ def run_audit(scenario, out_dir=None):
     if out_dir is not None:
         write_outputs(result, out_dir,
                       extra_manifest={"audit_holds_fraction": frac})
-        with open(os.path.join(out_dir, "audit.csv"), "w") as fh:
-            fh.write(AUDIT_HEADER + "\n")
-            for r in rows:
-                fh.write(",".join([
-                    str(r["round"]), _fmt(r["f_t"]), _fmt(r["f_next"]),
-                    _fmt(r["descent"]), _fmt(r["bound"]),
-                    str(int(r["holds"])),
-                ]) + "\n")
+        _write(out_dir, "audit.csv", _csv_text(AUDIT_HEADER, [
+            [str(r["round"]), _fmt(r["f_t"]), _fmt(r["f_next"]),
+             _fmt(r["descent"]), _fmt(r["bound"]), str(int(r["holds"]))]
+            for r in rows]))
     return result, rows, frac
 
 
@@ -363,10 +355,6 @@ def run_sweep(scenario, param, values, out_dir=None):
         raise ConfigError("%s: sweep values %s repeat" % (param, values))
     rows = [_sweep_one(scenario, param, value, out_dir) for value in values]
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
-            fh.write(SWEEP_HEADER + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(row[c]) for c in SWEEP_HEADER.split(","))
-                         + "\n")
+        _write(out_dir, "sweep.csv", _csv_text(SWEEP_HEADER, [
+            [_fmt(row[c]) for c in SWEEP_HEADER.split(",")] for row in rows]))
     return rows

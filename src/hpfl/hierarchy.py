@@ -99,9 +99,11 @@ class RoundEngine:
     mean_grad    -- (K, P) mean UE meta-gradient at the base
     grad_norm_sq -- squared norm of mean_grad, the server's importance
 
-    Beside ``history``, the model entering each round, ``refreshed[t]`` is
-    the ``(ids, mean)`` pair of round t's refresh: the servers of age 0 and
-    their (len(ids), P) mean UE meta-gradients at ``history[t]``.  The
+    ``history`` holds the model entering each round: a copy of w0, then
+    each array global_update returns, kept as is because nothing writes
+    a model in place.  Beside it, ``refreshed[t]`` is the ``(ids, mean)``
+    pair of round t's refresh: the servers of age 0 and their
+    (len(ids), P) mean UE meta-gradients at ``history[t]``.  The
     audit reads both; the run itself reads neither.
     """
 
@@ -115,16 +117,17 @@ class RoundEngine:
         self.phi = phi
         self.nu = nu
         self.n0 = dbm_per_hz_to_w(scenario.n0_dbm_hz)
-        self.w = np.asarray(prep.w0, dtype=float).copy()
+        self.w = np.array(prep.w0, dtype=float)
         self.t = 0
-        self.history = [self.w.copy()]
+        self.history = [self.w]
         self.refreshed = []
         k = scenario.k
         self.version = np.zeros(k, dtype=int)
         self.mean_grad = np.zeros((k, self.w.size))
         self.grad_norm_sq = np.zeros(k)
-        d_bits = np.full(scenario.n_k, float(self.federation.train.size)) \
-            * self.model.dim * BITS_PER_PARAM
+        # every UE's shard has one size, so every UE has one compute time
+        d_bits = float(self.federation.train.size) * self.model.dim \
+            * BITS_PER_PARAM
         self.tcmp_ue = tcmp(scenario.c_cycles, d_bits, scenario.cpu_hz)
         # one closed-form share prices every server alike, so the schedule
         # compares like with like and only the selection is ever solved for
@@ -178,23 +181,6 @@ class RoundEngine:
             acc = int(np.sum(pred == eval_.y)) / eval_.y.size
         return float(np.mean(losses)), float(acc), theta
 
-    def _allocate(self, members, ph):
-        """The round's one bandwidth split, over the servers masked by
-        ``members``.
-
-        ``ph`` (K, N+1) is this round's transmit power times channel gain,
-        each server's own link last.  Returns (the slowest member's
-        latency, solver work units).
-        """
-        p = self.scenario
-        ph = ph[members]
-        problem = AllocationProblem(
-            tcmp_ue=np.broadcast_to(self.tcmp_ue, ph[:, :-1].shape), ph=ph,
-            z=p.z_bits, n0=self.n0, total_b=p.total_b, b_min=p.b_min)
-        result = (progressive_fill if p.allocation == "progressive"
-                  else equal_split)(problem)
-        return result.achieved_o, result.work
-
     def run_round(self, forced_selection=None):
         """Advance the federation by one cloud round and record it."""
         p = self.scenario
@@ -225,7 +211,13 @@ class RoundEngine:
         else:
             pi = baseline_select(p.selection, k, p.a_max, self._random_rng)
 
-        latency, work = self._allocate(pi, ph)
+        # the round's one bandwidth split, over the selected servers
+        ph = ph[pi]
+        result = (progressive_fill if p.allocation == "progressive"
+                  else equal_split)(AllocationProblem(
+                      tcmp_ue=np.full(ph[:, :-1].shape, self.tcmp_ue), ph=ph,
+                      z=p.z_bits, n0=self.n0, total_b=p.total_b,
+                      b_min=p.b_min))
 
         staleness_used = tuple(int(s) for s in np.minimum(age[pi], p.s_max))
         versions = tuple(int(v) for v in self.version[pi])
@@ -236,18 +228,18 @@ class RoundEngine:
 
         self.w = global_update(self.w, self.mean_grad, pi, self.beta)
         self.t += 1
-        self.history.append(self.w.copy())
+        self.history.append(self.w)
         # uploaders receive the new model; the rest age by one
         self.version[pi] = self.t
 
-        record = RoundRecord(
+        return RoundRecord(
             round=self.t - 1,
             loss=loss,
             acc=acc,
-            latency=latency,
+            latency=result.achieved_o,
             importance=captured,
             a_eff=a_eff,
-            runtime_us=int(work + k),
+            runtime_us=int(result.work + k),
             bound_rhs=captured + self.nu,
             pi=tuple(int(v) for v in pi),
             staleness_used=staleness_used,
@@ -257,7 +249,6 @@ class RoundEngine:
             objective=float(objective),
             capped=bool(capped),
         )
-        return record
 
     def run(self, rounds, forced_plan=None):
         """Run several rounds; forced_plan optionally fixes each selection."""

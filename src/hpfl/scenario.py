@@ -125,11 +125,14 @@ def _validate(s):
     for field in dataclasses.fields(s):
         value = getattr(s, field.name)
         kind, what = _TYPES[field.type]
-        # the magnitude test rejects nan, infinities and ints too big for a float
+        # the magnitude test rejects nan and infinities
         _require(isinstance(value, kind) and not isinstance(value, bool)
                  and (field.type is not float
                       or abs(value) <= sys.float_info.max),
                  field.name, "must be %s, got %r" % (what, value))
+        # the bound's formulas turn every int into a float
+        _require(field.type is not int or abs(value) <= sys.float_info.max,
+                 field.name, "out of range: too large for a float")
     _require(s.k >= 1, "k", "need at least one edge server")
     _require(s.n_k >= 1, "n_k", "need at least one UE per edge server")
     for field, choices in CHOICES.items():

@@ -35,19 +35,14 @@ def apply_cap(pass_mask, forced_mask, scores, staleness, a_max):
     class only), then higher score, then lower index.  Returns the final
     0/1 mask and a flag telling whether anything was dropped.
     """
-    k = scores.shape[0]
-    idx = np.arange(k)
+    cand = np.flatnonzero(pass_mask | forced_mask)
+    forced = forced_mask[cand]
     # lexsort uses the last key as primary
-    forced_order = idx[forced_mask][
-        np.lexsort((idx[forced_mask], -scores[forced_mask], -staleness[forced_mask]))
-    ]
-    plain = pass_mask & ~forced_mask
-    plain_order = idx[plain][np.lexsort((idx[plain], -scores[plain]))]
-    keep = np.concatenate([forced_order, plain_order])[:a_max]
-    pi = np.zeros(k, dtype=bool)
-    pi[keep] = True
-    capped = keep.shape[0] < forced_order.shape[0] + plain_order.shape[0]
-    return pi, capped
+    order = np.lexsort((cand, -scores[cand],
+                        -np.where(forced, staleness[cand], 0.0), ~forced))
+    pi = np.zeros(scores.shape[0], dtype=bool)
+    pi[cand[order[:a_max]]] = True
+    return pi, cand.size > a_max
 
 
 def schedule(importance, latency, forced, rho, phi, a_max):
@@ -63,9 +58,7 @@ def schedule(importance, latency, forced, rho, phi, a_max):
     scores = net_scores(importance, latency, rho, phi)
     passes = scores >= 0.0
     if not (passes | forced).any():
-        pi = np.zeros_like(passes)
-        pi[int(np.argmax(scores))] = True
-        return pi, False
+        passes = np.arange(scores.shape[0]) == np.argmax(scores)
     # forced servers tie on a zero staleness key, so score and index rank them
     return apply_cap(passes, forced, scores, np.zeros(scores.shape[0]), a_max)
 

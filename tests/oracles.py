@@ -2,8 +2,8 @@
 
 No run calls these: the allocator prices links with the broadcast
 ``bandwidth.deadline_bandwidth``, the scheduler applies its threshold
-inline, the estimator reuses one difference buffer and the audit reuses
-the run's refreshed gradients.  They stay here as slow, obviously correct
+inline and ranks its cap in one sort, the estimator reuses one difference
+buffer and the audit reuses the run's refreshed gradients.  They stay here as slow, obviously correct
 oracles.
 """
 
@@ -94,6 +94,26 @@ def separable_objective_value(pi, importance, latency, rho, phi):
     imp = np.asarray(importance, dtype=float)
     lat = np.asarray(latency, dtype=float)
     return -rho * phi * float(imp[pi].sum()) + (1.0 - rho) * float(lat[pi].sum())
+
+
+def two_class_cap(pass_mask, forced_mask, scores, staleness, a_max):
+    """The upload cap as two orders joined: the forced servers (staler,
+    then higher score, then lower index) ahead of the plain threshold
+    passers (higher score, then lower index), the first ``a_max`` kept.
+    Returns the mask and whether anything was dropped."""
+    k = scores.shape[0]
+    idx = np.arange(k)
+    # lexsort uses the last key as primary
+    forced_order = idx[forced_mask][
+        np.lexsort((idx[forced_mask], -scores[forced_mask], -staleness[forced_mask]))
+    ]
+    plain = pass_mask & ~forced_mask
+    plain_order = idx[plain][np.lexsort((idx[plain], -scores[plain]))]
+    keep = np.concatenate([forced_order, plain_order])[:a_max]
+    pi = np.zeros(k, dtype=bool)
+    pi[keep] = True
+    capped = keep.shape[0] < forced_order.shape[0] + plain_order.shape[0]
+    return pi, capped
 
 
 def estimator_maxima(grads, hvps, dists):

@@ -150,3 +150,12 @@ def test_bound_constants_zero_staleness():
     phi, nu = bound_constants(beta=0.1, s=0, a=5, k=10, meta_div_sq=1.0)
     assert phi == 0.0
     assert nu == pytest.approx(10.0 * 0.1 * 10 * 1.0 / 5, rel=1e-15)
+
+
+@pytest.mark.parametrize("s,meta_div_sq,name", [
+    pytest.param(10 ** 200, 1.0, "phi", id="s^2-overflows"),
+    pytest.param(2, 1e308, "nu", id="meta_div_sq-term-overflows"),
+])
+def test_bound_constants_overflow_raises_naming_it(s, meta_div_sq, name):
+    with pytest.raises(NonFiniteError, match="non-finite constant %s$" % name):
+        bound_constants(beta=0.1, s=s, a=5, k=10, meta_div_sq=meta_div_sq)

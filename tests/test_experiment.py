@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -73,6 +74,18 @@ class TestManifest:
                                         "grad_div", "hess_div",
                                         "meta_lip", "meta_div_sq"}
         assert "timestamp" not in m1 and "time" not in m1
+
+    def test_manifest_names_the_package_version(self, tmp_path):
+        write_outputs(run_experiment(SMALL.replace(rounds=0)), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["versions"]["package"] == hpfl.__version__
+
+    def test_package_version_is_the_project_version(self):
+        pyproject = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "pyproject.toml")
+        with open(pyproject) as fh:
+            match = re.search(r'^version = "([^"]+)"$', fh.read(), re.M)
+        assert match and match.group(1) == hpfl.__version__
 
     def test_write_outputs_creates_files(self, tmp_path):
         res = run_experiment(SMALL)
@@ -424,6 +437,10 @@ class TestCli:
         ('{"o_ue_db": 1e308}', [], "o_ue_db"),
         ('{"o_es_db": 1e308}', [], "o_es_db"),
         ('{"o_es_db": -1e308}', [], "o_es_db"),
+        pytest.param('{"a_max": %d}' % 10 ** 309, [], "a_max",
+                     id="a_max=10**309"),
+        pytest.param('{"s_max": %d}' % 10 ** 400, [], "s_max",
+                     id="s_max=10**400"),
     ])
     def test_malformed_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                       raw, args, field):
@@ -445,6 +462,20 @@ class TestCli:
                          "--out", str(tmp_path / "o")])
         assert code == 1
         assert ("run diverged: non-finite constant meta_div_sq"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    def test_overflowing_bound_constant_exits_1_naming_it(self, tmp_path,
+                                                          capsys, command):
+        """s_max = 10**200 fits in a float, but its square does not: phi
+        is infinite, and the run diverges instead of raising
+        OverflowError."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"s_max": %d}' % 10 ** 200)
+        code = cli.main([command, "--config", str(cfg), "--rounds", "1",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert ("run diverged: non-finite constant phi"
                 in capsys.readouterr().err)
 
     def test_overflowing_importance_exits_1_naming_the_server(self, tmp_path,

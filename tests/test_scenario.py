@@ -67,6 +67,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="^%s: " % field):
             Scenario(**{field: value})
 
+    @pytest.mark.parametrize("field", ["a_max", "s_max", "seed"])
+    def test_integer_past_the_float_range_is_out_of_range(self, field):
+        """An int that no float can hold is rejected by name; the largest
+        power of ten below the float maximum still passes."""
+        with pytest.raises(ConfigError, match="^%s: out of range" % field):
+            Scenario(**{field: 10 ** 309})
+        assert getattr(Scenario(**{field: 10 ** 308}), field) == 10 ** 308
+
     def test_ints_pass_as_floats_and_numpy_ints_as_ints(self):
         s = Scenario(total_b=4000000, k=np.int64(3))
         assert s.total_b == 4e6 and s.k == 3

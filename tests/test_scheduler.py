@@ -3,7 +3,7 @@
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpfl.scheduler import (
@@ -13,7 +13,8 @@ from hpfl.scheduler import (
     objective_value,
     schedule,
 )
-from oracles import separable_objective_value, threshold_decisions
+from oracles import (separable_objective_value, threshold_decisions,
+                     two_class_cap)
 
 
 def best_separable(importance, latency, rho, phi, max_size=None):
@@ -206,3 +207,62 @@ def test_threshold_exhaustive_property(seed, k, rho, phi):
     val = separable_objective_value(pi, imp, lat, rho, phi)
     best = best_separable(imp, lat, rho, phi)
     assert val <= best + 1e-12 * max(1.0, abs(best))
+
+
+# keys with ties, signed zeros, NaN and infinities
+_KEYS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, np.nan, np.inf, -np.inf]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def cap_cases(draw):
+    k = draw(st.integers(min_value=1, max_value=12))
+    masks = st.lists(st.booleans(), min_size=k, max_size=k)
+    keys = st.lists(_KEYS, min_size=k, max_size=k)
+    return (np.array(draw(masks)), np.array(draw(masks)),
+            np.array(draw(keys)), np.array(draw(keys)),
+            draw(st.integers(min_value=1, max_value=k + 1)))
+
+
+@settings(max_examples=300)
+@given(cap_cases())
+def test_one_sort_cap_matches_the_two_order_cap(case):
+    """apply_cap ranks its candidates in one sort; the two-order oracle
+    ranks forced servers and plain passers apart and joins them."""
+    pi, capped = apply_cap(*case)
+    want_pi, want_capped = two_class_cap(*case)
+    assert pi.dtype == want_pi.dtype
+    assert pi.tolist() == want_pi.tolist() and capped == want_capped
+
+
+@st.composite
+def schedule_cases(draw):
+    k = draw(st.integers(min_value=1, max_value=12))
+    values = st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=k,
+                      max_size=k)
+    return (np.array(draw(values)), np.array(draw(values)),
+            np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k))),
+            draw(st.floats(min_value=0.0, max_value=1.0)),
+            draw(st.floats(min_value=0.1, max_value=3.0)),
+            draw(st.integers(min_value=1, max_value=k + 1)))
+
+
+@settings(max_examples=300)
+@given(schedule_cases())
+# every score negative and nothing forced: the fallback picks the best
+@example((np.zeros(4), np.array([3.0, 1.0, 1.0, 5.0]), np.zeros(4, bool),
+          0.0, 1.0, 2))
+def test_schedule_matches_the_two_order_cap(case):
+    """schedule is the two-order cap of the threshold passers and the
+    forced servers, or, when there are none, the single best scorer."""
+    importance, latency, forced, rho, phi, a_max = case
+    scores = net_scores(importance, latency, rho, phi)
+    passes = scores >= 0.0
+    if (passes | forced).any():
+        want = two_class_cap(passes, forced, scores, np.zeros(len(scores)),
+                             a_max)
+    else:
+        want = (np.arange(len(scores)) == np.argmax(scores), False)
+    pi, capped = schedule(*case)
+    assert pi.tolist() == want[0].tolist() and capped == want[1]
