@@ -19,8 +19,8 @@ def main():
 
     scn = Scenario(family="quadratic", dim=12, rounds=args.rounds,
                    seed=args.seed)
-    result, rows, frac = run_audit(scn, out_dir=args.out)
-    print("beta = 1/meta_lip = %.6g" % result.engine.beta)
+    engine, rows, frac = run_audit(scn, out_dir=args.out)
+    print("beta = 1/meta_lip = %.6g" % engine.beta)
     if not rows:
         print("bound held in 0/0 rounds: no rounds audited")
         return

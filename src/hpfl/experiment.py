@@ -25,7 +25,6 @@ from .tasks import (Federation, LogisticModel, MLPModel, QuadraticModel,
                     build_quadratic_federation)
 
 __all__ = [
-    "ExperimentResult",
     "prepare",
     "run_experiment",
     "rounds_csv_text",
@@ -58,15 +57,6 @@ class Prepared:
     federation: Federation
     topology: object
     w0: np.ndarray
-    constants: object
-
-
-@dataclass
-class ExperimentResult:
-    """A finished run: its records, its engine and the estimated constants."""
-
-    records: list
-    engine: RoundEngine
     constants: object
 
 
@@ -113,8 +103,9 @@ def prepare(scenario):
                     w0=w0, constants=constants)
 
 
-def _run(scenario, audit, forced_plan=None):
-    """The one run path: prepare, build the engine, run every round.
+def _run(scenario, audit):
+    """The one run path: prepare, build the engine, run every round, and
+    return the engine.
 
     The step size is the scenario's beta, or 1/meta_lip for an audit.
     """
@@ -124,17 +115,15 @@ def _run(scenario, audit, forced_plan=None):
                               scenario.k, prep.constants.meta_div_sq)
     phi_sched = phi if scenario.phi_override < 0 else scenario.phi_override
     engine = RoundEngine(prep, scenario, beta, phi_sched, phi, nu)
-    records = engine.run(scenario.rounds, forced_plan=forced_plan)
-    return ExperimentResult(records=records, engine=engine,
-                            constants=prep.constants)
+    for _ in range(scenario.rounds):
+        engine.run_round()
+    return engine
 
 
-def run_experiment(scenario, forced_plan=None):
-    """Run the configured number of rounds and return all records.
-
-    ``forced_plan``, when given, fixes each round's selection.
-    """
-    return _run(scenario, audit=False, forced_plan=forced_plan)
+def run_experiment(scenario):
+    """Run the configured number of rounds and return the RoundEngine,
+    whose ``records`` hold one RoundRecord per round."""
+    return _run(scenario, audit=False)
 
 
 def _csv_text(header, rows):
@@ -157,16 +146,15 @@ def rounds_csv_text(records):
          _fmt(r.bound_rhs)] for r in records])
 
 
-def manifest_dict(result, extra=None):
-    engine = result.engine
+def manifest_dict(engine, extra=None):
     scn = engine.scenario
     out = {
         "config": scn.to_dict(),
         "config_hash": scn.config_hash(),
         "seed": scn.seed,
-        "rounds": len(result.records),
+        "rounds": len(engine.records),
         "beta_effective": engine.beta,
-        "constants": result.constants.to_dict(),
+        "constants": engine.constants.to_dict(),
         "phi": engine.phi,
         "nu": engine.nu,
         "phi_sched": engine.phi_sched,
@@ -181,11 +169,11 @@ def manifest_dict(result, extra=None):
     return out
 
 
-def write_outputs(result, out_dir, extra_manifest=None):
-    """Write rounds.csv and manifest.json into out_dir."""
-    _write(out_dir, "rounds.csv", rounds_csv_text(result.records))
+def write_outputs(engine, out_dir, extra_manifest=None):
+    """Write a finished run's rounds.csv and manifest.json into out_dir."""
+    _write(out_dir, "rounds.csv", rounds_csv_text(engine.records))
     _write(out_dir, "manifest.json", json.dumps(manifest_dict(
-        result, extra_manifest), indent=2, sort_keys=True) + "\n")
+        engine, extra_manifest), indent=2, sort_keys=True) + "\n")
     return out_dir
 
 
@@ -215,7 +203,7 @@ def _grad_norms_sq(engine, versions, grad):
     return out
 
 
-def audit_bound(result):
+def audit_bound(engine):
     """Check the per-round loss-change bound on a finished run.
 
     For each round t the audit takes F(w_t), the true global objective,
@@ -232,10 +220,9 @@ def audit_bound(result):
     made with beta = 1 / meta_lip for the pair to be a guarantee.
     Returns a list of per-round dicts with descent, bound, and holds.
     """
-    records = result.records
+    records = engine.records
     if not records:
         return []
-    engine = result.engine
     loss, grad = meta.objective(engine.scenario.mode)
     f = [rec.loss for rec in records]
     f.append(float(np.mean(loss(engine.model, engine.history[-1],
@@ -264,27 +251,28 @@ def audit_bound(result):
 def run_audit(scenario, out_dir=None):
     """Audit-grade run: step size pinned to 1/meta_lip, bound checked.
 
-    Returns (result, rows, fraction of rounds where the bound holds), the
+    Returns (engine, rows, fraction of rounds where the bound holds), the
     fraction None (JSON null in the manifest) when no round was audited.
     """
-    result = _run(scenario, audit=True)
-    rows = audit_bound(result)
+    engine = _run(scenario, audit=True)
+    rows = audit_bound(engine)
     frac = float(np.mean([r["holds"] for r in rows])) if rows else None
     if out_dir is not None:
-        write_outputs(result, out_dir,
+        write_outputs(engine, out_dir,
                       extra_manifest={"audit_holds_fraction": frac})
         _write(out_dir, "audit.csv", _csv_text(AUDIT_HEADER, [
             [str(r["round"]), _fmt(r["f_t"]), _fmt(r["f_next"]),
              _fmt(r["descent"]), _fmt(r["bound"]), str(int(r["holds"]))]
             for r in rows]))
-    return result, rows, frac
+    return engine, rows, frac
 
 
 def parse_sweep_values(spec):
     """Parse a sweep value list: 'a:b:step' (inclusive) or 'v1,v2,...'.
 
-    A range gives at most MAX_SWEEP_VALUES values, each rounded to 12
-    significant digits of the range's magnitude; list values stay as typed."""
+    A range gives at least one and at most MAX_SWEEP_VALUES values, each
+    rounded to 12 significant digits of the range's magnitude; list values
+    stay as typed."""
     spec = spec.strip()
     is_range = ":" in spec
     parts = [p for p in spec.split(":" if is_range else ",") if p.strip()]
@@ -307,9 +295,9 @@ def parse_sweep_values(spec):
             raise ValueError("--values: start, stop, step and the step count "
                              "must be finite, got %r" % (spec,))
         n = int(np.floor(steps + 1e-9)) + 1
-        if n > MAX_SWEEP_VALUES:
-            raise ValueError("--values: %r gives more than %d values"
-                             % (spec, MAX_SWEEP_VALUES))
+        if not 0 < n <= MAX_SWEEP_VALUES:   # a stop below start gives none
+            raise ValueError("--values: %r gives %s values" % (
+                spec, "more than %d" % MAX_SWEEP_VALUES if n > 0 else "no"))
         digits = 12 - int(np.floor(np.log10(max(abs(start), abs(stop), step))))
         vals = [round(start + i * step, digits) for i in range(n)]
     return tuple(vals)
@@ -318,12 +306,12 @@ def parse_sweep_values(spec):
 def _sweep_one(scenario, param, value, out_dir):
     """Run one sweep value, write its outputs, and return its summary row.
 
-    The run's result is dropped on return, so a sweep holds one at a time.
+    The run's engine is dropped on return, so a sweep holds one at a time.
     """
-    result = run_experiment(scenario.replace(**{param: value}))
+    engine = run_experiment(scenario.replace(**{param: value}))
     if out_dir is not None:
-        write_outputs(result, os.path.join(out_dir, "%s=%r" % (param, value)))
-    recs = result.records
+        write_outputs(engine, os.path.join(out_dir, "%s=%r" % (param, value)))
+    recs = engine.records
     nan = float("nan")
     return {
         "value": value,

@@ -87,10 +87,12 @@ class RoundRecord:
 class RoundEngine:
     """Drives the federation round by round and records what happened.
 
-    ``prep`` carries the model, federation, topology and initial point w0;
-    ``scenario`` supplies every other knob.  The cloud steps with ``beta``
-    and schedules with ``phi_sched``; ``phi`` and ``nu`` only scale the
-    reported importance and bound.
+    A run is its engine: ``run_experiment`` and ``run_audit`` return it
+    with one RoundRecord per round in ``records``.  ``prep`` carries the
+    model, federation, topology, initial point w0 and the estimated
+    ``constants``; ``scenario`` supplies every other knob.  The cloud
+    steps with ``beta`` and schedules with ``phi_sched``; ``phi`` and
+    ``nu`` only scale the reported importance and bound.
 
     Per-edge-server state is kept as arrays with one row per server:
 
@@ -116,11 +118,15 @@ class RoundEngine:
         self.phi_sched = phi_sched
         self.phi = phi
         self.nu = nu
+        self.constants = prep.constants
         self.n0 = dbm_per_hz_to_w(scenario.n0_dbm_hz)
+        self.power = np.append(np.full(scenario.n_k, scenario.p_ue),
+                               scenario.p_es)
         self.w = np.array(prep.w0, dtype=float)
         self.t = 0
         self.history = [self.w]
         self.refreshed = []
+        self.records = []
         k = scenario.k
         self.version = np.zeros(k, dtype=int)
         self.mean_grad = np.zeros((k, self.w.size))
@@ -182,7 +188,9 @@ class RoundEngine:
         return float(np.mean(losses)), float(acc), theta
 
     def run_round(self, forced_selection=None):
-        """Advance the federation by one cloud round and record it."""
+        """Advance the federation by one cloud round, append its record to
+        ``records`` and return it; ``forced_selection``, a (K,) mask,
+        replaces the round's selection."""
         p = self.scenario
         k = p.k
         age = self.t - self.version
@@ -190,8 +198,7 @@ class RoundEngine:
         # the servers that received the entering model worked this round
         # (at t = 0, all of them)
         self._refresh(np.flatnonzero(age == 0), theta)
-        ph = np.append(np.full(p.n_k, p.p_ue), p.p_es) * sample_channels(
-            self.topology, p.seed, self.t)
+        ph = self.power * sample_channels(self.topology, p.seed, self.t)
         latencies = es_latency(self.tcmp_ue, tcom(
             p.z_bits, uplink_rate(self.price_share, ph, self.n0)))
 
@@ -232,7 +239,7 @@ class RoundEngine:
         # uploaders receive the new model; the rest age by one
         self.version[pi] = self.t
 
-        return RoundRecord(
+        record = RoundRecord(
             round=self.t - 1,
             loss=loss,
             acc=acc,
@@ -249,11 +256,5 @@ class RoundEngine:
             objective=float(objective),
             capped=bool(capped),
         )
-
-    def run(self, rounds, forced_plan=None):
-        """Run several rounds; forced_plan optionally fixes each selection."""
-        records = []
-        for r in range(rounds):
-            forced = None if forced_plan is None else forced_plan[r]
-            records.append(self.run_round(forced_selection=forced))
-        return records
+        self.records.append(record)
+        return record

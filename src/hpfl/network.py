@@ -70,35 +70,30 @@ def tcom(z_bits, rate):
 
 @dataclass(frozen=True)
 class Topology:
-    """Static geometry and radio parameters of the hierarchy.
+    """The fixed radio inputs of the hierarchy: ``gain`` is the (K, N+1)
+    path-loss factor o * d^-2 of every link, row k holding ES k's UE links
+    and then its own, with the reference factor o already linear."""
 
-    d_ue is a (K, N) array of UE distances in meters, row k holding the
-    UEs of ES k; d_es holds each ES's distance to the cloud. Path-loss
-    reference factors o_ue/o_es are linear (already converted from dB).
-    """
-
-    d_ue: np.ndarray
-    d_es: np.ndarray
-    o_ue: float
-    o_es: float
+    gain: np.ndarray
 
 
 def sample_topology(rng, k, n_k, d_ue_range, d_es_range, o_ue_db, o_es_db):
-    """Distances drawn once per scenario; fixed for the whole run."""
+    """Distances drawn once per scenario, priced once as path-loss factors;
+    fixed for the whole run."""
     d_ue = rng.uniform(d_ue_range[0], d_ue_range[1], size=(k, n_k))
     d_es = rng.uniform(d_es_range[0], d_es_range[1], size=k)
-    return Topology(d_ue=d_ue, d_es=d_es,
-                    o_ue=db_to_linear(o_ue_db), o_es=db_to_linear(o_es_db))
+    o_ue, o_es = db_to_linear(o_ue_db), db_to_linear(o_es_db)
+    return Topology(gain=np.column_stack([o_ue * d_ue ** -2.0,
+                                          o_es * d_es ** -2.0]))
 
 
 def sample_channels(topology, seed, round_index):
     """Per-round gains h = o * d^-2 * fading, fading ~ Exp(1), as (K, N+1):
-    row k holds ES k's UE links, then its own.  Fading is resampled each
-    round, deterministic per (seed, round)."""
+    the UE links' (K, N) fading is drawn first, then the ES links' (K,).
+    Fading is resampled each round, deterministic per (seed, round)."""
     rng = np.random.default_rng(
         np.random.SeedSequence([int(seed), 211, int(round_index)]))
-    h_ue = topology.o_ue * topology.d_ue ** -2.0 * rng.exponential(
-        1.0, size=topology.d_ue.shape)
-    h_es = topology.o_es * topology.d_es ** -2.0 * rng.exponential(
-        1.0, size=topology.d_es.shape)
-    return np.column_stack([h_ue, h_es])
+    k, links = topology.gain.shape
+    return topology.gain * np.column_stack([
+        rng.exponential(1.0, size=(k, links - 1)),
+        rng.exponential(1.0, size=k)])

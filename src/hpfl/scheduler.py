@@ -23,8 +23,11 @@ __all__ = [
 
 def net_scores(importance, latency, rho, phi):
     """Per-server net benefit ``rho*phi*I - (1-rho)*O`` of accepting an
-    upload, for (K,) arrays; a server passes the threshold when it is >= 0."""
-    return rho * phi * importance - (1.0 - rho) * latency
+    upload, for (K,) arrays; a server passes the threshold when it is >= 0.
+    At rho = 1 the latency has weight 0 and is not read, so an infinite
+    price adds nothing (0 * inf would be NaN)."""
+    gain = rho * phi * importance
+    return gain if rho == 1.0 else gain - (1.0 - rho) * latency
 
 
 def apply_cap(pass_mask, forced_mask, scores, staleness, a_max):
@@ -67,10 +70,10 @@ def objective_value(pi, importance, latency, rho, phi):
     """Scheduling objective ``-rho*phi*sum(pi*I) + (1-rho)*max(pi*O)``.
 
     The latency term is the slowest selected upload because the cloud step
-    waits for every accepted server.
+    waits for every accepted server; at rho = 1 it is 0, as in net_scores.
     """
     gain = rho * phi * float(importance[pi].sum())
-    wait = (1.0 - rho) * float(latency[pi].max())
+    wait = 0.0 if rho == 1.0 else (1.0 - rho) * float(latency[pi].max())
     return -gain + wait
 
 

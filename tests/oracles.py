@@ -3,7 +3,8 @@
 No run calls these: the allocator prices links with the broadcast
 ``bandwidth.deadline_bandwidth``, the scheduler applies its threshold
 inline and ranks its cap in one sort, the estimator reuses one difference
-buffer and the audit reuses the run's refreshed gradients.  They stay here as slow, obviously correct
+buffer, the audit reuses the run's refreshed gradients and the topology
+prices its path loss once.  They stay here as slow, obviously correct
 oracles.
 """
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from hpfl import bandwidth
 from hpfl.bandwidth import InfeasibleAllocationError
-from hpfl.network import LN2, tcom, uplink_rate
+from hpfl.network import LN2, db_to_linear, tcom, uplink_rate
 from hpfl.scheduler import net_scores
 
 
@@ -153,3 +154,19 @@ def full_federation_grad_norms_sq(engine, versions, grad):
         g = g.reshape(-1, engine.model.n_params).mean(axis=0)
         out[v] = float(g @ g)
     return out
+
+
+def distance_channels(rng, k, n_k, d_ue_range, d_es_range, o_ue_db, o_es_db,
+                      seed, round_index):
+    """A round's (K, N+1) gains from the distances: the topology's draws
+    from ``rng``, then ``o * d^-2 * fading`` per link kind, the path loss
+    recomputed with each round's fading."""
+    d_ue = rng.uniform(d_ue_range[0], d_ue_range[1], size=(k, n_k))
+    d_es = rng.uniform(d_es_range[0], d_es_range[1], size=k)
+    fading = np.random.default_rng(
+        np.random.SeedSequence([int(seed), 211, int(round_index)]))
+    h_ue = db_to_linear(o_ue_db) * d_ue ** -2.0 * fading.exponential(
+        1.0, size=d_ue.shape)
+    h_es = db_to_linear(o_es_db) * d_es ** -2.0 * fading.exponential(
+        1.0, size=d_es.shape)
+    return np.column_stack([h_ue, h_es])

@@ -114,10 +114,10 @@ def test_criterion_2_single_learner_collapse(capsys):
         w = w - scn.beta * meta_grad(prep.model, w, shard, scn.alpha)
         ref.append(w.copy())
 
-    res = run_experiment(scn)
+    engine = run_experiment(scn)
     worst = 0.0
     for t in range(scn.rounds + 1):
-        diff = np.linalg.norm(res.engine.history[t] - ref[t])
+        diff = np.linalg.norm(engine.history[t] - ref[t])
         worst = max(worst, diff / max(1.0, np.linalg.norm(ref[t])))
 
     ok = worst <= 1e-10
@@ -137,13 +137,17 @@ def test_criterion_3_forced_schedule_staleness_trace(capsys):
         np.array([0, 1, 0, 1], dtype=bool),
         np.array([1, 0, 1, 0], dtype=bool),
     ]
-    res = run_experiment(scn, forced_plan=plan)
+    # an engine before its first round, driven through the plan's rounds
+    engine = run_experiment(scn.replace(rounds=0))
+    for pi in plan:
+        engine.run_round(forced_selection=pi)
     traces = tuple(
-        tuple(rec.staleness_after[i] for rec in res.records) for i in range(4)
+        tuple(rec.staleness_after[i] for rec in engine.records)
+        for i in range(4)
     )
     expected = ((0, 1, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 0, 0, 1))
     listed = {(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 1, 0), (1, 0, 0, 1)}
-    sizes = [rec.a_eff for rec in res.records]
+    sizes = [rec.a_eff for rec in engine.records]
 
     ok = (traces == expected and set(traces) == listed
           and all(s == 2 for s in sizes))

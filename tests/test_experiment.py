@@ -18,12 +18,14 @@ from hpfl.experiment import (
     audit_bound,
     manifest_dict,
     parse_sweep_values,
+    prepare,
     rounds_csv_text,
     run_audit,
     run_experiment,
     run_sweep,
     write_outputs,
 )
+from hpfl.hierarchy import RoundEngine
 from hpfl.scenario import Scenario, save_scenario
 from oracles import full_federation_grad_norms_sq
 
@@ -97,6 +99,20 @@ class TestManifest:
 
 
 class TestTrajectorySemantics:
+    def test_run_is_its_engine(self):
+        """run_experiment returns the RoundEngine: its records are those
+        of an engine driven round by round with the same step and bound
+        coefficients, and its constants are prepare's."""
+        engine = run_experiment(SMALL)
+        prep = prepare(SMALL)
+        by_hand = RoundEngine(prep, SMALL, engine.beta, engine.phi_sched,
+                              engine.phi, engine.nu)
+        records = [by_hand.run_round() for _ in range(SMALL.rounds)]
+        assert engine.records == records == by_hand.records
+        assert len(records) == SMALL.rounds
+        assert engine.constants == prep.constants
+        np.testing.assert_array_equal(engine.w, by_hand.w)
+
     def test_full_sync_versions_track_rounds(self):
         scn = SMALL.replace(selection="full", s_max=0, a_max=3, rounds=6)
         res = run_experiment(scn)
@@ -153,9 +169,8 @@ class TestAudit:
         v = 0, else round v - 1's selection), and makes one gradient call,
         on a shard of exactly the other servers' UEs, if there are any."""
         # one upload a round leaves servers out of most refreshes
-        result = run_experiment(SMALL.replace(mode=mode, rounds=rounds,
+        engine = run_experiment(SMALL.replace(mode=mode, rounds=rounds,
                                               a_max=1))
-        engine = result.engine
         train = engine.federation.train
         loss, grad = meta.objective(mode)
         calls = {"loss": [], "grad": []}
@@ -168,11 +183,11 @@ class TestAudit:
 
         monkeypatch.setattr(meta, loss.__name__, counted("loss", loss))
         monkeypatch.setattr(meta, grad.__name__, counted("grad", grad))
-        rows = audit_bound(result)
+        rows = audit_bound(engine)
         rests = []
-        for v in sorted({v for rec in result.records for v in rec.versions}):
+        for v in sorted({v for rec in engine.records for v in rec.versions}):
             refreshed = np.ones(SMALL.k, dtype=bool) if v == 0 \
-                else np.asarray(result.records[v - 1].pi, dtype=bool)
+                else np.asarray(engine.records[v - 1].pi, dtype=bool)
             if not refreshed.all():
                 rests.append((v, np.flatnonzero(~refreshed)))
         assert len(calls["loss"]) == (1 if rounds else 0)
@@ -206,16 +221,15 @@ class TestAudit:
         run's refreshed server means, is within 1e-12 relative of the
         whole federation evaluated afresh, and every ``holds`` is the one
         the fresh norms give."""
-        result, rows, _ = run_audit(Scenario(seed=3, **over))
-        engine = result.engine
-        versions = {v for rec in result.records for v in rec.versions}
+        engine, rows, _ = run_audit(Scenario(seed=3, **over))
+        versions = {v for rec in engine.records for v in rec.versions}
         _, grad = meta.objective(engine.scenario.mode)
         got = experiment._grad_norms_sq(engine, versions, grad)
         want = full_federation_grad_norms_sq(engine, versions, grad)
         assert got.keys() == want.keys()
         for v in versions:
             assert got[v] == pytest.approx(want[v], rel=1e-12, abs=0.0)
-        for rec, row in zip(result.records, rows):
+        for rec, row in zip(engine.records, rows):
             bound = engine.phi * sum(want[v] for v in rec.versions) + engine.nu
             assert row["bound"] == pytest.approx(bound, rel=1e-12, abs=0.0)
             assert row["holds"] == (
@@ -303,7 +317,8 @@ class TestSweepCli:
         assert "config error: k: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("values", [
-        "0:inf:1", "nan:1:0.1", "0:1:1e-12", "0.4:0.8", "abc", "1:x:1", ","])
+        "0:inf:1", "nan:1:0.1", "0:1:1e-12", "0.4:0.8", "abc", "1:x:1", ",",
+        "0.8:0.4:0.1", "0.4:0.35:0.1"])
     def test_non_finite_range_is_config_error(self, tmp_path, capsys, values):
         """Malformed values, not only non-finite ranges, name --values."""
         code, out = _sweep(tmp_path, "rho", values)
@@ -371,12 +386,21 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: init_scale: ")
 
-    def test_infeasible_allocation_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("over", [
+        pytest.param({"b_min": 4e6}, id="b_min"),
+        pytest.param({"total_b": 1e308, "rho": 1.0},
+                     id="rho-1-infinite-price"),
+    ])
+    def test_infeasible_allocation_exit_code(self, tmp_path, capsys, over):
+        """A floor past the budget exits 3, and so does a budget whose
+        pricing share has rate 0: its prices are infinite, which at rho = 1
+        weigh nothing in the scores instead of warning on 0 * inf."""
         cfg = tmp_path / "cfg.json"
-        save_scenario(SMALL.replace(b_min=4e6, rounds=1), cfg)
+        save_scenario(SMALL.replace(rounds=1, **over), cfg)
         code = cli.main(["run", "--config", str(cfg), "--out",
                          str(tmp_path / "o")])
         assert code == 3
+        assert capsys.readouterr().err.startswith("infeasible allocation: ")
 
     def test_floor_binds_only_the_selected_links(self, tmp_path, capsys):
         """Only the selected servers' links share the budget: 25 links at

@@ -144,7 +144,8 @@ class TestRoundEngine:
     def test_selection_and_staleness_invariants(self):
         scn = Scenario(k=5, n_k=2, s_max=2, a_max=3, rounds=0, seed=13)
         eng, _ = engine_for(scn)
-        for rec in eng.run(12):
+        for _ in range(12):
+            rec = eng.run_round()
             assert sum(rec.pi) <= scn.a_max
             assert sum(rec.pi) == rec.a_eff >= 1
             assert max(rec.staleness_used) <= scn.s_max
@@ -157,8 +158,9 @@ class TestRoundEngine:
         runs = []
         for _ in range(2):
             eng, _ = engine_for(scn)
-            recs = eng.run(6)
-            runs.append((eng.w.copy(), recs))
+            for _ in range(6):
+                eng.run_round()
+            runs.append((eng.w.copy(), eng.records))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 

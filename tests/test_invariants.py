@@ -171,8 +171,8 @@ def test_refresh_log_holds_the_servers_of_age_0(scn):
     t, all of them at t = 0 and otherwise round t - 1's selection, and
     holds their mean UE gradients at history[t] (the meta-gradient in
     "hpfl" mode, the plain one in "hfl"), within 1e-12 of a fresh call."""
-    result = run_experiment(scn)
-    engine, records = result.engine, result.records
+    engine = run_experiment(scn)
+    records = engine.records
     _, grad = meta.objective(scn.mode)
     train = engine.federation.train
     assert len(engine.refreshed) == len(records)

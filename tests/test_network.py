@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from hpfl.network import (dbm_per_hz_to_w, db_to_linear, es_latency,
-                          sample_channels, sample_topology, tcmp, tcom,
-                          uplink_rate)
-from oracles import power_limited_rate
+from hpfl.network import (Topology, dbm_per_hz_to_w, db_to_linear,
+                          es_latency, sample_channels, sample_topology, tcmp,
+                          tcom, uplink_rate)
+from oracles import distance_channels, power_limited_rate
 
 N0_TABLE = dbm_per_hz_to_w(-174.0)
 # the distance ranges and path-loss factors of the default scenario
@@ -135,14 +135,17 @@ def test_es_latency_matches_per_link_reference():
 
 
 def test_sample_topology_ranges():
+    """UE links lie 2 to 50 m out and ES links 50 to 200 m, so their
+    path-loss factors o * d^-2 lie between those of the range's ends."""
     rng = np.random.default_rng(3)
     topo = sample_topology(rng, 4, 3, *DESK_TOPOLOGY)
-    assert topo.d_ue.shape == (4, 3)
-    assert topo.d_es.shape == (4,)
-    assert np.all((topo.d_ue >= 2.0) & (topo.d_ue <= 50.0))
-    assert np.all((topo.d_es >= 50.0) & (topo.d_es <= 200.0))
-    assert topo.o_ue == pytest.approx(10 ** -3.6)
-    assert topo.o_es == pytest.approx(10 ** -4.0)
+    assert topo.gain.shape == (4, 4)
+    ue, es = topo.gain[:, :-1], topo.gain[:, -1]
+    o_ue, o_es = 10 ** -3.6, 10 ** -4.0
+    assert np.all((ue >= o_ue / 50.0 ** 2 * (1 - 1e-12))
+                  & (ue <= o_ue / 2.0 ** 2 * (1 + 1e-12)))
+    assert np.all((es >= o_es / 200.0 ** 2 * (1 - 1e-12))
+                  & (es <= o_es / 50.0 ** 2 * (1 + 1e-12)))
 
 
 def test_sample_channels_deterministic():
@@ -159,10 +162,8 @@ def test_sample_channels_deterministic():
 
 def test_channel_gain_empirical_mean():
     """Mean gain over many fading draws approaches o * d^-2 within 2%."""
-    from hpfl.network import Topology
-    d = np.full(100000, 10.0)
-    topo = Topology(d_ue=d[None, :], d_es=np.array([100.0]),
-                    o_ue=10 ** -3.6, o_es=10 ** -4.0)
+    topo = Topology(gain=np.append(np.full(100000, 10 ** -3.6 * 10.0 ** -2),
+                                   10 ** -4.0 * 100.0 ** -2)[None, :])
     snap = sample_channels(topo, seed=0, round_index=0)
     expected = 10 ** -3.6 * 10.0 ** -2
     assert np.mean(snap[0, :-1]) == pytest.approx(expected, rel=0.02)
@@ -170,11 +171,25 @@ def test_channel_gain_empirical_mean():
 
 def test_channel_path_loss_ratio():
     """2 m vs 50 m distance: path-loss factor ratio (50/2)^2 = 625."""
-    from hpfl.network import Topology
     n = 200000
-    topo = Topology(d_ue=np.stack([np.full(n, 2.0), np.full(n, 50.0)]),
-                    d_es=np.array([100.0, 100.0]),
-                    o_ue=10 ** -3.6, o_es=10 ** -4.0)
+    o_ue, g_es = 10 ** -3.6, 10 ** -4.0 * 100.0 ** -2
+    topo = Topology(gain=np.stack([
+        np.append(np.full(n, o_ue * 2.0 ** -2), g_es),
+        np.append(np.full(n, o_ue * 50.0 ** -2), g_es)]))
     snap = sample_channels(topo, seed=1, round_index=0)
     ratio = np.mean(snap[0, :-1]) / np.mean(snap[1, :-1])
     assert ratio == pytest.approx(625.0, rel=0.05)
+
+
+@pytest.mark.parametrize("k, n_k, seed, round_index", [
+    (1, 1, 0, 0), (5, 4, 0, 7), (3, 8, 1000, 49), (50, 20, 1, 19)])
+def test_sample_channels_matches_the_distance_formula(k, n_k, seed,
+                                                      round_index):
+    """The path loss priced once at setup gives, bit for bit, the gains
+    o * d^-2 * fading computed from the distances each round."""
+    topo = sample_topology(np.random.default_rng(seed + 5), k, n_k,
+                           *DESK_TOPOLOGY)
+    want = distance_channels(np.random.default_rng(seed + 5), k, n_k,
+                             *DESK_TOPOLOGY, seed, round_index)
+    np.testing.assert_array_equal(
+        sample_channels(topo, seed, round_index), want)

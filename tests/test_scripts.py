@@ -3,11 +3,14 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from hpfl.hierarchy import RoundEngine
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,6 +41,24 @@ def test_run_demo_writes_outputs(tmp_path):
     rows = (tmp_path / "rounds.csv").read_text().splitlines()
     assert len(rows) == 3
     assert (tmp_path / "manifest.json").is_file()
+
+
+def test_readme_library_use_runs_as_documented(capsys):
+    """README's "Library use" block runs, and what it says each call
+    returns holds: the engine with its records, the audit triple and one
+    sweep row per value."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme,
+                      re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    scn, engine = namespace["scn"], namespace["engine"]
+    assert isinstance(engine, RoundEngine)
+    assert len(engine.records) == scn.rounds
+    assert len(engine.history) == scn.rounds + 1
+    assert 0.0 <= namespace["frac"] <= 1.0
+    assert [row["value"] for row in namespace["rows"]] == [0.3, 0.7]
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def _line(failed=0, **values):
