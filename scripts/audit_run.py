@@ -1,10 +1,12 @@
 """Audit-grade run: pin the step size to 1/meta_lip and check the
-per-round loss-change bound against recomputed exact global gradients.
+per-round loss-change bound against recomputed exact global gradients,
+and print the bound's median slack over the rounds that moved the loss.
 
 Usage: python3 scripts/audit_run.py [--rounds N] [--seed N] [--out DIR]
 """
 
 import argparse
+import statistics
 
 from hpfl.experiment import run_audit
 from hpfl.scenario import Scenario
@@ -29,6 +31,10 @@ def main():
     worst = max(rows, key=lambda r: r["descent"] - r["bound"])
     print("tightest round %d: descent %.4g vs bound %.4g"
           % (worst["round"], worst["descent"], worst["bound"]))
+    slack = [r["bound"] / abs(r["descent"]) for r in rows if r["descent"]]
+    if slack:
+        print("median slack bound/|descent| over %d rounds with a nonzero "
+              "descent: %.4g" % (len(slack), statistics.median(slack)))
 
 
 if __name__ == "__main__":

@@ -11,16 +11,15 @@ import dataclasses
 import json
 import os
 import platform
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, meta
-from .constants import EstimationError, bound_constants, estimate_constants
+from .constants import EstimationError, estimate_constants
 from .hierarchy import RoundEngine
 from .network import sample_topology
 from .scenario import ConfigError, Scenario
-from .tasks import (Federation, LogisticModel, MLPModel, QuadraticModel,
+from .tasks import (LogisticModel, MLPModel, QuadraticModel,
                     build_classification_federation,
                     build_quadratic_federation)
 
@@ -49,27 +48,18 @@ def _fmt(x):
     return repr(float(x))
 
 
-@dataclass
-class Prepared:
-    """Everything deterministic that exists before the first round."""
-
-    model: object
-    federation: Federation
-    topology: object
-    w0: np.ndarray
-    constants: object
-
-
 def _stream(seed, tag):
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
 
 
-def prepare(scenario):
-    """Build model, data, topology, initial point, and estimated constants.
+def prepare(scenario, audit=False):
+    """Build the run's RoundEngine before round 0: model, data, path-loss
+    gains, initial point and estimated constants.
 
-    Only the seed and the task/topology fields matter here, so paired
-    runs (different mode or selection policy, same seed) share identical
-    federations.
+    Only the seed and the task/topology fields shape what is built, so
+    paired runs (different mode or selection policy, same seed) share
+    identical federations.  The step size is the scenario's beta, or
+    1/meta_lip for an audit.
     """
     scn = scenario
     task_rng = _stream(scn.seed, _TASK_STREAM)
@@ -86,7 +76,7 @@ def prepare(scenario):
         federation = build_quadratic_federation(
             task_rng, scn.k, scn.n_k, scn.dim, scn.eig_lo, scn.eig_hi,
             es_spread=scn.center_spread, ue_spread=scn.ue_spread)
-    topology = sample_topology(
+    gain = sample_topology(
         _stream(scn.seed, _TOPOLOGY_STREAM), scn.k, scn.n_k,
         d_ue_range=(scn.d_ue_lo, scn.d_ue_hi),
         d_es_range=(scn.d_es_lo, scn.d_es_hi),
@@ -99,22 +89,13 @@ def prepare(scenario):
     except EstimationError:     # the probe ball's radius is fixed
         raise ConfigError("init_scale: %r puts w0 so far out that every "
                           "probe rounds to it" % (scn.init_scale,)) from None
-    return Prepared(model=model, federation=federation, topology=topology,
-                    w0=w0, constants=constants)
+    beta = 1.0 / constants.meta_lip if audit else scn.beta
+    return RoundEngine(scn, model, federation, gain, w0, constants, beta)
 
 
 def _run(scenario, audit):
-    """The one run path: prepare, build the engine, run every round, and
-    return the engine.
-
-    The step size is the scenario's beta, or 1/meta_lip for an audit.
-    """
-    prep = prepare(scenario)
-    beta = 1.0 / prep.constants.meta_lip if audit else scenario.beta
-    phi, nu = bound_constants(beta, scenario.s_max, scenario.a_max,
-                              scenario.k, prep.constants.meta_div_sq)
-    phi_sched = phi if scenario.phi_override < 0 else scenario.phi_override
-    engine = RoundEngine(prep, scenario, beta, phi_sched, phi, nu)
+    """The one run path: prepare the engine, run every round, return it."""
+    engine = prepare(scenario, audit)
     for _ in range(scenario.rounds):
         engine.run_round()
     return engine

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import meta
 from .bandwidth import AllocationProblem, equal_split, progressive_fill
+from .constants import bound_constants
 from .network import (dbm_per_hz_to_w, es_latency, sample_channels, tcmp,
                       tcom, uplink_rate)
 from .scheduler import baseline_select, objective_value, schedule
@@ -87,12 +88,14 @@ class RoundRecord:
 class RoundEngine:
     """Drives the federation round by round and records what happened.
 
-    A run is its engine: ``run_experiment`` and ``run_audit`` return it
-    with one RoundRecord per round in ``records``.  ``prep`` carries the
-    model, federation, topology, initial point w0 and the estimated
-    ``constants``; ``scenario`` supplies every other knob.  The cloud
-    steps with ``beta`` and schedules with ``phi_sched``; ``phi`` and
-    ``nu`` only scale the reported importance and bound.
+    A run is its engine: ``experiment.prepare`` builds it before round 0
+    from the scenario, model, federation, (K, N+1) path-loss ``gain``,
+    initial point w0, estimated ``constants`` and step size ``beta``, and
+    ``run_experiment`` and ``run_audit`` return it with one RoundRecord
+    per round in ``records``.  The engine derives the bound coefficients
+    ``phi`` and ``nu`` from beta and the constants; they only scale the
+    reported importance and bound.  It schedules with ``phi_sched``, which
+    is ``phi`` unless the scenario's ``phi_override`` is at least 0.
 
     Per-edge-server state is kept as arrays with one row per server:
 
@@ -109,20 +112,23 @@ class RoundEngine:
     audit reads both; the run itself reads neither.
     """
 
-    def __init__(self, prep, scenario, beta, phi_sched, phi, nu):
-        self.model = prep.model
-        self.federation = prep.federation
-        self.topology = prep.topology
+    def __init__(self, scenario, model, federation, gain, w0, constants,
+                 beta):
         self.scenario = scenario
+        self.model = model
+        self.federation = federation
+        self.gain = gain
+        self.constants = constants
         self.beta = beta
-        self.phi_sched = phi_sched
-        self.phi = phi
-        self.nu = nu
-        self.constants = prep.constants
+        self.phi, self.nu = bound_constants(
+            beta, scenario.s_max, scenario.a_max, scenario.k,
+            constants.meta_div_sq)
+        self.phi_sched = (self.phi if scenario.phi_override < 0
+                          else scenario.phi_override)
         self.n0 = dbm_per_hz_to_w(scenario.n0_dbm_hz)
         self.power = np.append(np.full(scenario.n_k, scenario.p_ue),
                                scenario.p_es)
-        self.w = np.array(prep.w0, dtype=float)
+        self.w = np.array(w0, dtype=float)
         self.t = 0
         self.history = [self.w]
         self.refreshed = []
@@ -198,7 +204,7 @@ class RoundEngine:
         # the servers that received the entering model worked this round
         # (at t = 0, all of them)
         self._refresh(np.flatnonzero(age == 0), theta)
-        ph = self.power * sample_channels(self.topology, p.seed, self.t)
+        ph = self.power * sample_channels(self.gain, p.seed, self.t)
         latencies = es_latency(self.tcmp_ue, tcom(
             p.z_bits, uplink_rate(self.price_share, ph, self.n0)))
 

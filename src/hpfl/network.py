@@ -14,8 +14,6 @@ times in that layout.  An ES's round latency is the slowest of its UEs
 the max over the selected ESs. Aggregation time is ignored as negligible.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 LN2 = float(np.log(2.0))
@@ -68,32 +66,24 @@ def tcom(z_bits, rate):
     return np.where(rate > 0.0, t, np.inf)[()]
 
 
-@dataclass(frozen=True)
-class Topology:
-    """The fixed radio inputs of the hierarchy: ``gain`` is the (K, N+1)
-    path-loss factor o * d^-2 of every link, row k holding ES k's UE links
-    and then its own, with the reference factor o already linear."""
-
-    gain: np.ndarray
-
-
 def sample_topology(rng, k, n_k, d_ue_range, d_es_range, o_ue_db, o_es_db):
-    """Distances drawn once per scenario, priced once as path-loss factors;
-    fixed for the whole run."""
+    """Distances drawn once per scenario, priced once as the (K, N+1)
+    path-loss gains o * d^-2 that stay fixed for the whole run: row k
+    holds ES k's UE links and then its own, with o already linear."""
     d_ue = rng.uniform(d_ue_range[0], d_ue_range[1], size=(k, n_k))
     d_es = rng.uniform(d_es_range[0], d_es_range[1], size=k)
     o_ue, o_es = db_to_linear(o_ue_db), db_to_linear(o_es_db)
-    return Topology(gain=np.column_stack([o_ue * d_ue ** -2.0,
-                                          o_es * d_es ** -2.0]))
+    return np.column_stack([o_ue * d_ue ** -2.0, o_es * d_es ** -2.0])
 
 
-def sample_channels(topology, seed, round_index):
-    """Per-round gains h = o * d^-2 * fading, fading ~ Exp(1), as (K, N+1):
-    the UE links' (K, N) fading is drawn first, then the ES links' (K,).
-    Fading is resampled each round, deterministic per (seed, round)."""
+def sample_channels(gain, seed, round_index):
+    """Per-round gains h = o * d^-2 * fading, fading ~ Exp(1), as (K, N+1)
+    from the path-loss ``gain`` of sample_topology: the UE links' (K, N)
+    fading is drawn first, then the ES links' (K,).  Fading is resampled
+    each round, deterministic per (seed, round)."""
     rng = np.random.default_rng(
         np.random.SeedSequence([int(seed), 211, int(round_index)]))
-    k, links = topology.gain.shape
-    return topology.gain * np.column_stack([
+    k, links = gain.shape
+    return gain * np.column_stack([
         rng.exponential(1.0, size=(k, links - 1)),
         rng.exponential(1.0, size=k)])

@@ -3,8 +3,9 @@
 No run calls these: the allocator prices links with the broadcast
 ``bandwidth.deadline_bandwidth``, the scheduler applies its threshold
 inline and ranks its cap in one sort, the estimator reuses one difference
-buffer, the audit reuses the run's refreshed gradients and the topology
-prices its path loss once.  They stay here as slow, obviously correct
+buffer, the audit reuses the run's refreshed gradients and
+``sample_topology`` prices the path loss once, as the gain array that
+``prepare`` hands the engine.  They stay here as slow, obviously correct
 oracles.
 """
 
@@ -158,7 +159,7 @@ def full_federation_grad_norms_sq(engine, versions, grad):
 
 def distance_channels(rng, k, n_k, d_ue_range, d_es_range, o_ue_db, o_es_db,
                       seed, round_index):
-    """A round's (K, N+1) gains from the distances: the topology's draws
+    """A round's (K, N+1) gains from the distances: sample_topology's draws
     from ``rng``, then ``o * d^-2 * fading`` per link kind, the path loss
     recomputed with each round's fading."""
     d_ue = rng.uniform(d_ue_range[0], d_ue_range[1], size=(k, n_k))

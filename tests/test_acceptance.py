@@ -106,13 +106,13 @@ def test_criterion_2_single_learner_collapse(capsys):
     scn = Scenario(k=1, n_k=1, family="classification", model="logistic",
                    s_max=0, a_max=1, selection="full", allocation="equal",
                    rounds=100, seed=5)
-    prep = prepare(scn)
-    shard = prep.federation.train[0, 0]
-    ref = [prep.w0.copy()]
-    w = prep.w0.copy()
+    start = prepare(scn)
+    shard = start.federation.train[0, 0]
+    ref = [start.history[0]]
+    w = start.history[0]
     for _ in range(scn.rounds):
-        w = w - scn.beta * meta_grad(prep.model, w, shard, scn.alpha)
-        ref.append(w.copy())
+        w = w - scn.beta * meta_grad(start.model, w, shard, scn.alpha)
+        ref.append(w)
 
     engine = run_experiment(scn)
     worst = 0.0

@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import hpfl
 from hpfl import cli, experiment, meta
 from hpfl.bandwidth import InfeasibleAllocationError
+from hpfl.constants import bound_constants
 from hpfl.experiment import (
     AUDIT_HEADER,
     CSV_HEADER,
@@ -25,7 +27,6 @@ from hpfl.experiment import (
     run_sweep,
     write_outputs,
 )
-from hpfl.hierarchy import RoundEngine
 from hpfl.scenario import Scenario, save_scenario
 from oracles import full_federation_grad_norms_sq
 
@@ -100,18 +101,32 @@ class TestManifest:
 
 class TestTrajectorySemantics:
     def test_run_is_its_engine(self):
-        """run_experiment returns the RoundEngine: its records are those
-        of an engine driven round by round with the same step and bound
-        coefficients, and its constants are prepare's."""
+        """run_experiment returns the RoundEngine that prepare builds,
+        advanced by one run_round call per configured round."""
         engine = run_experiment(SMALL)
-        prep = prepare(SMALL)
-        by_hand = RoundEngine(prep, SMALL, engine.beta, engine.phi_sched,
-                              engine.phi, engine.nu)
-        records = [by_hand.run_round() for _ in range(SMALL.rounds)]
-        assert engine.records == records == by_hand.records
+        stepped = prepare(SMALL)
+        assert stepped.t == 0 and stepped.records == []
+        np.testing.assert_array_equal(stepped.history, engine.history[:1])
+        records = [stepped.run_round() for _ in range(SMALL.rounds)]
+        assert engine.records == records == stepped.records
         assert len(records) == SMALL.rounds
-        assert engine.constants == prep.constants
-        np.testing.assert_array_equal(engine.w, by_hand.w)
+        assert engine.constants == stepped.constants
+        np.testing.assert_array_equal(engine.w, stepped.w)
+
+    @pytest.mark.parametrize("audit", [False, True])
+    @pytest.mark.parametrize("phi_override", [-1.0, 0.0, 2.5])
+    def test_prepare_sets_the_engine_coefficients(self, audit, phi_override):
+        """The step is the scenario's beta, or 1/meta_lip for an audit;
+        (phi, nu) is bound_constants at that step; the schedule weighs
+        with phi unless phi_override is at least 0."""
+        scn = SMALL.replace(phi_override=phi_override)
+        engine = prepare(scn, audit=audit)
+        c = engine.constants
+        assert engine.beta == (1.0 / c.meta_lip if audit else scn.beta)
+        assert (engine.phi, engine.nu) == bound_constants(
+            engine.beta, scn.s_max, scn.a_max, scn.k, c.meta_div_sq)
+        assert engine.phi_sched == (engine.phi if phi_override < 0
+                                    else phi_override)
 
     def test_full_sync_versions_track_rounds(self):
         scn = SMALL.replace(selection="full", s_max=0, a_max=3, rounds=6)
@@ -529,6 +544,14 @@ class TestCli:
         assert cfg["rho"] == 0.9 and cfg["seed"] == 8
 
 
+def _child_env(**overrides):
+    """This process's environment, with the package under test first on
+    PYTHONPATH and ``overrides`` set."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hpfl.__file__)))
+    return dict(os.environ, **overrides, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("config", [
     pytest.param({}, id="desk"),
     pytest.param({"model": "mlp", "hidden": 32}, id="mlp"),
@@ -542,17 +565,87 @@ def test_rounds_csv_is_the_same_on_one_and_two_blas_threads(config, tmp_path):
     and on two, each run in its own process."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hpfl.__file__)))
     written = []
     for threads in ("1", "2"):
         out = tmp_path / ("threads" + threads)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "hpfl.cli", "run", "--config", str(cfg),
              "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300)
+            env=_child_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         written.append((out / "rounds.csv").read_bytes())
     assert written[0] == written[1]
+
+
+def _dynamic_arch_openblas():
+    """True when NumPy's BLAS is an OpenBLAS that picks its kernels by CPU,
+    so OPENBLAS_CORETYPE can force other kernels on one machine."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # NumPy before 1.26 has no dict form
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+def _cpu_has_avx2():
+    """The Haswell kernels need AVX2; the Prescott ones run on any x86-64."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return " avx2" in fh.read()
+    except OSError:
+        return False
+
+
+# each run prints its rounds.csv text and every round's selection and versions
+_DECISIONS = """
+import json, sys
+from hpfl.experiment import rounds_csv_text, run_experiment
+from hpfl.scenario import Scenario
+engine = run_experiment(Scenario(**json.loads(sys.argv[1])))
+print(json.dumps([rounds_csv_text(engine.records),
+                  [[r.pi, r.versions] for r in engine.records]]))
+"""
+# BLAS kernels of other CPUs move floats by at most about 1e-15 relative;
+# the bound leaves a thousandfold margin and stays far inside the golden
+# files' 1e-9
+CROSS_KERNEL_RTOL = 1e-12
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64")
+    or not _dynamic_arch_openblas() or not _cpu_has_avx2(),
+    reason="needs x86-64 with AVX2 and a DYNAMIC_ARCH OpenBLAS")
+@pytest.mark.parametrize("config", [
+    pytest.param({}, id="desk"),
+    pytest.param({"model": "mlp", "hidden": 32}, id="mlp"),
+])
+def test_other_blas_kernels_make_the_same_decisions(config):
+    """Under the Prescott and the Haswell OpenBLAS kernels, each forced on
+    one thread in its own process, a run selects the same servers at the
+    same versions, with the same integer columns, and its float columns
+    agree within CROSS_KERNEL_RTOL.  The bytes differ, which shows that
+    the override took effect."""
+    runs = []
+    for core in ("Prescott", "Haswell"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _DECISIONS,
+             json.dumps(dict(config, rounds=10, seed=0))],
+            env=_child_env(OPENBLAS_NUM_THREADS="1", OPENBLAS_CORETYPE=core),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    (csv_a, decisions_a), (csv_b, decisions_b) = runs
+    assert decisions_a == decisions_b
+    assert csv_a != csv_b
+    cells_a, cells_b = (np.array([line.split(",")
+                                  for line in text.splitlines()[1:]])
+                        for text in (csv_a, csv_b))
+    names = CSV_HEADER.split(",")
+    ints = [names.index(c) for c in ("round", "A_eff", "runtime_us")]
+    floats = [i for i in range(len(names)) if i not in ints]
+    np.testing.assert_array_equal(cells_a[:, ints], cells_b[:, ints])
+    np.testing.assert_allclose(cells_a[:, floats].astype(float),
+                               cells_b[:, floats].astype(float),
+                               rtol=CROSS_KERNEL_RTOL, atol=0.0)

@@ -7,14 +7,8 @@ import pytest
 
 from hpfl import meta
 from hpfl.experiment import prepare
-from hpfl.hierarchy import RoundEngine, global_update
+from hpfl.hierarchy import global_update
 from hpfl.scenario import Scenario
-
-
-def engine_for(scn):
-    prep = prepare(scn)
-    return RoundEngine(prep, scn, beta=scn.beta, phi_sched=1.0, phi=1.0,
-                       nu=0.0), prep
 
 
 class TestGlobalUpdate:
@@ -51,7 +45,7 @@ class TestAdvanceStaleness:
 
     def test_selected_server_syncs(self):
         scn = Scenario(k=2, n_k=1, s_max=3, a_max=2, rounds=0, seed=7)
-        eng, _ = engine_for(scn)
+        eng = prepare(scn)
         for _ in range(2):
             eng.run_round(forced_selection=np.array([False, True]))
         eng.run_round(forced_selection=np.array([True, False]))
@@ -64,7 +58,7 @@ class TestAdvanceStaleness:
 
     def test_staleness_accumulates_then_saturates(self):
         scn = Scenario(k=2, n_k=1, s_max=3, a_max=2, rounds=0, seed=7)
-        eng, _ = engine_for(scn)
+        eng = prepare(scn)
         after = [eng.run_round(forced_selection=np.array([True, False]))
                  .staleness_after[1] for _ in range(5)]
         assert after == [1, 2, 3, 3, 3]
@@ -76,7 +70,7 @@ class TestAdvanceStaleness:
     def test_budget_reached_flags_forced_inclusion(self):
         """A server at the budget is flagged, then the scheduler picks it."""
         scn = Scenario(k=2, n_k=1, s_max=1, a_max=2, rounds=0, seed=7)
-        eng, _ = engine_for(scn)
+        eng = prepare(scn)
         eng.run_round(forced_selection=np.array([False, True]))
         assert (eng.t - eng.version).tolist() == [1, 0]
         assert eng.run_round().pi[0] == 1
@@ -87,25 +81,25 @@ class TestRoundEngine:
         """K=1, n=1, full selection, no staleness: textbook recursion."""
         scn = Scenario(k=1, n_k=1, mode="hfl", selection="full", s_max=0,
                        a_max=1, rounds=0, seed=3)
-        eng, prep = engine_for(scn)
-        w = prep.w0.copy()
-        shard = prep.federation.train[0, 0]
+        eng = prepare(scn)
+        w = eng.history[0]
+        shard = eng.federation.train[0, 0]
         for _ in range(20):
             eng.run_round()
-            w = w - scn.beta * meta.plain_grad(prep.model, w, shard)
+            w = w - scn.beta * meta.plain_grad(eng.model, w, shard)
         assert np.max(np.abs(eng.w - w)) <= 1e-10
 
     def test_full_sync_matches_mean_meta_gradient_recursion(self):
         scn = Scenario(k=3, n_k=2, selection="full", s_max=0, a_max=3,
                        rounds=0, seed=5)
-        eng, prep = engine_for(scn)
-        w = prep.w0.copy()
+        eng = prepare(scn)
+        w = eng.history[0]
         for _ in range(5):
             eng.run_round()
             total = np.zeros_like(w)
-            train = prep.federation.train
+            train = eng.federation.train
             for k in range(scn.k):
-                grads = [meta.meta_grad(prep.model, w, train[k, j], scn.alpha)
+                grads = [meta.meta_grad(eng.model, w, train[k, j], scn.alpha)
                          for j in range(scn.n_k)]
                 total += np.mean(grads, axis=0)
             w = w - scn.beta / 3.0 * total
@@ -114,7 +108,7 @@ class TestRoundEngine:
     def test_forced_plan_controls_staleness(self):
         """Alternating uploads age the resting server, then refresh it."""
         scn = Scenario(k=2, n_k=1, s_max=2, a_max=2, rounds=0, seed=7)
-        eng, _ = engine_for(scn)
+        eng = prepare(scn)
         plan = [np.array([True, False]), np.array([False, True]),
                 np.array([True, False]), np.array([True, True])]
         recs = [eng.run_round(forced_selection=pi) for pi in plan]
@@ -127,14 +121,14 @@ class TestRoundEngine:
     def test_stale_gradient_is_the_delivered_one(self):
         """An aged server uploads the update computed at its old base."""
         scn = Scenario(k=2, n_k=1, s_max=2, a_max=2, rounds=0, seed=11)
-        eng, prep = engine_for(scn)
-        w0 = prep.w0.copy()
+        eng = prepare(scn)
+        w0 = eng.history[0]
         eng.run_round(forced_selection=np.array([True, False]))
         w1 = eng.w.copy()
-        train = prep.federation.train
-        stale = [meta.meta_grad(prep.model, w0, train[1, j], scn.alpha)
+        train = eng.federation.train
+        stale = [meta.meta_grad(eng.model, w0, train[1, j], scn.alpha)
                  for j in range(scn.n_k)]
-        fresh = [meta.meta_grad(prep.model, w1, train[0, j], scn.alpha)
+        fresh = [meta.meta_grad(eng.model, w1, train[0, j], scn.alpha)
                  for j in range(scn.n_k)]
         eng.run_round(forced_selection=np.array([True, True]))
         want = w1 - scn.beta / 2.0 * (np.mean(stale, axis=0)
@@ -143,7 +137,7 @@ class TestRoundEngine:
 
     def test_selection_and_staleness_invariants(self):
         scn = Scenario(k=5, n_k=2, s_max=2, a_max=3, rounds=0, seed=13)
-        eng, _ = engine_for(scn)
+        eng = prepare(scn)
         for _ in range(12):
             rec = eng.run_round()
             assert sum(rec.pi) <= scn.a_max
@@ -157,7 +151,7 @@ class TestRoundEngine:
         scn = Scenario(k=4, n_k=2, rounds=0, seed=17)
         runs = []
         for _ in range(2):
-            eng, _ = engine_for(scn)
+            eng = prepare(scn)
             for _ in range(6):
                 eng.run_round()
             runs.append((eng.w.copy(), eng.records))
@@ -168,8 +162,8 @@ class TestRoundEngine:
     def test_poisoned_ue_is_named_in_the_first_round(self, mode):
         """NaN training data of one UE stops the round engine, naming it."""
         scn = Scenario(k=3, n_k=4, mode=mode, rounds=0, seed=19)
-        eng, prep = engine_for(scn)
-        prep.federation.train.x[2, 1, 0, 0] = np.nan
+        eng = prepare(scn)
+        eng.federation.train.x[2, 1, 0, 0] = np.nan
         with pytest.raises(meta.NonFiniteError, match=r" at es 2 ue 1$"):
             eng.run_round()
 
@@ -182,10 +176,10 @@ class TestRoundEngine:
         both caught by the evaluation.
         """
         scn = Scenario(k=3, n_k=4, rounds=0, seed=19)
-        eng, prep = engine_for(scn)
+        eng = prepare(scn)
         eng.run_round(forced_selection=np.array([False, True, False]))
         es, ue = poisoned
-        prep.federation.train.x[es, ue, 0, 0] = np.nan
+        eng.federation.train.x[es, ue, 0, 0] = np.nan
         with pytest.raises(meta.NonFiniteError,
                            match=r" at es %d ue %d$" % poisoned):
             eng.run_round()
@@ -197,18 +191,18 @@ class TestRoundEngine:
         round makes at most the refresh's grad call and no hvp call."""
         scn = Scenario(k=4, n_k=3, mode=mode, s_max=2, a_max=2, rounds=0,
                        seed=23)
-        eng, prep = engine_for(scn)
+        eng = prepare(scn)
         calls = {"grad": 0, "hvp": 0}
 
         def counting(name):
-            method = getattr(prep.model, name)
+            method = getattr(eng.model, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
                 return method(*args, **kwargs)
             return counted
         for name in calls:
-            monkeypatch.setattr(prep.model, name, counting(name))
+            monkeypatch.setattr(eng.model, name, counting(name))
         for _ in range(6):
             calls.update(grad=0, hvp=0)
             eng.run_round()

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from hpfl.network import (Topology, dbm_per_hz_to_w, db_to_linear,
-                          es_latency, sample_channels, sample_topology, tcmp,
-                          tcom, uplink_rate)
+from hpfl.network import (dbm_per_hz_to_w, db_to_linear, es_latency,
+                          sample_channels, sample_topology, tcmp, tcom,
+                          uplink_rate)
 from oracles import distance_channels, power_limited_rate
 
 N0_TABLE = dbm_per_hz_to_w(-174.0)
@@ -138,9 +138,9 @@ def test_sample_topology_ranges():
     """UE links lie 2 to 50 m out and ES links 50 to 200 m, so their
     path-loss factors o * d^-2 lie between those of the range's ends."""
     rng = np.random.default_rng(3)
-    topo = sample_topology(rng, 4, 3, *DESK_TOPOLOGY)
-    assert topo.gain.shape == (4, 4)
-    ue, es = topo.gain[:, :-1], topo.gain[:, -1]
+    gain = sample_topology(rng, 4, 3, *DESK_TOPOLOGY)
+    assert gain.shape == (4, 4)
+    ue, es = gain[:, :-1], gain[:, -1]
     o_ue, o_es = 10 ** -3.6, 10 ** -4.0
     assert np.all((ue >= o_ue / 50.0 ** 2 * (1 - 1e-12))
                   & (ue <= o_ue / 2.0 ** 2 * (1 + 1e-12)))
@@ -150,21 +150,21 @@ def test_sample_topology_ranges():
 
 def test_sample_channels_deterministic():
     rng = np.random.default_rng(4)
-    topo = sample_topology(rng, 2, 2, *DESK_TOPOLOGY)
-    a = sample_channels(topo, seed=9, round_index=5)
-    b = sample_channels(topo, seed=9, round_index=5)
+    gain = sample_topology(rng, 2, 2, *DESK_TOPOLOGY)
+    a = sample_channels(gain, seed=9, round_index=5)
+    b = sample_channels(gain, seed=9, round_index=5)
     assert a.shape == (2, 3)
     np.testing.assert_array_equal(a[:, :-1], b[:, :-1])
     np.testing.assert_array_equal(a[:, -1], b[:, -1])
-    c = sample_channels(topo, seed=9, round_index=6)
+    c = sample_channels(gain, seed=9, round_index=6)
     assert not np.array_equal(a[:, -1], c[:, -1])
 
 
 def test_channel_gain_empirical_mean():
     """Mean gain over many fading draws approaches o * d^-2 within 2%."""
-    topo = Topology(gain=np.append(np.full(100000, 10 ** -3.6 * 10.0 ** -2),
-                                   10 ** -4.0 * 100.0 ** -2)[None, :])
-    snap = sample_channels(topo, seed=0, round_index=0)
+    gain = np.append(np.full(100000, 10 ** -3.6 * 10.0 ** -2),
+                     10 ** -4.0 * 100.0 ** -2)[None, :]
+    snap = sample_channels(gain, seed=0, round_index=0)
     expected = 10 ** -3.6 * 10.0 ** -2
     assert np.mean(snap[0, :-1]) == pytest.approx(expected, rel=0.02)
 
@@ -173,10 +173,9 @@ def test_channel_path_loss_ratio():
     """2 m vs 50 m distance: path-loss factor ratio (50/2)^2 = 625."""
     n = 200000
     o_ue, g_es = 10 ** -3.6, 10 ** -4.0 * 100.0 ** -2
-    topo = Topology(gain=np.stack([
-        np.append(np.full(n, o_ue * 2.0 ** -2), g_es),
-        np.append(np.full(n, o_ue * 50.0 ** -2), g_es)]))
-    snap = sample_channels(topo, seed=1, round_index=0)
+    gain = np.stack([np.append(np.full(n, o_ue * 2.0 ** -2), g_es),
+                     np.append(np.full(n, o_ue * 50.0 ** -2), g_es)])
+    snap = sample_channels(gain, seed=1, round_index=0)
     ratio = np.mean(snap[0, :-1]) / np.mean(snap[1, :-1])
     assert ratio == pytest.approx(625.0, rel=0.05)
 
@@ -187,9 +186,9 @@ def test_sample_channels_matches_the_distance_formula(k, n_k, seed,
                                                       round_index):
     """The path loss priced once at setup gives, bit for bit, the gains
     o * d^-2 * fading computed from the distances each round."""
-    topo = sample_topology(np.random.default_rng(seed + 5), k, n_k,
+    gain = sample_topology(np.random.default_rng(seed + 5), k, n_k,
                            *DESK_TOPOLOGY)
     want = distance_channels(np.random.default_rng(seed + 5), k, n_k,
                              *DESK_TOPOLOGY, seed, round_index)
     np.testing.assert_array_equal(
-        sample_channels(topo, seed, round_index), want)
+        sample_channels(gain, seed, round_index), want)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hpfl.experiment import run_experiment
 from hpfl.hierarchy import RoundEngine
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +29,7 @@ def _run(script, *args):
     ("sweep_rho.py", ("--values", "0.4,0.6"), "  rho  final_loss"),
     ("audit_run.py", ("--rounds", "0"), "bound held in 0/0"),
     ("audit_run.py", ("--rounds", "0"), "no rounds audited"),
+    ("audit_run.py", (), "median slack bound/|descent| over 2 rounds"),
 ])
 def test_script_runs(script, args, expect):
     proc = _run(script, *args)
@@ -45,8 +47,9 @@ def test_run_demo_writes_outputs(tmp_path):
 
 def test_readme_library_use_runs_as_documented(capsys):
     """README's "Library use" block runs, and what it says each call
-    returns holds: the engine with its records, the audit triple and one
-    sweep row per value."""
+    returns holds: the engine with its records, the engine before round 0
+    that one run_round advances to the run's first record, the audit
+    triple and one sweep row per value."""
     readme = (ROOT / "README.md").read_text()
     block = re.search(r"## Library use\n\n```python\n(.*?)```", readme,
                       re.S).group(1)
@@ -56,6 +59,7 @@ def test_readme_library_use_runs_as_documented(capsys):
     assert isinstance(engine, RoundEngine)
     assert len(engine.records) == scn.rounds
     assert len(engine.history) == scn.rounds + 1
+    assert namespace["first"] == run_experiment(scn).records[0]
     assert 0.0 <= namespace["frac"] <= 1.0
     assert [row["value"] for row in namespace["rows"]] == [0.3, 0.7]
     assert len(capsys.readouterr().out.splitlines()) == 3
