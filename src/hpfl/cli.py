@@ -1,8 +1,10 @@
 """Command line interface: run experiments, audit the bound, sweep knobs.
 
 Exit codes: 0 on success, 1 when the run diverges (a loss, gradient,
-or update stops being finite), 2 on configuration errors, 3 when the
-bandwidth budget cannot cover the minimum per-link floor.
+or update stops being finite), 2 on configuration errors (a ConfigError,
+or a file that cannot be read or written), 3 when the bandwidth budget
+cannot cover the minimum per-link floor.  Any other exception is a
+defect and propagates with its traceback.
 """
 
 import argparse
@@ -12,7 +14,7 @@ from .bandwidth import InfeasibleAllocationError
 from .experiment import (parse_sweep_values, run_audit, run_experiment,
                          run_sweep, write_outputs)
 from .meta import NonFiniteError
-from .scenario import CHOICES, Scenario, load_scenario
+from .scenario import CHOICES, ConfigError, Scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_DIVERGED = 1
@@ -84,7 +86,7 @@ def main(argv=None):
     except NonFiniteError as exc:
         print("run diverged: %s" % exc, file=sys.stderr)
         return EXIT_DIVERGED
-    except (OSError, ValueError) as exc:   # ConfigError is a ValueError
+    except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleAllocationError as exc:

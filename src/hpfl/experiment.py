@@ -258,26 +258,26 @@ def parse_sweep_values(spec):
     is_range = ":" in spec
     parts = [p for p in spec.split(":" if is_range else ",") if p.strip()]
     if is_range and len(parts) != 3:
-        raise ValueError("--values: range form must be start:stop:step, "
-                         "got %r" % (spec,))
+        raise ConfigError("--values: range form must be start:stop:step, "
+                          "got %r" % (spec,))
     try:
         vals = [float(p) for p in parts]
     except ValueError:
-        raise ValueError("--values: %r holds a value that is not a number"
-                         % (spec,)) from None
+        raise ConfigError("--values: %r holds a value that is not a "
+                          "number" % (spec,)) from None
     if not vals:
-        raise ValueError("--values: no sweep values given")
+        raise ConfigError("--values: no sweep values given")
     if is_range:
         start, stop, step = vals
         if not step > 0:   # a NaN step fails this test too
-            raise ValueError("--values: step must be positive")
+            raise ConfigError("--values: step must be positive")
         steps = (stop - start) / step
         if not np.isfinite([start, stop, step, steps]).all():
-            raise ValueError("--values: start, stop, step and the step count "
-                             "must be finite, got %r" % (spec,))
+            raise ConfigError("--values: start, stop, step and the step "
+                              "count must be finite, got %r" % (spec,))
         n = int(np.floor(steps + 1e-9)) + 1
         if not 0 < n <= MAX_SWEEP_VALUES:   # a stop below start gives none
-            raise ValueError("--values: %r gives %s values" % (
+            raise ConfigError("--values: %r gives %s values" % (
                 spec, "more than %d" % MAX_SWEEP_VALUES if n > 0 else "no"))
         digits = 12 - int(np.floor(np.log10(max(abs(start), abs(stop), step))))
         vals = [round(start + i * step, digits) for i in range(n)]

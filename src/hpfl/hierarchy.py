@@ -6,7 +6,8 @@ with one meta-gradient step.  Every round the engine:
 
 1. scores loss/accuracy of the entering global model,
 2. recomputes local updates at edge servers whose base model changed,
-   from the same adaptation of their UEs the scoring made,
+   from their UEs' forward states that the scoring formed, once at the
+   global model and once at each UE's adapted point theta,
 3. draws this round's channel fading and prices every server's latency
    in closed form at the link share ``B / (min(a_max, K) (N+1))``, the
    even split over as many servers as a round accepts,
@@ -149,20 +150,19 @@ class RoundEngine:
             np.random.SeedSequence([scenario.seed, 433]))
         _, self._grad = meta.objective(scenario.mode)
 
-    def _refresh(self, ids, theta):
+    def _refresh(self, ids, states):
         """Recompute the UE updates of the servers ``ids`` of age 0.
 
-        One call covers them all, the entering model broadcast over their
-        UEs and adapted to ``theta`` by _evaluate.  Older servers keep
+        One call covers them all, at the entering model, from the forward
+        ``states`` of their UEs that _evaluate kept.  Older servers keep
         full-batch gradients of an unchanged base, which are bit-identical,
         so they are skipped.  A non-finite squared norm raises
         NonFiniteError naming its server.
         """
-        grads = self._grad(self.model,
-                           np.broadcast_to(self.w, (ids.size, 1, self.w.size)),
-                           self.federation.train[ids], self.scenario.alpha,
+        grads = self._grad(self.model, self.w, self.federation.train[ids],
+                           self.scenario.alpha,
                            context=lambda i: _ue_name((ids[i[0]], i[1])),
-                           theta=None if theta is None else theta[ids])
+                           states=states)
         self.mean_grad[ids] = mean = grads.mean(axis=1)
         self.refreshed.append((ids, mean))
         with np.errstate(over="ignore"):    # an overflow raises below
@@ -170,28 +170,36 @@ class RoundEngine:
                 (mean[:, None, :] @ mean[:, :, None])[:, 0, 0],
                 "squared gradient norm", lambda i: "es %d" % ids[i[0]], False)
 
-    def _evaluate(self):
+    def _evaluate(self, ids):
         """Training objective and held-out accuracy of the entering model.
 
         Loss is the global objective at the current global model: the mean
         over UEs of the base training loss at theta, the adapted point
         (personalized mode) or the global model itself (conventional
         mode).  Accuracy scores each UE's held-out shard at its theta;
-        task families without labels report accuracy 0.  Returns (loss,
-        accuracy, the (K, N, P) adapted points or None in "hfl" mode).
+        task families without labels report accuracy 0.  Every UE's
+        training logits are formed once at w and, in "hpfl" mode, once at
+        theta; of those forward states only the rows of the servers
+        ``ids`` are kept.  Returns (loss, accuracy, states), states being
+        ``(theta, state at w, state at theta)`` over the UEs of ``ids``,
+        with theta and its state None in "hfl" mode.
         """
         train, eval_ = self.federation.train, self.federation.eval
-        theta = None
+        theta = at_w = None
         if self.scenario.mode == "hpfl":
-            theta = meta.adapt(self.model, self.w, train, self.scenario.alpha,
-                               context=_ue_name)
+            theta, at_w = meta.adapt(self.model, self.w, train,
+                                     self.scenario.alpha, context=_ue_name,
+                                     keep=ids)
         at = self.w if theta is None else theta
-        losses = meta.plain_loss(self.model, at, train, context=_ue_name)
+        losses, kept = meta.plain_loss(self.model, at, train,
+                                       context=_ue_name, keep=ids)
         acc = 0.0
         if hasattr(eval_, "x"):
             pred = self.model.predict(at, eval_.x)
             acc = int(np.sum(pred == eval_.y)) / eval_.y.size
-        return float(np.mean(losses)), float(acc), theta
+        states = ((None, kept, None) if theta is None
+                  else (theta[ids], at_w, kept))
+        return float(np.mean(losses)), float(acc), states
 
     def run_round(self, forced_selection=None):
         """Advance the federation by one cloud round, append its record to
@@ -200,10 +208,11 @@ class RoundEngine:
         p = self.scenario
         k = p.k
         age = self.t - self.version
-        loss, acc, theta = self._evaluate()
         # the servers that received the entering model worked this round
         # (at t = 0, all of them)
-        self._refresh(np.flatnonzero(age == 0), theta)
+        ids = np.flatnonzero(age == 0)
+        loss, acc, states = self._evaluate(ids)
+        self._refresh(ids, states)
         ph = self.power * sample_channels(self.gain, p.seed, self.t)
         latencies = es_latency(self.tcmp_ue, tcom(
             p.z_bits, uplink_rate(self.price_share, ph, self.n0)))

@@ -40,10 +40,16 @@ def _check_finite(arr, what, context, vectors=True):
     raise NonFiniteError(f"non-finite {what}{where}")
 
 
-def adapt(model, w, shard, alpha, context=""):
-    """One-step adapted parameters theta = w - alpha * grad(w)."""
-    g = _check_finite(model.grad(w, shard), "adaptation gradient", context)
-    return w - alpha * g
+def adapt(model, w, shard, alpha, context="", keep=None):
+    """One-step adapted parameters theta = w - alpha * grad(w).
+
+    With ``keep`` it returns ``(theta, rows)``, the rows ``keep`` of the
+    forward state at w (see tasks.py).
+    """
+    out = model.grad(w, shard, keep=keep)
+    g = out if keep is None else out[0]
+    theta = w - alpha * _check_finite(g, "adaptation gradient", context)
+    return theta if keep is None else (theta, out[1])
 
 
 def meta_loss(model, w, shard, alpha, context=""):
@@ -53,37 +59,46 @@ def meta_loss(model, w, shard, alpha, context=""):
     return value
 
 
-def meta_grad(model, w, shard, alpha, context="", theta=None):
+def meta_grad(model, w, shard, alpha, context="", states=None):
     """Exact gradient of meta_loss via two gradients and one HVP.
 
-    A caller that already holds ``theta = adapt(model, w, shard, alpha)``
-    passes it; otherwise the adaptation gradient and the HVP share the
-    forward state at ``w`` (see tasks.py).
+    ``states`` is ``(theta, state at w, state at theta)`` over ``shard``,
+    as the round engine keeps them from its evaluation.  Without it the
+    adaptation gradient and the HVP share one forward state at ``w`` (see
+    tasks.py).
     """
-    state = None
-    if theta is None:
-        state = model.forward(w, shard)
-        g = model.grad(w, shard, state)
+    if states is None:
+        state_w = model.forward(w, shard)
+        g = model.grad(w, shard, state_w)
         theta = w - alpha * _check_finite(g, "adaptation gradient", context)
-    g2 = model.grad(theta, shard)
+        state_theta = None
+    else:
+        theta, state_w, state_theta = states
+    g2 = model.grad(theta, shard, state_theta)
     _check_finite(g2, "adapted-point gradient", context)
-    out = g2 - alpha * model.hvp(w, shard, g2, state)
+    out = g2 - alpha * model.hvp(w, shard, g2, state_w)
     _check_finite(out, "meta gradient", context)
     return out
 
 
-def plain_grad(model, w, shard, alpha=0.0, context="", theta=None):
-    """Conventional gradient, signature-compatible with meta_grad."""
-    g = model.grad(w, shard)
+def plain_grad(model, w, shard, alpha=0.0, context="", states=None):
+    """Conventional gradient, signature-compatible with meta_grad; of
+    ``states`` it reads the state at w."""
+    g = model.grad(w, shard, None if states is None else states[1])
     _check_finite(g, "gradient", context)
     return g
 
 
-def plain_loss(model, w, shard, alpha=0.0, context=""):
-    """Conventional loss, signature-compatible with meta_loss."""
-    value = model.loss(w, shard)
+def plain_loss(model, w, shard, alpha=0.0, context="", keep=None):
+    """Conventional loss, signature-compatible with meta_loss.
+
+    With ``keep`` it returns ``(loss, rows)``, the rows ``keep`` of the
+    forward state at w (see tasks.py).
+    """
+    out = model.loss(w, shard, keep=keep)
+    value = out if keep is None else out[0]
     _check_finite(value, "loss", context, vectors=False)
-    return value
+    return out
 
 
 def objective(mode):

@@ -179,11 +179,12 @@ def _validate(s):
 def load_scenario(path):
     """Read a scenario from JSON; empty file means all defaults."""
     with open(path) as fh:
-        text = fh.read().strip()
-    try:
-        raw = json.loads(text) if text else {}
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config is not valid JSON: %s" % exc)
+        try:
+            text = fh.read().strip()
+            raw = json.loads(text) if text else {}
+        # undecodable bytes, bad JSON or an integer too long to convert
+        except ValueError as exc:
+            raise ConfigError("config is not valid JSON: %s" % exc)
     if not isinstance(raw, dict):
         raise ConfigError("config root: must be a JSON object")
     known = {f.name for f in dataclasses.fields(Scenario)}

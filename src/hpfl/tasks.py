@@ -44,14 +44,19 @@ samples at once.  Its sums and means are plain NumPy reductions, and
 point share one forward pass, bit for bit.  The logistic state is the
 softmax ``p``; the MLP's is ``(w2, a1, s1, p)``, its output weights,
 activations, tanh slope ``1 - a1**2`` and softmax, so neither ``grad`` nor
-``hvp`` recomputes the slope.
+``hvp`` recomputes the slope.  Handed ``keep``, an index array on the
+first batch axis, ``loss`` and ``grad`` return ``(value, rows)``: rows is
+the state of ``shard[keep]`` copied out of the one they form (``None`` for
+the quadratic), and ``loss`` divides out the softmax on those rows only.
 
 Buffers: the kernels overwrite only arrays they made themselves.
 ``_softmax`` and ``_nll`` work in place on the fresh logits they are
 handed, ``grad`` subtracts the one-hot in place only from a state it made,
 and the logistic ``hvp`` turns its own logit change into the probability
-change.  A state passed in is never written: ``meta_grad`` and
-``estimate_constants`` hand one state to ``grad`` and then to ``hvp``.
+change.  A state passed in is never written: ``estimate_constants`` and
+``meta_grad`` hand one state at w to ``grad`` and then to ``hvp``, and the
+round engine hands the rows it kept from its evaluation, the state at w to
+``hvp`` and the state at theta to ``grad``.
 
 Memory layout: both classifiers' logits, and the logistic HVP's logit
 change, keep the logical shape ``(..., c, n)`` but are stored
@@ -158,6 +163,14 @@ def _slabs(z):
     return slabs.reshape(z.shape[-2], -1)
 
 
+def _rows(z, keep):
+    """A class-outermost copy of the rows ``z[keep]`` of a (..., c, n)
+    array.  ``np.take`` copies in C order, so _slabs of the rows is still
+    a view; ``z[keep]`` is not class-outermost, and a one-hot step through
+    _slabs would write into a copy."""
+    return _from_slabs(np.take(np.moveaxis(z, -2, 0), keep, axis=1))
+
+
 def _class_logits(weights, bias, x):
     """``weights @ x' + bias`` as (..., c, n) logits, class axis outermost.
 
@@ -200,13 +213,23 @@ def _softmax(z):
     return z
 
 
-def _nll(z, y):
+def _nll(z, y, keep=None):
     """Mean negative log-likelihood of labels y (..., n) under logits z,
-    which it overwrites."""
+    which it overwrites.
+
+    With ``keep`` it returns ``(nll, p)``, p the softmax rows ``keep`` on
+    the first batch axis: the exponentials and class sums of the
+    likelihood, divided on those rows only, so p is _softmax's, bit for bit.
+    """
     z -= z.max(axis=-2, keepdims=True)
     picked = _slabs(z).reshape(-1).take(_label_index(y)).reshape(y.shape)
-    log_norm = np.log(np.exp(z, out=z).sum(axis=-2))
-    return -(picked - log_norm).mean(axis=-1)
+    norm = np.exp(z, out=z).sum(axis=-2, keepdims=True)
+    nll = -(picked - np.log(norm[..., 0, :])).mean(axis=-1)
+    if keep is None:
+        return nll
+    p = _rows(z, keep)
+    p /= norm[keep]
+    return nll, p
 
 
 def _minus_onehot(p, y, out=None):
@@ -278,20 +301,26 @@ class LogisticModel:
         bias = np.zeros(c)
         return np.concatenate([weights, bias])
 
-    def loss(self, w, shard):
-        nll = _nll(self._logits(w, shard.x), shard.y)
-        return nll + 0.5 * self.l2 * _dot(w, w)
+    def loss(self, w, shard, keep=None):
+        z = self._logits(w, shard.x)
+        reg = 0.5 * self.l2 * _dot(w, w)
+        if keep is None:
+            return _nll(z, shard.y) + reg
+        nll, p = _nll(z, shard.y, keep)
+        return nll + reg, p
 
     def forward(self, w, shard):
         """The state: class-major softmax probabilities (..., c, n)."""
         return _softmax(self._logits(w, shard.x))
 
-    def grad(self, w, shard, state=None):
+    def grad(self, w, shard, state=None, keep=None):
         p = self.forward(w, shard) if state is None else state
+        rows = None if keep is None else _rows(p, keep)
         delta = _minus_onehot(p, shard.y, out=p if state is None else None)
         g_w = delta @ shard.x / shard.size
         g_b = delta.mean(axis=-1)
-        return _pack(g_b.shape[:-1], g_w, g_b) + self.l2 * w
+        g = _pack(g_b.shape[:-1], g_w, g_b) + self.l2 * w
+        return g if keep is None else (g, rows)
 
     def hvp(self, w, shard, v, state=None):
         p = self.forward(w, shard) if state is None else state
@@ -345,21 +374,34 @@ class MLPModel:
         np.tanh(a1, out=a1)
         return w2, a1, _class_logits(w2, b2, a1)
 
+    @staticmethod
+    def _state(w2, a1, p, keep=slice(None)):
+        """``(w2, a1, s1, p)`` of the rows ``keep``, p already those rows,
+        with the tanh slope ``s1 = 1 - a1**2``."""
+        a1 = a1[keep]
+        s1 = a1 * a1
+        np.subtract(1.0, s1, out=s1)
+        return w2 if w2.ndim == 2 else w2[keep], a1, s1, p
+
     def forward(self, w, shard):
         """The state ``(w2, a1, s1, p)``: output weights, activations, the
         tanh slope ``s1 = 1 - a1**2`` and the class-major softmax."""
         w2, a1, z2 = self._logits(w, shard.x)
-        s1 = a1 * a1
-        np.subtract(1.0, s1, out=s1)
-        return w2, a1, s1, _softmax(z2)
+        return self._state(w2, a1, _softmax(z2))
 
-    def loss(self, w, shard):
-        _, _, z2 = self._logits(w, shard.x)
-        return _nll(z2, shard.y) + 0.5 * self.l2 * _dot(w, w)
+    def loss(self, w, shard, keep=None):
+        w2, a1, z2 = self._logits(w, shard.x)
+        reg = 0.5 * self.l2 * _dot(w, w)
+        if keep is None:
+            return _nll(z2, shard.y) + reg
+        nll, p = _nll(z2, shard.y, keep)
+        return nll + reg, self._state(w2, a1, p, keep)
 
-    def grad(self, w, shard, state=None):
+    def grad(self, w, shard, state=None, keep=None):
         n = shard.size
         w2, a1, s1, p = self.forward(w, shard) if state is None else state
+        rows = None if keep is None else self._state(w2, a1, _rows(p, keep),
+                                                     keep)
         d2 = _minus_onehot(p, shard.y, out=p if state is None else None)
         g_w2 = d2 @ a1 / n
         g_b2 = d2.mean(axis=-1)
@@ -367,7 +409,8 @@ class MLPModel:
         d1 *= s1
         g_w1 = _t(d1) @ shard.x / n
         g_b1 = d1.mean(axis=-2)
-        return _pack(g_b1.shape[:-1], g_w1, g_b1, g_w2, g_b2) + self.l2 * w
+        g = _pack(g_b1.shape[:-1], g_w1, g_b1, g_w2, g_b2) + self.l2 * w
+        return g if keep is None else (g, rows)
 
     def hvp(self, w, shard, v, state=None):
         n = shard.size
@@ -422,15 +465,17 @@ class QuadraticModel:
     def _apply_q(shard, v):
         return (shard.q @ v[..., None])[..., 0]
 
-    def loss(self, w, shard):
+    def loss(self, w, shard, keep=None):
         r = w - shard.a
-        return 0.5 * _dot(r, self._apply_q(shard, r))
+        value = 0.5 * _dot(r, self._apply_q(shard, r))
+        return value if keep is None else (value, None)
 
     def forward(self, w, shard):
         return None
 
-    def grad(self, w, shard, state=None):
-        return self._apply_q(shard, w - shard.a)
+    def grad(self, w, shard, state=None, keep=None):
+        g = self._apply_q(shard, w - shard.a)
+        return g if keep is None else (g, None)
 
     def hvp(self, w, shard, v, state=None):
         return self._apply_q(shard, v)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hpfl
-from hpfl import cli, experiment, meta
+from hpfl import cli, experiment, hierarchy, meta
 from hpfl.bandwidth import InfeasibleAllocationError
 from hpfl.constants import bound_constants
 from hpfl.experiment import (
@@ -489,6 +489,32 @@ class TestCli:
                          "--out", str(tmp_path / "o")] + args)
         assert code == 2
         assert "config error: %s: " % field in capsys.readouterr().err
+
+    def test_a_value_error_from_a_defect_is_not_a_config_error(
+            self, tmp_path, monkeypatch):
+        """Exit 2 is for a ConfigError or an unreadable file: a NumPy
+        ValueError raised inside a round propagates with its traceback,
+        while a sweep range that gives no values still exits 2."""
+        def broken(self, ids):
+            raise ValueError("operands could not be broadcast together")
+        monkeypatch.setattr(hierarchy.RoundEngine, "_evaluate", broken)
+        with pytest.raises(ValueError, match="broadcast together"):
+            cli.main(["run", "--rounds", "1", "--out", str(tmp_path / "o")])
+        assert cli.main(["sweep", "--values", "0.8:0.4:0.1", "--out",
+                         str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize("raw", [
+        pytest.param(b"\xff\xfe{", id="undecodable"),
+        pytest.param(b'{"s_max": 1%s}' % (b"0" * 5000), id="5000-digit-int"),
+    ])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, raw):
+        """Bytes that do not decode, and an integer past Python's digit
+        limit for str-to-int conversion (where the limit exists), raise
+        ValueErrors that loading files as config errors."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize("command", ["run", "audit"])
     def test_overflowing_constant_exits_1_naming_it(self, tmp_path, capsys,

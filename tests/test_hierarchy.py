@@ -184,6 +184,67 @@ class TestRoundEngine:
                            match=r" at es %d ue %d$" % poisoned):
             eng.run_round()
 
+    @pytest.mark.parametrize("model", ["logistic", "mlp"])
+    def test_a_round_forms_each_training_state_once(self, model,
+                                                    monkeypatch):
+        """An hpfl round forms every UE's training logits once at w and
+        once at its theta, round 0 (every server refreshes) included: the
+        refresh reuses the evaluation's states and forms none."""
+        scn = Scenario(k=4, n_k=3, n_train=6, n_eval=5, model=model,
+                       hidden=4, s_max=2, a_max=2, rounds=0, seed=29)
+        eng = prepare(scn)
+        train, size = eng.federation.train, eng.model.n_params
+        cls = type(eng.model)
+        builder = cls._logits
+        formed = []
+
+        def recording(self, w, x):
+            formed.append((np.array(w), x.shape))
+            return builder(self, w, x)
+        monkeypatch.setattr(cls, "_logits", recording)
+        for _ in range(4):
+            w = eng.w
+            thetas = meta.adapt(eng.model, w, train,
+                                scn.alpha).reshape(-1, size)
+            formed.clear()
+            eng.run_round()
+            at_w = at_theta = 0
+            for point, shape in formed:
+                if shape[-2] != scn.n_train:    # the held-out shards
+                    continue
+                for ue in np.broadcast_to(point, shape[:-2] + (size,)
+                                          ).reshape(-1, size):
+                    at_w += np.array_equal(ue, w)
+                    at_theta += (ue == thetas).all(axis=1).any()
+            assert (at_w, at_theta) == (scn.k * scn.n_k, scn.k * scn.n_k)
+
+    @pytest.mark.parametrize("mode", ["hpfl", "hfl"])
+    @pytest.mark.parametrize("over,rtol", [
+        pytest.param({}, 0.0, id="logistic"),
+        pytest.param({"family": "quadratic"}, 0.0, id="quadratic"),
+        pytest.param({"model": "mlp", "hidden": 16}, 0.0, id="mlp16"),
+        pytest.param({"model": "mlp", "hidden": 32}, 1e-12, id="mlp32"),
+    ])
+    def test_refresh_equals_the_audits_gradient(self, mode, over, rtol):
+        """Each refresh's server means are the objective's gradient at
+        history[t] over the refreshed servers' UEs, as the audit computes
+        it afresh: bit for bit while the inner dimensions are short, and
+        within 1e-12 of the largest entry at hidden width 32, where the
+        one shared-point product over every UE may be blocked otherwise."""
+        scn = Scenario(mode=mode, rounds=0, seed=37, **over)
+        eng = prepare(scn)
+        for _ in range(6):
+            eng.run_round()
+        _, grad = meta.objective(mode)
+        train = eng.federation.train
+        assert len(eng.refreshed) == 6
+        for t, (ids, mean) in enumerate(eng.refreshed):
+            want = grad(eng.model, eng.history[t], train[ids],
+                        scn.alpha).mean(axis=1)
+            assert mean.shape == want.shape
+            err = np.abs(mean - want).max()
+            assert err <= rtol * np.abs(want).max(), (t, err)
+
     @pytest.mark.parametrize("mode", ["hpfl", "hfl"])
     def test_kernel_calls_per_round(self, mode, monkeypatch):
         """An hpfl round adapts once, for the evaluation and the refresh

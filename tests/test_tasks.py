@@ -116,6 +116,42 @@ def test_shared_forward_state_gives_the_same_bits(case):
         _assert_unchanged(inputs, before)
 
 
+def _states(state):
+    """A forward state as a tuple of arrays: the MLP's four, the logistic
+    softmax alone, or none for the quadratic."""
+    return () if state is None else state if isinstance(state, tuple) \
+        else (state,)
+
+
+@pytest.mark.parametrize("at", ["shared", "per-UE"])
+def test_kept_state_rows_give_the_bits_of_the_rows_shards(case, at):
+    """loss and grad handed ``keep`` return their plain value and the
+    forward state of shard[keep], bit for bit, at non-contiguous rows; its
+    softmax keeps the class-outermost layout, so grad and hvp from the
+    rows equal the calls on shard[keep] that form their own state."""
+    model, stack, w, per_ue, v = case
+    ids = np.array([0, 2])
+    point, rows_point = (w, w) if at == "shared" else (per_ue, per_ue[ids])
+    sub = stack[ids]
+    want = model.forward(rows_point, sub)
+    for method in ("loss", "grad"):
+        call = getattr(model, method)
+        value, rows = call(point, stack, keep=ids)
+        assert np.array_equal(value, call(point, stack))
+        assert len(_states(rows)) == len(_states(want))
+        for got, expected in zip(_states(rows), _states(want)):
+            assert np.array_equal(got, expected)
+        if rows is not None:
+            p = _states(rows)[-1]
+            assert np.moveaxis(p, -2, 0).flags.c_contiguous
+        before = _copies((rows,))
+        assert np.array_equal(model.grad(rows_point, sub, rows),
+                              model.grad(rows_point, sub))
+        assert np.array_equal(model.hvp(rows_point, sub, v[ids], rows),
+                              model.hvp(rows_point, sub, v[ids]))
+        _assert_unchanged((rows,), before)
+
+
 def test_predict_matches_per_ue_calls(case):
     model, stack, w, per_ue, _ = case
     if isinstance(stack, QuadraticTask):
