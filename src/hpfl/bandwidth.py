@@ -8,14 +8,15 @@ floor finishes early, and so does an ES whose links all sit there.
 
 A link's deadline bandwidth has a closed form through W_{-1}, the lower
 real solution of w e^w = z, found by Halley iteration to 1e-12 residual;
-each pricing call of a solve starts from the W_{-1} of the last.  progressive_fill solves the min-max KKT
-system by safeguarded Newton iteration and certifies its answer; an
-iteration does the floor's kink bookkeeping only when some link is at
-b_min or within _KINK of it, and otherwise steps on a smooth piece of
-every server's demand.  equal_split gives each of the L links B / L.
-Both read one AllocationProblem of (K, M+1) links in network's layout,
-each ES's own link last and every link uploading the same z bits, and
-price latencies with network.es_latency.
+each pricing call of a solve starts from the W_{-1} of the last.
+progressive_fill solves the min-max KKT system by safeguarded Newton
+iteration from a closed-form start under each rate's tangent, and
+certifies its answer; an iteration does the floor's kink bookkeeping
+only when some link is at b_min or within _KINK of it, and otherwise
+steps on a smooth piece of every server's demand.  equal_split gives
+each of the L links B / L.  Both read one AllocationProblem of (K, M+1)
+links in network's layout, each ES's own link last and every link
+uploading the same z bits, and price latencies with network.es_latency.
 """
 
 from collections import namedtuple
@@ -166,19 +167,39 @@ def equal_split(problem):
     return _result(problem, np.full(problem.ph.shape, _equal_share(problem)))
 
 
+def _rate_slope(problem, b):
+    """u / (1 + u) and r'(b) of each link at bandwidth b, with u = s / b the
+    SNR, s = p h / N0 and r(b) = b log2(1 + u) its rate."""
+    v = 1.0 / (1.0 + problem.n0 * b / problem.ph)
+    return v, (np.log1p(problem.ph / (problem.n0 * b)) - v) / LN2
+
+
 def _slopes(problem, b, tau, live):
     """b'(tau) and b''(tau) of the live links (every link if live is None),
     0 elsewhere.  With u = s / b and s = p h / N0, r(b) = b log2(1 + u) has
     r' = log2(1 + u) - u / ((1 + u) ln 2) and r'' = -u^2 / (b (1 + u)^2
     ln 2), and r(b(tau)) = z / tau gives b' = -z / (tau^2 r') and b'' = (2 z
     / tau^3 - r'' b'^2) / r'."""
-    n0, ph, z = problem.n0, problem.ph, problem.z
+    z = problem.z
     if live is not None:
         z, b, tau = z * live, np.where(live, b, 1.0), np.where(live, tau, 1.0)
-    v = 1.0 / (1.0 + n0 * b / ph)     # u / (1 + u)
-    r1 = (np.log1p(ph / (n0 * b)) - v) / LN2
+    v, r1 = _rate_slope(problem, b)
     d1 = -z / (tau * tau * r1)
     return d1, (2.0 * z / tau ** 3 + v * v / (b * LN2) * d1 * d1) / r1
+
+
+def _model_split(alpha_sum, beta, t_k, total):
+    """O and the G_k at which links needing alpha + beta / tau spend B, each
+    UE link of server k given G_k - t_k: server k splits O - t_k as sqrt(sum
+    beta_ue) : sqrt(beta_es), and O solves sum_k need_k / (O - t_k) = B -
+    sum alpha, need_k = (sqrt(sum beta_ue) + sqrt(beta_es))^2, to first
+    order in the spread of the t_k about their need-weighted mean."""
+    root_ue = np.sqrt(beta[:, :-1].sum(axis=1))
+    root_es = np.sqrt(beta[:, -1])
+    need = (root_ue + root_es) ** 2
+    need_sum = need.sum()
+    o = float((need * t_k).sum() / need_sum + need_sum / (total - alpha_sum))
+    return o, t_k + (o - t_k) * (root_ue / (root_ue + root_es))
 
 
 def _floor_masks(raw, floor, above, ue):
@@ -201,11 +222,15 @@ def progressive_fill(problem):
     prices all links in one deadline_bandwidth call over (K, M+1); only an
     iteration with a link within _KINK of b_min or below it runs the
     floor's bookkeeping (_floor_masks and the kink pieces), the others
-    sit on a smooth piece of every D_k.  Returns at a relative stationarity
-    residual <= 1e-10 with the demand within 5e-10 B below B, reporting
-    both; every server with a link above the floor finishes at O.  After
-    _MAX_ITER iterations it returns the latest iterate within B (the equal
-    split if there is none) and its residuals."""
+    sit on a smooth piece of every D_k.  The start is the min-max in
+    closed form with each link needing c / tau, c its bandwidth-time at the
+    equal share, solved again under each rate's tangent at its bandwidth
+    there unless some link gets tau <= 0 or the second solution fails.
+    Returns at a relative stationarity residual <= 1e-10 with the demand
+    within 5e-10 B below B, reporting both; every server with a link above
+    the floor finishes at O.  After _MAX_ITER iterations it returns the
+    latest iterate within B (the equal split if there is none) and its
+    residuals."""
     equal_share = _equal_share(problem)
     n0, total, b_min = problem.n0, problem.total_b, problem.b_min
     z, ph, t_ue = problem.z, problem.ph, problem.tcmp_ue
@@ -239,14 +264,22 @@ def progressive_fill(problem):
         return lo, hi
 
     # start where each link needs c / tau, c its bandwidth-time at the equal
-    # share: server k then splits O - t_k as sqrt(C_ue) : sqrt(c_es) and
-    # needs (sqrt(C_ue) + sqrt(c_es))^2 / (O - t_k)
-    root_ue = np.sqrt(equal_share * t_eq[:, :-1].sum(axis=1))
-    root_es = np.sqrt(equal_share * t_eq[:, -1])
-    need, t_k = (root_ue + root_es) ** 2, t_ue.max(axis=1)
-    need_sum = need.sum()
-    o = float((need * t_k).sum() / need_sum + need_sum / total)
-    g = t_k + (o - t_k) * (root_ue / (root_ue + root_es))
+    # share; then linearise each rate at that start's bandwidth b0, so that
+    # r(b) = z / tau gives b = alpha + beta / tau with beta = z / r'(b0) and
+    # alpha = b0 - r(b0) / r'(b0) = -b0 u / ((1 + u) r'(b0) ln 2), and solve
+    # again.  The c / tau start stays where a link has tau <= 0 (no b0), a
+    # value is not finite or the step's O is not above o_lo
+    c, t_k = equal_share * t_eq, t_ue.max(axis=1)
+    o, g = _model_split(0.0, c, t_k, total)
+    tau = np.concatenate([g[:, None] - t_ue, (o - g)[:, None]], axis=1)
+    if (tau > 0.0).all():
+        with np.errstate(all="ignore"):
+            b0 = c / tau
+            v, r1 = _rate_slope(problem, b0)
+            stepped = _model_split((-b0 * v / (LN2 * r1)).sum(), z / r1,
+                                   t_k, total)
+        if np.isfinite(stepped[1]).all() and stepped[0] > o_lo:
+            o, g = stepped
     if not o > o_lo:
         o = 0.5 * (o_lo + float(es_latency(t_ue, t_eq).max()))
     # with every link above its floor's kink, D_k is smooth in G_k up to

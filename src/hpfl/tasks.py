@@ -31,23 +31,26 @@ vector, ``predict`` one ``(..., n)`` label array.  Products are stacked
 shard makes, bit for bit, with one exception: at a shared point
 (parameters without batch axes) a classifier's logits are one product over
 every sample of every shard.  Each entry is the same dot over the inner
-dimension (``d``, or the MLP's hidden width), and while that is short
-(8 and 16 on x86-64 OpenBLAS) the bits are those of the stacked products;
-from 32 on, BLAS may block the long product differently, and entries can
-differ in the last bits (below 1e-15 of the largest logit at 32 and 64
-there).  The Hessian is never materialized.  Logits are class-major,
-``(..., c, n)``, so the softmax runs down the short class axis over all
-samples at once.  Its sums and means are plain NumPy reductions, and
-``predict`` takes the first class at the class max, as ``np.argmax`` does.
-``forward(w, shard)`` returns the state that ``grad`` and ``hvp`` build at
-``w`` unless handed it as ``state``, so a gradient and its HVPs at one
-point share one forward pass, bit for bit.  The logistic state is the
-softmax ``p``; the MLP's is ``(w2, a1, s1, p)``, its output weights,
-activations, tanh slope ``1 - a1**2`` and softmax, so neither ``grad`` nor
-``hvp`` recomputes the slope.  Handed ``keep``, an index array on the
-first batch axis, ``loss`` and ``grad`` return ``(value, rows)``: rows is
-the state of ``shard[keep]`` copied out of the one they form (``None`` for
-the quadratic), and ``loss`` divides out the softmax on those rows only.
+dimension (``d``, or the MLP's hidden width), and while that is short (8
+and 16 on x86-64 OpenBLAS) the bits are those of the stacked products,
+unless a shard holds one sample: the stacked products are then
+matrix-vector products, which BLAS sums in another order (2e-16 of the
+largest logit at ``d = 8``).  From 32 on, BLAS may block the long product
+differently, and entries can differ in the last bits (below 1e-15 of the
+largest logit at 32 and 64 there).  The Hessian is never materialized.
+Logits are class-major, ``(..., c, n)``, so the softmax runs down the
+short class axis over all samples at once.  Its sums and means are plain
+NumPy reductions, and ``predict`` takes the first class at the class max,
+as ``np.argmax`` does.  ``forward(w, shard)`` returns the state that
+``grad`` and ``hvp`` build at ``w`` unless handed it as ``state``, so a
+gradient and its HVPs at one point share one forward pass, bit for bit.
+The logistic state is the softmax ``p``; the MLP's is ``(w2, a1, s1, p)``,
+its output weights, activations, tanh slope ``1 - a1**2`` and softmax, so
+neither ``grad`` nor ``hvp`` recomputes the slope.  Handed ``keep``, an
+index array on the first batch axis, ``loss`` and ``grad`` return
+``(value, rows)``: rows is the state of ``shard[keep]`` copied out of the
+one they form (``None`` for the quadratic), and ``loss`` divides out the
+softmax on those rows only.
 
 Buffers: the kernels overwrite only arrays they made themselves.
 ``_softmax`` and ``_nll`` work in place on the fresh logits they are
@@ -183,7 +186,8 @@ def _class_logits(weights, bias, x):
     is one stacked product per batch entry, written into that layout, with
     the bits of the plain expression.  Each entry is the same length-d dot
     either way, but the one product's bits equal the stacked products'
-    only for short d (see the module docstring).
+    only for short d and more than one sample per shard (see the module
+    docstring).
     """
     c, n = weights.shape[-2], x.shape[-2]
     if weights.ndim == 2:

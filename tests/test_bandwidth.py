@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -425,6 +426,32 @@ def test_progressive_fill_certificate(problem):
     assert res.achieved_o <= equal_split(problem).achieved_o * (1.0 + 1e-9)
 
 
+def test_start_keeps_the_c_over_tau_model_where_a_link_has_no_time(
+        monkeypatch):
+    """Where the c / tau start gives a server G_k below its UEs' compute
+    time, so a UE link has tau <= 0 and no bandwidth to linearise at, the
+    solve takes no tangent step, warns of nothing and still certifies its
+    answer.  Here the fast server computes for 0.5 s and the start puts its
+    G_k near 0.4 s."""
+    splits, split = [], bandwidth._model_split
+
+    def recorded(*args):
+        splits.append(split(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(bandwidth, "_model_split", recorded)
+    problem = AllocationProblem(np.array([[0.0], [0.5]]), np.array(
+        [[1e-11, 1e-11], [1e-9, 1e-9]]), 1e6, N0, 5e6, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = progressive_fill(problem)
+    (_, g), = splits
+    assert np.any(g <= problem.tcmp_ue.max(axis=1))
+    assert 0.0 <= res.stationarity_residual <= 1e-10
+    assert 0.0 <= res.budget_residual <= 5e-10 * problem.total_b
+    assert res.achieved_o < equal_split(problem).achieved_o
+
+
 # (ESs, UEs per ES) of 2, 3 or 4 links
 FLOOR_LAYOUTS = [(1, 1), (1, 2), (2, 1)]
 
@@ -579,3 +606,17 @@ def test_each_newton_iteration_prices_the_links_once(monkeypatch, seed,
     for n_calls, work, n_groups in priced_solves(
             monkeypatch, Scenario(seed=seed, **fields)):
         assert n_calls * n_groups == work - 1
+
+
+@pytest.mark.parametrize("fields, seeds, bound", [
+    ({"rounds": 12}, range(4), 3.5),
+    ({"k": 50, "n_k": 20, "rounds": 5}, range(2), 4.5)], ids=["desk", "large"])
+def test_solves_take_about_three_newton_iterations(monkeypatch, fields,
+                                                   seeds, bound):
+    """The tangent-model start leaves about three Newton iterations a
+    solve: their mean, (work - 1) / K, stays within the bound on desk and
+    on k=50, n_k=20 (a count, so it does not depend on the machine)."""
+    iterations = [(work - 1) / n_groups for seed in seeds
+                  for _, work, n_groups in priced_solves(
+                      monkeypatch, Scenario(seed=seed, **fields))]
+    assert np.mean(iterations) <= bound
