@@ -49,17 +49,24 @@ its output weights, activations, tanh slope ``1 - a1**2`` and softmax, so
 neither ``grad`` nor ``hvp`` recomputes the slope.  Handed ``keep``, an
 index array on the first batch axis, ``loss`` and ``grad`` return
 ``(value, rows)``: rows is the state of ``shard[keep]`` copied out of the
-one they form (``None`` for the quadratic), and ``loss`` divides out the
-softmax on those rows only.
+one they form, or that state itself when keep is every row (``None`` for
+the quadratic), and ``loss`` divides out the softmax on those rows only.
 
-Buffers: the kernels overwrite only arrays they made themselves.
-``_softmax`` and ``_nll`` work in place on the fresh logits they are
-handed, ``grad`` subtracts the one-hot in place only from a state it made,
-and the logistic ``hvp`` turns its own logit change into the probability
-change.  A state passed in is never written: ``estimate_constants`` and
-``meta_grad`` hand one state at w to ``grad`` and then to ``hvp``, and the
-round engine hands the rows it kept from its evaluation, the state at w to
-``hvp`` and the state at theta to ``grad``.
+Buffers: the kernels overwrite only arrays they made themselves, and the
+logistic kernels make no logit-sized array they throw away.  ``_softmax``
+and ``_nll`` work in place on the fresh logits they are handed; handed
+every row, ``_nll`` divides those logits into the softmax it returns.
+``grad`` subtracts the one-hot in place only from a state it made and
+returns to no one, else from one copy.  The logistic ``hvp`` turns its own
+logit change into the probability change, and takes the class sum of
+``p * rp`` with one ``np.einsum`` over the class slabs, not from a product
+array.  Both logistic kernels finish in their own output
+(``_affine_grad``): the weight product divided in place, packed, and
+``l2 * w`` added to the packed vector.  A state passed in is never
+written: ``estimate_constants`` and ``meta_grad`` hand one state at w to
+``grad`` and then to ``hvp``, and the round engine hands the rows it kept
+from its evaluation, the state at w to ``hvp`` and the state at theta to
+``grad``.
 
 Memory layout: both classifiers' logits, and the logistic HVP's logit
 change, keep the logical shape ``(..., c, n)`` but are stored
@@ -166,11 +173,19 @@ def _slabs(z):
     return slabs.reshape(z.shape[-2], -1)
 
 
+def _every_row(keep, n):
+    """True when the index array ``keep`` is every row 0, ..., n - 1."""
+    return len(keep) == n and np.array_equal(keep, np.arange(n))
+
+
 def _rows(z, keep):
-    """A class-outermost copy of the rows ``z[keep]`` of a (..., c, n)
-    array.  ``np.take`` copies in C order, so _slabs of the rows is still
-    a view; ``z[keep]`` is not class-outermost, and a one-hot step through
-    _slabs would write into a copy."""
+    """The rows ``z[keep]`` of a (..., c, n) array, class-outermost: z
+    itself when keep is every row, else a copy.  ``np.take`` copies in C
+    order, so _slabs of the rows is still a view; ``z[keep]`` is not
+    class-outermost, and a one-hot step through _slabs would write into a
+    copy."""
+    if _every_row(keep, len(z)):
+        return z
     return _from_slabs(np.take(np.moveaxis(z, -2, 0), keep, axis=1))
 
 
@@ -203,6 +218,18 @@ def _class_logits(weights, bias, x):
     return z
 
 
+def _affine_grad(dz, x, l2, w):
+    """The flat (..., P) gradient of an affine layer's weights and bias
+    from its class-major logit gradient dz (..., c, n) and inputs x
+    (..., n, d), mean over the samples, plus ``l2 * w``; each step writes
+    into the array the one before made."""
+    g_w = dz @ x
+    g_w /= x.shape[-2]
+    g = _pack(g_w.shape[:-2], g_w, dz.mean(axis=-1))
+    g += l2 * w
+    return g
+
+
 def _label_index(y):
     """Flat index of each sample's label class in the (c, y.size) class
     slabs of its logits."""
@@ -223,7 +250,8 @@ def _nll(z, y, keep=None):
 
     With ``keep`` it returns ``(nll, p)``, p the softmax rows ``keep`` on
     the first batch axis: the exponentials and class sums of the
-    likelihood, divided on those rows only, so p is _softmax's, bit for bit.
+    likelihood, divided on those rows only (in z itself when keep is every
+    row), so p is _softmax's, bit for bit.
     """
     z -= z.max(axis=-2, keepdims=True)
     picked = _slabs(z).reshape(-1).take(_label_index(y)).reshape(y.shape)
@@ -232,7 +260,7 @@ def _nll(z, y, keep=None):
     if keep is None:
         return nll
     p = _rows(z, keep)
-    p /= norm[keep]
+    p /= norm if p is z else norm[keep]
     return nll, p
 
 
@@ -320,20 +348,22 @@ class LogisticModel:
     def grad(self, w, shard, state=None, keep=None):
         p = self.forward(w, shard) if state is None else state
         rows = None if keep is None else _rows(p, keep)
-        delta = _minus_onehot(p, shard.y, out=p if state is None else None)
-        g_w = delta @ shard.x / shard.size
-        g_b = delta.mean(axis=-1)
-        g = _pack(g_b.shape[:-1], g_w, g_b) + self.l2 * w
+        # p is written only if this call made it and the rows are a copy
+        own = state is None and rows is not p
+        delta = _minus_onehot(p, shard.y, out=p if own else None)
+        g = _affine_grad(delta, shard.x, self.l2, w)
         return g if keep is None else (g, rows)
 
     def hvp(self, w, shard, v, state=None):
         p = self.forward(w, shard) if state is None else state
         rp = self._logits(v, shard.x)   # the logits are linear in w
-        rp -= (p * rp).sum(axis=-2, keepdims=True)
+        slabs = _slabs(rp)
+        # the class sum of p * rp without the product array: einsum adds the
+        # slabs' products in class order, as sum() adds down the outermost
+        # axis, so the bits are the same
+        slabs -= np.einsum("ij,ij->j", _slabs(p), slabs)
         rp *= p
-        h_w = rp @ shard.x / shard.size
-        h_b = rp.mean(axis=-1)
-        return _pack(h_b.shape[:-1], h_w, h_b) + self.l2 * v
+        return _affine_grad(rp, shard.x, self.l2, v)
 
     def predict(self, w, x):
         return _class_argmax(self._logits(w, x))
@@ -379,13 +409,16 @@ class MLPModel:
         return w2, a1, _class_logits(w2, b2, a1)
 
     @staticmethod
-    def _state(w2, a1, p, keep=slice(None)):
-        """``(w2, a1, s1, p)`` of the rows ``keep``, p already those rows,
-        with the tanh slope ``s1 = 1 - a1**2``."""
-        a1 = a1[keep]
+    def _state(w2, a1, p, keep=None):
+        """``(w2, a1, s1, p)`` of the rows ``keep`` (all when None or every
+        row, as views), p already those rows, with the tanh slope
+        ``s1 = 1 - a1**2``."""
+        if keep is not None and not _every_row(keep, len(a1)):
+            a1 = a1[keep]
+            w2 = w2 if w2.ndim == 2 else w2[keep]
         s1 = a1 * a1
         np.subtract(1.0, s1, out=s1)
-        return w2 if w2.ndim == 2 else w2[keep], a1, s1, p
+        return w2, a1, s1, p
 
     def forward(self, w, shard):
         """The state ``(w2, a1, s1, p)``: output weights, activations, the
@@ -404,9 +437,12 @@ class MLPModel:
     def grad(self, w, shard, state=None, keep=None):
         n = shard.size
         w2, a1, s1, p = self.forward(w, shard) if state is None else state
-        rows = None if keep is None else self._state(w2, a1, _rows(p, keep),
-                                                     keep)
-        d2 = _minus_onehot(p, shard.y, out=p if state is None else None)
+        kept = None if keep is None else _rows(p, keep)
+        rows = (None if keep is None else (w2, a1, s1, p) if kept is p
+                else self._state(w2, a1, kept, keep))
+        # p is written only if this call made it and the rows are a copy
+        own = state is None and kept is not p
+        d2 = _minus_onehot(p, shard.y, out=p if own else None)
         g_w2 = d2 @ a1 / n
         g_b2 = d2.mean(axis=-1)
         d1 = _t(d2) @ w2
@@ -499,9 +535,13 @@ def _empty_shard(k, n_k, n_samples, dim):
 
 
 def _sample_into(rng, means, labels, noise, shard):
-    """Fill one UE's shard view with samples of its labels, in place."""
+    """Fill one UE's shard view with samples of its labels, in place: the
+    normal draws go straight into the view, then are scaled and shifted
+    there, the values of ``means[y] + noise * z`` from the same draws."""
     shard.y[...] = labels[rng.integers(0, len(labels), size=shard.size)]
-    shard.x[...] = means[shard.y] + noise * rng.standard_normal(shard.x.shape)
+    x = rng.standard_normal(out=shard.x)
+    x *= noise
+    x += means[shard.y]
 
 
 def build_classification_federation(rng, k, n_k, l, n_classes, dim,

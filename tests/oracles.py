@@ -3,7 +3,8 @@
 No run calls these: the allocator prices links with the broadcast
 ``bandwidth.deadline_bandwidth``, the scheduler applies its threshold
 inline and ranks its cap in one sort, the estimator reuses one difference
-buffer, the audit reuses the run's refreshed gradients and
+buffer, the logistic HVP sums the classes without the product array, the
+audit reuses the run's refreshed gradients and
 ``sample_topology`` prices the path loss once, as the gain array that
 ``prepare`` hands the engine.  They stay here as slow, obviously correct
 oracles.
@@ -15,6 +16,7 @@ from hpfl import bandwidth
 from hpfl.bandwidth import InfeasibleAllocationError
 from hpfl.network import LN2, db_to_linear, tcom, uplink_rate
 from hpfl.scheduler import net_scores
+from hpfl.tasks import _pack
 
 
 def power_limited_rate(p, h, n0):
@@ -143,6 +145,17 @@ def estimator_maxima(grads, hvps, dists):
     hess_div = float(np.sqrt(((hvps - hvps.mean(axis=2, keepdims=True)) ** 2)
                              .sum(axis=3).mean(axis=2).max()))
     return grad_lip, grad_max, hess_lip, grad_div, hess_div
+
+
+def product_class_sum_hvp(model, w, shard, v, p):
+    """``LogisticModel.hvp`` at w handed the state p, its class sum taken
+    as ``(p * rp).sum(axis=-2)`` over the whole product array."""
+    rp = model._logits(v, shard.x)
+    rp -= (p * rp).sum(axis=-2, keepdims=True)
+    rp *= p
+    h_w = rp @ shard.x / shard.size
+    h_b = rp.mean(axis=-1)
+    return _pack(h_b.shape[:-1], h_w, h_b) + model.l2 * v
 
 
 def full_federation_grad_norms_sq(engine, versions, grad):

@@ -5,7 +5,9 @@ import pytest
 
 from hpfl.constants import (EstimationError, _maxima, bound_constants,
                             estimate_constants)
+from hpfl.experiment import prepare
 from hpfl.meta import NonFiniteError
+from hpfl.scenario import Scenario
 from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
                         QuadraticTask, TaskShard)
 from oracles import estimator_maxima
@@ -103,6 +105,31 @@ def test_buffered_maxima_skip_a_pair_closer_than_1e_12():
     grad_lip, _, hess_lip, _, _ = _assert_maxima_match_the_oracle(
         grads, hvps, dists)
     assert grad_lip < 1e3 and hess_lip < 1e3
+
+
+# the seven constants of the k=50, n_k=20 federation, seeds 1 and 2, as
+# recorded before the logistic kernels' buffers changed
+LARGE_CONSTANTS = {
+    1: {"grad_lip": 3.476128909762352, "grad_max": 7.357636456815524,
+        "hess_lip": 3.6545508725777425, "grad_div": 4.158353526897239,
+        "hess_div": 1.8346131337020213, "meta_lip": 14.711181341050356,
+        "meta_div_sq": 3320.537538062392},
+    2: {"grad_lip": 4.3235609992567445, "grad_max": 8.439762968889472,
+        "hess_lip": 4.439562092953244, "grad_div": 4.313475185873831,
+        "hess_div": 2.0491289660636074, "meta_lip": 18.418309549532744,
+        "meta_div_sq": 3573.1726281742845},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LARGE_CONSTANTS))
+def test_large_federation_constants_keep_their_bits(seed):
+    """estimate_constants on the 1,000-UE federation of the large benchmark
+    workload gives the recorded floats exactly; no golden scenario has more
+    than 80 UEs.  The figures are those of OpenBLAS's Haswell and SkylakeX
+    kernels; its generic Prescott kernels move grad_lip at seed 1 by one
+    unit in the last place."""
+    engine = prepare(Scenario(seed=seed, k=50, n_k=20, rounds=20))
+    assert engine.constants.to_dict() == LARGE_CONSTANTS[seed]
 
 
 @pytest.mark.parametrize("alpha", [1e300, 1e200])

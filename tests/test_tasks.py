@@ -1,5 +1,7 @@
 """Batched model calls agree with per-UE calls; the federation is stored once."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from hpfl.experiment import prepare
 from hpfl.scenario import Scenario
 from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
                         QuadraticTask, TaskShard, _class_argmax,
-                        _class_logits, _from_slabs, _minus_onehot, _t)
+                        _class_logits, _from_slabs, _minus_onehot, _rows,
+                        _t, build_classification_federation)
+from oracles import product_class_sum_hvp
 
 K, N, SAMPLES, DIM, CLASSES = 3, 4, 6, 5, 4
 
@@ -129,8 +133,25 @@ def test_kept_state_rows_give_the_bits_of_the_rows_shards(case, at):
     forward state of shard[keep], bit for bit, at non-contiguous rows; its
     softmax keeps the class-outermost layout, so grad and hvp from the
     rows equal the calls on shard[keep] that form their own state."""
+    _assert_kept_rows(case, at, np.array([0, 2]))
+
+
+@pytest.mark.parametrize("at", ["shared", "per-UE"])
+def test_keeping_every_row_keeps_the_state_itself(case, at):
+    """With every row kept, as at round 0 or under full selection, loss
+    and grad hand back the state they formed instead of a copy of its
+    rows, and the values and states keep their bits: grad's one-hot step
+    does not reach the rows it returns."""
+    _assert_kept_rows(case, at, np.arange(K))
+    model, stack, w, per_ue, _ = case
+    point = w if at == "shared" else per_ue
+    state = model.forward(point, stack)
+    _, rows = model.grad(point, stack, state, keep=np.arange(K))
+    assert all(a is b for a, b in zip(_states(rows), _states(state)))
+
+
+def _assert_kept_rows(case, at, ids):
     model, stack, w, per_ue, v = case
-    ids = np.array([0, 2])
     point, rows_point = (w, w) if at == "shared" else (per_ue, per_ue[ids])
     sub = stack[ids]
     want = model.forward(rows_point, sub)
@@ -480,3 +501,64 @@ def test_mlp_output_layer_matches_the_row_major_reference(classes, samples):
     _assert_close(model.grad(w, shard)[-w2.size - b2.size:],
                   np.concatenate([g_w2.ravel(), g_b2]))
     np.testing.assert_array_equal(model.predict(w, shard.x), labels)
+
+
+def _large_federation():
+    """Model, training stack and shared point of a k=50, n_k=20 run: logits
+    (50, 20, 10, 32), the estimator's shape."""
+    scn = Scenario(k=50, n_k=20)
+    rng = np.random.default_rng(67)
+    train = build_classification_federation(
+        rng, scn.k, scn.n_k, scn.labels_per_ue, scn.n_classes, scn.dim,
+        scn.n_train, scn.n_eval, scn.separation, scn.noise).train
+    model = LogisticModel(scn.dim, scn.n_classes, l2=scn.l2)
+    return model, train, model.init_params(rng), rng
+
+
+@pytest.mark.parametrize("ids", [np.arange(50), np.array([4, 17, 38])],
+                         ids=["setup", "refresh"])
+@pytest.mark.parametrize("at", ["shared", "per_ue"])
+@pytest.mark.parametrize("state", ["forward", "rows"])
+def test_logistic_hvp_class_sum_has_the_bits_of_the_product(ids, at, state):
+    """hvp's class sum without the product array equals ``(p * rp).sum``
+    bit for bit, on the (50, 20, 10, 32) logits of the estimator and the
+    (3, 20, 10, 32) rows of a refresh, with the state from forward on the
+    rows' shards or copied out of the whole stack's by _rows."""
+    model, train, w, rng = _large_federation()
+    point = w if at == "shared" else \
+        w + 0.3 * rng.standard_normal(train.batch_shape + w.shape)
+    v = rng.standard_normal(point.shape)
+    sub, sub_point, sub_v = train[ids], point, v
+    if at == "per_ue":
+        sub_point, sub_v = point[ids], v[ids]
+    p = (model.forward(sub_point, sub) if state == "forward"
+         else _rows(model.forward(point, train), ids))
+    assert p.shape == (len(ids), 20, 10, 32)
+    np.testing.assert_array_equal(
+        model.hvp(sub_point, sub, sub_v, p),
+        product_class_sum_hvp(model, sub_point, sub, sub_v, p))
+
+
+def _traced_peak(call):
+    """Bytes the call holds at its peak beyond what was held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel", ["hvp", "grad"])
+def test_logistic_kernels_hold_under_two_logit_arrays(kernel):
+    """On the estimator's (50, 20, 10, 32) logits, one hvp or grad call
+    handed a state peaks below 1.75 logit arrays: the logit change or the
+    one-hot difference it must make, the (..., c, d) product and the packed
+    result, and no product or quotient of logit size besides."""
+    model, train, w, rng = _large_federation()
+    state = model.forward(w, train)
+    v = rng.standard_normal(w.shape)
+    call = {"hvp": lambda: model.hvp(w, train, v, state),
+            "grad": lambda: model.grad(w, train, state)}[kernel]
+    assert _traced_peak(call) < 1.75 * state.nbytes
