@@ -194,8 +194,8 @@ class RoundEngine:
         losses, kept = meta.plain_loss(self.model, at, train,
                                        context=_ue_name, keep=ids)
         acc = 0.0
-        if hasattr(eval_, "x"):
-            pred = self.model.predict(at, eval_.x)
+        if hasattr(eval_, "x1"):
+            pred = self.model.predict(at, eval_.x1)
             acc = int(np.sum(pred == eval_.y)) / eval_.y.size
         states = ((None, kept, None) if theta is None
                   else (theta[ids], at_w, kept))

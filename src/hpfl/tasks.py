@@ -11,9 +11,11 @@ Two task families are provided:
   closed-form reference is wanted.
 
 Data layout: a federation of K edge servers with N UEs each is stored
-stacked, server-major.  Classification features are one ``(K, N, n, d)``
-array and labels one ``(K, N, n)`` array; the quadratic family stacks
-``q`` as ``(K, N, d, d)`` and ``a`` as ``(K, N, d)``.  Indexing a stack,
+stacked, server-major.  Classification features are one ``(K, N, n, d + 1)``
+array ``x1``, each sample's d features beside a trailing column of exact
+ones, and a shard's ``x`` is the view of its first d columns; labels are
+one ``(K, N, n)`` array.  The quadratic family stacks ``q`` as
+``(K, N, d, d)`` and ``a`` as ``(K, N, d)``.  Indexing a stack,
 ``federation.train[k, j]``, gives UE j of server k as views, never copies.
 A quadratic shard has no samples; its ``size`` is ``dim``, the stand-in
 sample count that the engine turns into compute bits and so into latency.
@@ -26,18 +28,25 @@ must broadcast to the shard's, so one call evaluates every UE at a shared
 point, each UE at its own point or each server's point over its UEs; a
 single shard at a single point is the case with no batch axes.  ``loss``
 returns one value per batch entry, ``grad`` and ``hvp`` one ``(..., P)``
-vector, ``predict`` one ``(..., n)`` label array.  Products are stacked
+vector, ``predict`` one ``(..., n)`` label array; ``predict(w, x)`` takes
+plain features or ``x1``.  Products are stacked
 ``np.matmul`` calls, so each UE's result is the same BLAS call a single
 shard makes, bit for bit, with one exception: at a shared point
 (parameters without batch axes) a classifier's logits are one product over
 every sample of every shard.  Each entry is the same dot over the inner
-dimension (``d``, or the MLP's hidden width), and while that is short (8
-and 16 on x86-64 OpenBLAS) the bits are those of the stacked products,
-unless a shard holds one sample: the stacked products are then
-matrix-vector products, which BLAS sums in another order (2e-16 of the
-largest logit at ``d = 8``).  From 32 on, BLAS may block the long product
+dimension (``d + 1`` for the logistic logits, the hidden width for the
+MLP's), and while that is short (``d = 8``, hidden 8 and 16, on x86-64
+OpenBLAS) the bits are those of the stacked products, unless a shard
+holds one sample: the stacked products are then matrix-vector products,
+which BLAS sums in another order (2e-16 of the largest logit at
+``d = 8``).  From 32 on, BLAS may block the long product
 differently, and entries can differ in the last bits (below 1e-15 of the
-largest logit at 32 and 64 there).  The Hessian is never materialized.
+largest logit at 32 and 64 there).  The one product is made in column
+blocks whose m·n·k stays below 2^18 (``_shared_product``), the size up to
+which OpenBLAS keeps a GEMM on one thread: split across threads, a GEMM
+changes its bits under OpenBLAS's Haswell and Prescott kernels, so the
+blocks give the same bits on any thread count, and each entry is the same
+dot as in one product.  The Hessian is never materialized.
 Logits are class-major, ``(..., c, n)``, so the softmax runs down the
 short class axis over all samples at once.  Its sums and means are plain
 NumPy reductions, and ``predict`` takes the first class at the class max,
@@ -52,6 +61,21 @@ index array on the first batch axis, ``loss`` and ``grad`` return
 one they form, or that state itself when keep is every row (``None`` for
 the quadratic), and ``loss`` divides out the softmax on those rows only.
 
+Biases: each input-layer product takes its bias inside the GEMM, as the
+last column of the weights against the ones column of ``x1``: the logistic
+logits are ``[W | b] @ x1'``, the MLP's activations ``x1 @ [w1 | b1]'``
+and its HVP's activation change ``x1 @ [v1 | vb1]'``, and the MLP's
+hidden-bias gradient and HVP come out of the weight products
+``d1' @ x1`` as their last column.  The added term is ``b * 1.0``, exact,
+and BLAS's loop over the inner dimension and NumPy's mean down the sample
+axis both add in order, so the bits are those of a separate bias pass
+under OpenBLAS's SkylakeX, Haswell and Prescott kernels (checked at d = 8
+and 20, hidden 8 to 32).  At d = 33 and 64 the SkylakeX kernels sum the
+longer dot in another order, and logistic outputs move by about 1e-15
+relative.  The output layer keeps its bias passes: ``b2`` and ``vb2`` are
+added after their products, and the output-bias gradients stay means
+along the contiguous sample axis, which NumPy sums pairwise.
+
 Buffers: the kernels overwrite only arrays they made themselves, and the
 logistic kernels make no logit-sized array they throw away.  ``_softmax``
 and ``_nll`` work in place on the fresh logits they are handed; handed
@@ -60,17 +84,19 @@ every row, ``_nll`` divides those logits into the softmax it returns.
 returns to no one, else from one copy.  The logistic ``hvp`` turns its own
 logit change into the probability change, and takes the class sum of
 ``p * rp`` with one ``np.einsum`` over the class slabs, not from a product
-array.  Both logistic kernels finish in their own output
-(``_affine_grad``): the weight product divided in place, packed, and
-``l2 * w`` added to the packed vector.  A state passed in is never
-written: ``estimate_constants`` and ``meta_grad`` hand one state at w to
-``grad`` and then to ``hvp``, and the round engine hands the rows it kept
-from its evaluation, the state at w to ``hvp`` and the state at theta to
-``grad``.
+array; the MLP ``hvp`` builds its logit change class-outermost from
+stacked products and takes its class sum the same way.  Both logistic
+kernels finish in their own output (``_affine_grad``): the weight product
+divided in place, packed, and ``l2 * w`` added to the packed vector; the
+MLP kernels divide their hidden-layer products in place.  A state passed
+in is never written: ``estimate_constants`` and ``meta_grad`` hand one
+state at w to ``grad`` and then to ``hvp``, and the round engine hands the
+rows it kept from its evaluation, the state at w to ``hvp`` and the state
+at theta to ``grad``.
 
-Memory layout: both classifiers' logits, and the logistic HVP's logit
-change, keep the logical shape ``(..., c, n)`` but are stored
-class-outermost, as ``(c, ..., n)`` in C order (``_class_logits``); so are
+Memory layout: both classifiers' logits, and both HVPs' logit changes,
+keep the logical shape ``(..., c, n)`` but are stored class-outermost, as
+``(c, ..., n)`` in C order (``_class_logits``); so are
 the softmax states and one-hot differences made from them.  Each class
 max, class sum, label pick, one-hot step and, on wide slabs, the class
 argmax then runs over whole contiguous slabs, one class of every UE and
@@ -89,23 +115,34 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TaskShard:
-    """Classification samples: features x (..., n, d), labels y (..., n)."""
+    """Classification samples: features x (..., n, d), labels y (..., n).
+
+    x1 (..., n, d + 1) holds the features beside a trailing ones column,
+    and x is always the view of its first d columns.  Handed x alone, as a
+    shard built by hand is, the constructor copies it into a new x1.
+    """
 
     x: np.ndarray
     y: np.ndarray
+    x1: np.ndarray = None
+
+    def __post_init__(self):
+        x1 = _with_ones(self.x) if self.x1 is None else self.x1
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x", x1[..., :-1])
 
     @property
     def size(self):
         """Samples per shard."""
-        return self.x.shape[-2]
+        return self.x1.shape[-2]
 
     @property
     def batch_shape(self):
-        return self.x.shape[:-2]
+        return self.x1.shape[:-2]
 
     def __getitem__(self, idx):
         """The shards at ``idx`` on the batch axes; views for basic indices."""
-        return TaskShard(x=self.x[idx], y=self.y[idx])
+        return TaskShard(x=None, y=self.y[idx], x1=self.x1[idx])
 
 
 @dataclass(frozen=True)
@@ -189,32 +226,84 @@ def _rows(z, keep):
     return _from_slabs(np.take(np.moveaxis(z, -2, 0), keep, axis=1))
 
 
+def _with_ones(x, d=None):
+    """Features x (..., n, d) copied beside a trailing ones column, as
+    (..., n, d + 1); x itself when it already has d + 1 columns."""
+    if d is not None and x.shape[-1] == d + 1:
+        return x
+    x1 = np.ones(x.shape[:-1] + (x.shape[-1] + 1,))
+    x1[..., :-1] = x
+    return x1
+
+
+def _beside(w, b):
+    """``[w | b]`` (..., m, d + 1): weights (..., m, d) with their bias
+    (..., m) as the last column, the matrix that multiplies features beside
+    their ones column."""
+    return np.concatenate([w, b[..., None]], axis=-1)
+
+
+# OpenBLAS runs a GEMM on one thread while m·n·k stays at or below 2^18
+_ONE_THREAD_MNK = 2 ** 18
+
+
+def _shared_product(weights, x):
+    """``weights @ x.reshape(-1, k)'`` (c, M) for weights (c, k) and x
+    (..., n, k), in column blocks of near-equal width whose m·n·k stays
+    below 2^18, so that OpenBLAS runs each on one thread and no thread
+    count changes a bit.  Each entry is the same length-k dot as in one
+    product.  While c·k stays below 2^16 no block is one column, which
+    would be a matrix-vector call, unless the whole product is."""
+    flat = x.reshape(-1, x.shape[-1])
+    width = max(1, (_ONE_THREAD_MNK - 1) // weights.size)
+    if len(flat) <= width:
+        return np.matmul(weights, flat.T)
+    out = np.empty((len(weights), len(flat)))
+    blocks = -(-len(flat) // width)
+    edges = np.arange(blocks + 1) * len(flat) // blocks
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        np.matmul(weights, flat[lo:hi].T, out=out[:, lo:hi])
+    return out
+
+
+def _stacked_logits(weights, x):
+    """``weights @ x'`` (..., c, n), one stacked product per batch entry of
+    x, written class-outermost, as (c, ..., n) in C order."""
+    out = np.empty(weights.shape[-2:-1] + x.shape[:-1])
+    return np.matmul(weights, _t(x), out=_from_slabs(out))
+
+
+def _add_class_bias(z, bias):
+    """``z += bias[..., :, None]`` on class-outermost logits z (..., c, n),
+    in storage order, (c, ..., 1) against (c, ..., n)."""
+    bias = bias.reshape((1,) * (z.ndim - 1 - bias.ndim) + bias.shape + (1,))
+    storage = np.moveaxis(z, -2, 0)
+    storage += np.moveaxis(bias, -2, 0)
+
+
 def _class_logits(weights, bias, x):
     """``weights @ x' + bias`` as (..., c, n) logits, class axis outermost.
 
-    weights is (..., c, d) and bias (..., c), their batch axes broadcasting
-    to those of x (..., n, d).  The result has the logical shape of the
-    plain expression, but it is laid out as (c, ..., n), so a reduction
-    down the classes runs over whole contiguous slabs.  At a shared point
-    (weights without batch axes) it is one product over every sample,
-    ``weights @ x.reshape(-1, d)'``, which is already (c, ..., n); else it
-    is one stacked product per batch entry, written into that layout, with
-    the bits of the plain expression.  Each entry is the same length-d dot
+    weights is (..., c, k) and bias (..., c) or None, their batch axes
+    broadcasting to those of x (..., n, k).  The result has the logical
+    shape of the plain expression, but it is laid out as (c, ..., n), so a
+    reduction down the classes runs over whole contiguous slabs.  At a
+    shared point (weights without batch axes) it is one product over every
+    sample (_shared_product), which is already (c, ..., n); else it is one
+    stacked product per batch entry, written into that layout, with the
+    bits of the plain expression.  Each entry is the same length-k dot
     either way, but the one product's bits equal the stacked products'
-    only for short d and more than one sample per shard (see the module
+    only for short k and more than one sample per shard (see the module
     docstring).
     """
-    c, n = weights.shape[-2], x.shape[-2]
     if weights.ndim == 2:
-        out = weights @ x.reshape(-1, x.shape[-1]).T
-        out += bias[:, None]
-        return _from_slabs(out.reshape((c,) + x.shape[:-2] + (n,)))
-    nb = x.ndim - 2
-    out = np.empty((c,) + x.shape[:-2] + (n,))
-    z = np.matmul(weights, _t(x), out=_from_slabs(out))
-    # add the bias in storage order, (c, ..., 1) against (c, ..., n)
-    bias = bias.reshape((1,) * (nb + 1 - bias.ndim) + bias.shape + (1,))
-    out += bias.transpose((nb,) + tuple(range(nb)) + (nb + 1,))
+        out = _shared_product(weights, x)
+        if bias is not None:
+            out += bias[:, None]
+        return _from_slabs(out.reshape(weights.shape[:1] + x.shape[:-1]))
+    z = _stacked_logits(weights, x)
+    if bias is not None:
+        _add_class_bias(z, bias)
     return z
 
 
@@ -324,8 +413,10 @@ class LogisticModel:
         return w[..., :c * d].reshape(w.shape[:-1] + (c, d)), w[..., c * d:]
 
     def _logits(self, w, x):
-        """Class-major logits (..., c, n), class axis outermost in memory."""
-        return _class_logits(*self._unpack(w), x)
+        """Class-major logits (..., c, n), class axis outermost in memory:
+        ``[W | b] @ x1'``, x1 the features beside their ones column."""
+        return _class_logits(_beside(*self._unpack(w)), None,
+                             _with_ones(x, self.dim))
 
     def init_params(self, rng, scale=1.0):
         c, d = self.n_classes, self.dim
@@ -334,7 +425,7 @@ class LogisticModel:
         return np.concatenate([weights, bias])
 
     def loss(self, w, shard, keep=None):
-        z = self._logits(w, shard.x)
+        z = self._logits(w, shard.x1)
         reg = 0.5 * self.l2 * _dot(w, w)
         if keep is None:
             return _nll(z, shard.y) + reg
@@ -343,7 +434,7 @@ class LogisticModel:
 
     def forward(self, w, shard):
         """The state: class-major softmax probabilities (..., c, n)."""
-        return _softmax(self._logits(w, shard.x))
+        return _softmax(self._logits(w, shard.x1))
 
     def grad(self, w, shard, state=None, keep=None):
         p = self.forward(w, shard) if state is None else state
@@ -356,7 +447,7 @@ class LogisticModel:
 
     def hvp(self, w, shard, v, state=None):
         p = self.forward(w, shard) if state is None else state
-        rp = self._logits(v, shard.x)   # the logits are linear in w
+        rp = self._logits(v, shard.x1)   # the logits are linear in w
         slabs = _slabs(rp)
         # the class sum of p * rp without the product array: einsum adds the
         # slabs' products in class order, as sum() adds down the outermost
@@ -403,8 +494,7 @@ class MLPModel:
         """Output weights, activations (..., n, h) and class-major logits,
         class axis outermost in memory."""
         w1, b1, w2, b2 = self._unpack(w)
-        a1 = x @ _t(w1)
-        a1 += b1[..., None, :]
+        a1 = _with_ones(x, self.dim) @ _t(_beside(w1, b1))
         np.tanh(a1, out=a1)
         return w2, a1, _class_logits(w2, b2, a1)
 
@@ -423,11 +513,11 @@ class MLPModel:
     def forward(self, w, shard):
         """The state ``(w2, a1, s1, p)``: output weights, activations, the
         tanh slope ``s1 = 1 - a1**2`` and the class-major softmax."""
-        w2, a1, z2 = self._logits(w, shard.x)
+        w2, a1, z2 = self._logits(w, shard.x1)
         return self._state(w2, a1, _softmax(z2))
 
     def loss(self, w, shard, keep=None):
-        w2, a1, z2 = self._logits(w, shard.x)
+        w2, a1, z2 = self._logits(w, shard.x1)
         reg = 0.5 * self.l2 * _dot(w, w)
         if keep is None:
             return _nll(z2, shard.y) + reg
@@ -447,28 +537,35 @@ class MLPModel:
         g_b2 = d2.mean(axis=-1)
         d1 = _t(d2) @ w2
         d1 *= s1
-        g_w1 = _t(d1) @ shard.x / n
-        g_b1 = d1.mean(axis=-2)
-        g = _pack(g_b1.shape[:-1], g_w1, g_b1, g_w2, g_b2) + self.l2 * w
+        g1 = _t(d1) @ shard.x1   # [g_w1 | g_b1], the sample sums
+        g1 /= n
+        g = _pack(g1.shape[:-2], g1[..., :-1], g1[..., -1], g_w2,
+                  g_b2) + self.l2 * w
         return g if keep is None else (g, rows)
 
     def hvp(self, w, shard, v, state=None):
         n = shard.size
-        x = shard.x
+        x1 = shard.x1
         w2, a1, s1, p = self.forward(w, shard) if state is None else state
         v1, vb1, v2, vb2 = self._unpack(v)
         d2 = _minus_onehot(p, shard.y)
 
         # the changes along v of a1, of the softmax and of the hidden error,
         # each built in place in an array this call made
-        ra1 = x @ _t(v1)
-        ra1 += vb1[..., None, :]
+        ra1 = x1 @ _t(_beside(v1, vb1))
         ra1 *= s1
-        rd2 = v2 @ _t(a1) + w2 @ _t(ra1) + vb2[..., :, None]
-        rd2 -= (p * rd2).sum(axis=-2, keepdims=True)
+        # class-outermost like p, from stacked products, so the class sum of
+        # p * rd2 is one einsum over the slabs, as in the logistic hvp
+        rd2 = _stacked_logits(v2, a1)
+        rd2 += _stacked_logits(w2, ra1)
+        _add_class_bias(rd2, vb2)
+        slabs = _slabs(rd2)
+        slabs -= np.einsum("ij,ij->j", _slabs(p), slabs)
         rd2 *= p
 
-        h_w2 = (rd2 @ a1 + d2 @ ra1) / n
+        h_w2 = rd2 @ a1
+        h_w2 += d2 @ ra1
+        h_w2 /= n
         h_b2 = rd2.mean(axis=-1)
 
         u = _t(d2) @ w2
@@ -476,12 +573,14 @@ class MLPModel:
         t = a1 * ra1
         t *= u
         t *= -2.0
-        rd1 = _t(d2) @ v2 + _t(rd2) @ w2
+        rd1 = _t(d2) @ v2
+        rd1 += _t(rd2) @ w2
         rd1 *= s1
         rd1 += t
-        h_w1 = _t(rd1) @ x / n
-        h_b1 = rd1.mean(axis=-2)
-        return _pack(h_b1.shape[:-1], h_w1, h_b1, h_w2, h_b2) + self.l2 * v
+        h1 = _t(rd1) @ x1   # [h_w1 | h_b1], the sample sums
+        h1 /= n
+        return _pack(h1.shape[:-2], h1[..., :-1], h1[..., -1], h_w2,
+                     h_b2) + self.l2 * v
 
     def predict(self, w, x):
         return _class_argmax(self._logits(w, x)[2])
@@ -529,21 +628,6 @@ def make_class_means(rng, n_classes, dim, separation):
     return separation * rng.standard_normal((n_classes, dim))
 
 
-def _empty_shard(k, n_k, n_samples, dim):
-    return TaskShard(x=np.empty((k, n_k, n_samples, dim)),
-                     y=np.empty((k, n_k, n_samples), dtype=np.int64))
-
-
-def _sample_into(rng, means, labels, noise, shard):
-    """Fill one UE's shard view with samples of its labels, in place: the
-    normal draws go straight into the view, then are scaled and shifted
-    there, the values of ``means[y] + noise * z`` from the same draws."""
-    shard.y[...] = labels[rng.integers(0, len(labels), size=shard.size)]
-    x = rng.standard_normal(out=shard.x)
-    x *= noise
-    x += means[shard.y]
-
-
 def build_classification_federation(rng, k, n_k, l, n_classes, dim,
                                     n_train, n_eval, separation, noise):
     """Stacked Federation of k servers with n_k UEs each, Gaussian mixture.
@@ -551,16 +635,26 @@ def build_classification_federation(rng, k, n_k, l, n_classes, dim,
     Each UE owns a label subset of size l drawn without replacement; its
     train and eval shards share that subset.  UEs are drawn one at a
     time, server-major, so each UE's samples do not depend on the layout.
+    A server's normal draws go into one contiguous (n_k, n, dim) buffer
+    per shard kind, which is then scaled and shifted into the stack: the
+    values of ``means[y] + noise * z`` from the same draws.
     """
     means = make_class_means(rng, n_classes, dim, separation)
-    train = _empty_shard(k, n_k, n_train, dim)
-    eval_ = _empty_shard(k, n_k, n_eval, dim)
+    # x1 is all ones until the features are drawn into it
+    shards = [TaskShard(x=None, y=np.empty((k, n_k, n), dtype=np.int64),
+                        x1=np.ones((k, n_k, n, dim + 1)))
+              for n in (n_train, n_eval)]
+    draws = [np.empty(s.x.shape[1:]) for s in shards]
     for k_idx in range(k):
         for j in range(n_k):
             labels = np.sort(rng.choice(n_classes, size=l, replace=False))
-            _sample_into(rng, means, labels, noise, train[k_idx, j])
-            _sample_into(rng, means, labels, noise, eval_[k_idx, j])
-    return Federation(train=train, eval=eval_)
+            for shard, z in zip(shards, draws):
+                shard.y[k_idx, j] = labels[rng.integers(0, l, size=shard.size)]
+                rng.standard_normal(out=z[j])
+        for shard, z in zip(shards, draws):
+            x = np.multiply(z, noise, out=shard.x[k_idx])
+            x += means[shard.y[k_idx]]
+    return Federation(*shards)
 
 
 def _random_spd(rng, dim, eig_lo, eig_hi):

@@ -3,11 +3,14 @@
 No run calls these: the allocator prices links with the broadcast
 ``bandwidth.deadline_bandwidth``, the scheduler applies its threshold
 inline and ranks its cap in one sort, the estimator reuses one difference
-buffer, the logistic HVP sums the classes without the product array, the
-audit reuses the run's refreshed gradients and
+buffer, the logistic and MLP HVPs sum the classes without the product
+array, the audit reuses the run's refreshed gradients and
 ``sample_topology`` prices the path loss once, as the gain array that
-``prepare`` hands the engine.  They stay here as slow, obviously correct
-oracles.
+``prepare`` hands the engine.  The classifier kernels take their input
+biases inside the products, on features beside a ones column, and the
+federation is drawn a server at a time; the oracles below work on the
+plain features and add every bias in its own pass.  They stay here as
+slow, obviously correct oracles.
 """
 
 import numpy as np
@@ -16,7 +19,9 @@ from hpfl import bandwidth
 from hpfl.bandwidth import InfeasibleAllocationError
 from hpfl.network import LN2, db_to_linear, tcom, uplink_rate
 from hpfl.scheduler import net_scores
-from hpfl.tasks import _pack
+from hpfl.tasks import (TaskShard, _affine_grad, _class_argmax, _from_slabs,
+                        _minus_onehot, _nll, _pack, _softmax, _t,
+                        make_class_means)
 
 
 def power_limited_rate(p, h, n0):
@@ -147,6 +152,41 @@ def estimator_maxima(grads, hvps, dists):
     return grad_lip, grad_max, hess_lip, grad_div, hess_div
 
 
+def plain_class_logits(weights, bias, x):
+    """``weights @ x' + bias`` (..., c, n) on plain features x (..., n, d),
+    class-outermost, the bias added after the product.  At a shared point
+    it is one product over every sample, else one stacked product a UE.
+    The one product must keep m·n·k below 2^18, where OpenBLAS runs it on
+    one thread, or its bits may depend on the thread count."""
+    c, n = weights.shape[-2], x.shape[-2]
+    if weights.ndim == 2:
+        out = weights @ x.reshape(-1, x.shape[-1]).T
+        out += bias[:, None]
+        return _from_slabs(out.reshape((c,) + x.shape[:-2] + (n,)))
+    out = np.empty((c,) + x.shape[:-2] + (n,))
+    z = np.matmul(weights, _t(x), out=_from_slabs(out))
+    z += bias[..., :, None]
+    return z
+
+
+def plain_logistic_kernels(model, w, shard, v):
+    """``LogisticModel``'s (loss, grad, hvp, predict) at w, the HVP along v,
+    from plain_class_logits on ``shard.x``, the HVP's class sum taken from
+    the product array."""
+    def logits(at):
+        return plain_class_logits(*model._unpack(at), shard.x)
+
+    reg = 0.5 * model.l2 * (w[..., None, :] @ w[..., :, None])[..., 0, 0]
+    p = _softmax(logits(w))
+    grad = _affine_grad(_minus_onehot(p, shard.y), shard.x, model.l2, w)
+    rp = logits(v)
+    rp -= (p * rp).sum(axis=-2, keepdims=True)
+    rp *= p
+    hvp = _affine_grad(rp, shard.x, model.l2, v)
+    return (_nll(logits(w), shard.y) + reg, grad, hvp,
+            _class_argmax(logits(w)))
+
+
 def product_class_sum_hvp(model, w, shard, v, p):
     """``LogisticModel.hvp`` at w handed the state p, its class sum taken
     as ``(p * rp).sum(axis=-2)`` over the whole product array."""
@@ -156,6 +196,70 @@ def product_class_sum_hvp(model, w, shard, v, p):
     h_w = rp @ shard.x / shard.size
     h_b = rp.mean(axis=-1)
     return _pack(h_b.shape[:-1], h_w, h_b) + model.l2 * v
+
+
+def plain_mlp_kernels(model, w, shard, v):
+    """``MLPModel``'s (loss, grad, hvp, predict) at w, the HVP along v, on
+    ``shard.x``: each hidden bias added or averaged in its own pass, the
+    HVP's logit change C-ordered and its class sum ``(p * rd2).sum``."""
+    n, x = shard.size, shard.x
+    w1, b1, w2, b2 = model._unpack(w)
+    v1, vb1, v2, vb2 = model._unpack(v)
+
+    a1 = x @ _t(w1)
+    a1 += b1[..., None, :]
+    np.tanh(a1, out=a1)
+    z2 = plain_class_logits(w2, b2, a1)
+    predict = _class_argmax(z2)
+    reg = 0.5 * model.l2 * (w[..., None, :] @ w[..., :, None])[..., 0, 0]
+    loss = _nll(np.copy(z2), shard.y) + reg
+    p = _softmax(z2)
+    s1 = 1.0 - a1 * a1
+    d2 = _minus_onehot(p, shard.y)
+    d1 = _t(d2) @ w2
+    d1 *= s1
+    g_b1 = d1.mean(axis=-2)
+    grad = _pack(g_b1.shape[:-1], _t(d1) @ x / n, g_b1, d2 @ a1 / n,
+                 d2.mean(axis=-1)) + model.l2 * w
+
+    ra1 = x @ _t(v1)
+    ra1 += vb1[..., None, :]
+    ra1 *= s1
+    rd2 = v2 @ _t(a1) + w2 @ _t(ra1) + vb2[..., :, None]
+    rd2 -= (p * rd2).sum(axis=-2, keepdims=True)
+    rd2 *= p
+    h_w2 = (rd2 @ a1 + d2 @ ra1) / n
+    h_b2 = rd2.mean(axis=-1)
+    t = a1 * ra1
+    t *= _t(d2) @ w2
+    t *= -2.0
+    rd1 = _t(d2) @ v2 + _t(rd2) @ w2
+    rd1 *= s1
+    rd1 += t
+    h_b1 = rd1.mean(axis=-2)
+    hvp = _pack(h_b1.shape[:-1], _t(rd1) @ x / n, h_b1, h_w2,
+                h_b2) + model.l2 * v
+    return loss, grad, hvp, predict
+
+
+def per_ue_classification_federation(rng, k, n_k, l, n_classes, dim,
+                                     n_train, n_eval, separation, noise):
+    """(train, eval) TaskShards of plain (k, n_k, n, dim) features, each
+    UE's samples drawn and placed on their own: its labels, then its train
+    and its eval draws straight into its view, scaled and shifted there."""
+    means = make_class_means(rng, n_classes, dim, separation)
+    stacks = [(np.empty((k, n_k, n, dim)), np.empty((k, n_k, n), np.int64))
+              for n in (n_train, n_eval)]
+    for k_idx in range(k):
+        for j in range(n_k):
+            labels = np.sort(rng.choice(n_classes, size=l, replace=False))
+            for x, y in stacks:
+                y[k_idx, j] = labels[rng.integers(0, len(labels),
+                                                  size=x.shape[-2])]
+                view = rng.standard_normal(out=x[k_idx, j])
+                view *= noise
+                view += means[y[k_idx, j]]
+    return tuple(TaskShard(x=x, y=y) for x, y in stacks)
 
 
 def full_federation_grad_norms_sq(engine, versions, grad):

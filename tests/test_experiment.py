@@ -578,32 +578,6 @@ def _child_env(**overrides):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-@pytest.mark.parametrize("config", [
-    pytest.param({}, id="desk"),
-    pytest.param({"model": "mlp", "hidden": 32}, id="mlp"),
-    # the shared-point logits are one (10, 8) @ (8, 12800) product; OpenBLAS
-    # 0.3 splits a GEMM across two threads once m·n·k reaches 2 · 2^18, here
-    # from 6554 columns on, so k=20, n_k=10 (6400) would stay on one thread
-    pytest.param({"k": 20, "n_k": 20}, id="k20-n20"),
-])
-def test_rounds_csv_is_the_same_on_one_and_two_blas_threads(config, tmp_path):
-    """hpfl run writes the same rounds.csv bytes with OpenBLAS on one thread
-    and on two, each run in its own process."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    written = []
-    for threads in ("1", "2"):
-        out = tmp_path / ("threads" + threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "hpfl.cli", "run", "--config", str(cfg),
-             "--out", str(out)],
-            env=_child_env(OPENBLAS_NUM_THREADS=threads),
-            capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        written.append((out / "rounds.csv").read_bytes())
-    assert written[0] == written[1]
-
-
 def _dynamic_arch_openblas():
     """True when NumPy's BLAS is an OpenBLAS that picks its kernels by CPU,
     so OPENBLAS_CORETYPE can force other kernels on one machine."""
@@ -613,6 +587,49 @@ def _dynamic_arch_openblas():
         return False
     return ("openblas" in blas.get("name", "")
             and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+_ON_X86_64 = platform.machine().lower() in ("x86_64", "amd64")
+_THREAD_CONFIGS = [
+    ({}, "desk"),
+    ({"model": "mlp", "hidden": 32}, "mlp"),
+    # the shared-point logits are a (10, 9) @ (9, 12800) product; OpenBLAS
+    # 0.3 splits one GEMM across two threads once m·n·k reaches 2 · 2^18,
+    # here from 5826 columns on, so this checks that the kernels block it
+    ({"k": 20, "n_k": 20}, "k20-n20"),
+]
+
+
+@pytest.mark.parametrize("config, core", [
+    pytest.param(config, None, id=name) for config, name in _THREAD_CONFIGS
+] + [
+    # the Prescott kernels, like the Haswell ones, split a GEMM across
+    # threads in a way that changes its bits
+    pytest.param(config, "Prescott", id="prescott-" + name,
+                 marks=pytest.mark.skipif(
+                     not _ON_X86_64 or not _dynamic_arch_openblas(),
+                     reason="needs x86-64 and a DYNAMIC_ARCH OpenBLAS"))
+    for config, name in _THREAD_CONFIGS
+])
+def test_rounds_csv_is_the_same_on_one_and_two_blas_threads(config, core,
+                                                             tmp_path):
+    """hpfl run writes the same rounds.csv bytes with OpenBLAS on one thread
+    and on two, each run in its own process, under this CPU's kernels and
+    under OpenBLAS's Prescott kernels."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    kernel = {} if core is None else {"OPENBLAS_CORETYPE": core}
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("threads" + threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpfl.cli", "run", "--config", str(cfg),
+             "--out", str(out)],
+            env=_child_env(OPENBLAS_NUM_THREADS=threads, **kernel),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        written.append((out / "rounds.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def _cpu_has_avx2():
@@ -640,8 +657,7 @@ CROSS_KERNEL_RTOL = 1e-12
 
 
 @pytest.mark.skipif(
-    platform.machine().lower() not in ("x86_64", "amd64")
-    or not _dynamic_arch_openblas() or not _cpu_has_avx2(),
+    not _ON_X86_64 or not _dynamic_arch_openblas() or not _cpu_has_avx2(),
     reason="needs x86-64 with AVX2 and a DYNAMIC_ARCH OpenBLAS")
 @pytest.mark.parametrize("config", [
     pytest.param({}, id="desk"),

@@ -11,8 +11,9 @@ from hpfl.scenario import Scenario
 from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
                         QuadraticTask, TaskShard, _class_argmax,
                         _class_logits, _from_slabs, _minus_onehot, _rows,
-                        _t, build_classification_federation)
-from oracles import product_class_sum_hvp
+                        _shared_product, _t, build_classification_federation)
+from oracles import (per_ue_classification_federation, plain_logistic_kernels,
+                     plain_mlp_kernels, product_class_sum_hvp)
 
 K, N, SAMPLES, DIM, CLASSES = 3, 4, 6, 5, 4
 
@@ -349,6 +350,97 @@ def test_shared_point_logits_are_the_per_ue_product(batch, d):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
     assert got.shape == batch + (c, 32)
     assert np.moveaxis(got, -2, 0).flags.c_contiguous
+
+
+PLAIN_KERNELS = {
+    "logistic": (lambda: LogisticModel(8, 10, l2=1e-2), plain_logistic_kernels),
+    "mlp-h8": (lambda: MLPModel(8, 8, 10, l2=1e-2), plain_mlp_kernels),
+    "mlp-h16": (lambda: MLPModel(8, 16, 10, l2=1e-2), plain_mlp_kernels),
+    "mlp-h32": (lambda: MLPModel(8, 32, 10, l2=1e-2), plain_mlp_kernels),
+}
+
+
+@pytest.mark.parametrize("at", sorted(POINTS))
+@pytest.mark.parametrize("name", sorted(PLAIN_KERNELS))
+def test_biases_inside_the_products_keep_the_bits_of_the_plain_features(
+        name, at):
+    """loss, grad, hvp and predict with the input-layer biases taken inside
+    the products, on features beside their ones column, equal the forms on
+    plain features that add and average each bias in its own pass (and,
+    for the MLP's HVP, form p * rd2), bit for bit, at d = 8 and 32 samples,
+    along a direction per UE and one shared, as the estimator draws it."""
+    make_model, plain = PLAIN_KERNELS[name]
+    rng = np.random.default_rng(71)
+    model = make_model()
+    stack = TaskShard(x=rng.standard_normal((K, N, 32, 8)),
+                      y=rng.integers(0, 10, size=(K, N, 32)))
+    w = model.init_params(rng, scale=0.7)
+    point = POINTS[at](w, w + 0.3 * rng.standard_normal((K, N, model.n_params)))
+    v = rng.standard_normal((K, N, model.n_params))
+    for direction in (v, v[0, 0]):
+        loss, grad, hvp, labels = plain(model, point, stack, direction)
+        for got, want in [(model.loss(point, stack), loss),
+                          (model.grad(point, stack), grad),
+                          (model.hvp(point, stack, direction), hvp),
+                          (model.predict(point, stack.x1), labels),
+                          (model.predict(point, stack.x), labels)]:
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("columns", [2, 2912, 2 * 2912 + 1, 12800])
+def test_shared_product_runs_in_one_thread_blocks(monkeypatch, columns):
+    """The shared-point product is made of GEMMs whose m·n·k stays below
+    2^18, where OpenBLAS uses one thread, and none of them is one column
+    wide: 2912 columns is the widest block at (10, 9), so 5825 columns
+    would leave one behind in blocks of that width."""
+    rng = np.random.default_rng(columns)
+    weights = rng.standard_normal((10, 9))
+    x = rng.standard_normal((1, columns, 9))
+    calls = []
+    matmul = np.matmul
+
+    def recorded(a, b, **kwargs):
+        calls.append(a.shape + b.shape[1:])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    got = _shared_product(weights, x)
+    monkeypatch.undo()
+    assert all(m * k * n < 2 ** 18 and n >= 2 for m, k, n in calls)
+    assert len(calls) == -(-columns // 2912)
+    assert sum(n for _, _, n in calls) == columns
+    assert got.shape == (10, columns)
+
+
+@pytest.mark.parametrize("k, n_k, l, dim", [(3, 4, 3, 8), (2, 5, 10, 5),
+                                            (50, 20, 3, 8)])
+def test_federation_keeps_the_per_ue_draws(k, n_k, l, dim):
+    """Drawn a server at a time into one buffer, the federation equals the
+    one drawn and placed UE by UE, features and labels bit for bit."""
+    args = (k, n_k, l, 10, dim, 32, 16, 3.0, 0.6)
+    got = build_classification_federation(np.random.default_rng(k), *args)
+    want = per_ue_classification_federation(np.random.default_rng(k), *args)
+    for mine, plain in zip((got.train, got.eval), want):
+        assert np.array_equal(mine.x, plain.x)
+        assert np.array_equal(mine.y, plain.y)
+
+
+def test_features_sit_beside_an_exact_ones_column():
+    """Every shard's x1 ends in a column of exact ones and x is the view of
+    its other columns, in a federation's stacks, in each UE's shard and in
+    a shard built by hand from a copy of its features."""
+    fed = prepare(Scenario(k=3, n_k=2, rounds=0, seed=4)).federation
+    x = np.random.default_rng(3).standard_normal((4, 5))
+    hand = TaskShard(x=x, y=np.zeros(4, dtype=np.int64))
+    assert not np.shares_memory(hand.x, x) and np.array_equal(hand.x, x)
+    for shard in (fed.train, fed.eval, fed.train[1, 0], fed.eval[2], hand):
+        assert shard.x1.shape == shard.x.shape[:-1] + (shard.x.shape[-1] + 1,)
+        assert np.all(shard.x1[..., -1] == 1.0)
+        assert np.shares_memory(shard.x, shard.x1)
+        assert np.array_equal(shard.x1[..., :-1], shard.x)
+    assert np.shares_memory(fed.train[1, 0].x1, fed.train.x1)
+    hand.x[0, 0] = np.nan
+    assert np.isnan(hand.x1[0, 0])
 
 
 def _tied_model(name, rng):
