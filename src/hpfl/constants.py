@@ -26,6 +26,8 @@ from .meta import NonFiniteError
 
 _PROBE_RADIUS = 1.0     # of the ball the probes are drawn from
 _N_DIRECTIONS = 3       # HVP directions at each probe
+_ROUNDOFF = np.finfo(float).eps / 2
+_TINY = np.finfo(float).smallest_subnormal
 
 
 class EstimationError(RuntimeError):
@@ -75,41 +77,153 @@ def _sq_dists(a, b, out):
     return out.sum(axis=-1)
 
 
+def _candidates(est, scale, terms):
+    """Mask of the entries of est whose exact value can be the largest
+    along the last axis; scale is overwritten.
+
+    Each exact value lies within ``err = 8 * terms * (u * scale + eta)`` of
+    its estimate (u the unit roundoff, eta the smallest subnormal: each
+    product or quotient that underflows is off by at most eta / 2).  An
+    entry whose upper bound ``est + err`` is below the axis' best lower
+    bound ``est - err`` cannot hold the maximum, and the entry that holds
+    it always passes: its upper bound is at least its value, which is at
+    least every other value and so every lower bound.  Rounding keeps
+    this, because rounding is monotone and the factor 8 is twice what the
+    bounds of _pair_estimates and _spread need.  A non-finite estimate gives no bound and is always
+    a candidate, so NaN and inf reach the exact values as they would in a
+    loop over every entry.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.multiply(scale, 8.0 * terms * _ROUNDOFF, out=scale)
+        err += 8.0 * terms * _TINY
+        other = ~np.isfinite(est)
+        upper = est + err
+        low = np.subtract(est, err, out=err)
+        low[other] = -np.inf
+        other |= upper >= low.max(axis=-1, keepdims=True)
+        return other
+
+
+def _pair_estimates(x, j, jj):
+    """Estimates (pairs, rows) of the squared row distances ``||a - b||^2``
+    of x (J, rows, P) at the probe pairs (j, jj), their scale ``||a||^2 +
+    ||b||^2``, and every row's squared norm (J, rows).
+
+    Each row's (probe, probe) Gram matrix comes from one batched product
+    over a strided view of x, and an estimate is ``||a||^2 + ||b||^2 -
+    2 a.b``.  In any summation order, FMA included, with gamma_k = k u /
+    (1 - k u):
+        |est - s| <= (2 gamma_P + 6u) (||a||^2 + ||b||^2), and the exact
+        form's |s_np - s| <= gamma_(P+2) s <= 2 gamma_(P+2) (||a||^2 + ||b||^2),
+    so _candidates' terms are P + 4.
+    """
+    rows = x.transpose(1, 0, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.matmul(rows, rows.transpose(0, 2, 1))
+        norms = np.diagonal(gram, axis1=1, axis2=2).T.copy()
+        scale = norms[j]
+        scale += norms[jj]
+        est = gram.transpose(1, 2, 0)[j, jj]
+        est *= -2.0
+        est += scale
+    return est, scale, norms
+
+
+def _pair_lip(x, dists):
+    """The largest ``||x[j, row] - x[jj, row]|| / dists[j, jj]`` over the
+    rows of x (J, rows, P) and the probe pairs j < jj not closer than
+    1e-12, and the rows' squared norms (J, rows) it estimated on the way.
+
+    Only the candidate rows of each pair (_pair_estimates, _candidates)
+    are formed the exact way (_sq_dists), whole pairs at a time and never
+    more rows at once than one pair has.  The quotients combine with
+    Python's max in (j, jj) order, so a NaN quotient is dropped as in a
+    plain loop.
+    """
+    j, jj = np.triu_indices(len(x), 1)
+    far = ~(dists[j, jj] < 1e-12)
+    j, jj = j[far], jj[far]
+    est, scale, norms = _pair_estimates(x, j, jj)
+    pair, row = np.nonzero(_candidates(est, scale, x.shape[-1] + 4))
+    first = np.searchsorted(pair, np.arange(len(j) + 1))
+    sq = np.empty(len(j))
+    lo = 0
+    for hi in range(1, len(j) + 1):
+        if hi < len(j) and first[hi + 1] - first[lo] <= x.shape[1]:
+            continue
+        c = slice(first[lo], first[hi])
+        a = x[j[pair[c]], row[c]]
+        s = _sq_dists(a, x[jj[pair[c]], row[c]], a)
+        sq[lo:hi] = np.maximum.reduceat(s, first[lo:hi] - first[lo])
+        lo = hi
+    lip = 0.0
+    for q in (np.sqrt(sq) / dists[j, jj]).tolist():
+        lip = max(lip, q)
+    return lip, norms
+
+
+def _norm_max(x, norms):
+    """The largest row norm of x (J, rows, P), from estimates norms
+    (J, rows) of its squares: they and the exact sums are both within
+    gamma_P of the true squares, so _candidates' terms are P + 4."""
+    flat = norms.reshape(-1)
+    cand = _candidates(flat, flat.copy(), x.shape[-1] + 4).reshape(norms.shape)
+    sq = []
+    for rows, c in zip(x, cand):
+        if c.any():
+            a = rows[c]
+            sq.append(np.multiply(a, a, out=a).sum(axis=-1).max())
+    return float(np.sqrt(np.max(sq)))
+
+
+def _spread(x, norms):
+    """The largest root mean squared distance of a slab's rows from their
+    mean, over the (J, R) slabs (U, P) of x (J, R, U, P), from estimates
+    norms (J, R, U) of the rows' squared norms.
+
+    A slab's value ``T = mean_u ||h_u - m||^2``, m its rows' computed mean,
+    is estimated as ``mn - ||m||^2`` with ``mn = mean_u ||h_u||^2``.  Beside
+    the norms' rounding this carries the mean's own: each entry of m is
+    within gamma_U mean_u |h_u| of the true mean's, which moves ``mn -
+    ||m||^2`` off T by at most gamma_U (mn + ||m||^2).  In all
+        |est - T| <= (2 gamma_P + 2 gamma_U + u) (mn + ||m||^2), and the
+        exact form's |T_np - T| <= (gamma_(P+2) + gamma_U) mn (1 + O(u)),
+    so _candidates' terms are P + U + 4.  Only the candidate slabs are
+    formed the exact way.
+    """
+    mean = x.mean(axis=2, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = norms.mean(axis=-1)
+        sq_mean = np.einsum("...ip,...ip->...", mean, mean)
+        est = scale - sq_mean
+        scale += sq_mean
+    cand = _candidates(est.reshape(-1), scale.reshape(-1),
+                       x.shape[-1] + x.shape[-2] + 4)
+    slabs = x.reshape((-1,) + x.shape[2:])
+    means = mean.reshape((-1,) + mean.shape[2:])
+    buf = np.empty(x.shape[2:])
+    return float(np.sqrt(np.max([_sq_dists(slabs[s], means[s], buf).mean()
+                                 for s in np.flatnonzero(cand)])))
+
+
 def _maxima(grads, hvps, dists):
     """(grad_lip, grad_max, hess_lip, grad_div, hess_div) from the probes'
-    (probe, UE, P) gradients and (probe, direction, UE, P) HVPs.
+    (probe, UE, P) gradients and (probe, direction, UE, P) HVPs; neither
+    stack is written.
 
-    Every difference is written into one ``hvps.shape[1:]`` buffer, and
-    hvps is overwritten by its deviations from the UE mean.  A probe pair
-    closer than 1e-12 gives no difference quotient.
+    Each maximum has the bits of a loop that forms every value the exact
+    way (tests/oracles.py::estimator_maxima): one batched Gram product per
+    stack gives every row's squared norm and probe dot products, from
+    which every value is estimated at once within a proven bound, and only
+    the values that can be the maximum (_candidates) are formed exactly.
+    A probe pair closer than 1e-12 gives no difference quotient.
     """
-    buf = np.empty(hvps.shape[1:])
-    g_buf = buf[0]
-    n = len(grads)
-    grad_mean = grads.mean(axis=1, keepdims=True)
-    norm_sq, div_sq = np.empty(n), np.empty(n)
-    for j, g in enumerate(grads):
-        norm_sq[j] = np.multiply(g, g, out=g_buf).sum(axis=1).max()
-        div_sq[j] = _sq_dists(g, grad_mean[j], g_buf).mean()
-
-    grad_lip = 0.0
-    hess_lip = 0.0
-    for j in range(n):
-        for jj in range(j + 1, n):
-            dw = dists[j, jj]
-            if dw < 1e-12:
-                continue
-            grad_lip = max(grad_lip, float(
-                np.sqrt(_sq_dists(grads[j], grads[jj], g_buf).max()) / dw))
-            hess_lip = max(hess_lip, float(
-                np.sqrt(_sq_dists(hvps[j], hvps[jj], buf).max()) / dw))
-
-    # in place: the HVP stack is the largest array of a run
-    hvps -= hvps.mean(axis=2, keepdims=True)
-    hvps **= 2
-    hess_div = float(np.sqrt(hvps.sum(axis=3).mean(axis=2).max()))
-    return (grad_lip, float(np.sqrt(norm_sq.max())), hess_lip,
-            float(np.sqrt(div_sq.max())), hess_div)
+    n, _, p = grads.shape
+    grad_lip, g_norms = _pair_lip(grads, dists)
+    hess_lip, h_norms = _pair_lip(hvps.reshape(n, -1, p), dists)
+    return (grad_lip, _norm_max(grads, g_norms), hess_lip,
+            _spread(grads[:, None], g_norms[:, None]),
+            _spread(hvps, h_norms.reshape(hvps.shape[:3])))
 
 
 def estimate_constants(model, shards, alpha, probe_count, rng_seed, center):

@@ -274,8 +274,12 @@ def _stacked_logits(weights, x):
 
 
 def _add_class_bias(z, bias):
-    """``z += bias[..., :, None]`` on class-outermost logits z (..., c, n),
-    in storage order, (c, ..., 1) against (c, ..., n)."""
+    """``z += bias[..., :, None]`` on class-outermost logits z (..., c, n):
+    a shared bias (c,) by NumPy's own broadcast, a batched one in storage
+    order, (c, ..., 1) against (c, ..., n), which is faster there."""
+    if bias.ndim == 1:
+        z += bias[:, None]
+        return
     bias = bias.reshape((1,) * (z.ndim - 1 - bias.ndim) + bias.shape + (1,))
     storage = np.moveaxis(z, -2, 0)
     storage += np.moveaxis(bias, -2, 0)

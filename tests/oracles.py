@@ -2,8 +2,8 @@
 
 No run calls these: the allocator prices links with the broadcast
 ``bandwidth.deadline_bandwidth``, the scheduler applies its threshold
-inline and ranks its cap in one sort, the estimator reuses one difference
-buffer, the logistic and MLP HVPs sum the classes without the product
+inline and ranks its cap in one sort, the estimator forms exactly only
+the pairs' rows and slabs its Gram estimates cannot rule out, the logistic and MLP HVPs sum the classes without the product
 array, the audit reuses the run's refreshed gradients and
 ``sample_topology`` prices the path loss once, as the gain array that
 ``prepare`` hands the engine.  The classifier kernels take their input

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hpfl import constants
 from hpfl.constants import (EstimationError, _maxima, bound_constants,
                             estimate_constants)
 from hpfl.experiment import prepare
@@ -82,8 +83,10 @@ def _probe_stacks(rng, probes, n_ue, dim):
 
 
 def _assert_maxima_match_the_oracle(grads, hvps, dists):
+    """_maxima, on read-only stacks, gives the oracle's five floats."""
     want = estimator_maxima(grads, hvps, dists)
-    got = _maxima(grads.copy(), hvps.copy(), dists)
+    grads.flags.writeable = hvps.flags.writeable = False
+    got = _maxima(grads, hvps, dists)
     assert [x.hex() for x in got] == [x.hex() for x in want]
     return got
 
@@ -91,8 +94,8 @@ def _assert_maxima_match_the_oracle(grads, hvps, dists):
 @pytest.mark.parametrize("shape", [(8, 1000, 90), (8, 80, 618)],
                          ids=["large", "audit_mlp"])
 def test_buffered_maxima_equal_the_pairwise_norms(shape):
-    """One difference buffer gives the five maxima of fresh norms, bit for
-    bit, on stacks of the large and audit_mlp estimator shapes."""
+    """The filtered maxima equal those of fresh norms, bit for bit, on
+    stacks of the large and audit_mlp estimator shapes."""
     grads, hvps, dists = _probe_stacks(np.random.default_rng(shape[2]), *shape)
     _assert_maxima_match_the_oracle(grads, hvps, dists)
 
@@ -105,6 +108,148 @@ def test_buffered_maxima_skip_a_pair_closer_than_1e_12():
     grad_lip, _, hess_lip, _, _ = _assert_maxima_match_the_oracle(
         grads, hvps, dists)
     assert grad_lip < 1e3 and hess_lip < 1e3
+
+
+def _near_duplicates(rng, probes, n_ue, dim):
+    """Stacks whose rows all lie within 1e-9 of one shared row, so every
+    Gram estimate cancels to far below its error bound."""
+    grads, hvps, dists = _probe_stacks(rng, probes, n_ue, dim)
+    grads *= 1e-9
+    grads += rng.standard_normal(dim)
+    hvps *= 1e-9
+    hvps += rng.standard_normal(dim)
+    return grads, hvps, dists
+
+
+def _planted(rng, probes, n_ue, dim):
+    """One largest row planted as +v at the even probes and -v at the odd
+    ones, in rows 1 and 3, so every even-odd pair holds it twice; and one
+    largest slab copied to three slabs."""
+    grads, hvps, dists = _probe_stacks(rng, probes, n_ue, dim)
+    dists[:] = 1.0
+    v = 10.0 * rng.standard_normal(dim)
+    for stack in (grads, hvps[:, 1]):
+        stack[0::2, [1, 3]] = v
+        stack[1::2, [1, 3]] = -v
+    hvps[0, 0] = hvps[1, 2] = hvps[-1, 0] = 5.0 * rng.standard_normal(
+        (n_ue, dim))
+    return grads, hvps, dists
+
+
+def _with(value, *cells):
+    """Random stacks with value written into the given cells of the HVPs
+    and, at their first three indices, of the gradients."""
+    def build(rng, probes, n_ue, dim):
+        grads, hvps, dists = _probe_stacks(rng, probes, n_ue, dim)
+        for cell in cells:
+            hvps[cell] = value
+            grads[(cell[0],) + cell[2:]] = value
+        return grads, hvps, dists
+    return build
+
+
+def _scaled(scale, spread):
+    """Rows of magnitude ``scale`` that differ by ``scale * spread``."""
+    def build(rng, probes, n_ue, dim):
+        grads, hvps, dists = _probe_stacks(rng, probes, n_ue, dim)
+        for stack in (grads, hvps):
+            stack *= spread
+            stack += 1.0
+            stack *= scale
+        return grads, hvps, dists
+    return build
+
+
+HOSTILE_STACKS = {
+    "near-duplicates": (_near_duplicates, False),
+    "planted": (_planted, False),
+    "nan": (_with(np.nan, (1, 0, 2, 0)), True),
+    "inf": (_with(np.inf, (0, 2, 1, 0), (-1, 2, 1, 0)), True),
+    "-inf": (_with(-np.inf, (-1, 1, 0, 0)), True),
+    # the squared norms overflow, the row differences do not
+    "1e155": (_scaled(1e155, 1e-3), True),
+    # the squares underflow into subnormals, or to a few units of the
+    # smallest one
+    "1e-160": (_scaled(1e-160, 1.0), False),
+    "1e-162": (_scaled(1e-162, 1.0), False),
+}
+
+
+@pytest.mark.parametrize("probes, n_ue, dim", [(4, 5, 6), (2, 7, 1),
+                                               (16, 4, 9), (5, 6, 1),
+                                               (8, 64, 3)],
+                         ids=["4-probes", "2-probes-P1", "16-probes",
+                              "P1", "64-rows"])
+@pytest.mark.parametrize("name", sorted(HOSTILE_STACKS))
+def test_filtered_maxima_on_hostile_stacks(name, probes, n_ue, dim):
+    """Stacks built to defeat the Gram estimates' filter give the oracle's
+    maxima bit for bit: near-duplicate rows (every row a candidate), ties
+    in several rows and pairs, NaN and infinities, squared norms that
+    overflow, squares that underflow.  Where the oracle itself overflows
+    or meets NaN, both run with those warnings silenced; elsewhere any
+    RuntimeWarning fails the test."""
+    build, warns = HOSTILE_STACKS[name]
+    stacks = build(np.random.default_rng(probes * 10 + dim), probes, n_ue, dim)
+    if warns:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_maxima_match_the_oracle(*stacks)
+    else:
+        _assert_maxima_match_the_oracle(*stacks)
+
+
+def _benchmark_stacks(config):
+    """The estimator's stacks and probe distances of one benchmark
+    workload's scenario at seed 1."""
+    seen = []
+    maxima = constants._maxima
+
+    def kept(grads, hvps, dists):
+        seen.append((grads, hvps, dists))
+        return maxima(grads, hvps, dists)
+
+    constants._maxima = kept
+    try:
+        prepare(Scenario(seed=1, **config))
+    finally:
+        constants._maxima = maxima
+    return seen[0]
+
+
+BENCHMARK_CONFIGS = {
+    "desk": {},
+    "large": {"k": 50, "n_k": 20},
+    "audit_mlp": {"k": 10, "n_k": 8, "model": "mlp", "hidden": 32},
+}
+
+
+@pytest.mark.parametrize("stacks", [
+    pytest.param(lambda: _probe_stacks(np.random.default_rng(90),
+                                       8, 1000, 90), id="random-large"),
+    pytest.param(lambda: _probe_stacks(np.random.default_rng(618),
+                                       8, 80, 618), id="random-audit_mlp"),
+] + [pytest.param(lambda config=config: _benchmark_stacks(config), id=name)
+     for name, config in BENCHMARK_CONFIGS.items()])
+def test_filtered_maxima_form_few_rows(monkeypatch, stacks):
+    """On the large and audit_mlp shaped stacks and on the estimator's own
+    stacks of the three benchmark workloads, each of the five filters
+    leaves at most 4 candidate rows (or slabs) per pair of probes, so a
+    bound loosened until everything is rechecked fails here; and _maxima
+    writes neither stack."""
+    grads, hvps, dists = stacks()
+    kept = grads.copy(), hvps.copy()
+    counts = []
+    candidates = constants._candidates
+
+    def counted(est, scale, terms):
+        mask = candidates(est, scale, terms)
+        counts.append(int(mask.sum(axis=-1).max()))
+        return mask
+
+    monkeypatch.setattr(constants, "_candidates", counted)
+    _assert_maxima_match_the_oracle(grads, hvps, dists)
+    assert len(counts) == 5 and max(counts) <= 4, counts
+    np.testing.assert_array_equal(grads, kept[0])
+    np.testing.assert_array_equal(hvps, kept[1])
 
 
 # the seven constants of the k=50, n_k=20 federation, seeds 1 and 2, as

@@ -9,8 +9,8 @@ from hpfl import meta
 from hpfl.experiment import prepare
 from hpfl.scenario import Scenario
 from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
-                        QuadraticTask, TaskShard, _class_argmax,
-                        _class_logits, _from_slabs, _minus_onehot, _rows,
+                        QuadraticTask, TaskShard, _add_class_bias,
+                        _class_argmax, _class_logits, _from_slabs, _minus_onehot, _rows,
                         _shared_product, _t, build_classification_federation)
 from oracles import (per_ue_classification_federation, plain_logistic_kernels,
                      plain_mlp_kernels, product_class_sum_hvp)
@@ -385,6 +385,20 @@ def test_biases_inside_the_products_keep_the_bits_of_the_plain_features(
                           (model.predict(point, stack.x1), labels),
                           (model.predict(point, stack.x), labels)]:
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bias_shape", [(10,), (K, 1, 10), (K, N, 10)],
+                         ids=["shared", "per_server", "per_ue"])
+def test_class_bias_adds_as_the_plain_expression(bias_shape):
+    """A shared bias takes NumPy's broadcast and a batched one the storage
+    order; on class-outermost (K, N, 10, 32) logits both equal
+    ``z + bias[..., :, None]``, bit for bit."""
+    rng = np.random.default_rng(23)
+    z = _from_slabs(rng.standard_normal((10, K, N, 32)))
+    bias = rng.standard_normal(bias_shape)
+    want = z + bias[..., :, None]
+    _add_class_bias(z, bias)
+    assert (z == want).all()
 
 
 @pytest.mark.parametrize("columns", [2, 2912, 2 * 2912 + 1, 12800])
