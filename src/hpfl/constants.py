@@ -135,27 +135,22 @@ def _pair_lip(x, dists):
     1e-12, and the rows' squared norms (J, rows) it estimated on the way.
 
     Only the candidate rows of each pair (_pair_estimates, _candidates)
-    are formed the exact way (_sq_dists), whole pairs at a time and never
-    more rows at once than one pair has.  The quotients combine with
-    Python's max in (j, jj) order, so a NaN quotient is dropped as in a
-    plain loop.
+    are formed the exact way (_sq_dists), in chunks of no more rows than
+    one pair has, and folded into each pair's maximum; every pair keeps
+    the row that holds its maximum, so none stays at -inf.  The quotients
+    combine with Python's max in (j, jj) order, so a NaN quotient is
+    dropped as in a plain loop.
     """
     j, jj = np.triu_indices(len(x), 1)
     far = ~(dists[j, jj] < 1e-12)
     j, jj = j[far], jj[far]
     est, scale, norms = _pair_estimates(x, j, jj)
     pair, row = np.nonzero(_candidates(est, scale, x.shape[-1] + 4))
-    first = np.searchsorted(pair, np.arange(len(j) + 1))
-    sq = np.empty(len(j))
-    lo = 0
-    for hi in range(1, len(j) + 1):
-        if hi < len(j) and first[hi + 1] - first[lo] <= x.shape[1]:
-            continue
-        c = slice(first[lo], first[hi])
+    sq = np.full(len(j), -np.inf)
+    for lo in range(0, len(pair), x.shape[1]):
+        c = slice(lo, lo + x.shape[1])
         a = x[j[pair[c]], row[c]]
-        s = _sq_dists(a, x[jj[pair[c]], row[c]], a)
-        sq[lo:hi] = np.maximum.reduceat(s, first[lo:hi] - first[lo])
-        lo = hi
+        np.maximum.at(sq, pair[c], _sq_dists(a, x[jj[pair[c]], row[c]], a))
     lip = 0.0
     for q in (np.sqrt(sq) / dists[j, jj]).tolist():
         lip = max(lip, q)

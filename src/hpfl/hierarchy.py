@@ -207,6 +207,12 @@ class RoundEngine:
         replaces the round's selection."""
         p = self.scenario
         k = p.k
+        # a forced mask is checked before the round touches the engine
+        pi = (None if forced_selection is None
+              else np.asarray(forced_selection, dtype=bool))
+        if pi is not None and (pi.shape != (k,) or not pi.any()):
+            raise ValueError("forced selection must pick at least one of "
+                             "%d servers" % k)
         age = self.t - self.version
         # the servers that received the entering model worked this round
         # (at t = 0, all of them)
@@ -219,18 +225,13 @@ class RoundEngine:
 
         importance = self.grad_norm_sq
         capped = False
-        if forced_selection is not None:
-            pi = np.asarray(forced_selection, dtype=bool)
-            if pi.shape != (k,) or not pi.any():
-                raise ValueError("forced selection must pick at least one of "
-                                 "%d servers" % k)
-        elif p.selection == "proposed":
+        if pi is None and p.selection == "proposed":
             # a server is due once its age reaches the budget; those of age
             # 0 were just handed the model, so s_max = 0 forces the rest
             due = age >= max(p.s_max, 1)
             pi, capped = schedule(importance, latencies, due, p.rho,
                                   self.phi_sched, p.a_max)
-        else:
+        elif pi is None:
             pi = baseline_select(p.selection, k, p.a_max, self._random_rng)
 
         # the round's one bandwidth split, over the selected servers

@@ -22,14 +22,16 @@ sample count that the engine turns into compute bits and so into latency.
 
 Every model exposes ``loss``, ``grad``, ``hvp`` and ``predict`` on flat
 parameter vectors, and all four accept leading batch axes on the shard
-(``x: (..., n, d)``, ``y: (..., n)``, ``q: (..., d, d)``, ``a: (..., d)``)
-and on the parameters (``w, v: (..., P)``).  The parameters' batch axes
-must broadcast to the shard's, so one call evaluates every UE at a shared
-point, each UE at its own point or each server's point over its UEs; a
-single shard at a single point is the case with no batch axes.  ``loss``
-returns one value per batch entry, ``grad`` and ``hvp`` one ``(..., P)``
-vector, ``predict`` one ``(..., n)`` label array; ``predict(w, x)`` takes
-plain features or ``x1``.  Products are stacked
+(``x1: (..., n, d + 1)``, ``y: (..., n)``, ``q: (..., d, d)``,
+``a: (..., d)``) and on the parameters (``w, v: (..., P)``).  The
+parameters' batch axes must broadcast to the shard's, so one call
+evaluates every UE at a shared point, each UE at its own point or each
+server's point over its UEs; a single shard at a single point is the case
+with no batch axes.  ``loss`` returns one value per batch entry, ``grad``
+and ``hvp`` one ``(..., P)`` vector, ``predict(w, x1)`` one ``(..., n)``
+label array.  The two classifiers share one body (``_SoftmaxModel``):
+``loss``, ``forward``, ``grad`` and ``predict`` are written once, and each
+classifier adds its layers and its ``hvp``.  Products are stacked
 ``np.matmul`` calls, so each UE's result is the same BLAS call a single
 shard makes, bit for bit, with one exception: at a shared point
 (parameters without batch axes) a classifier's logits are one product over
@@ -53,9 +55,10 @@ NumPy reductions, and ``predict`` takes the first class at the class max,
 as ``np.argmax`` does.  ``forward(w, shard)`` returns the state that
 ``grad`` and ``hvp`` build at ``w`` unless handed it as ``state``, so a
 gradient and its HVPs at one point share one forward pass, bit for bit.
-The logistic state is the softmax ``p``; the MLP's is ``(w2, a1, s1, p)``,
-its output weights, activations, tanh slope ``1 - a1**2`` and softmax, so
-neither ``grad`` nor ``hvp`` recomputes the slope.  Handed ``keep``, an
+The logistic state is ``(p,)``, the softmax alone; the MLP's is
+``(w2, a1, s1, p)``, its output weights, activations, tanh slope
+``1 - a1**2`` and softmax, so neither ``grad`` nor ``hvp`` recomputes the
+slope.  Every classifier state ends in its softmax.  Handed ``keep``, an
 index array on the first batch axis, ``loss`` and ``grad`` return
 ``(value, rows)``: rows is the state of ``shard[keep]`` copied out of the
 one they form, or that state itself when keep is every row (``None`` for
@@ -81,11 +84,11 @@ logistic kernels make no logit-sized array they throw away.  ``_softmax``
 and ``_nll`` work in place on the fresh logits they are handed; handed
 every row, ``_nll`` divides those logits into the softmax it returns.
 ``grad`` subtracts the one-hot in place only from a state it made and
-returns to no one, else from one copy.  The logistic ``hvp`` turns its own
-logit change into the probability change, and takes the class sum of
-``p * rp`` with one ``np.einsum`` over the class slabs, not from a product
-array; the MLP ``hvp`` builds its logit change class-outermost from
-stacked products and takes its class sum the same way.  Both logistic
+returns to no one, else from one copy.  Both HVPs turn their own logit
+change into the probability change (``_softmax_jvp``), taking the class
+sum of ``p * r`` with one ``np.einsum`` over the class slabs, not from a
+product array; the MLP ``hvp`` builds its logit change class-outermost
+from stacked products for that.  Both logistic
 kernels finish in their own output (``_affine_grad``): the weight product
 divided in place, packed, and ``l2 * w`` added to the packed vector; the
 MLP kernels divide their hidden-layer products in place.  A state passed
@@ -115,21 +118,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TaskShard:
-    """Classification samples: features x (..., n, d), labels y (..., n).
+    """Classification samples: x1 (..., n, d + 1), each sample's d features
+    beside a trailing ones column, and labels y (..., n)."""
 
-    x1 (..., n, d + 1) holds the features beside a trailing ones column,
-    and x is always the view of its first d columns.  Handed x alone, as a
-    shard built by hand is, the constructor copies it into a new x1.
-    """
-
-    x: np.ndarray
+    x1: np.ndarray
     y: np.ndarray
-    x1: np.ndarray = None
 
-    def __post_init__(self):
-        x1 = _with_ones(self.x) if self.x1 is None else self.x1
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "x", x1[..., :-1])
+    @property
+    def x(self):
+        """The features (..., n, d), the view of x1's first d columns."""
+        return self.x1[..., :-1]
 
     @property
     def size(self):
@@ -142,7 +140,7 @@ class TaskShard:
 
     def __getitem__(self, idx):
         """The shards at ``idx`` on the batch axes; views for basic indices."""
-        return TaskShard(x=None, y=self.y[idx], x1=self.x1[idx])
+        return TaskShard(x1=self.x1[idx], y=self.y[idx])
 
 
 @dataclass(frozen=True)
@@ -224,16 +222,6 @@ def _rows(z, keep):
     if _every_row(keep, len(z)):
         return z
     return _from_slabs(np.take(np.moveaxis(z, -2, 0), keep, axis=1))
-
-
-def _with_ones(x, d=None):
-    """Features x (..., n, d) copied beside a trailing ones column, as
-    (..., n, d + 1); x itself when it already has d + 1 columns."""
-    if d is not None and x.shape[-1] == d + 1:
-        return x
-    x1 = np.ones(x.shape[:-1] + (x.shape[-1] + 1,))
-    x1[..., :-1] = x
-    return x1
 
 
 def _beside(w, b):
@@ -398,12 +386,66 @@ def _class_argmax(z):
     return labels.reshape(z.shape[:-2] + z.shape[-1:])
 
 
-class LogisticModel:
+def _softmax_jvp(r, p):
+    """The softmax's change ``p * (r - sum_c p r)`` along the class-outermost
+    logit change r, in place in r, for the softmax p of the same layout.
+
+    The class sum of ``p * r`` is one ``np.einsum`` over the class slabs,
+    not a product array: einsum adds the slabs' products in class order, as
+    ``sum()`` adds down the outermost axis, so the bits are the same."""
+    slabs = _slabs(r)
+    slabs -= np.einsum("ij,ij->j", _slabs(p), slabs)
+    r *= p
+    return r
+
+
+class _SoftmaxModel:
+    """``loss``, ``forward``, ``grad`` and ``predict`` of a softmax classifier.
+
+    A subclass supplies ``_forward(w, x1)``: the arrays before the output
+    layer and the class-major logits; ``_state(hidden, p, keep)``: the
+    state of the rows ``keep`` from those arrays and their softmax p, a
+    tuple ending in p; and ``_backward(w, shard, state, d)``: the flat
+    gradient from the class-major softmax minus one-hot d.
+    """
+
+    def loss(self, w, shard, keep=None):
+        hidden, z = self._forward(w, shard.x1)
+        reg = 0.5 * self.l2 * _dot(w, w)
+        if keep is None:
+            return _nll(z, shard.y) + reg
+        nll, p = _nll(z, shard.y, keep)
+        return nll + reg, self._state(hidden, p, keep)
+
+    def forward(self, w, shard):
+        hidden, z = self._forward(w, shard.x1)
+        return self._state(hidden, _softmax(z))
+
+    def grad(self, w, shard, state=None, keep=None):
+        made = state is None
+        if made:
+            state = self.forward(w, shard)
+        p = state[-1]
+        kept = None if keep is None else _rows(p, keep)
+        rows = (None if keep is None else state if kept is p
+                else self._state(state[:-1], kept, keep))
+        # p is written only if this call made it and the rows are a copy
+        own = made and kept is not p
+        d = _minus_onehot(p, shard.y, out=p if own else None)
+        g = self._backward(w, shard, state, d)
+        return g if keep is None else (g, rows)
+
+    def predict(self, w, x1):
+        return _class_argmax(self._forward(w, x1)[1])
+
+
+class LogisticModel(_SoftmaxModel):
     """Multinomial logistic regression on a flat parameter vector.
 
     Parameters are packed as the weight matrix (n_classes x dim) followed
     by the bias vector (n_classes). The Hessian-vector product is exact:
-    for each sample the softmax Hessian block is diag(p) - p p'.
+    for each sample the softmax Hessian block is diag(p) - p p'.  The
+    forward state is ``(p,)``, the class-major softmax alone.
     """
 
     def __init__(self, dim, n_classes, l2=0.0):
@@ -416,11 +458,17 @@ class LogisticModel:
         c, d = self.n_classes, self.dim
         return w[..., :c * d].reshape(w.shape[:-1] + (c, d)), w[..., c * d:]
 
-    def _logits(self, w, x):
-        """Class-major logits (..., c, n), class axis outermost in memory:
-        ``[W | b] @ x1'``, x1 the features beside their ones column."""
-        return _class_logits(_beside(*self._unpack(w)), None,
-                             _with_ones(x, self.dim))
+    def _forward(self, w, x1):
+        """No hidden arrays, and the class-major logits ``[W | b] @ x1'``,
+        class axis outermost in memory."""
+        return (), _class_logits(_beside(*self._unpack(w)), None, x1)
+
+    @staticmethod
+    def _state(hidden, p, keep=None):
+        return (p,)
+
+    def _backward(self, w, shard, state, d):
+        return _affine_grad(d, shard.x, self.l2, w)
 
     def init_params(self, rng, scale=1.0):
         c, d = self.n_classes, self.dim
@@ -428,48 +476,21 @@ class LogisticModel:
         bias = np.zeros(c)
         return np.concatenate([weights, bias])
 
-    def loss(self, w, shard, keep=None):
-        z = self._logits(w, shard.x1)
-        reg = 0.5 * self.l2 * _dot(w, w)
-        if keep is None:
-            return _nll(z, shard.y) + reg
-        nll, p = _nll(z, shard.y, keep)
-        return nll + reg, p
-
-    def forward(self, w, shard):
-        """The state: class-major softmax probabilities (..., c, n)."""
-        return _softmax(self._logits(w, shard.x1))
-
-    def grad(self, w, shard, state=None, keep=None):
-        p = self.forward(w, shard) if state is None else state
-        rows = None if keep is None else _rows(p, keep)
-        # p is written only if this call made it and the rows are a copy
-        own = state is None and rows is not p
-        delta = _minus_onehot(p, shard.y, out=p if own else None)
-        g = _affine_grad(delta, shard.x, self.l2, w)
-        return g if keep is None else (g, rows)
-
     def hvp(self, w, shard, v, state=None):
-        p = self.forward(w, shard) if state is None else state
-        rp = self._logits(v, shard.x1)   # the logits are linear in w
-        slabs = _slabs(rp)
-        # the class sum of p * rp without the product array: einsum adds the
-        # slabs' products in class order, as sum() adds down the outermost
-        # axis, so the bits are the same
-        slabs -= np.einsum("ij,ij->j", _slabs(p), slabs)
-        rp *= p
+        p, = self.forward(w, shard) if state is None else state
+        # the logits are linear in w
+        rp = _softmax_jvp(self._forward(v, shard.x1)[1], p)
         return _affine_grad(rp, shard.x, self.l2, v)
 
-    def predict(self, w, x):
-        return _class_argmax(self._logits(w, x))
 
-
-class MLPModel:
+class MLPModel(_SoftmaxModel):
     """One-hidden-layer tanh perceptron with softmax output.
 
     The Hessian-vector product is computed with a hand-rolled forward-mode
     pass over the backward pass (double backprop), so it is exact up to
-    floating point, not a finite-difference estimate.
+    floating point, not a finite-difference estimate.  The forward state
+    is ``(w2, a1, s1, p)``: output weights, activations, the tanh slope
+    ``s1 = 1 - a1**2`` and the class-major softmax.
     """
 
     def __init__(self, dim, hidden, n_classes, l2=0.0):
@@ -494,19 +515,20 @@ class MLPModel:
         b2 = np.zeros(c)
         return np.concatenate([w1, b1, w2, b2])
 
-    def _logits(self, w, x):
-        """Output weights, activations (..., n, h) and class-major logits,
-        class axis outermost in memory."""
+    def _forward(self, w, x1):
+        """``(w2, a1)``, the output weights and activations (..., n, h), and
+        the class-major logits, class axis outermost in memory."""
         w1, b1, w2, b2 = self._unpack(w)
-        a1 = _with_ones(x, self.dim) @ _t(_beside(w1, b1))
+        a1 = x1 @ _t(_beside(w1, b1))
         np.tanh(a1, out=a1)
-        return w2, a1, _class_logits(w2, b2, a1)
+        return (w2, a1), _class_logits(w2, b2, a1)
 
     @staticmethod
-    def _state(w2, a1, p, keep=None):
-        """``(w2, a1, s1, p)`` of the rows ``keep`` (all when None or every
-        row, as views), p already those rows, with the tanh slope
-        ``s1 = 1 - a1**2``."""
+    def _state(hidden, p, keep=None):
+        """``(w2, a1, s1, p)`` of the rows ``keep`` from hidden's leading
+        ``(w2, a1)`` (views when keep is None or every row), p already those
+        rows, with the tanh slope ``s1 = 1 - a1**2``."""
+        w2, a1 = hidden[:2]
         if keep is not None and not _every_row(keep, len(a1)):
             a1 = a1[keep]
             w2 = w2 if w2.ndim == 2 else w2[keep]
@@ -514,38 +536,17 @@ class MLPModel:
         np.subtract(1.0, s1, out=s1)
         return w2, a1, s1, p
 
-    def forward(self, w, shard):
-        """The state ``(w2, a1, s1, p)``: output weights, activations, the
-        tanh slope ``s1 = 1 - a1**2`` and the class-major softmax."""
-        w2, a1, z2 = self._logits(w, shard.x1)
-        return self._state(w2, a1, _softmax(z2))
-
-    def loss(self, w, shard, keep=None):
-        w2, a1, z2 = self._logits(w, shard.x1)
-        reg = 0.5 * self.l2 * _dot(w, w)
-        if keep is None:
-            return _nll(z2, shard.y) + reg
-        nll, p = _nll(z2, shard.y, keep)
-        return nll + reg, self._state(w2, a1, p, keep)
-
-    def grad(self, w, shard, state=None, keep=None):
+    def _backward(self, w, shard, state, d2):
         n = shard.size
-        w2, a1, s1, p = self.forward(w, shard) if state is None else state
-        kept = None if keep is None else _rows(p, keep)
-        rows = (None if keep is None else (w2, a1, s1, p) if kept is p
-                else self._state(w2, a1, kept, keep))
-        # p is written only if this call made it and the rows are a copy
-        own = state is None and kept is not p
-        d2 = _minus_onehot(p, shard.y, out=p if own else None)
+        w2, a1, s1, _ = state
         g_w2 = d2 @ a1 / n
         g_b2 = d2.mean(axis=-1)
         d1 = _t(d2) @ w2
         d1 *= s1
         g1 = _t(d1) @ shard.x1   # [g_w1 | g_b1], the sample sums
         g1 /= n
-        g = _pack(g1.shape[:-2], g1[..., :-1], g1[..., -1], g_w2,
-                  g_b2) + self.l2 * w
-        return g if keep is None else (g, rows)
+        return _pack(g1.shape[:-2], g1[..., :-1], g1[..., -1], g_w2,
+                     g_b2) + self.l2 * w
 
     def hvp(self, w, shard, v, state=None):
         n = shard.size
@@ -559,13 +560,11 @@ class MLPModel:
         ra1 = x1 @ _t(_beside(v1, vb1))
         ra1 *= s1
         # class-outermost like p, from stacked products, so the class sum of
-        # p * rd2 is one einsum over the slabs, as in the logistic hvp
+        # p * rd2 is one einsum over the slabs
         rd2 = _stacked_logits(v2, a1)
         rd2 += _stacked_logits(w2, ra1)
         _add_class_bias(rd2, vb2)
-        slabs = _slabs(rd2)
-        slabs -= np.einsum("ij,ij->j", _slabs(p), slabs)
-        rd2 *= p
+        _softmax_jvp(rd2, p)
 
         h_w2 = rd2 @ a1
         h_w2 += d2 @ ra1
@@ -585,9 +584,6 @@ class MLPModel:
         h1 /= n
         return _pack(h1.shape[:-2], h1[..., :-1], h1[..., -1], h_w2,
                      h_b2) + self.l2 * v
-
-    def predict(self, w, x):
-        return _class_argmax(self._logits(w, x)[2])
 
 
 class QuadraticModel:
@@ -623,7 +619,7 @@ class QuadraticModel:
     def hvp(self, w, shard, v, state=None):
         return self._apply_q(shard, v)
 
-    def predict(self, w, x):
+    def predict(self, w, x1):
         return None
 
 
@@ -645,8 +641,8 @@ def build_classification_federation(rng, k, n_k, l, n_classes, dim,
     """
     means = make_class_means(rng, n_classes, dim, separation)
     # x1 is all ones until the features are drawn into it
-    shards = [TaskShard(x=None, y=np.empty((k, n_k, n), dtype=np.int64),
-                        x1=np.ones((k, n_k, n, dim + 1)))
+    shards = [TaskShard(x1=np.ones((k, n_k, n, dim + 1)),
+                        y=np.empty((k, n_k, n), dtype=np.int64))
               for n in (n_train, n_eval)]
     draws = [np.empty(s.x.shape[1:]) for s in shards]
     for k_idx in range(k):

@@ -24,6 +24,20 @@ from hpfl.tasks import (TaskShard, _affine_grad, _class_argmax, _from_slabs,
                         make_class_means)
 
 
+def with_ones(x):
+    """Features x (..., n, d) copied beside a trailing ones column, as
+    (..., n, d + 1)."""
+    x1 = np.ones(x.shape[:-1] + (x.shape[-1] + 1,))
+    x1[..., :-1] = x
+    return x1
+
+
+def hand_shard(x, y):
+    """A TaskShard built by hand from plain features x (..., n, d), copied
+    beside their ones column, and labels y (..., n)."""
+    return TaskShard(x1=with_ones(x), y=y)
+
+
 def power_limited_rate(p, h, n0):
     """Supremum of uplink_rate over bandwidth: p h / (N0 ln 2)."""
     return p * h / (n0 * LN2)
@@ -190,7 +204,7 @@ def plain_logistic_kernels(model, w, shard, v):
 def product_class_sum_hvp(model, w, shard, v, p):
     """``LogisticModel.hvp`` at w handed the state p, its class sum taken
     as ``(p * rp).sum(axis=-2)`` over the whole product array."""
-    rp = model._logits(v, shard.x)
+    rp = model._forward(v, shard.x1)[1]
     rp -= (p * rp).sum(axis=-2, keepdims=True)
     rp *= p
     h_w = rp @ shard.x / shard.size
@@ -259,7 +273,7 @@ def per_ue_classification_federation(rng, k, n_k, l, n_classes, dim,
                 view = rng.standard_normal(out=x[k_idx, j])
                 view *= noise
                 view += means[y[k_idx, j]]
-    return tuple(TaskShard(x=x, y=y) for x, y in stacks)
+    return tuple(hand_shard(x, y) for x, y in stacks)
 
 
 def full_federation_grad_norms_sq(engine, versions, grad):

@@ -23,9 +23,10 @@ from hpfl.experiment import prepare, run_audit, run_experiment, write_outputs
 from hpfl.scenario import Scenario
 from hpfl.scheduler import apply_cap, net_scores
 from hpfl.meta import meta_grad, meta_loss
-from hpfl.tasks import LogisticModel, QuadraticModel, QuadraticTask, TaskShard
+from hpfl.tasks import LogisticModel, QuadraticModel, QuadraticTask
 from oracles import (
     bisect_link_bandwidth,
+    hand_shard,
     power_limited_rate,
     separable_objective_value,
     solve_link_bandwidth,
@@ -56,10 +57,8 @@ def random_logistic_triple(rng):
     n_classes = int(rng.integers(3, 5))
     n = int(rng.integers(10, 21))
     model = LogisticModel(dim, n_classes, l2=1e-3)
-    shard = TaskShard(
-        x=rng.standard_normal((n, dim)),
-        y=rng.integers(0, n_classes, size=n),
-    )
+    shard = hand_shard(rng.standard_normal((n, dim)),
+                       rng.integers(0, n_classes, size=n))
     w = model.init_params(rng, scale=0.5)
     alpha = float(rng.uniform(0.0, 0.1))
     return model, shard, w, alpha

@@ -1,5 +1,6 @@
-"""Static guards: every public function of the package serves a run, and
-every name the benchmark's tracer patches exists.
+"""Static guards: every public function of the package serves a run,
+every name the benchmark's tracer patches exists, and every traced model
+method keeps a name the benchmark counts as a kernel.
 
 A reference implementation that only tests call belongs in
 tests/oracles.py, not in src/hpfl.  The first guard reads code, not text:
@@ -54,8 +55,8 @@ def test_every_public_function_has_a_caller_outside_the_tests():
         "(move them to tests/oracles.py or delete them): %s" % test_only)
 
 
-def traced_targets():
-    """The (owner, attribute) pairs the benchmark's tracer patches.
+def tracer():
+    """The namespace of the benchmark's tracer module.
 
     bench/tracer.py is run with exec rather than imported, so the test
     writes no bytecode under bench/.
@@ -63,7 +64,12 @@ def traced_targets():
     path = ROOT / "bench" / "tracer.py"
     namespace = {}
     exec(compile(path.read_text(), str(path), "exec"), namespace)
-    return namespace["targets"]()
+    return namespace
+
+
+def traced_targets():
+    """The (owner, attribute) pairs the benchmark's tracer patches."""
+    return tracer()["targets"]()
 
 
 def test_every_traced_name_exists():
@@ -71,3 +77,20 @@ def test_every_traced_name_exists():
                for owner, attr in traced_targets() if not hasattr(owner, attr)]
     assert not missing, (
         "bench/tracer.py traces names the package no longer has: %s" % missing)
+
+
+def test_traced_kernel_spans_keep_their_kernel_names():
+    """A traced method of a model class, inherited or its own, gives a span
+    name that bench/run.py counts as a kernel: it starts with ``tasks.``
+    and holds ``Model.``.  The tracer names a span by the function's
+    ``__qualname__``, so a method inherited from a base whose name lacks
+    ``Model`` would drop out of every kernel metric."""
+    namespace = tracer()
+    span_name = namespace["span_name"]
+    names = [span_name(getattr(owner, attr))
+             for owner, attr in namespace["targets"]()
+             if isinstance(owner, type) and owner.__module__ == "hpfl.tasks"]
+    assert names
+    wrong = [name for name in names
+             if not (name.startswith("tasks.") and "Model." in name)]
+    assert not wrong, "traced kernels the benchmark does not count: %s" % wrong

@@ -9,9 +9,8 @@ from hpfl.constants import (EstimationError, _maxima, bound_constants,
 from hpfl.experiment import prepare
 from hpfl.meta import NonFiniteError
 from hpfl.scenario import Scenario
-from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
-                        QuadraticTask, TaskShard)
-from oracles import estimator_maxima
+from hpfl.tasks import LogisticModel, MLPModel, QuadraticModel, QuadraticTask
+from oracles import estimator_maxima, hand_shard
 
 
 def _stacked(*tasks):
@@ -65,8 +64,8 @@ def test_derived_fields_satisfy_formulas():
 def test_each_probe_makes_one_forward_pass(forward_points, model):
     """A probe's gradient and its HVPs share one forward pass."""
     rng = np.random.default_rng(2)
-    shards = TaskShard(x=rng.standard_normal((2, 3, 7, 4)),
-                       y=rng.integers(0, 3, size=(2, 3, 7)))
+    shards = hand_shard(rng.standard_normal((2, 3, 7, 4)),
+                        rng.integers(0, 3, size=(2, 3, 7)))
     points = forward_points(type(model))
     estimate_constants(model, shards, 0.1, probe_count=5, rng_seed=3,
                        center=np.zeros(model.n_params))

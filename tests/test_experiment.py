@@ -27,7 +27,7 @@ from hpfl.experiment import (
     run_sweep,
     write_outputs,
 )
-from hpfl.scenario import Scenario, save_scenario
+from hpfl.scenario import ConfigError, Scenario, save_scenario
 from oracles import full_federation_grad_norms_sq
 
 SMALL = Scenario(k=3, n_k=2, n_train=16, n_eval=16, rounds=4, seed=1)
@@ -278,6 +278,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             parse_sweep_values("1:0.5")
 
+    @pytest.mark.parametrize("spec", ["0:1:0", "0:1:-0.5", "0:1:nan"])
+    def test_parse_rejects_a_step_that_is_not_positive(self, spec):
+        with pytest.raises(ConfigError,
+                           match="--values: step must be positive"):
+            parse_sweep_values(spec)
+
+    def test_sweep_rejects_an_unknown_parameter(self, tmp_path):
+        with pytest.raises(ConfigError,
+                           match="param: unknown sweep parameter 'nope'"):
+            run_sweep(SMALL, "nope", [1.0], tmp_path)
+        assert not any(tmp_path.iterdir())
+
     def test_sweep_writes_tree(self, tmp_path):
         scn = SMALL.replace(rounds=2)
         rows = run_sweep(scn, "rho", [0.3, 0.7], tmp_path)
@@ -339,6 +351,16 @@ class TestSweepCli:
         code, out = _sweep(tmp_path, "rho", values)
         assert code == 2
         assert "config error: --values: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param,values,message", [
+        ("nope", "1", "param: unknown sweep parameter 'nope'"),
+        ("rho", "0:1:0", "--values: step must be positive")])
+    def test_unknown_parameter_and_zero_step_exit_2(self, tmp_path, capsys,
+                                                    param, values, message):
+        code, out = _sweep(tmp_path, param, values)
+        assert code == 2
+        assert "config error: " + message in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hpfl import meta
-from hpfl.experiment import prepare
+from hpfl.experiment import audit_bound, prepare
 from hpfl.hierarchy import global_update
 from hpfl.scenario import Scenario
 
@@ -77,6 +77,30 @@ class TestAdvanceStaleness:
 
 
 class TestRoundEngine:
+    @pytest.mark.parametrize("mask", [[False] * 3, [True] * 2],
+                             ids=["empty", "short"])
+    def test_a_rejected_forced_selection_leaves_the_engine_as_it_was(
+            self, mask):
+        """A forced mask that picks no server, or has the wrong length,
+        raises before the round evaluates or refreshes: refreshed,
+        history, version and mean_grad are as they were, and the rounds
+        after it, and their audit, equal a clean run's."""
+        scn = Scenario(k=3, rounds=0, seed=13)
+        eng, clean = prepare(scn, audit=True), prepare(scn, audit=True)
+        before = (len(eng.refreshed), len(eng.history), eng.version.copy(),
+                  eng.mean_grad.copy())
+        with pytest.raises(ValueError, match="at least one of 3 servers"):
+            eng.run_round(forced_selection=np.array(mask))
+        assert (len(eng.refreshed), len(eng.history)) == before[:2]
+        assert np.array_equal(eng.version, before[2])
+        assert np.array_equal(eng.mean_grad, before[3])
+        for engine in (eng, clean):
+            for _ in range(3):
+                engine.run_round()
+        assert eng.records == clean.records
+        assert len(eng.refreshed) == len(clean.refreshed)
+        assert audit_bound(eng) == audit_bound(clean)
+
     def test_single_server_plain_mode_is_gradient_descent(self):
         """K=1, n=1, full selection, no staleness: textbook recursion."""
         scn = Scenario(k=1, n_k=1, mode="hfl", selection="full", s_max=0,
@@ -195,13 +219,13 @@ class TestRoundEngine:
         eng = prepare(scn)
         train, size = eng.federation.train, eng.model.n_params
         cls = type(eng.model)
-        builder = cls._logits
+        builder = cls._forward
         formed = []
 
-        def recording(self, w, x):
-            formed.append((np.array(w), x.shape))
-            return builder(self, w, x)
-        monkeypatch.setattr(cls, "_logits", recording)
+        def recording(self, w, x1):
+            formed.append((np.array(w), x1.shape))
+            return builder(self, w, x1)
+        monkeypatch.setattr(cls, "_forward", recording)
         for _ in range(4):
             w = eng.w
             thetas = meta.adapt(eng.model, w, train,

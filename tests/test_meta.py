@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hpfl.meta import NonFiniteError, adapt, meta_grad, meta_loss
-from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
-                        QuadraticTask, TaskShard)
+from hpfl.tasks import LogisticModel, MLPModel, QuadraticModel, QuadraticTask
+from oracles import hand_shard
 
 
 def _identity_task(dim=2):
@@ -25,7 +25,7 @@ def _random_quadratic(rng, dim):
 def _random_shard(rng, n, dim, n_classes):
     x = rng.standard_normal((n, dim))
     y = rng.integers(0, n_classes, size=n)
-    return TaskShard(x=x, y=y)
+    return hand_shard(x, y)
 
 
 def _fd_grad(f, w, eps=1e-6):
@@ -204,7 +204,7 @@ def test_hvp_linear_in_direction():
 def test_nonfinite_error_carries_context():
     model = LogisticModel(2, 3)
     x = np.array([[1.0, np.inf], [0.0, 1.0]])
-    shard = TaskShard(x=x, y=np.array([0, 1]))
+    shard = hand_shard(x, np.array([0, 1]))
     w = np.zeros(model.n_params)
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteError, match="round 3 ue 7"):

@@ -12,15 +12,16 @@ from hpfl.tasks import (LogisticModel, MLPModel, QuadraticModel,
                         QuadraticTask, TaskShard, _add_class_bias,
                         _class_argmax, _class_logits, _from_slabs, _minus_onehot, _rows,
                         _shared_product, _t, build_classification_federation)
-from oracles import (per_ue_classification_federation, plain_logistic_kernels,
-                     plain_mlp_kernels, product_class_sum_hvp)
+from oracles import (hand_shard, per_ue_classification_federation,
+                     plain_logistic_kernels, plain_mlp_kernels,
+                     product_class_sum_hvp, with_ones)
 
 K, N, SAMPLES, DIM, CLASSES = 3, 4, 6, 5, 4
 
 
 def _classification_stack(rng):
-    return TaskShard(x=rng.standard_normal((K, N, SAMPLES, DIM)),
-                     y=rng.integers(0, CLASSES, size=(K, N, SAMPLES)))
+    return hand_shard(rng.standard_normal((K, N, SAMPLES, DIM)),
+                      rng.integers(0, CLASSES, size=(K, N, SAMPLES)))
 
 
 def _quadratic_stack(rng):
@@ -106,7 +107,7 @@ def test_shared_forward_state_gives_the_same_bits(case):
     every array of the state (the MLP's four), the point, the direction
     and the shard as they were, at a shared, per-UE and per-server point."""
     model, stack, w, per_ue, v = case
-    shard = (stack.x, stack.y) if isinstance(stack, TaskShard) \
+    shard = (stack.x1, stack.y) if isinstance(stack, TaskShard) \
         else (stack.q, stack.a)
     for batched_w in (w, per_ue, per_ue[:, :1]):
         state = model.forward(batched_w, stack)
@@ -124,8 +125,7 @@ def test_shared_forward_state_gives_the_same_bits(case):
 def _states(state):
     """A forward state as a tuple of arrays: the MLP's four, the logistic
     softmax alone, or none for the quadratic."""
-    return () if state is None else state if isinstance(state, tuple) \
-        else (state,)
+    return () if state is None else state
 
 
 @pytest.mark.parametrize("at", ["shared", "per-UE"])
@@ -180,12 +180,12 @@ def test_predict_matches_per_ue_calls(case):
         assert model.predict(per_ue, None) is None
         return
     for batched_w, ue_w in _points(w, per_ue):
-        got = model.predict(batched_w, stack.x)
+        got = model.predict(batched_w, stack.x1)
         assert got.shape == (K, N, SAMPLES)
         for k in range(K):
             for j in range(N):
                 assert np.array_equal(got[k, j],
-                                      model.predict(ue_w(k, j), stack.x[k, j]))
+                                      model.predict(ue_w(k, j), stack.x1[k, j]))
 
 
 def test_meta_grad_matches_per_ue_calls(case):
@@ -247,11 +247,11 @@ def test_class_outermost_logistic_kernels_equal_the_plain_expressions(at):
     """Logits and state laid out class-outermost; every output bit for bit."""
     model, stack, w, v = _logistic_case(at)
     z, p, loss, grad, hvp, labels = _plain_logistic(model, w, stack, v)
-    got_z, got_p = model._logits(w, stack.x), model.forward(w, stack)
+    got_z, (got_p,) = model._forward(w, stack.x1)[1], model.forward(w, stack)
     for got, want in [(got_z, z), (got_p, p), (model.loss(w, stack), loss),
                       (model.grad(w, stack), grad),
                       (model.hvp(w, stack, v), hvp),
-                      (model.predict(w, stack.x), labels)]:
+                      (model.predict(w, stack.x1), labels)]:
         np.testing.assert_array_equal(got, want)
     # the class axis is outermost in memory: (c, K, N, n) in C order
     assert np.moveaxis(got_z, -2, 0).flags.c_contiguous
@@ -272,7 +272,7 @@ def test_class_outermost_mlp_logits_equal_the_plain_expression(at):
     z = w2 @ np.swapaxes(a1, -1, -2) + b2[..., :, None]
     e = np.exp(z - z.max(axis=-2, keepdims=True))
     p = e / e.sum(axis=-2, keepdims=True)
-    got_z, got_p = model._logits(w, stack.x)[2], model.forward(w, stack)[-1]
+    got_z, got_p = model._forward(w, stack.x1)[1], model.forward(w, stack)[-1]
     for got, want in [(got_z, z), (got_p, p)]:
         np.testing.assert_array_equal(got, want)
         # (c, K, N, n) in C order
@@ -372,8 +372,8 @@ def test_biases_inside_the_products_keep_the_bits_of_the_plain_features(
     make_model, plain = PLAIN_KERNELS[name]
     rng = np.random.default_rng(71)
     model = make_model()
-    stack = TaskShard(x=rng.standard_normal((K, N, 32, 8)),
-                      y=rng.integers(0, 10, size=(K, N, 32)))
+    stack = hand_shard(rng.standard_normal((K, N, 32, 8)),
+                       rng.integers(0, 10, size=(K, N, 32)))
     w = model.init_params(rng, scale=0.7)
     point = POINTS[at](w, w + 0.3 * rng.standard_normal((K, N, model.n_params)))
     v = rng.standard_normal((K, N, model.n_params))
@@ -382,8 +382,7 @@ def test_biases_inside_the_products_keep_the_bits_of_the_plain_features(
         for got, want in [(model.loss(point, stack), loss),
                           (model.grad(point, stack), grad),
                           (model.hvp(point, stack, direction), hvp),
-                          (model.predict(point, stack.x1), labels),
-                          (model.predict(point, stack.x), labels)]:
+                          (model.predict(point, stack.x1), labels)]:
             np.testing.assert_array_equal(got, want)
 
 
@@ -445,7 +444,7 @@ def test_features_sit_beside_an_exact_ones_column():
     a shard built by hand from a copy of its features."""
     fed = prepare(Scenario(k=3, n_k=2, rounds=0, seed=4)).federation
     x = np.random.default_rng(3).standard_normal((4, 5))
-    hand = TaskShard(x=x, y=np.zeros(4, dtype=np.int64))
+    hand = hand_shard(x, np.zeros(4, dtype=np.int64))
     assert not np.shares_memory(hand.x, x) and np.array_equal(hand.x, x)
     for shard in (fed.train, fed.eval, fed.train[1, 0], fed.eval[2], hand):
         assert shard.x1.shape == shard.x.shape[:-1] + (shard.x.shape[-1] + 1,)
@@ -473,11 +472,6 @@ def _tied_model(name, rng):
     return model, w
 
 
-def _logits(model, w, x):
-    z = model._logits(w, x)
-    return z[2] if isinstance(model, MLPModel) else z
-
-
 @pytest.mark.parametrize("name", ["logistic", "mlp"])
 @pytest.mark.parametrize("batch", [(), (2, 3), (8, 8)],
                          ids=["single", "small", "wide"])
@@ -495,10 +489,11 @@ def test_predict_is_numpys_argmax_on_ties_and_nan(name, batch):
         # classes without weight on feature 0 are NaN where it is infinite
         model._unpack(w)[0][::3, 0] = 0.0
         x[..., 3, 0] = np.inf
+    x1 = with_ones(x)
     for at in (w, w + 0.1 * rng.standard_normal(batch + w.shape)):
         with np.errstate(invalid="ignore", over="ignore"):
-            z = _logits(model, at, x)
-            got = model.predict(at, x)
+            z = model._forward(at, x1)[1]
+            got = model.predict(at, x1)
         want = np.argmax(z, axis=-2)
         np.testing.assert_array_equal(got, want)
         assert got.dtype == want.dtype
@@ -574,8 +569,8 @@ def test_logistic_kernels_match_the_row_major_reference(classes, samples):
     rng = np.random.default_rng(100 * classes + samples)
     l2 = 1e-2
     model = LogisticModel(DIM, classes, l2=l2)
-    shard = TaskShard(x=rng.standard_normal((samples, DIM)),
-                      y=rng.integers(0, classes, size=samples))
+    shard = hand_shard(rng.standard_normal((samples, DIM)),
+                       rng.integers(0, classes, size=samples))
     w, v = rng.standard_normal((2, model.n_params))
     (weights, bias), (v_w, v_b) = model._unpack(w), model._unpack(v)
     p, loss, g_w, g_b, labels = _reference_softmax_layer(
@@ -589,7 +584,7 @@ def test_logistic_kernels_match_the_row_major_reference(classes, samples):
     _assert_close(model.hvp(w, shard, v),
                   np.concatenate([(rp.T @ shard.x / samples).ravel(),
                                   rp.mean(axis=0)]) + l2 * v)
-    np.testing.assert_array_equal(model.predict(w, shard.x), labels)
+    np.testing.assert_array_equal(model.predict(w, shard.x1), labels)
 
 
 @pytest.mark.parametrize("samples", [1, 7, 32, 33])
@@ -598,15 +593,15 @@ def test_mlp_output_layer_matches_the_row_major_reference(classes, samples):
     """The MLP's output-layer gradient and predict against row-major formulas."""
     rng = np.random.default_rng(100 * classes + samples)
     model = MLPModel(DIM, 3, classes)
-    shard = TaskShard(x=rng.standard_normal((samples, DIM)),
-                      y=rng.integers(0, classes, size=samples))
+    shard = hand_shard(rng.standard_normal((samples, DIM)),
+                       rng.integers(0, classes, size=samples))
     w = rng.standard_normal(model.n_params)
     w1, b1, w2, b2 = model._unpack(w)
     a1 = np.tanh(shard.x @ w1.T + b1)
     _, _, g_w2, g_b2, labels = _reference_softmax_layer(a1, shard.y, w2, b2)
     _assert_close(model.grad(w, shard)[-w2.size - b2.size:],
                   np.concatenate([g_w2.ravel(), g_b2]))
-    np.testing.assert_array_equal(model.predict(w, shard.x), labels)
+    np.testing.assert_array_equal(model.predict(w, shard.x1), labels)
 
 
 def _large_federation():
@@ -637,11 +632,11 @@ def test_logistic_hvp_class_sum_has_the_bits_of_the_product(ids, at, state):
     sub, sub_point, sub_v = train[ids], point, v
     if at == "per_ue":
         sub_point, sub_v = point[ids], v[ids]
-    p = (model.forward(sub_point, sub) if state == "forward"
-         else _rows(model.forward(point, train), ids))
+    p = (model.forward(sub_point, sub)[0] if state == "forward"
+         else _rows(model.forward(point, train)[0], ids))
     assert p.shape == (len(ids), 20, 10, 32)
     np.testing.assert_array_equal(
-        model.hvp(sub_point, sub, sub_v, p),
+        model.hvp(sub_point, sub, sub_v, (p,)),
         product_class_sum_hvp(model, sub_point, sub, sub_v, p))
 
 
@@ -667,4 +662,4 @@ def test_logistic_kernels_hold_under_two_logit_arrays(kernel):
     v = rng.standard_normal(w.shape)
     call = {"hvp": lambda: model.hvp(w, train, v, state),
             "grad": lambda: model.grad(w, train, state)}[kernel]
-    assert _traced_peak(call) < 1.75 * state.nbytes
+    assert _traced_peak(call) < 1.75 * state[0].nbytes
