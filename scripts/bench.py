@@ -2,9 +2,12 @@
 
 Usage: python3 scripts/bench.py --pr N --parent REV
 
-Run from the repository root.  The working tree is the change; REV (for
-example HEAD before committing, HEAD~1 after) is exported with
-``git archive`` into a temporary directory and is the parent.  For each
+Run from the repository root.  Both sides run from fresh sibling copies
+in one temporary directory, so neither runs from the repository itself:
+the change is the working tree as ``export_worktree`` copies it (tracked
+and untracked files, edits included, ignored files left out), and the
+parent is REV (for example HEAD before committing, HEAD~1 after) exported
+with ``git archive``.  For each
 workload (desk, large, audit_mlp), ``bench/run.py --trace 0`` runs once per
 seed 1-10 on each side, the two sides alternating which runs first, and
 ``--trace 1`` runs once per side at seed 1; every run lasts bench/run.py's
@@ -37,6 +40,7 @@ import io
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -268,6 +272,23 @@ def export(rev, into):
             tar.extractall(into, filter="data")
 
 
+def export_worktree(root, into):
+    """Copy into the directory ``into`` the files of the git work tree
+    ``root`` that ``git ls-files --cached --others --exclude-standard``
+    lists and that exist: uncommitted edits and new files are copied,
+    ignored files and deleted tracked files are not."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], cwd=root, check=True,
+        capture_output=True).stdout
+    for name in dict.fromkeys(os.fsdecode(listed).split("\0")):
+        path = os.path.join(root, name)
+        if name and os.path.isfile(path):
+            target = os.path.join(into, name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(path, target)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True)
@@ -277,14 +298,16 @@ def main():
     parent_commit = subprocess.run(
         ["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
         capture_output=True, text=True).stdout.strip()
-    with tempfile.TemporaryDirectory() as parent:
-        export(args.parent, parent)
-        where = {"parent": parent, "change": ROOT}
+    with tempfile.TemporaryDirectory() as tmp:
+        where = {side: os.path.join(tmp, side) for side in SIDES}
+        export(args.parent, where["parent"])
+        export_worktree(ROOT, where["change"])
         lines = {side: src_lines(where[side]) for side in SIDES}
         runs = measure(where, os.path.join(
             ROOT, "BENCH_%d.partial.json" % args.pr))
-    with open(result_path(ROOT, WORKLOADS[0], SEEDS[0])) as fh:
-        environment = json.load(fh)["environment"]
+        with open(result_path(where["change"], WORKLOADS[0],
+                              SEEDS[0])) as fh:
+            environment = json.load(fh)["environment"]
     environment.pop("loadavg_at_start", None)
     description = (
         "hpfl benchmark record, written by scripts/bench.py. 'pairs' holds "

@@ -15,6 +15,9 @@ and K edge servers:
 
     phi = 5 * beta * S^2 / A
     nu  = 10 * beta * K * meta_div_sq / A + 5 * beta * S^2 * K * meta_div_sq / A
+
+Every square is a product, so an overflow gives inf, which the functions
+report by name.
 """
 
 from dataclasses import dataclass, asdict
@@ -89,9 +92,9 @@ def _candidates(est, scale, terms):
     it always passes: its upper bound is at least its value, which is at
     least every other value and so every lower bound.  Rounding keeps
     this, because rounding is monotone and the factor 8 is twice what the
-    bounds of _pair_estimates and _spread need.  A non-finite estimate gives no bound and is always
-    a candidate, so NaN and inf reach the exact values as they would in a
-    loop over every entry.
+    bounds of _pair_lip and _spread need.  A non-finite estimate gives no
+    bound and is always a candidate, so NaN and inf reach the exact values
+    as they would in a loop over every entry.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         err = np.multiply(scale, 8.0 * terms * _ROUNDOFF, out=scale)
@@ -104,19 +107,26 @@ def _candidates(est, scale, terms):
         return other
 
 
-def _pair_estimates(x, j, jj):
-    """Estimates (pairs, rows) of the squared row distances ``||a - b||^2``
-    of x (J, rows, P) at the probe pairs (j, jj), their scale ``||a||^2 +
-    ||b||^2``, and every row's squared norm (J, rows).
+def _pair_lip(x, dists):
+    """The largest ``||x[j, row] - x[jj, row]|| / dists[j, jj]`` over the
+    rows of x (J, rows, P) and the probe pairs j < jj not closer than
+    1e-12, and the rows' squared norms (J, rows) it estimated on the way.
 
     Each row's (probe, probe) Gram matrix comes from one batched product
-    over a strided view of x, and an estimate is ``||a||^2 + ||b||^2 -
-    2 a.b``.  In any summation order, FMA included, with gamma_k = k u /
-    (1 - k u):
+    over a strided view of x, and a pair's squared row distance is
+    estimated as ``||a||^2 + ||b||^2 - 2 a.b``.  In any summation order,
+    FMA included, with gamma_k = k u / (1 - k u):
         |est - s| <= (2 gamma_P + 6u) (||a||^2 + ||b||^2), and the exact
         form's |s_np - s| <= gamma_(P+2) s <= 2 gamma_(P+2) (||a||^2 + ||b||^2),
-    so _candidates' terms are P + 4.
+    so _candidates' terms are P + 4.  Only the candidate rows of each pair
+    are formed the exact way (_sq_dists), in chunks of no more rows than
+    one pair has, and folded into each pair's maximum; every pair keeps
+    the row that holds its maximum, so none stays at -inf.  np.fmax drops
+    a NaN quotient, as a loop of Python's max from 0 would.
     """
+    j, jj = np.triu_indices(len(x), 1)
+    far = ~(dists[j, jj] < 1e-12)
+    j, jj = j[far], jj[far]
     rows = x.transpose(1, 0, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.matmul(rows, rows.transpose(0, 2, 1))
@@ -124,37 +134,17 @@ def _pair_estimates(x, j, jj):
         scale = norms[j]
         scale += norms[jj]
         est = gram.transpose(1, 2, 0)[j, jj]
+        del gram
         est *= -2.0
         est += scale
-    return est, scale, norms
-
-
-def _pair_lip(x, dists):
-    """The largest ``||x[j, row] - x[jj, row]|| / dists[j, jj]`` over the
-    rows of x (J, rows, P) and the probe pairs j < jj not closer than
-    1e-12, and the rows' squared norms (J, rows) it estimated on the way.
-
-    Only the candidate rows of each pair (_pair_estimates, _candidates)
-    are formed the exact way (_sq_dists), in chunks of no more rows than
-    one pair has, and folded into each pair's maximum; every pair keeps
-    the row that holds its maximum, so none stays at -inf.  The quotients
-    combine with Python's max in (j, jj) order, so a NaN quotient is
-    dropped as in a plain loop.
-    """
-    j, jj = np.triu_indices(len(x), 1)
-    far = ~(dists[j, jj] < 1e-12)
-    j, jj = j[far], jj[far]
-    est, scale, norms = _pair_estimates(x, j, jj)
     pair, row = np.nonzero(_candidates(est, scale, x.shape[-1] + 4))
     sq = np.full(len(j), -np.inf)
     for lo in range(0, len(pair), x.shape[1]):
         c = slice(lo, lo + x.shape[1])
         a = x[j[pair[c]], row[c]]
         np.maximum.at(sq, pair[c], _sq_dists(a, x[jj[pair[c]], row[c]], a))
-    lip = 0.0
-    for q in (np.sqrt(sq) / dists[j, jj]).tolist():
-        lip = max(lip, q)
-    return lip, norms
+    lip = np.fmax.reduce(np.sqrt(sq) / dists[j, jj], initial=0.0)
+    return float(lip), norms
 
 
 def _norm_max(x, norms):
@@ -162,19 +152,15 @@ def _norm_max(x, norms):
     (J, rows) of its squares: they and the exact sums are both within
     gamma_P of the true squares, so _candidates' terms are P + 4."""
     flat = norms.reshape(-1)
-    cand = _candidates(flat, flat.copy(), x.shape[-1] + 4).reshape(norms.shape)
-    sq = []
-    for rows, c in zip(x, cand):
-        if c.any():
-            a = rows[c]
-            sq.append(np.multiply(a, a, out=a).sum(axis=-1).max())
-    return float(np.sqrt(np.max(sq)))
+    a = x.reshape(-1, x.shape[-1])[
+        _candidates(flat, flat.copy(), x.shape[-1] + 4)]
+    return float(np.sqrt(np.multiply(a, a, out=a).sum(axis=-1).max()))
 
 
 def _spread(x, norms):
     """The largest root mean squared distance of a slab's rows from their
-    mean, over the (J, R) slabs (U, P) of x (J, R, U, P), from estimates
-    norms (J, R, U) of the rows' squared norms.
+    mean, over the slabs (U, P) of x (S, U, P), from estimates norms
+    (S, U) of the rows' squared norms.
 
     A slab's value ``T = mean_u ||h_u - m||^2``, m its rows' computed mean,
     is estimated as ``mn - ||m||^2`` with ``mn = mean_u ||h_u||^2``.  Beside
@@ -186,18 +172,15 @@ def _spread(x, norms):
     so _candidates' terms are P + U + 4.  Only the candidate slabs are
     formed the exact way.
     """
-    mean = x.mean(axis=2, keepdims=True)
+    mean = x.mean(axis=1, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = norms.mean(axis=-1)
-        sq_mean = np.einsum("...ip,...ip->...", mean, mean)
+        sq_mean = np.einsum("sip,sip->s", mean, mean)
         est = scale - sq_mean
         scale += sq_mean
-    cand = _candidates(est.reshape(-1), scale.reshape(-1),
-                       x.shape[-1] + x.shape[-2] + 4)
-    slabs = x.reshape((-1,) + x.shape[2:])
-    means = mean.reshape((-1,) + mean.shape[2:])
-    buf = np.empty(x.shape[2:])
-    return float(np.sqrt(np.max([_sq_dists(slabs[s], means[s], buf).mean()
+    cand = _candidates(est, scale, x.shape[-1] + x.shape[-2] + 4)
+    buf = np.empty(x.shape[1:])
+    return float(np.sqrt(np.max([_sq_dists(x[s], mean[s], buf).mean()
                                  for s in np.flatnonzero(cand)])))
 
 
@@ -213,12 +196,12 @@ def _maxima(grads, hvps, dists):
     the values that can be the maximum (_candidates) are formed exactly.
     A probe pair closer than 1e-12 gives no difference quotient.
     """
-    n, _, p = grads.shape
+    n, u, p = grads.shape
     grad_lip, g_norms = _pair_lip(grads, dists)
     hess_lip, h_norms = _pair_lip(hvps.reshape(n, -1, p), dists)
     return (grad_lip, _norm_max(grads, g_norms), hess_lip,
-            _spread(grads[:, None], g_norms[:, None]),
-            _spread(hvps, h_norms.reshape(hvps.shape[:3])))
+            _spread(grads, g_norms),
+            _spread(hvps.reshape(-1, u, p), h_norms.reshape(-1, u)))
 
 
 def estimate_constants(model, shards, alpha, probe_count, rng_seed, center):
@@ -252,10 +235,10 @@ def estimate_constants(model, shards, alpha, probe_count, rng_seed, center):
         grads, hvps, dists)
 
     meta_lip = 4.0 * grad_lip + alpha * hess_lip * grad_max
-    try:
-        meta_div_sq = 3.0 * grad_max ** 2 * alpha ** 2 * hess_div ** 2 + 192.0 * grad_div ** 2
-    except OverflowError:   # a float ** raises where a * returns inf
-        meta_div_sq = np.inf
+    # products, not **: a float ** raises where a * returns inf, and the
+    # C library's pow(x, 2) may be one ulp off the rounded product
+    meta_div_sq = (3.0 * (grad_max * grad_max) * (alpha * alpha)
+                   * (hess_div * hess_div) + 192.0 * (grad_div * grad_div))
     constants = SmoothnessConstants(
         grad_lip=grad_lip, grad_max=grad_max, hess_lip=hess_lip,
         grad_div=grad_div, hess_div=hess_div,

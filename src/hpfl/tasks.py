@@ -76,8 +76,9 @@ under OpenBLAS's SkylakeX, Haswell and Prescott kernels (checked at d = 8
 and 20, hidden 8 to 32).  At d = 33 and 64 the SkylakeX kernels sum the
 longer dot in another order, and logistic outputs move by about 1e-15
 relative.  The output layer keeps its bias passes: ``b2`` and ``vb2`` are
-added after their products, and the output-bias gradients stay means
-along the contiguous sample axis, which NumPy sums pairwise.
+added after their products, both by ``_add_class_bias``, and the
+output-bias gradients stay means along the contiguous sample axis, which
+NumPy sums pairwise.
 
 Buffers: the kernels overwrite only arrays they made themselves, and the
 logistic kernels make no logit-sized array they throw away.  ``_softmax``
@@ -273,30 +274,25 @@ def _add_class_bias(z, bias):
     storage += np.moveaxis(bias, -2, 0)
 
 
-def _class_logits(weights, bias, x):
-    """``weights @ x' + bias`` as (..., c, n) logits, class axis outermost.
+def _class_logits(weights, x):
+    """``weights @ x'`` as (..., c, n) logits, class axis outermost.
 
-    weights is (..., c, k) and bias (..., c) or None, their batch axes
-    broadcasting to those of x (..., n, k).  The result has the logical
-    shape of the plain expression, but it is laid out as (c, ..., n), so a
-    reduction down the classes runs over whole contiguous slabs.  At a
-    shared point (weights without batch axes) it is one product over every
-    sample (_shared_product), which is already (c, ..., n); else it is one
+    weights is (..., c, k), its batch axes broadcasting to those of x
+    (..., n, k).  The result has the logical shape of the plain
+    expression, but it is laid out as (c, ..., n), so a reduction down the
+    classes runs over whole contiguous slabs.  At a shared point (weights
+    without batch axes) it is one product over every sample
+    (_shared_product), which is already (c, ..., n); else it is one
     stacked product per batch entry, written into that layout, with the
     bits of the plain expression.  Each entry is the same length-k dot
     either way, but the one product's bits equal the stacked products'
     only for short k and more than one sample per shard (see the module
-    docstring).
+    docstring).  A class bias is added after, by _add_class_bias.
     """
     if weights.ndim == 2:
         out = _shared_product(weights, x)
-        if bias is not None:
-            out += bias[:, None]
         return _from_slabs(out.reshape(weights.shape[:1] + x.shape[:-1]))
-    z = _stacked_logits(weights, x)
-    if bias is not None:
-        _add_class_bias(z, bias)
-    return z
+    return _stacked_logits(weights, x)
 
 
 def _affine_grad(dz, x, l2, w):
@@ -461,7 +457,7 @@ class LogisticModel(_SoftmaxModel):
     def _forward(self, w, x1):
         """No hidden arrays, and the class-major logits ``[W | b] @ x1'``,
         class axis outermost in memory."""
-        return (), _class_logits(_beside(*self._unpack(w)), None, x1)
+        return (), _class_logits(_beside(*self._unpack(w)), x1)
 
     @staticmethod
     def _state(hidden, p, keep=None):
@@ -521,7 +517,9 @@ class MLPModel(_SoftmaxModel):
         w1, b1, w2, b2 = self._unpack(w)
         a1 = x1 @ _t(_beside(w1, b1))
         np.tanh(a1, out=a1)
-        return (w2, a1), _class_logits(w2, b2, a1)
+        z = _class_logits(w2, a1)
+        _add_class_bias(z, b2)
+        return (w2, a1), z
 
     @staticmethod
     def _state(hidden, p, keep=None):

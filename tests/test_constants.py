@@ -58,6 +58,18 @@ def test_derived_fields_satisfy_formulas():
         assert getattr(c, name) >= 0.0
 
 
+def test_meta_div_sq_squares_by_products(monkeypatch):
+    """meta_div_sq squares each factor as a product, which IEEE rounds
+    correctly.  At this grad_max glibc 2.36's pow(x, 2), and so ``x **
+    2``, is one unit in the last place below it."""
+    x = 8.237813583927716
+    monkeypatch.setattr(constants, "_maxima",
+                        lambda grads, hvps, dists: (1.0, x, 1.0, 0.0, 1.0))
+    c = estimate_constants(QuadraticModel(3), _identity_shard(3), 1.0,
+                           probe_count=4, rng_seed=0, center=np.zeros(3))
+    assert c.meta_div_sq == 3.0 * (x * x)
+
+
 @pytest.mark.parametrize("model", [LogisticModel(4, 3, l2=1e-2),
                                    MLPModel(4, 5, 3, l2=1e-2)],
                          ids=["logistic", "mlp"])
@@ -278,7 +290,7 @@ def test_large_federation_constants_keep_their_bits(seed):
 
 @pytest.mark.parametrize("alpha", [1e300, 1e200])
 def test_overflowing_constant_raises_naming_it(alpha):
-    """alpha ** 2 overflows a float: meta_div_sq is not finite."""
+    """alpha * alpha overflows to inf: meta_div_sq is not finite."""
     rng = np.random.default_rng(4)
     m = rng.standard_normal((3, 3))
     shard = _stacked(QuadraticTask(q=m @ m.T + np.eye(3), a=np.ones(3)),

@@ -663,19 +663,60 @@ def _cpu_has_avx2():
         return False
 
 
-# each run prints its rounds.csv text and every round's selection and versions
+# each run prints its rounds.csv text, every round's selection and versions,
+# and the CPU features NumPy has SIMD kernels for that are on: found on the
+# CPU and not disabled
 _DECISIONS = """
 import json, sys
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:   # NumPy before 2.0
+    from numpy.core import _multiarray_umath as umath
 from hpfl.experiment import rounds_csv_text, run_experiment
 from hpfl.scenario import Scenario
 engine = run_experiment(Scenario(**json.loads(sys.argv[1])))
 print(json.dumps([rounds_csv_text(engine.records),
-                  [[r.pi, r.versions] for r in engine.records]]))
+                  [[r.pi, r.versions] for r in engine.records],
+                  [f for f in umath.__cpu_dispatch__
+                   if umath.__cpu_features__.get(f)]]))
 """
-# BLAS kernels of other CPUs move floats by at most about 1e-15 relative;
-# the bound leaves a thousandfold margin and stays far inside the golden
-# files' 1e-9
+# BLAS kernels of other CPUs and NumPy's SIMD kernels move floats by at most
+# about 1e-15 relative; the bound leaves a thousandfold margin and stays far
+# inside the golden files' 1e-9
 CROSS_KERNEL_RTOL = 1e-12
+
+
+def _decisions(config, **env):
+    """(rounds.csv text, [[pi, versions]] a round, SIMD features on) of a
+    10-round run at seed 0 in its own process, on one BLAS thread, with env
+    set; NPY_DISABLE_CPU_FEATURES is unset unless env sets it."""
+    child = _child_env(OPENBLAS_NUM_THREADS="1", **env)
+    if "NPY_DISABLE_CPU_FEATURES" not in env:
+        child.pop("NPY_DISABLE_CPU_FEATURES", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DECISIONS,
+         json.dumps(dict(config, rounds=10, seed=0))],
+        env=child, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _assert_same_decisions(run_a, run_b):
+    """Two runs selected the same servers at the same versions, with the
+    same integer columns, and their float columns agree within
+    CROSS_KERNEL_RTOL."""
+    (csv_a, decisions_a, _), (csv_b, decisions_b, _) = run_a, run_b
+    assert decisions_a == decisions_b
+    cells_a, cells_b = (np.array([line.split(",")
+                                  for line in text.splitlines()[1:]])
+                        for text in (csv_a, csv_b))
+    names = CSV_HEADER.split(",")
+    ints = [names.index(c) for c in ("round", "A_eff", "runtime_us")]
+    floats = [i for i in range(len(names)) if i not in ints]
+    np.testing.assert_array_equal(cells_a[:, ints], cells_b[:, ints])
+    np.testing.assert_allclose(cells_a[:, floats].astype(float),
+                               cells_b[:, floats].astype(float),
+                               rtol=CROSS_KERNEL_RTOL, atol=0.0)
 
 
 @pytest.mark.skipif(
@@ -691,25 +732,25 @@ def test_other_blas_kernels_make_the_same_decisions(config):
     same versions, with the same integer columns, and its float columns
     agree within CROSS_KERNEL_RTOL.  The bytes differ, which shows that
     the override took effect."""
-    runs = []
-    for core in ("Prescott", "Haswell"):
-        proc = subprocess.run(
-            [sys.executable, "-c", _DECISIONS,
-             json.dumps(dict(config, rounds=10, seed=0))],
-            env=_child_env(OPENBLAS_NUM_THREADS="1", OPENBLAS_CORETYPE=core),
-            capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        runs.append(json.loads(proc.stdout))
-    (csv_a, decisions_a), (csv_b, decisions_b) = runs
-    assert decisions_a == decisions_b
-    assert csv_a != csv_b
-    cells_a, cells_b = (np.array([line.split(",")
-                                  for line in text.splitlines()[1:]])
-                        for text in (csv_a, csv_b))
-    names = CSV_HEADER.split(",")
-    ints = [names.index(c) for c in ("round", "A_eff", "runtime_us")]
-    floats = [i for i in range(len(names)) if i not in ints]
-    np.testing.assert_array_equal(cells_a[:, ints], cells_b[:, ints])
-    np.testing.assert_allclose(cells_a[:, floats].astype(float),
-                               cells_b[:, floats].astype(float),
-                               rtol=CROSS_KERNEL_RTOL, atol=0.0)
+    runs = [_decisions(config, OPENBLAS_CORETYPE=core)
+            for core in ("Prescott", "Haswell")]
+    assert runs[0][0] != runs[1][0]
+    _assert_same_decisions(*runs)
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({}, id="desk"),
+    pytest.param({"model": "mlp", "hidden": 32}, id="mlp"),
+])
+def test_numpy_simd_dispatch_makes_the_same_decisions(config):
+    """With every SIMD feature NumPy dispatches on and found on this CPU
+    disabled (NPY_DISABLE_CPU_FEATURES), a run makes the same decisions
+    as with them on, and its float columns agree within
+    CROSS_KERNEL_RTOL.  The child reports the features off, which shows
+    that the override took effect."""
+    on = _decisions(config)
+    if not on[2]:
+        pytest.skip("NumPy dispatches on no SIMD feature of this CPU")
+    off = _decisions(config, NPY_DISABLE_CPU_FEATURES=" ".join(on[2]))
+    assert off[2] == []
+    _assert_same_decisions(off, on)

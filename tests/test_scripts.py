@@ -97,6 +97,31 @@ def test_bench_counts_source_lines(tmp_path):
     assert bench.src_lines(str(tmp_path))["total"] == 5
 
 
+def test_bench_copies_the_work_tree_as_it_stands(tmp_path):
+    """export_worktree copies an edited tracked file as edited, a new file
+    and the files below a directory; an ignored file and a deleted tracked
+    file are not copied."""
+    repo, into = tmp_path / "repo", tmp_path / "copy"
+    (repo / "sub").mkdir(parents=True)
+    files = {".gitignore": "ignored.txt\n", "edited.txt": "old\n",
+             "deleted.txt": "gone\n", "sub/kept.txt": "kept\n"}
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], cwd=repo, check=True)
+    subprocess.run(git + ["add", "-A"], cwd=repo, check=True)
+    subprocess.run(git + ["commit", "-qm", "files"], cwd=repo, check=True)
+    (repo / "edited.txt").write_text("new\n")
+    (repo / "new.txt").write_text("added\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+    (repo / "deleted.txt").unlink()
+    _bench_module().export_worktree(str(repo), str(into))
+    copied = {str(p.relative_to(into)): p.read_text()
+              for p in into.rglob("*") if p.is_file()}
+    assert copied == {".gitignore": "ignored.txt\n", "edited.txt": "new\n",
+                      "new.txt": "added\n", "sub/kept.txt": "kept\n"}
+
+
 def test_bench_splits_source_lines_by_kind(tmp_path):
     """src_lines splits the lines into code, docstring, comment and blank
     ones: a line with code on it is code, a string that is a statement of

@@ -340,11 +340,13 @@ def test_shared_point_logits_are_the_per_ue_product(batch, d):
     c = 10
     weights, bias = rng.standard_normal((c, d)), rng.standard_normal(c)
     x = rng.standard_normal(batch + (32, d))
-    got = _class_logits(weights, bias, x)
+    got = _class_logits(weights, x)
+    _add_class_bias(got, bias)
     # a leading axis of one forces the stacked product, one BLAS call a UE
     per_ue = _class_logits(np.broadcast_to(weights, (1,) + batch + (c, d)),
-                           np.broadcast_to(bias, (1,) + batch + (c,)),
-                           x[None])[0]
+                           x[None])
+    _add_class_bias(per_ue, np.broadcast_to(bias, (1,) + batch + (c,)))
+    per_ue = per_ue[0]
     tol = 0.0 if d == 8 else 1e-13 * np.abs(got).max()
     for want in (per_ue, weights @ np.swapaxes(x, -1, -2) + bias[:, None]):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
